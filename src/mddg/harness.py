@@ -160,14 +160,20 @@ class RunConfig:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.method not in method_registry():
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.levels < 1:
-            raise ConfigError("levels must be >= 1")
-        if self.dt0 <= 0:
-            raise ConfigError("dt0 must be positive")
         if self.solver not in ("gmres", "direct"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if not 0 <= self.p <= 5:
             raise ConfigError("p must lie in 0..5")
+        if self.problem == "convection_diffusion" and self.p == 0:
+            raise ConfigError("convection_diffusion needs p >= 1 (interior-penalty diffusion)")
+        for name in ("dt0", "gmres_rtol", "eta"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        for name, least in (("levels", 1), ("level", 0), ("gmres_restart", 1),
+                            ("gmres_maxit", 1), ("ilu_level", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.p)

@@ -4,13 +4,16 @@ Storage is compressed-row with rows sorted by column; matrices assembled
 from DG operators carry a block size (the per-element mode count) and the
 ILU factorization exploits it: fill levels are computed on the block graph
 and the numeric phase works on dense blocks.  With block size 1 this is
-the ordinary scalar ILU(k).  GMRES is restarted and right-preconditioned,
-so reported residuals are true residuals of the original system.  A sparse
-direct LU (SuperLU) serves as the fallback when GMRES fails to converge.
+the ordinary scalar ILU(k).  The factors are applied by two compiled
+SuperLU triangular solves; there is no level schedule.  GMRES is restarted
+and right-preconditioned, so reported residuals are true residuals of the
+original system.  A sparse direct LU (SuperLU) serves as the fallback when
+GMRES fails to converge.
 """
 
 from __future__ import annotations
 
+import mmap
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
+PIVOT_COND_MAX = 1e14  # largest 1-norm condition number of an accepted ILU pivot block
 
 
 class SolverFailure(RuntimeError):
@@ -164,114 +168,150 @@ def _symbolic_ilu(indptr, indices, nb, level):
     return kept_cols
 
 
-def _schedule(deps_cols, order):
-    """Group rows into dependency levels for triangular substitution."""
-    n = len(deps_cols)
-    lvl = np.zeros(n, dtype=np.int64)
-    for i in order:
-        cs = deps_cols[i]
-        if len(cs):
-            lvl[i] = 1 + max(lvl[c] for c in cs)
-    groups = []
-    for v in range(lvl.max() + 1 if n else 0):
-        rows = np.flatnonzero(lvl == v)
-        groups.append(rows)
-    return groups
+def _mapped_zeros(size, dtype):
+    """Zeroed array in its own anonymous mapping, whose pages return to the OS when it is
+    dropped (a large freed malloc array can stay in the heap, where the SuperLU factors
+    built next cannot reuse it, raising peak memory)."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype, count=size)
 
 
-def _flatten_level(rows, cols_per_row, blocks_per_row):
-    """Stack one schedule level's (row, col, block) triples row-contiguously."""
-    rows_with = [r for r in rows if len(cols_per_row[r])]
-    if not rows_with:
-        return None
-    cols = np.concatenate([cols_per_row[r] for r in rows_with])
-    blocks = np.concatenate([blocks_per_row[r] for r in rows_with], axis=0)
-    counts = np.array([len(cols_per_row[r]) for r in rows_with])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.array(rows_with), cols, blocks, starts
+def _block_rows(cols_per_row, b):
+    """Zeroed storage for block rows, already in scalar CSR order: block row i with m_i
+    blocks is a (b, m_i, b) array ``rows[i]`` (block t is ``rows[i][:, t]``), so the flat
+    ``data`` is the value array of the scalar CSR matrix.  Returns (data, rows)."""
+    sizes = [len(cols) * b * b for cols in cols_per_row]
+    ends = np.cumsum(sizes)
+    data = _mapped_zeros(int(ends[-1]), float)
+    return data, [data[e - size : e].reshape(b, -1, b) for size, e in zip(sizes, ends)]
+
+
+def _unit_triangular_solver(data, cols_per_row, b):
+    """SuperLU object whose ``solve(v, trans="T")`` applies T^{-1}, T unit triangular.
+
+    T is stored by ``_block_rows``.  Its exactly zero blocks (two thirds of the ILU(2)
+    pattern at p = 5) are squeezed out of ``data`` in place; the rest stay dense, so
+    SuperLU finds one-block-wide supernodes.  T's scalar CSR arrays serve as the CSC
+    arrays of T^T, so the values are not copied.  With natural ordering and a zero
+    pivot threshold every pivot is T's unit diagonal: SuperLU factors T^T as itself,
+    without fill, and solves by compiled triangular sweeps.
+    """
+    n = len(cols_per_row) * b
+    kept_cols, start, end = [], 0, 0
+    for cols in cols_per_row:
+        row = data[start : start + len(cols) * b * b].reshape(b, -1, b)
+        start += row.size
+        nonzero = np.flatnonzero(row.any(axis=(0, 2)))
+        data[end : end + len(nonzero) * b * b] = row[:, nonzero].ravel()
+        end += len(nonzero) * b * b
+        kept_cols.append(np.asarray(cols)[nonzero])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.repeat([len(cols) * b for cols in kept_cols], b), out=indptr[1:])
+    indices = _mapped_zeros(int(indptr[-1]), np.int32)
+    offsets = np.arange(b)
+    for cols, s, e in zip(kept_cols, indptr[:-1:b], indptr[b::b]):
+        indices[s:e].reshape(b, -1)[:] = np.add.outer(cols * b, offsets).ravel()
+    t_transposed = scipy.sparse.csc_matrix((data[:end], indices, indptr), shape=(n, n))
+    return scipy.sparse.linalg.splu(t_transposed, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+
+def _triangle(lu) -> scipy.sparse.csr_matrix:
+    """The unit triangular T of ``_unit_triangular_solver``, rebuilt from its factors."""
+    n = lu.shape[0]
+    pr = scipy.sparse.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
+    pc = scipy.sparse.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
+    return (pr.T @ (lu.L @ lu.U) @ pc.T).T.tocsr()
 
 
 class IluFactors:
-    """Incomplete LU factors on the level-k fill pattern.
+    """Incomplete block LU factors L D Ũ on the level-k fill pattern.
 
-    L has unit (identity-block) diagonal; U holds the pivot blocks.  The
-    application M^{-1} v runs level-scheduled forward/backward block
-    substitutions.
+    L is unit block-lower, D holds the pivot blocks and Ũ = D^{-1} U is
+    unit block-upper.  Each triangle is kept as a SuperLU object of its
+    scalar transpose, so M^{-1} v = Ũ^{-1} (D^{-1} (L^{-1} v)) is two
+    compiled triangular solves around one batched block product; there is
+    no level schedule.
     """
 
-    def __init__(self, n, block_size, level, l_cols, l_blocks, u_cols, u_blocks, u_diag, u_diag_inv):
-        self.n = n
+    def __init__(self, block_size, level, lower, upper, d, d_inv):
+        self.n = lower.shape[0]
         self.block_size = block_size
         self.level = level
-        self._l_cols = l_cols
-        self._l_blocks = l_blocks
-        self._u_cols = u_cols  # strictly upper columns per row
-        self._u_blocks = u_blocks
-        self._u_diag = u_diag
-        self._u_diag_inv = u_diag_inv
-        nb = n // block_size
-        fwd_groups = _schedule(l_cols, range(nb))
-        bwd_groups = _schedule(u_cols, reversed(range(nb)))
-        self._fwd = [(rows, _flatten_level(rows, l_cols, l_blocks)) for rows in fwd_groups]
-        self._bwd = [(rows, _flatten_level(rows, u_cols, u_blocks)) for rows in bwd_groups]
+        self._lower = lower
+        self._upper = upper
+        self._d = d
+        self._d_inv = d_inv
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Solve L U x = v."""
-        b = self.block_size
-        nb = self.n // b
-        y = np.array(v, dtype=float).reshape(nb, b)
-        for rows, flat in self._fwd:
-            if flat is None:
-                continue
-            rws, cols, blocks, starts = flat
-            contrib = np.einsum("tij,tj->ti", blocks, y[cols])
-            y[rws] -= np.add.reduceat(contrib, starts, axis=0)
-        x = np.empty_like(y)
-        for rows, flat in self._bwd:
-            rhs = y[rows]  # fancy indexing copies
-            if flat is not None:
-                rws, cols, blocks, starts = flat
-                contrib = np.einsum("tij,tj->ti", blocks, x[cols])
-                sums = np.add.reduceat(contrib, starts, axis=0)
-                rhs[np.searchsorted(rows, rws)] -= sums
-            x[rows] = np.einsum("rij,rj->ri", self._u_diag_inv[rows], rhs)
-        return x.ravel()
-
-    def _expand(self, cols_per_row, blocks_per_row, diag):
-        b = self.block_size
-        nb = self.n // b
-        rows_o, cols_o, vals_o = [], [], []
-        for i in range(nb):
-            entries = list(zip(cols_per_row[i], blocks_per_row[i]))
-            if diag is not None:
-                entries.append((i, diag[i]))
-            for j, blk in sorted(entries, key=lambda t: t[0]):
-                r, c = np.divmod(np.arange(b * b), b)
-                rows_o.append(i * b + r)
-                cols_o.append(j * b + c)
-                vals_o.append(np.asarray(blk).ravel())
-        if not rows_o:
-            return CsrMatrix.identity(self.n)
-        mat = CsrMatrix.from_coo(
-            np.concatenate(rows_o), np.concatenate(cols_o), np.concatenate(vals_o), (self.n, self.n)
-        )
-        return mat
+        y = self._lower.solve(np.asarray(v, dtype=float), trans="T")
+        z = np.matmul(self._d_inv, y.reshape(-1, self.block_size, 1))
+        return self._upper.solve(z.ravel(), trans="T")
 
     @property
     def lower(self) -> CsrMatrix:
         """Unit lower-triangular factor as a scalar CSR matrix."""
-        b = self.block_size
-        eye = np.broadcast_to(np.eye(b), (self.n // b, b, b))
-        L = self._expand(self._l_cols, self._l_blocks, eye).to_scipy()
-        L.eliminate_zeros()
-        return CsrMatrix.from_scipy(L)
+        return CsrMatrix.from_scipy(_triangle(self._lower))
 
     @property
     def upper(self) -> CsrMatrix:
-        """Upper-triangular factor as a scalar CSR matrix."""
-        U = self._expand(self._u_cols, self._u_blocks, self._u_diag).to_scipy()
-        U.eliminate_zeros()
-        return CsrMatrix.from_scipy(U)
+        """Upper-triangular factor U = D Ũ as a scalar CSR matrix."""
+        return CsrMatrix.from_scipy(scipy.sparse.block_diag(self._d) @ _triangle(self._upper))
+
+
+def _numeric_ilu(A: CsrMatrix, level: int):
+    """Block ILU(level) of A: (data, block columns per row) of L and of Ũ = D^{-1} U
+    in ``_block_rows`` storage with identity diagonal blocks, then D and D^{-1}."""
+    b = A.block_size
+    nb = A.n_rows // b
+    indptr, indices, data = _block_structure(A)
+    pattern = _symbolic_ilu(indptr, indices, nb, level)
+
+    # block row i of L holds the pattern up to and including i, row i of U from i on
+    diag = [cols.index(i) for i, cols in enumerate(pattern)]
+    l_cols = [cols[: d + 1] for cols, d in zip(pattern, diag)]
+    u_cols = [cols[d:] for cols, d in zip(pattern, diag)]
+    l_data, l_rows = _block_rows(l_cols, b)
+    u_data, u_rows = _block_rows(u_cols, b)
+    d_inv = np.empty((nb, b, b))
+    position = np.full(nb, -1)  # block column -> index in the current row, -1 outside
+    u_strict = [np.array(cols[1:], dtype=np.intp) for cols in u_cols]
+    for i in range(nb):
+        cols, d = pattern[i], diag[i]
+        position[cols] = np.arange(len(cols))
+        work = np.zeros((len(cols), b, b))
+        work[position[indices[indptr[i] : indptr[i + 1]]]] = data[indptr[i] : indptr[i + 1]]
+        for t in range(d):
+            if not work[t].any():
+                continue  # an exactly zero block, common at p = 5, updates nothing
+            k = cols[t]
+            lik = work[t] = work[t] @ d_inv[k]
+            # one batched update per pivot row; updates outside the kept pattern are dropped
+            dst = position[u_strict[k]]
+            src = np.flatnonzero(dst >= 0)
+            if len(src):
+                work[dst[src]] -= lik @ u_rows[k][:, src + 1].transpose(1, 0, 2)
+        position[cols] = -1
+        piv = work[d]
+        try:
+            inv = np.linalg.inv(piv)
+        except np.linalg.LinAlgError as exc:
+            raise IluZeroPivot(f"singular pivot block in row {i}") from exc
+        cond = np.abs(piv).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+        if not cond <= PIVOT_COND_MAX:  # also catches inf and nan
+            raise IluZeroPivot(f"near-singular pivot block in row {i} (condition {cond:.3e})")
+        d_inv[i] = inv
+        l_rows[i][:, :d] = work[:d].transpose(1, 0, 2)
+        u_rows[i][:] = work[d:].transpose(1, 0, 2)
+
+    d_blocks = np.array([row[:, 0] for row in u_rows])
+    eye = np.eye(b)
+    for i in range(nb):
+        u_row = u_rows[i].reshape(b, -1)
+        u_row[:, b:] = d_inv[i] @ u_row[:, b:]  # U -> D^{-1} U
+        u_row[:, :b] = eye
+        l_rows[i][:, -1] = eye
+    return (l_data, l_cols), (u_data, u_cols), d_blocks, d_inv
 
 
 def ilu_factor(A: CsrMatrix, level: int) -> IluFactors:
@@ -281,52 +321,12 @@ def ilu_factor(A: CsrMatrix, level: int) -> IluFactors:
     if level < 0:
         raise ValueError("fill level must be non-negative")
     b = A.block_size
-    nb = A.n_rows // b
-    indptr, indices, data = _block_structure(A)
-    pattern = _symbolic_ilu(indptr, indices, nb, level)
-
-    l_cols, l_blocks, u_cols, u_blocks = [], [], [], []
-    u_diag = np.zeros((nb, b, b))
-    u_diag_inv = np.zeros((nb, b, b))
-    u_lookup = []  # per row: dict col -> index into u_blocks[row]
-    for i in range(nb):
-        row = {}
-        stored = indices[indptr[i] : indptr[i + 1]]
-        for pos, j in enumerate(stored):
-            row[int(j)] = data[indptr[i] + pos].copy()
-        for j in pattern[i]:
-            if j not in row:
-                row[j] = np.zeros((b, b))
-        lc, lb = [], []
-        for k in pattern[i]:
-            if k >= i:
-                break
-            lik = row[k] @ u_diag_inv[k]
-            lc.append(k)
-            lb.append(lik)
-            ublks_k = u_blocks[k]
-            look = u_lookup[k]
-            for j in u_cols[k]:
-                if j in row:  # updates outside the kept pattern are dropped
-                    row[j] -= lik @ ublks_k[look[j]]
-        piv = row[i]
-        scale = max(np.abs(piv).max(), 1e-300)
-        try:
-            inv = np.linalg.inv(piv)
-        except np.linalg.LinAlgError as exc:
-            raise IluZeroPivot(f"singular pivot block in row {i}") from exc
-        if not np.all(np.isfinite(inv)) or np.abs(np.linalg.det(piv)) < (1e-14 * scale) ** b:
-            raise IluZeroPivot(f"near-zero pivot block in row {i}")
-        uc = [j for j in pattern[i] if j > i]
-        ub = [row[j] for j in uc]
-        l_cols.append(np.array(lc, dtype=np.int64))
-        l_blocks.append(np.array(lb).reshape(len(lb), b, b) if lb else np.zeros((0, b, b)))
-        u_cols.append(np.array(uc, dtype=np.int64))
-        u_blocks.append(np.array(ub).reshape(len(ub), b, b) if ub else np.zeros((0, b, b)))
-        u_diag[i] = piv
-        u_diag_inv[i] = inv
-        u_lookup.append({j: idx for idx, j in enumerate(uc)})
-    return IluFactors(A.n_rows, b, level, l_cols, l_blocks, u_cols, u_blocks, u_diag, u_diag_inv)
+    (l_data, l_cols), (u_data, u_cols), d_blocks, d_inv = _numeric_ilu(A, level)
+    # Ũ's values are freed before L's SuperLU factors are built, which bounds peak memory
+    upper = _unit_triangular_solver(u_data, u_cols, b)
+    del u_data
+    lower = _unit_triangular_solver(l_data, l_cols, b)
+    return IluFactors(b, level, lower, upper, d_blocks, d_inv)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 from mddg.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -105,6 +107,31 @@ class TestSolveCommand:
         code, out, _ = run_cli(["solve", "--config", str(cfg)], capsys)
         assert code == 2
         assert "solve failed" in out
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "ilu_level = -1",
+        "gmres_rtol = 0",
+        "eta = 0",
+        "dt0 = nan",
+        pytest.param("problem = convection_diffusion\np = 0", id="diffusion-p0"),
+        "gmres_restart = 0",
+        "gmres_maxit = 0",
+        "level = -1",
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_invalid_setting_is_config_error(command, setting, capsys, tmp_path):
+    # rejected before any level runs: exit 1, one `config error:` line, no traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"method = tp3\nlevels = 1\n{setting}\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ")
 
 
 def test_shipped_config_solves(capsys):

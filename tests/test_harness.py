@@ -109,9 +109,9 @@ class TestRunConvergence:
         assert a == b
 
     def test_diffusion_rejects_p0(self):
-        cfg = RunConfig(problem="convection_diffusion", p=0, method="tp3", levels=2)
-        with pytest.raises(ValueError):
-            run_convergence(cfg)
+        # rejected when the config is built, before any level runs
+        with pytest.raises(ConfigError, match="p >= 1"):
+            RunConfig(problem="convection_diffusion", p=0, method="tp3", levels=2)
 
 
 class TestWriteReport:

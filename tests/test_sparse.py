@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mddg.basis import make_basis
+from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
+from mddg.operator import assemble
 from mddg.sparse import (
     CsrMatrix,
     IluZeroPivot,
@@ -12,6 +15,7 @@ from mddg.sparse import (
     lu_solve_direct,
     spmv,
 )
+from mddg.timeint import make_workspace
 
 
 def random_csr(n, density, seed, block_size=1, diag_boost=0.0):
@@ -131,6 +135,43 @@ class TestIlu:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             ilu_factor(CsrMatrix.identity(2), -1)
+
+    def test_near_singular_pivot_reported_at_block_size_21(self):
+        # one singular value near 1e-16 leaves |det| near 1e-16, far above
+        # a determinant floor like (1e-14 * max|entry|)^21; the condition
+        # number (~1e16) exposes it
+        rng = np.random.default_rng(20)
+        q1, _ = np.linalg.qr(rng.normal(size=(21, 21)))
+        q2, _ = np.linalg.qr(rng.normal(size=(21, 21)))
+        s = np.ones(21)
+        s[-1] = 1e-16
+        near_singular = CsrMatrix.from_scipy((q1 * s) @ q2.T, block_size=21)
+        with pytest.raises(IluZeroPivot):
+            ilu_factor(near_singular, 0)
+        s[-1] = 1e-6  # condition ~1e6 is accepted
+        ilu_factor(CsrMatrix.from_scipy((q1 * s) @ q2.T, block_size=21), 0)
+
+
+@pytest.mark.parametrize(
+    "problem, p, method, dt",
+    [
+        ("convection_diffusion", 4, "tp5", 0.25),  # block size 15
+        ("convection", 5, "mdrk6", 0.5),  # block size 21
+    ],
+)
+def test_ilu_apply_on_dg_block_system(problem, p, method, dt):
+    # the implicit block system of one step on mesh level 1 (8 elements)
+    op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
+    A = make_workspace(op, method_registry()[method], dt, LinearSolver(kind="direct")).system
+    f = ilu_factor(A, 2)
+    assert f.block_size == (p + 1) * (p + 2) // 2
+    v = np.random.default_rng(21).normal(size=A.n_rows)
+    v_before = v.copy()
+    x = f.apply(v)
+    assert np.array_equal(v, v_before)
+    expected = np.linalg.solve(f.lower.toarray() @ f.upper.toarray(), v)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(f.apply(v), x)
 
 
 class TestGmres:
