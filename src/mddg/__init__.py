@@ -15,7 +15,6 @@ from mddg.operator import (
     Problem,
     DgOperator,
     assemble,
-    upwind_trace,
     project_l2,
     l2_error,
 )

@@ -6,6 +6,13 @@ the method of lines reads  dw/dt = A w + b(t)  where A is the assembled
 sparse operator and b projects the source.  The first and second time
 derivatives of the solution are carried as auxiliary coefficient vectors:
 sigma = A w + b  and  tau = A sigma + b'.
+
+On affine triangles every cell block is a fixed combination of a few
+reference-element matrices, and the edge blocks are batched over all edges,
+so assembly has no per-element or per-edge Python loop.  Only the blocks the
+weak form couples are stored: for pure convection these are the cell blocks
+and one block per edge with c.n != 0, which couples the downwind element to
+the upwind one.
 """
 
 from __future__ import annotations
@@ -56,14 +63,6 @@ class Problem:
         if derivative == 2:
             return self.source_tt
         raise ValueError("source derivative must be 0, 1 or 2")
-
-
-def upwind_trace(c, n, w_minus: float, w_plus: float) -> float:
-    """Upwind edge value: the minus-side trace unless the flow crosses
-    against the normal.  At c.n = 0 the minus side is returned; the flux
-    contribution carries a factor c.n and vanishes there anyway."""
-    cn = float(np.dot(c, n))
-    return w_minus if cn >= 0.0 else w_plus
 
 
 class DgOperator:
@@ -126,18 +125,13 @@ def _cell_geometry(mesh, basis, degree):
     return rule, pts, scaled_w, values, J, detJ
 
 
-def _edge_ref_coords(points, origin, J):
-    """Map physical points into an element's reference coordinates."""
-    inv = np.linalg.inv(J)
-    return (points - origin) @ inv.T
-
-
 def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float) -> DgOperator:
     """Assemble the sparse method-of-lines operator.
 
     Cell terms integrate (c w - eps grad w) . grad(test); edge terms apply
     the upwind convective flux and, for eps > 0, the symmetric interior
-    penalty treatment of diffusion with penalty eta / h_e.
+    penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
+    edge stores only its upwind element's column, and nothing where c.n = 0.
     """
     if eta <= 0:
         raise ValueError("penalty parameter eta must be positive")
@@ -151,76 +145,76 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     cell_rule, cell_pts, cell_scaled_w, cell_vals, J, detJ = _cell_geometry(mesh, basis, degree)
     origins = mesh.vertices[mesh.triangles[:, 0]]
-    Jinv_T = np.linalg.inv(J).transpose(0, 2, 1)
+    Jinv = np.linalg.inv(J)
     sqrtJ = np.sqrt(detJ)
 
+    # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i).  With the reference
+    # matrices G_b = (d_b phi_i, phi_j) and K_ab = (d_a phi_i, d_b phi_j) they are
+    # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element.
     grads_ref = basis.grad(cell_rule.points)  # (nq, nm, 2)
-    w_q = cell_rule.weights
+    w_grads = grads_ref * cell_rule.weights[:, None, None]
+    G = np.einsum("qib,qj->bij", w_grads, cell_vals)
+    cell = np.einsum("kb,bij->kij", Jinv @ c, G)
+    if eps > 0:
+        K = np.einsum("qia,qjb->abij", w_grads, grads_ref)
+        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), K)
 
-    rows, cols, vals = [], [], []
-    mode_idx = np.arange(nm)
-    row_grid, col_grid = np.meshgrid(mode_idx, mode_idx, indexing="ij")
-
-    def add_block(kr, kc, block):
-        rows.append((kr * nm + row_grid).ravel())
-        cols.append((kc * nm + col_grid).ravel())
-        vals.append(block.ravel())
-
-    # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i)
-    for k in range(ne):
-        gphys = grads_ref @ Jinv_T[k].T  # (nq, nm, 2) physical gradients (unscaled)
-        conv = np.einsum("q,qia,a,qj->ij", w_q, gphys, c, cell_vals)
-        block = conv
-        if eps > 0:
-            block = block - eps * np.einsum("q,qia,qja->ij", w_q, gphys, gphys)
-        add_block(k, k, block)
-
+    # edge terms, batched over all edges; the geometry is read from mesh.edges on every call
+    edges = mesh.edges
+    left = np.array([e.left for e in edges])
+    right = np.array([e.right for e in edges])
+    normal = np.array([e.normal for e in edges])
+    length = np.array([e.length for e in edges])
+    v0 = np.array([e.v0 for e in edges])
+    v1 = np.array([e.v1 for e in edges])
+    offset = np.array([e.offset for e in edges])
     erule = edge_rule(degree)
-    for edge in mesh.edges:
-        kl, kr = edge.left, edge.right
-        n = edge.normal
-        h = edge.length
-        xq = edge.v0[None, :] + erule.points[:, None] * (edge.v1 - edge.v0)[None, :]
-        sides = []
-        for k, pts in ((kl, xq), (kr, xq - edge.offset[None, :])):
-            ref = _edge_ref_coords(pts, origins[k], J[k])
-            v = basis.eval(ref) / sqrtJ[k]
-            gn = (basis.grad(ref) @ Jinv_T[k].T @ n) / sqrtJ[k]
-            sides.append((v, gn))
-        (vl, gl), (vr, gr) = sides
-        wq = erule.weights * h
-        cn = float(c @ n)
-        sign = (1.0, -1.0)  # jump factor for (left, right)
-        trace = (vl, vr)
-        gtrace = (gl, gr)
-        up = 0 if cn >= 0.0 else 1  # upwind side index
-        for si in (0, 1):  # test side
-            for sj in (0, 1):  # trial side
-                block = np.zeros((nm, nm))
-                # convective upwind flux: -(c.n) w_up (phi- - phi+)
-                if sj == up and cn != 0.0:
-                    block -= cn * np.einsum("q,qi,qj->ij", wq, sign[si] * trace[si], trace[sj])
-                if eps > 0:
-                    # consistency: + eps ({grad w}.n) (phi- - phi+)
-                    block += 0.5 * eps * np.einsum(
-                        "q,qi,qj->ij", wq, sign[si] * trace[si], gtrace[sj]
-                    )
-                    # penalty: - eps (eta/h) [w][phi]
-                    block -= (eps * eta / h) * np.einsum(
-                        "q,qi,qj->ij", wq, sign[si] * trace[si], sign[sj] * trace[sj]
-                    )
-                    # symmetry: + eps [w] ({grad phi}.n)
-                    block += 0.5 * eps * np.einsum(
-                        "q,qi,qj->ij", wq, gtrace[si], sign[sj] * trace[sj]
-                    )
-                kt = (kl, kr)[si]
-                ks = (kl, kr)[sj]
-                add_block(kt, ks, block)
+    xq = v0[:, None, :] + erule.points[None, :, None] * (v1 - v0)[:, None, :]
+    wq = (erule.weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
+    traces = []  # (values, normal derivatives or None), each (E, nq, nm), per side
+    for k, pts in ((left, xq), (right, xq - offset[:, None, :])):
+        ref = np.einsum("eab,eqb->eqa", Jinv[k], pts - origins[k][:, None, :]).reshape(-1, 2)
+        scale = sqrtJ[k][:, None, None]
+        trace = basis.eval(ref).reshape(xq.shape[:2] + (nm,)) / scale
+        derivs = None
+        if eps > 0:  # grad(phi) . n = grad_ref(phi) . (J^-1 n)
+            along = np.einsum("eab,eb->ea", Jinv[k], normal)
+            grads = basis.grad(ref).reshape(xq.shape[:2] + (nm, 2))
+            derivs = np.einsum("eqib,eb->eqi", grads, along) / scale
+        traces.append((trace, derivs))
+    cn = normal[:, 0] * c[0] + normal[:, 1] * c[1]
+    upwind = (cn > 0.0, cn < 0.0)  # trial sides (left, right) the convective flux couples
+    sign = (1.0, -1.0)  # jump factor for (left, right)
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))  # (test side, trial side)
+    blocks = np.empty((len(edges), len(pairs), nm, nm))
+    for t, (si, sj) in enumerate(pairs):
+        (vi, gi), (vj, gj) = traces[si], traces[sj]
+        test = (wq * vi).transpose(0, 2, 1)
+        mass = test @ vj  # sum_q wq phi_i phi_j
+        # convective upwind flux: -(c.n) w_up (phi- - phi+)
+        block = np.where(upwind[sj], -cn * sign[si], 0.0)[:, None, None] * mass
+        if eps > 0:
+            # consistency: + eps ({grad w}.n) (phi- - phi+)
+            block += (0.5 * eps * sign[si]) * (test @ gj)
+            # penalty: - eps (eta/h) [w][phi]
+            block -= (eps * eta / length * (sign[si] * sign[sj]))[:, None, None] * mass
+            # symmetry: + eps [w] ({grad phi}.n)
+            block += (0.5 * eps * sign[sj]) * ((wq * gi).transpose(0, 2, 1) @ vj)
+        blocks[:, t] = block
+    emitted = np.stack([upwind[sj] | (eps > 0) for _, sj in pairs], axis=1)
 
+    # cell blocks first, then the edges' blocks edge-major: every entry sums in edge order
+    sides = (left, right)
+    test_elem = np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]
+    trial_elem = np.stack([sides[sj] for _, sj in pairs], axis=1)[emitted]
+    data = np.concatenate([cell, blocks[emitted]])
+    modes = np.arange(nm)
+    rows = np.concatenate([np.arange(ne), test_elem])[:, None, None] * nm + modes[:, None]
+    cols = np.concatenate([np.arange(ne), trial_elem])[:, None, None] * nm + modes
     matrix = CsrMatrix.from_coo(
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
+        np.broadcast_to(rows, data.shape).ravel(),
+        np.broadcast_to(cols, data.shape).ravel(),
+        data.ravel(),
         shape=(ne * nm, ne * nm),
         block_size=nm,
     )

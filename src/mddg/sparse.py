@@ -2,13 +2,13 @@
 
 Storage is compressed-row with rows sorted by column; matrices assembled
 from DG operators carry a block size (the per-element mode count) and the
-ILU factorization exploits it: fill levels are computed on the block graph
-and the numeric phase works on dense blocks.  With block size 1 this is
-the ordinary scalar ILU(k).  The factors are applied by two compiled
-SuperLU triangular solves; there is no level schedule.  GMRES is restarted
-and right-preconditioned, so reported residuals are true residuals of the
-original system.  A sparse direct LU (SuperLU) serves as the fallback when
-GMRES fails to converge.
+ILU factorization exploits it: fill levels are computed on the graph of the
+stored (structural) blocks and the numeric phase works on dense blocks.
+With block size 1 this is the ordinary scalar ILU(k).  The factors are
+applied by two compiled SuperLU triangular solves; there is no level
+schedule.  GMRES is restarted and right-preconditioned, so reported
+residuals are true residuals of the original system.  A sparse direct LU
+(SuperLU) serves as the fallback when GMRES fails to converge.
 """
 
 from __future__ import annotations
@@ -43,15 +43,18 @@ class CsrMatrix:
     """Square or rectangular CSR matrix with deterministic construction.
 
     ``block_size`` is structural metadata: rows and columns are grouped in
-    aligned dense blocks of that size (1 for plain scalar matrices).
+    aligned dense blocks of that size (1 for plain scalar matrices).  Index
+    arrays are int32 whenever nnz and the column count allow it, so the
+    scipy view of ``to_scipy`` shares them.
     """
 
     def __init__(self, n_rows, n_cols, indptr, indices, data, block_size=1):
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=float)
+        index_dtype = np.int32 if max(len(self.data), self.n_cols) < 2**31 else np.int64
+        self.indptr = np.asarray(indptr, dtype=index_dtype)
+        self.indices = np.asarray(indices, dtype=index_dtype)
         if block_size < 1 or self.n_rows % block_size or self.n_cols % block_size:
             raise ValueError("block_size must divide the matrix dimensions")
         self.block_size = int(block_size)
@@ -189,29 +192,20 @@ def _block_rows(cols_per_row, b):
 def _unit_triangular_solver(data, cols_per_row, b):
     """SuperLU object whose ``solve(v, trans="T")`` applies T^{-1}, T unit triangular.
 
-    T is stored by ``_block_rows``.  Its exactly zero blocks (two thirds of the ILU(2)
-    pattern at p = 5) are squeezed out of ``data`` in place; the rest stay dense, so
-    SuperLU finds one-block-wide supernodes.  T's scalar CSR arrays serve as the CSC
-    arrays of T^T, so the values are not copied.  With natural ordering and a zero
-    pivot threshold every pivot is T's unit diagonal: SuperLU factors T^T as itself,
-    without fill, and solves by compiled triangular sweeps.
+    T is stored by ``_block_rows`` with dense blocks, so SuperLU finds one-block-wide
+    supernodes.  T's scalar CSR arrays serve as the CSC arrays of T^T, so the values
+    are not copied.  With natural ordering and a zero pivot threshold every pivot is
+    T's unit diagonal: SuperLU factors T^T as itself, without fill, and solves by
+    compiled triangular sweeps.
     """
     n = len(cols_per_row) * b
-    kept_cols, start, end = [], 0, 0
-    for cols in cols_per_row:
-        row = data[start : start + len(cols) * b * b].reshape(b, -1, b)
-        start += row.size
-        nonzero = np.flatnonzero(row.any(axis=(0, 2)))
-        data[end : end + len(nonzero) * b * b] = row[:, nonzero].ravel()
-        end += len(nonzero) * b * b
-        kept_cols.append(np.asarray(cols)[nonzero])
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.repeat([len(cols) * b for cols in kept_cols], b), out=indptr[1:])
+    np.cumsum(np.repeat([len(cols) * b for cols in cols_per_row], b), out=indptr[1:])
     indices = _mapped_zeros(int(indptr[-1]), np.int32)
     offsets = np.arange(b)
-    for cols, s, e in zip(kept_cols, indptr[:-1:b], indptr[b::b]):
-        indices[s:e].reshape(b, -1)[:] = np.add.outer(cols * b, offsets).ravel()
-    t_transposed = scipy.sparse.csc_matrix((data[:end], indices, indptr), shape=(n, n))
+    for cols, s, e in zip(cols_per_row, indptr[:-1:b], indptr[b::b]):
+        indices[s:e].reshape(b, -1)[:] = np.add.outer(np.asarray(cols) * b, offsets).ravel()
+    t_transposed = scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
     return scipy.sparse.linalg.splu(t_transposed, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
@@ -282,8 +276,6 @@ def _numeric_ilu(A: CsrMatrix, level: int):
         work = np.zeros((len(cols), b, b))
         work[position[indices[indptr[i] : indptr[i + 1]]]] = data[indptr[i] : indptr[i + 1]]
         for t in range(d):
-            if not work[t].any():
-                continue  # an exactly zero block, common at p = 5, updates nothing
             k = cols[t]
             lik = work[t] = work[t] @ d_inv[k]
             # one batched update per pivot row; updates outside the kept pattern are dropped
@@ -542,6 +534,13 @@ class LinearSolver:
     def __post_init__(self):
         if self.kind not in ("gmres", "direct"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
+        if not (np.isfinite(self.rtol) and self.rtol > 0):
+            raise ValueError(f"rtol must be positive and finite, got {self.rtol!r}")
+        for name in ("restart", "maxit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.ilu_level < 0:
+            raise ValueError(f"ilu_level must be non-negative, got {self.ilu_level!r}")
 
     def prepare(self, A: CsrMatrix) -> PreparedSystem:
         return PreparedSystem(A, self)

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from mddg.basis import make_basis
+from mddg.basis import edge_rule, make_basis, triangle_rule
 from mddg.mesh import Edge, build_base_mesh, refine_uniform
 from mddg.operator import (
+    ASSEMBLY_DEGREE_MARGIN,
     Problem,
     assemble,
     dump_operator,
     evaluate_solution,
     l2_error,
     project_l2,
-    upwind_trace,
 )
-from mddg.harness import problem_convection, problem_convection_diffusion
+from mddg.harness import (
+    default_eta,
+    make_problem,
+    problem_convection,
+    problem_convection_diffusion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,19 +30,79 @@ def meshes():
     return out
 
 
-class TestUpwindTrace:
-    def test_inflow_from_minus(self):
-        assert upwind_trace((1.0, 1.0), (1.0, 0.0), 2.0, 5.0) == 2.0
+def reference_assemble(mesh, basis, problem, eta):
+    """Per-element, per-edge loop over the weak form: the oracle for ``assemble``.
 
-    def test_inflow_from_plus(self):
-        assert upwind_trace((1.0, 1.0), (-1.0, 0.0), 2.0, 5.0) == 5.0
+    It stores all four blocks of every edge, zero or not, and returns a scipy CSR
+    matrix.
+    """
+    eps = problem.epsilon
+    c = problem.velocity
+    nm = basis.n_modes
+    ne = mesh.n_elements
+    degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
+    cell_rule = triangle_rule(degree)
+    origins, J, detJ = mesh.jacobians()
+    Jinv_T = np.linalg.inv(J).transpose(0, 2, 1)
+    sqrtJ = np.sqrt(detJ)
+    cell_vals = basis.eval(cell_rule.points)
+    grads_ref = basis.grad(cell_rule.points)
+    w_q = cell_rule.weights
+    rows, cols, vals = [], [], []
+    row_grid, col_grid = np.meshgrid(np.arange(nm), np.arange(nm), indexing="ij")
 
-    def test_continuous_trace(self):
-        for n in ((1.0, 0.0), (-1.0, 0.0), (0.0, -1.0)):
-            assert upwind_trace((1.0, 1.0), n, 3.0, 3.0) == 3.0
+    def add_block(kr, kc, block):
+        rows.append((kr * nm + row_grid).ravel())
+        cols.append((kc * nm + col_grid).ravel())
+        vals.append(block.ravel())
 
-    def test_tangential_flow_takes_minus(self):
-        assert upwind_trace((1.0, 0.0), (0.0, 1.0), 2.0, 5.0) == 2.0
+    for k in range(ne):
+        gphys = grads_ref @ Jinv_T[k].T
+        block = np.einsum("q,qia,a,qj->ij", w_q, gphys, c, cell_vals)
+        if eps > 0:
+            block = block - eps * np.einsum("q,qia,qja->ij", w_q, gphys, gphys)
+        add_block(k, k, block)
+
+    erule = edge_rule(degree)
+    for edge in mesh.edges:
+        kl, kr = edge.left, edge.right
+        n = edge.normal
+        h = edge.length
+        xq = edge.v0[None, :] + erule.points[:, None] * (edge.v1 - edge.v0)[None, :]
+        sides = []
+        for k, pts in ((kl, xq), (kr, xq - edge.offset[None, :])):
+            ref = (pts - origins[k]) @ np.linalg.inv(J[k]).T
+            v = basis.eval(ref) / sqrtJ[k]
+            gn = (basis.grad(ref) @ Jinv_T[k].T @ n) / sqrtJ[k]
+            sides.append((v, gn))
+        (vl, gl), (vr, gr) = sides
+        wq = erule.weights * h
+        cn = float(c @ n)
+        sign = (1.0, -1.0)
+        trace = (vl, vr)
+        gtrace = (gl, gr)
+        up = 0 if cn >= 0.0 else 1
+        for si in (0, 1):
+            for sj in (0, 1):
+                block = np.zeros((nm, nm))
+                if sj == up and cn != 0.0:
+                    block -= cn * np.einsum("q,qi,qj->ij", wq, sign[si] * trace[si], trace[sj])
+                if eps > 0:
+                    block += 0.5 * eps * np.einsum(
+                        "q,qi,qj->ij", wq, sign[si] * trace[si], gtrace[sj]
+                    )
+                    block -= (eps * eta / h) * np.einsum(
+                        "q,qi,qj->ij", wq, sign[si] * trace[si], sign[sj] * trace[sj]
+                    )
+                    block += 0.5 * eps * np.einsum(
+                        "q,qi,qj->ij", wq, gtrace[si], sign[sj] * trace[sj]
+                    )
+                add_block((kl, kr)[si], (kl, kr)[sj], block)
+
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ne * nm, ne * nm),
+    )
 
 
 class TestAssemble:
@@ -102,6 +168,34 @@ class TestAssemble:
         lhs = op.matrix.matvec(1.5 * w1 - 2.5 * w2)
         rhs = 1.5 * op.matrix.matvec(w1) - 2.5 * op.matrix.matvec(w2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "name, p",
+        [("convection", p) for p in range(6)] + [("convection_diffusion", p) for p in range(1, 6)],
+    )
+    def test_matches_reference_assembler(self, meshes, name, p, level):
+        basis = make_basis(p)
+        prob = make_problem(name)
+        A = assemble(meshes[level], basis, prob, default_eta(p)).matrix.to_scipy()
+        R = reference_assemble(meshes[level], basis, prob, default_eta(p))
+        assert abs(A - R).max() <= 1e-14 * abs(R).max()
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_pure_convection_stores_upwind_blocks_only(self, meshes, p):
+        # c = (1,1) is tangential to the diagonal edges: they couple nothing, and every
+        # other edge couples only its upwind element into its downwind one
+        mesh = meshes[2]
+        prob = problem_convection()
+        A = assemble(mesh, make_basis(p), prob, eta=20.0).matrix
+        crossing = sum(1 for e in mesh.edges if prob.velocity @ e.normal != 0.0)
+        assert crossing < len(mesh.edges)
+        nm = A.block_size
+        rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
+        block_keys = rows // nm * mesh.n_elements + A.indices // nm
+        stored = np.unique(block_keys)
+        assert len(stored) == mesh.n_elements + crossing
+        assert np.array_equal(stored, np.unique(block_keys[A.data != 0.0]))  # none all zero
 
     def test_stencil_compactness(self, meshes):
         # block graph of A equals the mesh edge-adjacency graph

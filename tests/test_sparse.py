@@ -46,6 +46,13 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix.identity(4, block_size=3)
 
+    def test_scipy_view_shares_index_arrays(self):
+        A, _ = random_csr(12, 0.4, seed=3)
+        S = A.to_scipy()
+        assert np.shares_memory(S.data, A.data)
+        assert np.shares_memory(S.indices, A.indices)
+        assert np.shares_memory(S.indptr, A.indptr)
+
     def test_deterministic_construction(self):
         args = ([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
         A = CsrMatrix.from_coo(*args)
@@ -269,6 +276,23 @@ class TestLinearSolver:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             LinearSolver(kind="magic")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("restart", 0),
+            ("maxit", 0),
+            ("ilu_level", -1),
+            ("rtol", 0.0),
+            ("rtol", -1e-10),
+            ("rtol", float("nan")),
+            ("rtol", float("inf")),
+        ],
+    )
+    def test_invalid_setting_rejected(self, name, value):
+        # unchecked, a zero restart or maxit sends every solve to the direct fallback
+        with pytest.raises(ValueError, match=name):
+            LinearSolver(**{name: value})
 
     def test_gmres_prepared_solve(self):
         A, D = random_csr(40, 0.2, seed=18, diag_boost=6.0)
