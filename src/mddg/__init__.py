@@ -24,10 +24,8 @@ from mddg.sparse import (
     SolveStats,
     LinearSolver,
     SolverFailure,
-    spmv,
     ilu_factor,
     gmres_solve,
-    lu_solve_direct,
 )
 from mddg.timeint import (
     TwoPointScheme,

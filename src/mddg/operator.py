@@ -103,18 +103,6 @@ class DgOperator:
         return self.matrix.matvec(sigma) + self.source_vector(t, 1)
 
 
-def source_vector(op: DgOperator, t: float, derivative: int = 0) -> np.ndarray:
-    return op.source_vector(t, derivative)
-
-
-def compute_sigma(op: DgOperator, w: np.ndarray, t: float) -> np.ndarray:
-    return op.compute_sigma(w, t)
-
-
-def compute_tau(op: DgOperator, sigma: np.ndarray, t: float) -> np.ndarray:
-    return op.compute_tau(sigma, t)
-
-
 def _cell_geometry(mesh, basis, degree):
     rule = triangle_rule(degree)
     origins, J, detJ = mesh.jacobians()

@@ -119,11 +119,6 @@ class CsrMatrix:
         return self.to_scipy().toarray()
 
 
-def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Row-wise sparse matrix-vector product with deterministic summation."""
-    return A.matvec(x)
-
-
 def _block_structure(A: CsrMatrix):
     """Block-CSR view (indptr, indices, dense blocks) at A.block_size."""
     b = A.block_size
@@ -347,8 +342,7 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        x = np.zeros(n) if x0 is None else np.zeros(n)
-        return x, SolveStats(0, 0.0, True, time.perf_counter() - t0)
+        return np.zeros(n), SolveStats(0, 0.0, True, time.perf_counter() - t0)
     apply_m = precond.apply if precond is not None else (lambda v: v)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     history = []
@@ -421,26 +415,6 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
     return x, stats
 
 
-def lu_solve_direct(A: CsrMatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse direct LU solve (SuperLU with partial pivoting).
-
-    One step of iterative refinement keeps the residual near machine
-    precision on ill-conditioned systems.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (A.n_rows,):
-        raise ValueError("dimension mismatch in direct solve")
-    try:
-        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A.to_scipy()))
-        x = lu.solve(b)
-        x = x + lu.solve(b - A.matvec(x))
-    except RuntimeError as exc:  # SuperLU signals singularity this way
-        raise SolverFailure(f"direct LU failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverFailure("direct LU produced non-finite solution (singular matrix?)")
-    return x
-
-
 class PreparedSystem:
     """A factorized linear system ready for repeated right-hand sides.
 
@@ -469,7 +443,10 @@ class PreparedSystem:
 
     def _factorize_direct(self):
         if self._splu is None:
-            self._splu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.A.to_scipy()))
+            try:
+                self._splu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.A.to_scipy()))
+            except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
+                raise SolverFailure(f"direct LU failed: {exc}") from exc
 
     def _solve_direct(self, b, fallback=False):
         t0 = time.perf_counter()

@@ -1,10 +1,11 @@
 """Stability functions and A-stability certificates.
 
-Every scheme here has a rational stability function R(z).  For two-point
-schemes R is read off the coefficients directly (with exact rational
-entries); for multiderivative Runge-Kutta tableaux it is obtained from the
-determinant identity R = det(M + 1 w^T) / det(M) with M = I - z a1 - z^2 a2
-and w = z b1 + z^2 b2.  A-stability is certified by dense sampling of |R|
+Every scheme here has a rational stability function R(z), obtained from the
+s-stage, M-derivative tableau by the determinant identity
+R = det(M + 1 w^T) / det(M) with M = I - sum_m z^m a_m and w = sum_m z^m b_m,
+in exact rational arithmetic when the tableau is rational.  For two-point
+schemes R is also read off the coefficients directly, an independent check
+of the tableau path.  A-stability is certified by dense sampling of |R|
 on the imaginary axis and a left-half-plane lattice, a pole-location check,
 and the z -> -infinity limit by degree comparison.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from mddg.timeint import MdrkTableau, TwoPointScheme
+from mddg.timeint import MdrkTableau, TwoPointScheme, as_tableau
 
 A_STABILITY_TOL = 1e-12
 
@@ -104,24 +105,19 @@ def stability_function_mdrk(tableau: MdrkTableau, z):
     shape = z.shape
     zf = z.ravel()
     s = tableau.stages
-    a1 = tableau.a[0]
-    a2 = tableau.a[1] if tableau.n_derivatives >= 2 else np.zeros_like(a1)
-    b1 = tableau.b[0]
-    b2 = tableau.b[1] if tableau.n_derivatives >= 2 else np.zeros(s)
-    M = (
-        np.eye(s)[None, :, :]
-        - zf[:, None, None] * a1[None, :, :]
-        - (zf**2)[:, None, None] * a2[None, :, :]
-    )
-    ones = np.ones(s)
+    M = np.broadcast_to(np.eye(s, dtype=complex), (len(zf), s, s)).copy()
+    w = np.zeros((len(zf), s), dtype=complex)
+    for m, (a_m, b_m) in enumerate(zip(tableau.a, tableau.b), start=1):
+        zm = zf**m
+        M -= zm[:, None, None] * a_m[None, :, :]
+        w += zm[:, None] * b_m[None, :]
     out = np.empty(len(zf), dtype=complex)
     ok = np.abs(np.linalg.det(M)) > 0
     out[~ok] = np.nan
     if np.any(ok):
-        rhs = np.broadcast_to(ones, (int(ok.sum()), s))[..., None]
+        rhs = np.ones((int(ok.sum()), s, 1))
         y = np.linalg.solve(M[ok], rhs)[..., 0]
-        w = zf[ok, None] * b1[None, :] + (zf[ok] ** 2)[:, None] * b2[None, :]
-        out[ok] = 1.0 + np.einsum("ts,ts->t", w, y)
+        out[ok] = 1.0 + np.einsum("ts,ts->t", w[ok], y)
     return out.reshape(shape) if shape else complex(out[0])
 
 
@@ -145,50 +141,37 @@ def _poly_add(p, q, sign=1):
     return out
 
 
-def _det3(M):
-    def minor(a, b, c, d):
-        return _poly_add(_poly_mul(a, d), _poly_mul(b, c), sign=-1)
-
-    t1 = _poly_mul(M[0][0], minor(M[1][1], M[1][2], M[2][1], M[2][2]))
-    t2 = _poly_mul(M[0][1], minor(M[1][0], M[1][2], M[2][0], M[2][2]))
-    t3 = _poly_mul(M[0][2], minor(M[1][0], M[1][1], M[2][0], M[2][1]))
-    return _poly_add(_poly_add(t1, t2, sign=-1), t3)
+def _det(M):
+    """Determinant of a square matrix of polynomials, by cofactor expansion."""
+    if len(M) == 1:
+        return M[0][0]
+    out = [0]
+    for j, entry in enumerate(M[0]):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        out = _poly_add(out, _poly_mul(entry, _det(minor)), sign=(-1) ** j)
+    return out
 
 
 def rational_function_mdrk(tableau: MdrkTableau) -> RationalFunction:
-    """Rational stability function of a 3-stage tableau.
+    """Rational stability function of an s-stage, M-derivative tableau.
 
     Uses R = det(M + 1 w^T) / det(M) with polynomial determinants.  Exact
-    rational tableau entries (available for the collocation tableau) give
+    rational tableau entries (the collocation and two-point tableaux) give
     exact coefficients; otherwise the arithmetic is floating point and
     trailing near-zero coefficients are trimmed before degree comparison.
     """
-    if tableau.stages != 3:
-        raise ValueError("rational form implemented for 3-stage tableaux")
     exact = tableau.a_exact is not None
-    zero3 = tuple((Fraction(0),) * 3 for _ in range(3))
-    if exact:
-        a1 = tableau.a_exact[0]
-        a2 = tableau.a_exact[1] if tableau.n_derivatives >= 2 else zero3
-        b1 = tableau.b_exact[0]
-        b2 = tableau.b_exact[1] if tableau.n_derivatives >= 2 else (Fraction(0),) * 3
-        conv, one = Fraction, Fraction(1)
-    else:
-        a1 = tableau.a[0]
-        a2 = tableau.a[1] if tableau.n_derivatives >= 2 else np.zeros((3, 3))
-        b1 = tableau.b[0]
-        b2 = tableau.b[1] if tableau.n_derivatives >= 2 else np.zeros(3)
-        conv, one = float, 1.0
+    a, b = (tableau.a_exact, tableau.b_exact) if exact else (tableau.a, tableau.b)
+    conv = Fraction if exact else float
+    s = tableau.stages
+    # entry (i, j) of M as coefficients ascending in z, and w_j likewise
     M = [
-        [[one if i == j else conv(0), -conv(a1[i][j]), -conv(a2[i][j])] for j in range(3)]
-        for i in range(3)
+        [[conv(int(i == j))] + [-conv(a_m[i][j]) for a_m in a] for j in range(s)]
+        for i in range(s)
     ]
-    den = _det3(M)
-    Mn = [
-        [_poly_add(M[i][j], [conv(0), conv(b1[j]), conv(b2[j])]) for j in range(3)]
-        for i in range(3)
-    ]
-    num = _det3(Mn)
+    w = [[conv(0)] + [conv(b_m[j]) for b_m in b] for j in range(s)]
+    den = _det(M)
+    num = _det([[_poly_add(M[i][j], w[j]) for j in range(s)] for i in range(s)])
     if exact:
         num, den = _trim(num), _trim(den)
     else:
@@ -235,14 +218,8 @@ def a_stability_scan(method) -> StabilityReport:
     1 + 1e-12.  The z -> -infinity limit comes from degree comparison of
     the rational form; poles are located from the denominator roots.
     """
-    if isinstance(method, TwoPointScheme):
-        rat = stability_function_two_point(method)
-        label = method.label or f"tp{method.order}"
-    elif isinstance(method, MdrkTableau):
-        rat = rational_function_mdrk(method)
-        label = method.label or "mdrk"
-    else:
-        raise TypeError(f"unknown method type {type(method)!r}")
+    tableau = as_tableau(method)
+    rat = rational_function_mdrk(tableau)
     imag_axis, lattice = _scan_grids()
     vals_imag = np.abs(rat(imag_axis))
     vals_lhp = np.abs(rat(lattice))
@@ -250,7 +227,7 @@ def a_stability_scan(method) -> StabilityReport:
     max_lhp = float(np.nanmax(vals_lhp))
     poles = rat.poles()
     return StabilityReport(
-        method=label,
+        method=tableau.label or "mdrk",
         max_abs_imag_axis=max_imag,
         max_abs_left_half=max_lhp,
         limit_at_minus_inf=rat.limit_at_minus_inf(),

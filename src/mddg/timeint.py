@@ -1,18 +1,21 @@
 """Implicit multiderivative time integrators.
 
-Two families are provided.  Two-point collocation schemes prescribe k
-derivatives at t^n and l at t^{n+1}; their coefficients come from exact
-rational differentiation of the Hermite-Birkhoff kernel t^k (t-1)^l / (k+l)!
-and reach order k + l.  Multiderivative Runge-Kutta tableaux cover the
-sixth-order two-derivative collocation method on abscissae (0, 1/2, 1) and
-the classical three-stage Gauss-Legendre method.
+Every method is an s-stage, M-derivative collocation tableau: a^(m) is the
+s x s tableau of the m-th time derivative and b^(m) its update weights.
+The two-point schemes prescribe k derivatives at t^n and l at t^{n+1};
+their coefficients come from exact rational differentiation of the
+Hermite-Birkhoff kernel t^k (t-1)^l / (k+l)!, reach order k + l, and form
+the two-stage tableau c = (0, 1) with an explicit first stage and m-th
+derivative row (alpha_m, -beta_m).  The other tableaux are the sixth-order
+two-derivative collocation method on abscissae (0, 1/2, 1) and the
+classical three-stage Gauss-Legendre method.
 
 For the linear method-of-lines system  dw/dt = A w + b(t)  each implicit
-step solves one sparse block system whose unknowns are w at the new time
-level together with the auxiliary derivative vectors sigma (= A w + b) and,
-for three-derivative schemes, tau (= A sigma + b').  Eliminating the
-auxiliaries would reproduce powers of A and enlarge the stencil; the block
-form keeps every block as sparse as A itself.
+step solves one sparse block system whose unknowns are, per implicit stage
+i, the stage value y_i and its derivative-scaled auxiliaries
+dt y_i', ..., dt^(M-1) y_i^(M-1), linked by  y^(m) = A y^(m-1) + b^(m-1).
+Eliminating the auxiliaries would reproduce powers of A and enlarge the
+stencil; the block form keeps every block as sparse as A itself.
 """
 
 from __future__ import annotations
@@ -33,6 +36,45 @@ _STEP_TOL = 1e-12  # relative tolerance for "lands exactly on t_end"
 
 class BlowUpError(RuntimeError):
     """The time integration produced a non-finite state."""
+
+
+def _to_float(rows) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in rows])
+
+
+@dataclass(frozen=True)
+class MdrkTableau:
+    """Multiderivative Runge-Kutta tableaux a^(m), update weights b^(m).
+
+    ``a[m-1]`` is the s x s tableau of the m-th derivative; exact rational
+    copies are kept when the coefficients are rational.
+    """
+
+    stages: int
+    n_derivatives: int
+    c: np.ndarray
+    a: tuple
+    b: tuple
+    label: str = ""
+    a_exact: Optional[tuple] = None
+    b_exact: Optional[tuple] = None
+
+    def implicit_stages(self):
+        """Stage indices with a nonzero tableau row (solved implicitly)."""
+        out = []
+        for i in range(self.stages):
+            if any(np.any(a_m[i] != 0.0) for a_m in self.a):
+                out.append(i)
+        return out
+
+    @property
+    def stiffly_accurate(self) -> bool:
+        """The update weights are the last tableau rows and the last stage is
+        implicit, so y^{n+1} equals the last stage."""
+        last = self.stages - 1
+        return last in self.implicit_stages() and all(
+            np.array_equal(b_m, a_m[last]) for a_m, b_m in zip(self.a, self.b)
+        )
 
 
 @dataclass(frozen=True)
@@ -62,31 +104,35 @@ class TwoPointScheme:
     def beta_f(self) -> np.ndarray:
         return np.array([float(b) for b in self.beta])
 
+    @property
+    def tableau(self) -> MdrkTableau:
+        """The scheme as a two-stage tableau: c = (0, 1), an explicit first
+        stage and m-th derivative row (alpha_m, -beta_m), stiffly accurate."""
+        zero = Fraction(0)
+        a = tuple(
+            ((zero, zero), (al, -be))
+            for al, be in zip(self.alpha[: self.n_derivatives], self.beta)
+        )
+        b = tuple(rows[1] for rows in a)
+        return MdrkTableau(
+            stages=2,
+            n_derivatives=self.n_derivatives,
+            c=np.array([0.0, 1.0]),
+            a=tuple(_to_float(rows) for rows in a),
+            b=tuple(_to_float([row])[0] for row in b),
+            label=self.label or f"tp{self.order}",
+            a_exact=a,
+            b_exact=b,
+        )
 
-@dataclass(frozen=True)
-class MdrkTableau:
-    """Multiderivative Runge-Kutta tableaux a^(m), update weights b^(m).
 
-    ``a[m-1]`` is the s x s tableau of the m-th derivative; exact rational
-    copies are kept when the coefficients are rational.
-    """
-
-    stages: int
-    n_derivatives: int
-    c: np.ndarray
-    a: tuple
-    b: tuple
-    label: str = ""
-    a_exact: Optional[tuple] = None
-    b_exact: Optional[tuple] = None
-
-    def implicit_stages(self):
-        """Stage indices with a nonzero tableau row (solved implicitly)."""
-        out = []
-        for i in range(self.stages):
-            if any(np.any(a_m[i] != 0.0) for a_m in self.a):
-                out.append(i)
-        return out
+def as_tableau(method) -> MdrkTableau:
+    """The tableau that builds, steps and certifies ``method``."""
+    if isinstance(method, TwoPointScheme):
+        return method.tableau
+    if isinstance(method, MdrkTableau):
+        return method
+    raise TypeError(f"unknown method type {type(method)!r}")
 
 
 def _poly_derivative(coeffs):
@@ -150,13 +196,12 @@ def builtin_mdrk6() -> MdrkTableau:
         (F(65, 4800), F(-25, 600), F(-25, 8000)),
         (F(5, 300), F(0), F(-5, 300)),
     )
-    to_f = lambda rows: np.array([[float(x) for x in r] for r in rows])
     return MdrkTableau(
         stages=3,
         n_derivatives=2,
         c=np.array([0.0, 0.5, 1.0]),
-        a=(to_f(a1), to_f(a2)),
-        b=(to_f([a1[2]])[0], to_f([a2[2]])[0]),
+        a=(_to_float(a1), _to_float(a2)),
+        b=(_to_float([a1[2]])[0], _to_float([a2[2]])[0]),
         label="mdrk6",
         a_exact=(a1, a2),
         b_exact=(a1[2], a2[2]),
@@ -180,83 +225,17 @@ def builtin_gauss_legendre6() -> MdrkTableau:
     return MdrkTableau(stages=3, n_derivatives=1, c=c, a=(a,), b=(b,), label="gl6")
 
 
-def _as_scipy(A: CsrMatrix):
-    return A.to_scipy()
-
-
-class TwoPointWorkspace:
-    """Prepared block system for repeated steps of a two-point scheme.
-
-    The auxiliary unknowns are carried as dt*sigma and dt^2*tau, so every
-    off-diagonal block is dt*A times an O(1) coefficient; without this
-    rescaling the sigma/tau columns outweigh the solution columns by powers
-    of ||A|| and starve the Krylov solver.
-    """
-
-    def __init__(self, op, scheme: TwoPointScheme, dt: float, solver: LinearSolver):
-        self.op = op
-        self.scheme = scheme
-        self.dt = dt
-        n = op.matrix.n_rows
-        self.n = n
-        nd = scheme.n_derivatives
-        A = _as_scipy(op.matrix)
-        I = scipy.sparse.identity(n, format="csr")
-        Z = dt * A
-        be = scheme.beta_f
-        if nd == 2:
-            blocks = [
-                [I + be[0] * Z, be[1] * Z],
-                [-Z, I],
-            ]
-        else:
-            blocks = [
-                [I + be[0] * Z, be[1] * Z, be[2] * Z],
-                [-Z, I, None],
-                [None, -Z, I],
-            ]
-        system = CsrMatrix.from_scipy(
-            scipy.sparse.bmat(blocks, format="csr"), block_size=op.matrix.block_size
-        )
-        self.system = system
-        self.prepared = solver.prepare(system)
-        self._alpha = scheme.alpha_f
-        self._beta = scheme.beta_f
-
-    def step(self, w: np.ndarray, t: float) -> np.ndarray:
-        op = self.op
-        dt = self.dt
-        al, be = self._alpha, self._beta
-        nd = self.scheme.n_derivatives
-        t1 = t + dt
-        A = op.matrix
-        bn = op.source_vector(t, 0)
-        b1 = op.source_vector(t1, 0)
-        sigma_n = A.matvec(w) + bn
-        rhs_w = w + dt * al[0] * A.matvec(w) + dt * (al[0] * bn - be[0] * b1)
-        bpn = op.source_vector(t, 1)
-        bp1 = op.source_vector(t1, 1)
-        rhs_w += dt**2 * al[1] * A.matvec(sigma_n) + dt**2 * (al[1] * bpn - be[1] * bp1)
-        parts = [rhs_w, dt * b1]
-        x0 = [w, dt * sigma_n]
-        if nd == 3:
-            tau_n = A.matvec(sigma_n) + bpn
-            bppn = op.source_vector(t, 2)
-            bpp1 = op.source_vector(t1, 2)
-            rhs_w += dt**3 * al[2] * A.matvec(tau_n) + dt**3 * (al[2] * bppn - be[2] * bpp1)
-            parts = [rhs_w, dt * b1, dt**2 * bp1]
-            x0 = [w, dt * sigma_n, dt**2 * tau_n]
-        rhs = np.concatenate(parts)
-        x, _ = self.prepared.solve(rhs, x0=np.concatenate(x0))
-        return x[: self.n]
-
-
 class MdrkWorkspace:
-    """Prepared block system for repeated steps of a multiderivative RK tableau.
+    """Prepared block system for repeated steps of a multiderivative tableau.
 
-    Stage unknowns are ordered stage-major, (y_i, dt*sigma_i) per implicit
-    stage; the dt scaling of sigma keeps all blocks at the dt*A scale (see
-    TwoPointWorkspace).
+    The unknowns of implicit stage i are y_i, dt y_i', ..., dt^(M-1) y_i^(M-1),
+    stage-major.  Row y_i holds delta_ij I - a_1[i,j] dt A in column y_j and
+    -a_m[i,j] dt A in column dt^(m-1) y_j^(m-1); each auxiliary row reads
+    u_m - dt A u_(m-1) = dt^m b^(m-1)(t_i) with u_m = dt^m y_i^(m).  The dt^m
+    scaling keeps every off-diagonal block at the dt A scale; without it the
+    derivative columns outweigh the solution columns by powers of ||A|| and
+    starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
+    stage equal to the step input.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float, solver: LinearSolver):
@@ -265,30 +244,25 @@ class MdrkWorkspace:
         self.dt = dt
         n = op.matrix.n_rows
         self.n = n
-        self.implicit = tableau.implicit_stages()
-        A = _as_scipy(op.matrix)
+        self.implicit = S = tableau.implicit_stages()
+        self.stiffly_accurate = tableau.stiffly_accurate
+        M = tableau.n_derivatives
+        A = op.matrix.to_scipy()
         I = scipy.sparse.identity(n, format="csr")
         Z = dt * A
-        M = tableau.n_derivatives
-        a1 = tableau.a[0]
-        a2 = tableau.a[1] if M >= 2 else None
-        S = self.implicit
-        per_stage = 2 if M >= 2 else 1
-        nb = len(S) * per_stage
+        nb = len(S) * M
         blocks = [[None] * nb for _ in range(nb)]
         for bi, i in enumerate(S):
-            ri = bi * per_stage
+            row = bi * M
             for bj, j in enumerate(S):
-                cj = bj * per_stage
-                y_blk = (-a1[i, j]) * Z
-                if i == j:
-                    y_blk = I + y_blk
-                blocks[ri][cj] = y_blk
-                if M >= 2:
-                    blocks[ri][cj + 1] = (-a2[i, j]) * Z if a2[i, j] != 0.0 else None
-            if M >= 2:
-                blocks[ri + 1][ri] = -Z
-                blocks[ri + 1][ri + 1] = I
+                for m, a_m in enumerate(tableau.a):  # column dt^m y_j^(m) carries a^(m+1)
+                    if i == j and m == 0:
+                        blocks[row][row] = I + (-a_m[i, j]) * Z
+                    elif a_m[i, j] != 0.0:
+                        blocks[row][bj * M + m] = (-a_m[i, j]) * Z
+            for m in range(1, M):
+                blocks[row + m][row + m - 1] = -Z
+                blocks[row + m][row + m] = I
         system = CsrMatrix.from_scipy(
             scipy.sparse.bmat(blocks, format="csr"), block_size=op.matrix.block_size
         )
@@ -296,89 +270,74 @@ class MdrkWorkspace:
         self.prepared = solver.prepare(system)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
-        op = self.op
-        tab = self.tableau
-        dt = self.dt
-        n = self.n
+        op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit
         M = tab.n_derivatives
-        S = self.implicit
-        per_stage = 2 if M >= 2 else 1
         A = op.matrix
-        c = tab.c
-        a1 = tab.a[0]
-        a2 = tab.a[1] if M >= 2 else None
-        t_i = [t + ci * dt for ci in c]
-        b_i = [op.source_vector(ti, 0) for ti in t_i]
-        bp_i = [op.source_vector(ti, 1) for ti in t_i] if M >= 2 else None
+        explicit = len(S) < tab.stages
+        # derivatives of the step input at t: the explicit stages' M derivatives (one A w
+        # for all of them) and the initial guess of the auxiliaries
+        deriv = [w]
+        for m in range(1, M + 1 if explicit else M):
+            deriv.append(A.matvec(deriv[-1]) + op.source_vector(t, m - 1))
+        scaled = [dt**m * v for m, v in enumerate(deriv)]
+        # src[i][m-1] = dt^m b^(m-1)(t_i), the source part of dt^m y_i^(m)
+        src = {
+            i: [dt**m * op.source_vector(t + tab.c[i] * dt, m - 1) for m in range(1, M + 1)]
+            for i in S
+        }
 
-        explicit = [i for i in range(tab.stages) if i not in S]
-        y_stage = [None] * tab.stages
-        sig_stage = [None] * tab.stages
-        for i in explicit:  # zero tableau row: stage equals the step input
-            y_stage[i] = w
-            sig_stage[i] = A.matvec(w) + b_i[i]
-
-        rhs = np.zeros(len(S) * per_stage * n)
-        x0 = np.zeros_like(rhs)
-        for bi, i in enumerate(S):
+        rhs = []
+        for i in S:
             r = w.copy()
             for j in range(tab.stages):
-                contrib = None
-                if j in S:
-                    if a1[i, j] != 0.0:
-                        r += dt * a1[i, j] * b_i[j]
-                    if M >= 2 and a2[i, j] != 0.0:
-                        r += dt**2 * a2[i, j] * bp_i[j]
-                else:
-                    if a1[i, j] != 0.0:
-                        r += dt * a1[i, j] * sig_stage[j]
-                    if M >= 2 and a2[i, j] != 0.0:
-                        r += dt**2 * a2[i, j] * (A.matvec(sig_stage[j]) + bp_i[j])
-            base = bi * per_stage * n
-            rhs[base : base + n] = r
-            x0[base : base + n] = w
-            if M >= 2:
-                rhs[base + n : base + 2 * n] = dt * b_i[i]
-                x0[base + n : base + 2 * n] = dt * (A.matvec(w) + b_i[i])
-        x, _ = self.prepared.solve(rhs, x0=x0)
-        for bi, i in enumerate(S):
-            base = bi * per_stage * n
-            y_stage[i] = x[base : base + n]
-            if M >= 2:
-                sig_stage[i] = x[base + n : base + 2 * n] / dt
-            else:
-                sig_stage[i] = A.matvec(y_stage[i]) + b_i[i]
+                for m, a_m in enumerate(tab.a, start=1):
+                    if a_m[i, j] != 0.0:
+                        r += a_m[i, j] * (src[j][m - 1] if j in src else scaled[m])
+            rhs += [r, *src[i][: M - 1]]
+        x0 = np.concatenate(scaled[:M] * len(S))
+        x, _ = self.prepared.solve(np.concatenate(rhs), x0=x0)
+        x = x.reshape(len(S), M, n)
+        if self.stiffly_accurate:
+            return x[-1, 0]
 
         out = w.copy()
         for i in range(tab.stages):
-            if tab.b[0][i] != 0.0:
-                out = out + dt * tab.b[0][i] * sig_stage[i]
-            if M >= 2 and tab.b[1][i] != 0.0:
-                out = out + dt**2 * tab.b[1][i] * (A.matvec(sig_stage[i]) + bp_i[i])
+            for m, b_m in enumerate(tab.b, start=1):
+                if b_m[i] == 0.0:
+                    continue
+                if i not in src:
+                    v = scaled[m]
+                elif m < M:
+                    v = x[S.index(i), m]
+                else:
+                    v = dt * A.matvec(x[S.index(i), M - 1]) + src[i][M - 1]
+                out += b_m[i] * v
         return out
+
+
+class TwoPointWorkspace(MdrkWorkspace):
+    """The workspace of a two-point scheme's two-stage tableau."""
+
+    def __init__(self, op, scheme: TwoPointScheme, dt: float, solver: LinearSolver):
+        super().__init__(op, scheme.tableau, dt, solver)
+
+    # bench/spans.py wraps TwoPointWorkspace.step through this class's own __dict__
+    step = MdrkWorkspace.step
 
 
 def make_workspace(op, method, dt: float, solver: Optional[LinearSolver] = None):
     solver = solver if solver is not None else LinearSolver()
-    if isinstance(method, TwoPointScheme):
-        return TwoPointWorkspace(op, method, dt, solver)
-    if isinstance(method, MdrkTableau):
-        return MdrkWorkspace(op, method, dt, solver)
-    raise TypeError(f"unknown method type {type(method)!r}")
+    return MdrkWorkspace(op, as_tableau(method), dt, solver)
 
 
-def two_point_step(op, scheme: TwoPointScheme, w, t, dt, solver: Optional[LinearSolver] = None):
-    """One implicit step of a two-point multiderivative scheme."""
+def mdrk_step(op, method, w, t, dt, solver: Optional[LinearSolver] = None):
+    """One implicit step of a tableau or a two-point scheme."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return TwoPointWorkspace(op, scheme, dt, solver or LinearSolver()).step(np.asarray(w, float), t)
+    return make_workspace(op, method, dt, solver).step(np.asarray(w, float), t)
 
 
-def mdrk_step(op, tableau: MdrkTableau, w, t, dt, solver: Optional[LinearSolver] = None):
-    """One implicit step of a multiderivative Runge-Kutta tableau."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return MdrkWorkspace(op, tableau, dt, solver or LinearSolver()).step(np.asarray(w, float), t)
+two_point_step = mdrk_step
 
 
 def integrate(

@@ -12,8 +12,6 @@ from mddg.sparse import (
     SolverFailure,
     gmres_solve,
     ilu_factor,
-    lu_solve_direct,
-    spmv,
 )
 from mddg.timeint import make_workspace
 
@@ -62,25 +60,30 @@ class TestCsrMatrix:
         assert np.array_equal(A.indptr, B.indptr)
 
 
+def direct_solve(A, b):
+    return LinearSolver(kind="direct").prepare(A).solve(b)[0]
+
+
 class TestSpmv:
+    # sparse matrix-vector products through CsrMatrix.matvec
     def test_identity(self):
         A = CsrMatrix.identity(7)
         x = np.arange(7.0)
-        assert np.array_equal(spmv(A, x), x)
+        assert np.array_equal(A.matvec(x), x)
 
     def test_zero_vector(self):
         A, _ = random_csr(6, 0.5, seed=0)
-        assert np.array_equal(spmv(A, np.zeros(6)), np.zeros(6))
+        assert np.array_equal(A.matvec(np.zeros(6)), np.zeros(6))
 
     def test_against_dense_oracle(self):
         A, D = random_csr(5, 0.6, seed=1)
         x = np.random.default_rng(2).normal(size=5)
-        assert np.max(np.abs(spmv(A, x) - D @ x)) < 1e-14
+        assert np.max(np.abs(A.matvec(x) - D @ x)) < 1e-14
 
     def test_dimension_mismatch(self):
         A = CsrMatrix.identity(3)
         with pytest.raises(ValueError):
-            spmv(A, np.ones(4))
+            A.matvec(np.ones(4))
 
 
 class TestIlu:
@@ -244,32 +247,34 @@ class TestDirect:
     def test_identity(self):
         A = CsrMatrix.identity(5)
         b = np.arange(5.0)
-        assert np.max(np.abs(lu_solve_direct(A, b) - b)) == 0.0
+        assert np.max(np.abs(direct_solve(A, b) - b)) == 0.0
 
     def test_permutation(self):
         P = np.eye(5)[[3, 0, 4, 1, 2]]
         A = CsrMatrix.from_scipy(sp.csr_matrix(P))
         b = np.arange(5.0)
-        x = lu_solve_direct(A, b)
+        x = direct_solve(A, b)
         assert np.max(np.abs(P @ x - b)) < 1e-14
 
     def test_random_50x50_vs_dense(self):
         A, D = random_csr(50, 0.3, seed=14, diag_boost=8.0)
         b = np.random.default_rng(15).normal(size=50)
-        x = lu_solve_direct(A, b)
+        x = direct_solve(A, b)
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) < 1e-10
 
     def test_singular_reported(self):
-        D = np.zeros((3, 3))
-        D[0, 0] = 1.0
-        with pytest.raises(SolverFailure):
-            lu_solve_direct(CsrMatrix.from_scipy(sp.csr_matrix(D)), np.ones(3))
+        # SuperLU's "exactly singular" RuntimeError surfaces as SolverFailure, both
+        # for the direct kind and for the GMRES fallback after an ILU zero pivot
+        A = CsrMatrix.from_scipy(sp.diags([1.0, 0.0, 2.0]).tocsr())
+        for kind in ("direct", "gmres"):
+            with pytest.raises(SolverFailure, match="singular"):
+                LinearSolver(kind=kind).prepare(A).solve(np.ones(3))
 
     def test_ilu_full_pattern_matches_direct(self):
         A, D = random_csr(20, 1.0, seed=16, diag_boost=9.0)
         f = ilu_factor(A, 20)
         b = np.random.default_rng(17).normal(size=20)
-        assert np.max(np.abs(f.apply(b) - lu_solve_direct(A, b))) < 1e-10
+        assert np.max(np.abs(f.apply(b) - direct_solve(A, b))) < 1e-10
 
 
 class TestLinearSolver:

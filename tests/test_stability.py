@@ -13,6 +13,7 @@ from mddg.stability import (
     stability_function_two_point,
 )
 from mddg.timeint import (
+    as_tableau,
     builtin_gauss_legendre6,
     builtin_mdrk6,
     builtin_two_point_schemes,
@@ -70,6 +71,11 @@ class TestTwoPointStabilityFunctions:
             w1 = two_point_step(scalar_op(lam), s, np.array([1.0]), 0.0, dt, solver)
             assert abs(w1[0] - r(lam * dt).real) < 1e-13
 
+    @pytest.mark.parametrize("scheme", TP, ids=lambda s: s.label)
+    def test_tableau_rational_form_is_exact(self, scheme):
+        # the coefficient form is an independent oracle for the tableau's determinant path
+        assert rational_function_mdrk(scheme.tableau) == stability_function_two_point(scheme)
+
 
 class TestMdrkStabilityFunctions:
     def test_value_at_origin(self):
@@ -85,9 +91,13 @@ class TestMdrkStabilityFunctions:
         assert np.max(np.abs(vals - 1.0)) < 1e-12
 
     def test_rational_form_matches_pointwise(self):
-        r = rational_function_mdrk(MDRK6)
-        zs = np.array([-0.5, 0.3, 1j, -2.0 + 1.5j])
-        assert np.max(np.abs(r(zs) - stability_function_mdrk(MDRK6, zs))) < 1e-12
+        # every method through its tableau, the two-point ones with three derivatives
+        zs = np.array([-0.5, 0.3, 0.3 + 0.2j, 1j, -2.0 + 1.0j, -2.0 + 1.5j])
+        for method in TP + [MDRK6, GL6]:
+            tab = as_tableau(method)
+            r = rational_function_mdrk(tab)
+            gap = np.max(np.abs(r(zs) - stability_function_mdrk(tab, zs)))
+            assert gap < 1e-12, (tab.label, gap)
 
     def test_mdrk6_rational_is_exact(self):
         r = rational_function_mdrk(MDRK6)

@@ -11,6 +11,8 @@ from mddg.mesh import build_base_mesh
 from mddg.operator import assemble, project_l2
 from mddg.sparse import LinearSolver
 from mddg.timeint import (
+    MdrkWorkspace,
+    TwoPointWorkspace,
     builtin_gauss_legendre6,
     builtin_mdrk6,
     builtin_two_point_schemes,
@@ -143,6 +145,25 @@ class TestMdrkTableaux:
     def test_implicit_stage_detection(self):
         assert builtin_mdrk6().implicit_stages() == [1, 2]
         assert builtin_gauss_legendre6().implicit_stages() == [0, 1, 2]
+
+    def test_stiffly_accurate(self):
+        assert builtin_mdrk6().stiffly_accurate
+        assert not builtin_gauss_legendre6().stiffly_accurate
+        assert all(s.tableau.stiffly_accurate for s in builtin_two_point_schemes())
+
+    @pytest.mark.parametrize("scheme", builtin_two_point_schemes(), ids=lambda s: s.label)
+    def test_two_point_tableau(self, scheme):
+        tab = scheme.tableau
+        M = scheme.n_derivatives
+        assert (tab.stages, tab.n_derivatives, tab.label) == (2, M, scheme.label)
+        assert list(tab.c) == [0.0, 1.0]
+        assert tab.a_exact == tuple(
+            ((0, 0), (scheme.alpha[m], -scheme.beta[m])) for m in range(M)
+        )
+        assert tab.b_exact == tuple(rows[1] for rows in tab.a_exact)
+        assert tab.implicit_stages() == [1]
+        for a_m, a_exact in zip(tab.a, tab.a_exact):
+            assert np.array_equal(a_m, [[float(x) for x in row] for row in a_exact])
 
 
 class TestScalarSteps:
@@ -291,7 +312,7 @@ class TestIntegrate:
 
 class TestBlockEquivalence:
     # the sparse block step reproduces the dense formulation in powers of A
-    @pytest.mark.parametrize("scheme_idx", [1, 3])  # tp4, tp6
+    @pytest.mark.parametrize("scheme_idx", [0, 1, 2, 3])
     @pytest.mark.parametrize("problem_fn", [problem_convection, problem_convection_diffusion])
     def test_two_point_vs_dense(self, scheme_idx, problem_fn):
         mesh = build_base_mesh()
@@ -318,6 +339,62 @@ class TestBlockEquivalence:
         wd = np.linalg.solve(lhs, rhs)
         assert np.linalg.norm(wb - wd) / np.linalg.norm(wd) < 1e-8
 
+    @pytest.mark.parametrize("make", [builtin_mdrk6, builtin_gauss_legendre6])
+    @pytest.mark.parametrize("problem_fn", [problem_convection, problem_convection_diffusion])
+    def test_mdrk_vs_dense_stage_solve(self, make, problem_fn):
+        # dense collocation stage equations in powers of A, with the source:
+        # Y_i = w + sum_j sum_m dt^m a_m[i,j] Y_j^(m),  Y^(1) = A Y + b,  Y^(2) = A^2 Y + A b + b'
+        mesh = build_base_mesh()
+        basis = make_basis(1)
+        op = assemble(mesh, basis, problem_fn(), eta=20.0)
+        tab = make()
+        A = op.matrix.toarray()
+        n, s = op.n_dof, tab.stages
+        w = np.random.default_rng(35).normal(size=n)
+        t, dt = 0.3, 0.2
+        powers = [np.eye(n), A, A @ A]
+        srcs = []
+        for c in tab.c:
+            b0, b1 = op.source_vector(t + c * dt, 0), op.source_vector(t + c * dt, 1)
+            srcs.append([None, b0, A @ b0 + b1])
+        lhs = np.zeros((s * n, s * n))
+        rhs = np.tile(w, s)
+        for i in range(s):
+            lhs[i * n : (i + 1) * n, i * n : (i + 1) * n] += np.eye(n)
+            for j in range(s):
+                for m, a_m in enumerate(tab.a, start=1):
+                    lhs[i * n : (i + 1) * n, j * n : (j + 1) * n] -= dt**m * a_m[i, j] * powers[m]
+                    rhs[i * n : (i + 1) * n] += dt**m * a_m[i, j] * srcs[j][m]
+        Y = np.linalg.solve(lhs, rhs).reshape(s, n)
+        wd = w.copy()
+        for i in range(s):
+            for m, b_m in enumerate(tab.b, start=1):
+                wd += dt**m * b_m[i] * (powers[m] @ Y[i] + srcs[i][m])
+        wb = mdrk_step(op, tab, w, t, dt, DIRECT)
+        assert np.linalg.norm(wb - wd) / np.linalg.norm(wd) < 1e-8
+
+    @pytest.mark.parametrize("scheme", builtin_two_point_schemes(), ids=lambda s: s.label)
+    def test_two_point_system_is_explicit_block_form(self, scheme):
+        # [[I + b1 Z, b2 Z(, b3 Z)], [-Z, I(, 0)](, [0, -Z, I])] with Z = dt A
+        mesh = build_base_mesh()
+        op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
+        dt = 0.2
+        Z = dt * op.matrix.toarray()
+        I = np.eye(op.n_dof)
+        O = np.zeros_like(I)
+        al, be = scheme.alpha_f, scheme.beta_f
+        assert al[0] - be[0] == 1.0
+        top = [I + be[0] * Z, be[1] * Z, be[2] * Z]
+        if scheme.n_derivatives == 2:
+            expected = np.block([top[:2], [-Z, I]])
+        else:
+            expected = np.block([top, [-Z, I, O], [O, -Z, I]])
+        ws = TwoPointWorkspace(op, scheme, dt, DIRECT)
+        assert np.array_equal(ws.system.toarray(), expected)
+        w = np.random.default_rng(36).normal(size=op.n_dof)
+        w_mdrk = MdrkWorkspace(op, scheme.tableau, dt, DIRECT).step(w, 0.1)
+        assert np.array_equal(ws.step(w, 0.1), w_mdrk)
+
     def test_mdrk_update_equals_last_stage(self, scalar_op):
         # stiffly accurate tableau: the Eq-style update equals stage 3 of
         # the dense stage solve
@@ -338,8 +415,6 @@ class TestBlockEquivalence:
         op = assemble(mesh, basis, problem_convection_diffusion(), eta=20.0)
         tab = builtin_mdrk6()
         w = np.random.default_rng(34).normal(size=op.n_dof)
-        from mddg.timeint import MdrkWorkspace
-
         w1 = MdrkWorkspace(op, tab, 0.125, DIRECT).step(w, 0.0)
         w2 = MdrkWorkspace(op, tab, 0.125, DIRECT).step(w, 0.0)
         assert np.array_equal(w1, w2)
