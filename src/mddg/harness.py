@@ -151,7 +151,6 @@ class RunConfig:
     gmres_restart: int = 60
     gmres_maxit: int = 5000
     gmres_fallback: bool = True
-    ilu_level: int = 2
     level: int = 0  # single-run level for `solve`
     output: Optional[str] = None
 
@@ -171,7 +170,7 @@ class RunConfig:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         for name, least in (("levels", 1), ("level", 0), ("gmres_restart", 1),
-                            ("gmres_maxit", 1), ("ilu_level", 0)):
+                            ("gmres_maxit", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
 
@@ -184,7 +183,6 @@ class RunConfig:
             rtol=self.gmres_rtol,
             restart=self.gmres_restart,
             maxit=self.gmres_maxit,
-            ilu_level=self.ilu_level,
             fallback=self.gmres_fallback,
         )
 
@@ -201,7 +199,6 @@ _CONFIG_TYPES = {
     "gmres_restart": int,
     "gmres_maxit": int,
     "gmres_fallback": bool,
-    "ilu_level": int,
     "level": int,
     "output": str,
 }

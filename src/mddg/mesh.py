@@ -185,12 +185,3 @@ def refine_uniform(mesh: TriangularMesh) -> TriangularMesh:
         mca = midpoint(c, a)
         triangles.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
     return _make_mesh(vertices, triangles, level=mesh.level + 1)
-
-
-def dump_mesh(mesh: TriangularMesh, path) -> None:
-    """Plain-text mesh dump: one `v x y` line per vertex, one `t i j k` per triangle."""
-    with open(path, "w") as fh:
-        for x, y in mesh.vertices:
-            fh.write(f"v {x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"t {i} {j} {k}\n")

@@ -204,7 +204,6 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
         np.broadcast_to(cols, data.shape).ravel(),
         data.ravel(),
         shape=(ne * nm, ne * nm),
-        block_size=nm,
     )
     return DgOperator(mesh, basis, problem, eta, matrix, cell_pts, cell_scaled_w, cell_vals)
 
@@ -237,12 +236,3 @@ def evaluate_solution(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, elem
     values = basis.eval(np.atleast_2d(ref_pts))
     coeffs = w.reshape(mesh.n_elements, basis.n_modes)[elem]
     return values @ coeffs / np.sqrt(detJ[elem])
-
-
-def dump_operator(op: DgOperator, path) -> None:
-    """Coordinate-format text dump: `row col value`, 17 significant digits."""
-    A = op.matrix
-    with open(path, "w") as fh:
-        for i in range(A.n_rows):
-            for p in range(A.indptr[i], A.indptr[i + 1]):
-                fh.write(f"{i} {A.indices[p]} {A.data[p]:.17g}\n")

@@ -263,9 +263,7 @@ class MdrkWorkspace:
             for m in range(1, M):
                 blocks[row + m][row + m - 1] = -Z
                 blocks[row + m][row + m] = I
-        system = CsrMatrix.from_scipy(
-            scipy.sparse.bmat(blocks, format="csr"), block_size=op.matrix.block_size
-        )
+        system = CsrMatrix.from_scipy(scipy.sparse.bmat(blocks, format="csr"))
         self.system = system
         self.prepared = solver.prepare(system)
 

@@ -113,6 +113,7 @@ class TestSolveCommand:
     "setting",
     [
         "ilu_level = -1",
+        "ilu_level = 2",
         "gmres_rtol = 0",
         "eta = 0",
         "dt0 = nan",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mddg.mesh import build_base_mesh, dump_mesh, refine_uniform
+from mddg.mesh import build_base_mesh, refine_uniform
 
 
 @pytest.fixture(scope="module")
@@ -118,15 +118,3 @@ def test_base_mesh_has_diagonal_edge():
     diag = [e for e in m.edges if np.allclose(np.abs(e.normal), np.sqrt(0.5))]
     assert len(diag) == 1
     assert np.allclose(diag[0].offset, 0.0)
-
-
-def test_dump_mesh_format(tmp_path):
-    m = build_base_mesh()
-    path = tmp_path / "mesh.txt"
-    dump_mesh(m, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4 + 2
-    assert lines[0].startswith("v ")
-    assert lines[-1].startswith("t ")
-    kinds = [ln.split()[0] for ln in lines]
-    assert kinds == ["v"] * 4 + ["t"] * 2

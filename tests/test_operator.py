@@ -9,7 +9,6 @@ from mddg.operator import (
     ASSEMBLY_DEGREE_MARGIN,
     Problem,
     assemble,
-    dump_operator,
     evaluate_solution,
     l2_error,
     project_l2,
@@ -190,7 +189,7 @@ class TestAssemble:
         A = assemble(mesh, make_basis(p), prob, eta=20.0).matrix
         crossing = sum(1 for e in mesh.edges if prob.velocity @ e.normal != 0.0)
         assert crossing < len(mesh.edges)
-        nm = A.block_size
+        nm = make_basis(p).n_modes
         rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
         block_keys = rows // nm * mesh.n_elements + A.indices // nm
         stored = np.unique(block_keys)
@@ -471,14 +470,3 @@ class TestProblemDefinitions:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             Problem(velocity=np.array([1.0, 0.0]), epsilon=-0.1, initial=lambda x, y: x)
-
-
-def test_dump_operator_format(tmp_path, meshes):
-    op = assemble(meshes[0], make_basis(0), problem_convection(), eta=20.0)
-    path = tmp_path / "op.txt"
-    dump_operator(op, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == op.matrix.nnz
-    row, col, val = lines[0].split()
-    assert int(row) == 0
-    float(val)

@@ -7,7 +7,6 @@ from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_regis
 from mddg.operator import assemble
 from mddg.sparse import (
     CsrMatrix,
-    IluZeroPivot,
     LinearSolver,
     SolverFailure,
     gmres_solve,
@@ -16,14 +15,14 @@ from mddg.sparse import (
 from mddg.timeint import make_workspace
 
 
-def random_csr(n, density, seed, block_size=1, diag_boost=0.0):
+def random_csr(n, density, seed, diag_boost=0.0):
     rng = np.random.default_rng(seed)
     D = rng.normal(size=(n, n))
     mask = rng.random((n, n)) < density
     np.fill_diagonal(mask, True)
     D = np.where(mask, D, 0.0)
     D += diag_boost * np.eye(n)
-    return CsrMatrix.from_scipy(D, block_size=block_size), D
+    return CsrMatrix.from_scipy(D), D
 
 
 class TestCsrMatrix:
@@ -39,10 +38,6 @@ class TestCsrMatrix:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
             CsrMatrix.from_coo([0], [5], [1.0], (2, 2))
-
-    def test_block_size_must_divide(self):
-        with pytest.raises(ValueError):
-            CsrMatrix.identity(4, block_size=3)
 
     def test_scipy_view_shares_index_arrays(self):
         A, _ = random_csr(12, 0.4, seed=3)
@@ -86,102 +81,32 @@ class TestSpmv:
             A.matvec(np.ones(4))
 
 
-class TestIlu:
-    def test_diagonal_exact(self):
-        d = np.array([2.0, -3.0, 0.5, 7.0])
-        A = CsrMatrix.from_scipy(sp.diags(d).tocsr())
-        f = ilu_factor(A, 0)
-        assert np.allclose(f.lower.toarray(), np.eye(4))
-        assert np.allclose(f.upper.toarray(), np.diag(d))
-
-    def test_dense_full_level_reproduces_matrix(self):
-        A, D = random_csr(4, 1.0, seed=3, diag_boost=4.0)
-        f = ilu_factor(A, 4)
-        LU = f.lower.toarray() @ f.upper.toarray()
-        assert np.max(np.abs(LU - D)) < 1e-12
-
-    def test_tridiagonal_level0_exact(self):
-        T = sp.diags([np.full(9, -1.0), np.full(10, 2.0), np.full(9, -1.0)], [-1, 0, 1]).tocsr()
-        A = CsrMatrix.from_scipy(T)
-        f = ilu_factor(A, 0)
-        LU = f.lower.toarray() @ f.upper.toarray()
-        assert np.max(np.abs(LU - T.toarray())) < 1e-13
-
-    def test_unit_lower_diagonal(self):
-        A, _ = random_csr(12, 0.4, seed=4, diag_boost=6.0)
-        f = ilu_factor(A, 1)
-        L = f.lower.toarray()
-        assert np.allclose(np.diag(L), 1.0)
-        assert np.max(np.abs(np.triu(L, 1))) == 0.0
-
-    def test_block_matches_scalar_on_block_dense_matrix(self):
-        # with fully dense blocks the block and scalar factorizations agree
-        rng = np.random.default_rng(5)
-        nb, b = 5, 3
-        D = np.zeros((nb * b, nb * b))
-        for i in range(nb):
-            for j in range(nb):
-                if i == j or rng.random() < 0.4:
-                    D[i * b : (i + 1) * b, j * b : (j + 1) * b] = rng.normal(size=(b, b))
-            D[i * b : (i + 1) * b, i * b : (i + 1) * b] += 8 * np.eye(b)
-        f_blk = ilu_factor(CsrMatrix.from_scipy(D, block_size=b), 1)
-        f_sca = ilu_factor(CsrMatrix.from_scipy(sp.bsr_matrix(D, blocksize=(b, b)).tocsr()), 1)
-        v = rng.normal(size=nb * b)
-        assert np.max(np.abs(f_blk.apply(v) - f_sca.apply(v))) < 1e-10
-
-    def test_apply_is_triangular_solve(self):
-        A, _ = random_csr(10, 0.5, seed=6, diag_boost=5.0)
-        f = ilu_factor(A, 2)
-        v = np.random.default_rng(7).normal(size=10)
-        x = f.apply(v)
-        L, U = f.lower.toarray(), f.upper.toarray()
-        assert np.max(np.abs(L @ (U @ x) - v)) < 1e-11
-
-    def test_zero_pivot_reported(self):
-        D = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(IluZeroPivot):
-            ilu_factor(CsrMatrix.from_scipy(sp.csr_matrix(D)), 0)
-
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            ilu_factor(CsrMatrix.identity(2), -1)
-
-    def test_near_singular_pivot_reported_at_block_size_21(self):
-        # one singular value near 1e-16 leaves |det| near 1e-16, far above
-        # a determinant floor like (1e-14 * max|entry|)^21; the condition
-        # number (~1e16) exposes it
-        rng = np.random.default_rng(20)
-        q1, _ = np.linalg.qr(rng.normal(size=(21, 21)))
-        q2, _ = np.linalg.qr(rng.normal(size=(21, 21)))
-        s = np.ones(21)
-        s[-1] = 1e-16
-        near_singular = CsrMatrix.from_scipy((q1 * s) @ q2.T, block_size=21)
-        with pytest.raises(IluZeroPivot):
-            ilu_factor(near_singular, 0)
-        s[-1] = 1e-6  # condition ~1e6 is accepted
-        ilu_factor(CsrMatrix.from_scipy((q1 * s) @ q2.T, block_size=21), 0)
-
-
 @pytest.mark.parametrize(
-    "problem, p, method, dt",
+    "p, method, dt",
     [
-        ("convection_diffusion", 4, "tp5", 0.25),  # block size 15
-        ("convection", 5, "mdrk6", 0.5),  # block size 21
+        (4, "tp5", 0.25),  # block size 15
+        (5, "mdrk6", 0.5),  # block size 21
     ],
 )
-def test_ilu_apply_on_dg_block_system(problem, p, method, dt):
-    # the implicit block system of one step on mesh level 1 (8 elements)
-    op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
+def test_ilutp_on_dg_block_system(p, method, dt):
+    # the implicit block system of one convection-diffusion step on mesh level 1 (8 elements)
+    prob = make_problem("convection_diffusion")
+    op = assemble(mesh_hierarchy(2)[1], make_basis(p), prob, default_eta(p))
     A = make_workspace(op, method_registry()[method], dt, LinearSolver(kind="direct")).system
-    f = ilu_factor(A, 2)
-    assert f.block_size == (p + 1) * (p + 2) // 2
-    v = np.random.default_rng(21).normal(size=A.n_rows)
-    v_before = v.copy()
-    x = f.apply(v)
-    assert np.array_equal(v, v_before)
-    expected = np.linalg.solve(f.lower.toarray() @ f.upper.toarray(), v)
-    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert np.array_equal(f.apply(v), x)
+    D = A.toarray()
+    b = np.random.default_rng(21).normal(size=A.n_rows)
+
+    x, stats = LinearSolver(fallback=False).prepare(A).solve(b)
+    assert stats.converged and not stats.fallback_used
+    assert np.linalg.norm(b - D @ x) <= 1e-10 * np.linalg.norm(b)
+    _, plain = gmres_solve(A, b, maxit=20 * A.n_rows)
+    assert stats.iterations < plain.iterations
+
+    f = ilu_factor(A)
+    b_before = b.copy()
+    y = f.apply(b)
+    assert np.array_equal(b, b_before)
+    assert np.array_equal(f.apply(b), y)
 
 
 class TestGmres:
@@ -209,7 +134,7 @@ class TestGmres:
 
     def test_preconditioned_convergence(self):
         A, D = random_csr(60, 0.1, seed=8, diag_boost=10.0)
-        f = ilu_factor(A, 1)
+        f = ilu_factor(A)
         b = np.random.default_rng(9).normal(size=60)
         x, stats = gmres_solve(A, b, precond=f, rtol=1e-11)
         assert stats.converged
@@ -235,7 +160,7 @@ class TestGmres:
 
     def test_determinism(self):
         A, _ = random_csr(30, 0.3, seed=13, diag_boost=4.0)
-        f = ilu_factor(A, 1)
+        f = ilu_factor(A)
         b = np.linspace(-1, 1, 30)
         x1, s1 = gmres_solve(A, b, precond=f, rtol=1e-12)
         x2, s2 = gmres_solve(A, b, precond=f, rtol=1e-12)
@@ -270,13 +195,6 @@ class TestDirect:
             with pytest.raises(SolverFailure, match="singular"):
                 LinearSolver(kind=kind).prepare(A).solve(np.ones(3))
 
-    def test_ilu_full_pattern_matches_direct(self):
-        A, D = random_csr(20, 1.0, seed=16, diag_boost=9.0)
-        f = ilu_factor(A, 20)
-        b = np.random.default_rng(17).normal(size=20)
-        assert np.max(np.abs(f.apply(b) - direct_solve(A, b))) < 1e-10
-
-
 class TestLinearSolver:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -287,7 +205,6 @@ class TestLinearSolver:
         [
             ("restart", 0),
             ("maxit", 0),
-            ("ilu_level", -1),
             ("rtol", 0.0),
             ("rtol", -1e-10),
             ("rtol", float("nan")),
@@ -309,9 +226,10 @@ class TestLinearSolver:
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_fallback_engages_and_sticks(self):
-        # starve GMRES so the direct fallback must take over
+        # starve GMRES so the direct fallback must take over; ILUTP is an exact LU of
+        # this small matrix, so only a tolerance below round-off starves it
         A, D = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver(maxit=2, restart=2).prepare(A)
+        prep = LinearSolver(rtol=1e-16, maxit=2, restart=2).prepare(A)
         b = np.ones(40)
         x, stats = prep.solve(b)
         assert stats.fallback_used
@@ -319,6 +237,12 @@ class TestLinearSolver:
         x2, stats2 = prep.solve(2 * b)
         assert stats2.fallback_used
         assert stats2.iterations == 1  # straight to the factorization
+
+    def test_singular_ilu_without_fallback(self):
+        # SuperLU's RuntimeError from the incomplete factorization surfaces as SolverFailure
+        A = CsrMatrix.from_scipy(sp.diags([1.0, 0.0, 2.0]).tocsr())
+        with pytest.raises(SolverFailure, match="singular"):
+            LinearSolver(fallback=False).prepare(A)
 
     def test_failure_without_fallback(self):
         A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
