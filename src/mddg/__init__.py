@@ -9,7 +9,7 @@ block systems keep the compact DG stencil by carrying the first and second
 time derivatives as auxiliary unknowns.
 """
 
-from mddg.mesh import TriangularMesh, Edge, build_base_mesh, refine_uniform
+from mddg.mesh import TriangularMesh, build_base_mesh, refine_uniform
 from mddg.basis import BasisSet, QuadratureRule, make_basis, triangle_rule, edge_rule
 from mddg.operator import (
     Problem,

@@ -11,6 +11,7 @@ blow-up.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -76,12 +77,19 @@ def cmd_schemes(out=None) -> int:
     return 0
 
 
+def _open_output(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_stability(method_name: str, output=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     report = a_stability_scan(method_registry()[method_name])
     text = StabilityReport.CSV_HEADER + "\n" + report.csv_row() + "\n"
     if output:
-        with open(output, "w") as fh:
+        with _open_output(output) as fh:
             fh.write(text)
     else:
         out.write(text)
@@ -91,13 +99,13 @@ def cmd_stability(method_name: str, output=None, out=None) -> int:
 def cmd_convergence(config_path, output=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     cfg = parse_config(config_path)
-    report = harness.run_convergence(cfg)
-    text = harness.format_report(report)
     path = output or cfg.output
-    if path:
-        with open(path, "w") as fh:
+    with _open_output(path) if path else contextlib.nullcontext() as fh:  # fail before the study
+        report = harness.run_convergence(cfg)
+        text = harness.format_report(report)
+        if fh:
             fh.write(text)
-        out.write(f"wrote {path}\n")
+            out.write(f"wrote {path}\n")
     out.write(text)
     for level, exc in report.failures:
         out.write(f"level {level} failed: {exc}\n")

@@ -4,7 +4,9 @@ The coarsest mesh splits [0,1]^2 along the diagonal (0,0)-(1,1) into two
 triangles; uniform refinement quadrisects every triangle at the edge
 midpoints ("red" refinement).  Opposite boundary sides are identified, so
 every logical edge joins exactly two element sides and carries the
-translation that maps the far side's trace onto the edge geometry.
+translation that maps the far side's trace onto the edge geometry.  The
+edges are stored as one table of parallel arrays, built by sorting the
+element sides on a canonical midpoint key.
 """
 
 from __future__ import annotations
@@ -20,25 +22,32 @@ PAIRING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Edge:
-    """A logical mesh edge joining two element sides.
+class EdgeTable:
+    """The logical mesh edges as parallel arrays, one entry per edge.
 
-    Geometry (endpoints, normal) is stored on the left side, where "left"
-    is the adjacent element with the smaller index.  The normal points out
-    of the left element.  For a periodic edge, ``offset`` is the translation
-    in {0,+-1}^2 that carries the right element's physical trace onto the
-    stored segment; it is (0,0) for interior edges.
+    Edge i joins side ``left_side[i]`` of element ``left[i]`` to side
+    ``right_side[i]`` of element ``right[i]``, where "left" is the element
+    with the smaller index (side s of a triangle runs from its vertex s to
+    vertex s + 1).  The geometry is stored on the left side: endpoints
+    ``v0``, ``v1`` (E, 2), unit ``normal`` (E, 2) pointing out of the left
+    element, and ``length`` (E,).  For a periodic edge, ``offset`` (E, 2)
+    is the translation in {0,+-1}^2 that carries the right element's
+    physical trace onto the stored segment; it is (0,0) for interior edges.
+    Edges are ordered by (left, left_side).
     """
 
+    left: np.ndarray
+    left_side: np.ndarray
+    right: np.ndarray
+    right_side: np.ndarray
     v0: np.ndarray
     v1: np.ndarray
-    length: float
     normal: np.ndarray
-    left: int
-    left_side: int
-    right: int
-    right_side: int
+    length: np.ndarray
     offset: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.left)
 
 
 @dataclass(frozen=True)
@@ -46,14 +55,14 @@ class TriangularMesh:
     """Conforming periodic triangulation of the unit square.
 
     vertices: (nv, 2) coordinates; triangles: (ne, 3) CCW vertex indices;
-    edges: logical edges (each references two element sides); element_areas:
-    (ne,) positive areas summing to 1; level: number of uniform refinements
-    applied to the two-triangle base mesh.
+    edges: the 3 ne / 2 logical edges, each joining two element sides;
+    element_areas: (ne,) positive areas summing to 1; level: number of
+    uniform refinements applied to the two-triangle base mesh.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    edges: tuple[Edge, ...]
+    edges: EdgeTable
     element_areas: np.ndarray
     level: int
 
@@ -63,7 +72,7 @@ class TriangularMesh:
 
     @property
     def h_max(self) -> float:
-        return max(e.length for e in self.edges)
+        return float(self.edges.length.max())
 
     def jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Affine maps x = v0 + J xhat per element.
@@ -84,63 +93,49 @@ def _signed_areas(vertices, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _side_key(va, vb):
-    """Canonical matching key for an element side.
+def _build_edges(vertices, triangles) -> EdgeTable:
+    """Pair the 3 ne element sides into edges with one sort.
 
-    Interior sides key on their midpoint; boundary sides key on the
-    midpoint with the periodic coordinate folded to 0, so that paired
-    sides on opposite boundaries collide.
+    Side s of element k sits at flat index 3k + s.  Each side keys on its
+    midpoint, with the periodic coordinate folded to 0 for sides on the
+    boundary lines x = 0, 1 or y = 0, 1, so that paired sides on opposite
+    boundaries collide.  A stable sort on the rounded key puts the two
+    sides of an edge next to each other, the left one first.
     """
+    va = vertices[triangles].reshape(-1, 2)
+    vb = vertices[np.roll(triangles, -1, axis=1)].reshape(-1, 2)
     mid = 0.5 * (va + vb)
-    on_line = [
-        abs(va[i] - c) < PAIRING_TOL and abs(vb[i] - c) < PAIRING_TOL
-        for i in (0, 1)
-        for c in (0.0, 1.0)
-    ]
-    kx, ky = mid
-    if on_line[0] or on_line[1]:  # x = 0 or x = 1
-        kx = 0.0
-    if on_line[2] or on_line[3]:  # y = 0 or y = 1
-        ky = 0.0
-    return (round(kx / PAIRING_TOL), round(ky / PAIRING_TOL))
-
-
-def _build_edges(vertices, triangles):
-    groups: dict[tuple, list] = {}
-    for k, tri in enumerate(triangles):
-        for s in range(3):
-            va = vertices[tri[s]]
-            vb = vertices[tri[(s + 1) % 3]]
-            groups.setdefault(_side_key(va, vb), []).append((k, s, va, vb))
-
-    edges = []
-    for key in sorted(groups):
-        sides = groups[key]
-        if len(sides) != 2:
-            raise ValueError(f"side group of size {len(sides)} at key {key}")
-        sides.sort(key=lambda t: (t[0], t[1]))
-        (kl, sl, va, vb), (kr, sr, wa, wb) = sides
-        if kl == kr:
-            raise ValueError("edge pairs an element with itself")
-        tangent = vb - va
-        length = float(np.hypot(*tangent))
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        offset = np.round(0.5 * (va + vb) - 0.5 * (wa + wb))
-        edges.append(
-            Edge(
-                v0=va,
-                v1=vb,
-                length=length,
-                normal=normal,
-                left=kl,
-                left_side=sl,
-                right=kr,
-                right_side=sr,
-                offset=offset,
-            )
-        )
-    edges.sort(key=lambda e: (e.left, e.left_side))
-    return tuple(edges)
+    lines = np.array([0.0, 1.0])
+    on_line = (
+        (np.abs(va[..., None] - lines) < PAIRING_TOL) & (np.abs(vb[..., None] - lines) < PAIRING_TOL)
+    ).any(axis=-1)
+    key = np.round(np.where(on_line, 0.0, mid) / PAIRING_TOL)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
+    sizes = np.diff(np.r_[starts, len(order)])
+    if np.any(sizes != 2):
+        bad = np.flatnonzero(sizes != 2)[0]
+        raise ValueError(f"side group of size {sizes[bad]} at key {tuple(key[starts[bad]])}")
+    first, second = order[starts], order[starts + 1]
+    if np.any(first // 3 == second // 3):
+        raise ValueError("edge pairs an element with itself")
+    by_left = np.argsort(first)
+    first, second = first[by_left], second[by_left]
+    v0, v1 = va[first], vb[first]
+    tangent = v1 - v0
+    length = np.hypot(tangent[:, 0], tangent[:, 1])
+    return EdgeTable(
+        left=first // 3,
+        left_side=first % 3,
+        right=second // 3,
+        right_side=second % 3,
+        v0=v0,
+        v1=v1,
+        normal=np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / length[:, None],
+        length=length,
+        offset=np.round(mid[first] - mid[second]),
+    )
 
 
 def _make_mesh(vertices, triangles, level):

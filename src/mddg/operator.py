@@ -147,20 +147,14 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
         K = np.einsum("qia,qjb->abij", w_grads, grads_ref)
         cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), K)
 
-    # edge terms, batched over all edges; the geometry is read from mesh.edges on every call
+    # edge terms, batched over all edges of the mesh's edge table
     edges = mesh.edges
-    left = np.array([e.left for e in edges])
-    right = np.array([e.right for e in edges])
-    normal = np.array([e.normal for e in edges])
-    length = np.array([e.length for e in edges])
-    v0 = np.array([e.v0 for e in edges])
-    v1 = np.array([e.v1 for e in edges])
-    offset = np.array([e.offset for e in edges])
+    left, right, normal, length = edges.left, edges.right, edges.normal, edges.length
     erule = edge_rule(degree)
-    xq = v0[:, None, :] + erule.points[None, :, None] * (v1 - v0)[:, None, :]
+    xq = edges.v0[:, None, :] + erule.points[None, :, None] * (edges.v1 - edges.v0)[:, None, :]
     wq = (erule.weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
     traces = []  # (values, normal derivatives or None), each (E, nq, nm), per side
-    for k, pts in ((left, xq), (right, xq - offset[:, None, :])):
+    for k, pts in ((left, xq), (right, xq - edges.offset[:, None, :])):
         ref = np.einsum("eab,eqb->eqa", Jinv[k], pts - origins[k][:, None, :]).reshape(-1, 2)
         scale = sqrtJ[k][:, None, None]
         trace = basis.eval(ref).reshape(xq.shape[:2] + (nm,)) / scale
@@ -229,10 +223,3 @@ def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callab
     per_elem = (diff**2 * rule.weights[None, :]).sum(axis=1) * detJ
     return float(np.sqrt(per_elem.sum()))
 
-
-def evaluate_solution(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, elem: int, ref_pts) -> np.ndarray:
-    """Evaluate the modal solution inside one element at reference points."""
-    _, J, detJ = mesh.jacobians()
-    values = basis.eval(np.atleast_2d(ref_pts))
-    coeffs = w.reshape(mesh.n_elements, basis.n_modes)[elem]
-    return values @ coeffs / np.sqrt(detJ[elem])

@@ -49,6 +49,14 @@ class TestStability:
         text = path.read_text()
         assert text.splitlines()[1].startswith("tp3,")
 
+    def test_unwritable_output_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "stab.csv"
+        code, out, err = run_cli(["stability", "--method", "tp3", "--output", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot write {path}")
+
     def test_unknown_method_is_usage_error(self, capsys):
         code, _, err = run_cli(["stability", "--method", "rk99"], capsys)
         assert code == 1
@@ -69,6 +77,17 @@ class TestConvergenceCommand:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "level,h,dt,ndof,l2_error,observed_order"
         assert len(lines) == 3
+
+    def test_unwritable_config_output_fails_before_the_study(self, capsys, tmp_path):
+        # the output path comes from the config; the study must not run first
+        path = tmp_path / "missing" / "out.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = convection\nmethod = tp3\np = 1\nlevels = 2\noutput = {path}\n")
+        code, out, err = run_cli(["convergence", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot write {path}")
 
     def test_missing_config_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(["convergence", "--config", str(tmp_path / "nope.cfg")], capsys)

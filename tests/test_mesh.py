@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mddg.mesh import build_base_mesh, refine_uniform
+from mddg.mesh import PAIRING_TOL, _make_mesh, build_base_mesh, refine_uniform
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +26,8 @@ def test_base_mesh_areas():
 
 
 def test_base_mesh_edges_join_distinct_sides():
-    m = build_base_mesh()
-    for e in m.edges:
-        assert (e.left, e.left_side) != (e.right, e.right_side)
-        assert e.left < e.right or (e.left == e.right and e.left_side != e.right_side)
+    e = build_base_mesh().edges
+    assert np.all(e.left < e.right)
 
 
 def test_refinement_counts(hierarchy):
@@ -72,49 +70,132 @@ def test_refinement_nested(hierarchy):
 
 def test_edge_normals_unit(hierarchy):
     for m in hierarchy:
-        for e in m.edges:
-            assert abs(np.linalg.norm(e.normal) - 1.0) < 1e-14
-            assert e.length > 0
+        e = m.edges
+        assert np.all(np.abs(np.linalg.norm(e.normal, axis=1) - 1.0) < 1e-14)
+        assert np.all(e.length > 0)
+
+
+def _dot(a, b):
+    return np.einsum("ea,ea->e", a, b)
 
 
 def test_normal_points_out_of_left_element(hierarchy):
     for m in hierarchy:
-        for e in m.edges:
-            centroid = m.vertices[m.triangles[e.left]].mean(axis=0)
-            mid = 0.5 * (e.v0 + e.v1)
-            assert (mid - centroid) @ e.normal > 0
+        e = m.edges
+        centroid = m.vertices[m.triangles[e.left]].mean(axis=1)
+        mid = 0.5 * (e.v0 + e.v1)
+        assert np.all(_dot(mid - centroid, e.normal) > 0)
 
 
 def test_periodic_offset_maps_right_trace_onto_edge(hierarchy):
     for m in hierarchy[:3]:
-        for e in m.edges:
-            tri = m.triangles[e.right]
-            a = m.vertices[tri[e.right_side]]
-            b = m.vertices[tri[(e.right_side + 1) % 3]]
-            for pt in (a, b, 0.5 * (a + b)):
-                mapped = pt + e.offset
-                along = (mapped - e.v0) @ (e.v1 - e.v0) / e.length**2
-                perp = abs((mapped - e.v0) @ e.normal)
-                assert perp < 1e-12
-                assert -1e-12 <= along <= 1 + 1e-12
+        e = m.edges
+        tri = m.triangles[e.right]
+        rows = np.arange(len(e))
+        a = m.vertices[tri[rows, e.right_side]]
+        b = m.vertices[tri[rows, (e.right_side + 1) % 3]]
+        for pt in (a, b, 0.5 * (a + b)):
+            mapped = pt + e.offset
+            along = _dot(mapped - e.v0, e.v1 - e.v0) / e.length**2
+            perp = np.abs(_dot(mapped - e.v0, e.normal))
+            assert np.all(perp < 1e-12)
+            assert np.all((-1e-12 <= along) & (along <= 1 + 1e-12))
 
 
 def test_offset_values_in_unit_set(hierarchy):
     for m in hierarchy:
-        for e in m.edges:
-            assert set(np.unique(e.offset)) <= {-1.0, 0.0, 1.0}
+        assert set(np.unique(m.edges.offset)) <= {-1.0, 0.0, 1.0}
 
 
 def test_edge_lengths_halve(hierarchy):
     for coarse, fine in zip(hierarchy, hierarchy[1:]):
-        coarse_lengths = sorted({round(e.length, 12) for e in coarse.edges})
-        fine_lengths = sorted({round(e.length, 12) for e in fine.edges})
-        assert np.allclose([2 * x for x in fine_lengths], coarse_lengths, atol=1e-12)
+        coarse_lengths = np.unique(np.round(coarse.edges.length, 12))
+        fine_lengths = np.unique(np.round(fine.edges.length, 12))
+        assert np.allclose(2 * fine_lengths, coarse_lengths, atol=1e-12)
         assert abs(fine.h_max - 0.5 * coarse.h_max) < 1e-12
 
 
 def test_base_mesh_has_diagonal_edge():
+    e = build_base_mesh().edges
+    diag = np.all(np.isclose(np.abs(e.normal), np.sqrt(0.5)), axis=1)
+    assert np.count_nonzero(diag) == 1
+    assert np.all(e.offset[diag] == 0.0)
+
+
+def _side_key(va, vb):
+    mid = 0.5 * (va + vb)
+    on_line = [
+        abs(va[i] - c) < PAIRING_TOL and abs(vb[i] - c) < PAIRING_TOL
+        for i in (0, 1)
+        for c in (0.0, 1.0)
+    ]
+    kx, ky = mid
+    if on_line[0] or on_line[1]:  # x = 0 or x = 1
+        kx = 0.0
+    if on_line[2] or on_line[3]:  # y = 0 or y = 1
+        ky = 0.0
+    return (round(kx / PAIRING_TOL), round(ky / PAIRING_TOL))
+
+
+def reference_edges(vertices, triangles):
+    """Per-side dictionary matching: the oracle for the sorted edge table.
+
+    Returns the edge fields as a dict of arrays, in (left, left_side) order.
+    """
+    groups = {}
+    for k, tri in enumerate(triangles):
+        for s in range(3):
+            va = vertices[tri[s]]
+            vb = vertices[tri[(s + 1) % 3]]
+            groups.setdefault(_side_key(va, vb), []).append((k, s, va, vb))
+    edges = []
+    for key in sorted(groups):
+        sides = groups[key]
+        assert len(sides) == 2
+        sides.sort(key=lambda t: (t[0], t[1]))
+        (kl, sl, va, vb), (kr, sr, wa, wb) = sides
+        tangent = vb - va
+        length = float(np.hypot(*tangent))
+        edges.append(
+            dict(
+                left=kl,
+                left_side=sl,
+                right=kr,
+                right_side=sr,
+                v0=va,
+                v1=vb,
+                normal=np.array([tangent[1], -tangent[0]]) / length,
+                length=length,
+                offset=np.round(0.5 * (va + vb) - 0.5 * (wa + wb)),
+            )
+        )
+    edges.sort(key=lambda e: (e["left"], e["left_side"]))
+    return {name: np.array([e[name] for e in edges]) for name in edges[0]}
+
+
+def test_edge_table_matches_reference_bitwise():
     m = build_base_mesh()
-    diag = [e for e in m.edges if np.allclose(np.abs(e.normal), np.sqrt(0.5))]
-    assert len(diag) == 1
-    assert np.allclose(diag[0].offset, 0.0)
+    for level in range(6):
+        if level:
+            m = refine_uniform(m)
+        ref = reference_edges(m.vertices, m.triangles)
+        assert len(m.edges) == len(ref["left"]) == 3 * m.n_elements // 2
+        for name, expected in ref.items():
+            got = getattr(m.edges, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "vertices, triangles",
+    [
+        # a lone triangle is not periodic: none of its sides has a partner
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)]),
+        # a repeated triangle puts three sides on (0,0)-(1,1)
+        ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], [(0, 1, 2), (0, 2, 3), (0, 1, 2)]),
+    ],
+    ids=["unpaired", "overfull"],
+)
+def test_sides_that_do_not_pair_rejected(vertices, triangles):
+    with pytest.raises(ValueError, match="side group of size [13] "):
+        _make_mesh(vertices, triangles, level=0)

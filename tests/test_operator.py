@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
 from mddg.basis import edge_rule, make_basis, triangle_rule
-from mddg.mesh import Edge, build_base_mesh, refine_uniform
+from mddg.mesh import build_base_mesh, refine_uniform
 from mddg.operator import (
     ASSEMBLY_DEGREE_MARGIN,
     Problem,
     assemble,
-    evaluate_solution,
     l2_error,
     project_l2,
 )
@@ -63,13 +64,13 @@ def reference_assemble(mesh, basis, problem, eta):
         add_block(k, k, block)
 
     erule = edge_rule(degree)
-    for edge in mesh.edges:
-        kl, kr = edge.left, edge.right
-        n = edge.normal
-        h = edge.length
-        xq = edge.v0[None, :] + erule.points[:, None] * (edge.v1 - edge.v0)[None, :]
+    E = mesh.edges
+    for kl, kr, n, h, v0, v1, offset in zip(
+        E.left, E.right, E.normal, E.length, E.v0, E.v1, E.offset
+    ):
+        xq = v0[None, :] + erule.points[:, None] * (v1 - v0)[None, :]
         sides = []
-        for k, pts in ((kl, xq), (kr, xq - edge.offset[None, :])):
+        for k, pts in ((kl, xq), (kr, xq - offset[None, :])):
             ref = (pts - origins[k]) @ np.linalg.inv(J[k]).T
             v = basis.eval(ref) / sqrtJ[k]
             gn = (basis.grad(ref) @ Jinv_T[k].T @ n) / sqrtJ[k]
@@ -187,7 +188,7 @@ class TestAssemble:
         mesh = meshes[2]
         prob = problem_convection()
         A = assemble(mesh, make_basis(p), prob, eta=20.0).matrix
-        crossing = sum(1 for e in mesh.edges if prob.velocity @ e.normal != 0.0)
+        crossing = np.count_nonzero(mesh.edges.normal @ prob.velocity != 0.0)
         assert crossing < len(mesh.edges)
         nm = make_basis(p).n_modes
         rows = np.repeat(np.arange(A.n_rows), np.diff(A.indptr))
@@ -203,9 +204,9 @@ class TestAssemble:
         op = assemble(mesh, basis, problem_convection_diffusion(), eta=20.0)
         nm = basis.n_modes
         adj = {k: {k} for k in range(mesh.n_elements)}
-        for e in mesh.edges:
-            adj[e.left].add(e.right)
-            adj[e.right].add(e.left)
+        for left, right in zip(mesh.edges.left, mesh.edges.right):
+            adj[left].add(right)
+            adj[right].add(left)
         A = op.matrix
         for k in range(mesh.n_elements):
             cols = set()
@@ -214,31 +215,35 @@ class TestAssemble:
             assert cols <= adj[k]
 
     @staticmethod
-    def _flip(e, translate):
+    def _flip(mesh, mask, translate):
+        """Swap the sides of the edges in ``mask``, moving them into the right
+        element's frame when ``translate`` is set."""
+        e = mesh.edges
+
+        def pick(kept, flipped):
+            return np.where(mask.reshape((-1,) + (1,) * (kept.ndim - 1)), flipped, kept)
+
         shift = e.offset if translate else 0.0
-        return Edge(
-            v0=e.v0 - shift,
-            v1=e.v1 - shift,
-            length=e.length,
-            normal=-e.normal,
-            left=e.right,
-            left_side=e.right_side,
-            right=e.left,
-            right_side=e.left_side,
-            offset=-e.offset,
+        edges = dataclasses.replace(
+            e,
+            v0=pick(e.v0, e.v0 - shift),
+            v1=pick(e.v1, e.v1 - shift),
+            normal=pick(e.normal, -e.normal),
+            left=pick(e.left, e.right),
+            left_side=pick(e.left_side, e.right_side),
+            right=pick(e.right, e.left),
+            right_side=pick(e.right_side, e.left_side),
+            offset=pick(e.offset, -e.offset),
         )
+        return dataclasses.replace(mesh, edges=edges)
 
     def test_orientation_independence_interior_bitwise(self, meshes):
         # flipping interior edge normals together with the -/+ side labels
         # leaves the assembled matrix bit-for-bit unchanged
-        import dataclasses
-
         mesh = meshes[1]
-        flipped_edges = tuple(
-            self._flip(e, translate=False) if np.all(e.offset == 0.0) else e
-            for e in mesh.edges
-        )
-        flipped = dataclasses.replace(mesh, edges=flipped_edges)
+        interior = np.all(mesh.edges.offset == 0.0, axis=1)
+        assert 0 < np.count_nonzero(interior) < len(mesh.edges)
+        flipped = self._flip(mesh, interior, translate=False)
         for prob in (problem_convection(), problem_convection_diffusion()):
             basis = make_basis(2)
             a = assemble(mesh, basis, prob, eta=20.0).matrix
@@ -250,11 +255,8 @@ class TestAssemble:
     def test_orientation_independence_periodic(self, meshes):
         # periodic edges must carry their trace to the far frame when
         # flipped; the operator is unchanged up to roundoff
-        import dataclasses
-
         mesh = meshes[1]
-        flipped_edges = tuple(self._flip(e, translate=True) for e in mesh.edges)
-        flipped = dataclasses.replace(mesh, edges=flipped_edges)
+        flipped = self._flip(mesh, np.ones(len(mesh.edges), dtype=bool), translate=True)
         for prob in (problem_convection(), problem_convection_diffusion()):
             basis = make_basis(2)
             a = assemble(mesh, basis, prob, eta=20.0).matrix
@@ -314,9 +316,10 @@ class TestSourceVector:
         rng = np.random.default_rng(24)
         lam = rng.dirichlet([2, 2, 2], size=20)
         ref = np.column_stack([lam[:, 1], lam[:, 2]])
-        origins, J, _ = mesh.jacobians()
+        origins, J, detJ = mesh.jacobians()
+        coeffs = b.reshape(mesh.n_elements, basis.n_modes)
         for k in (0, 7, 20):
-            recon = evaluate_solution(mesh, basis, b, k, ref)
+            recon = basis.eval(ref) @ coeffs[k] / np.sqrt(detJ[k])
             phys = origins[k] + ref @ J[k].T
             exact = prob.source(phys[:, 0], phys[:, 1], 0.0)
             assert np.max(np.abs(recon - exact)) < 6e-2  # projection error at p=3

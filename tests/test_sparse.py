@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
@@ -55,14 +56,36 @@ class TestCsrMatrix:
         assert np.array_equal(A.indptr, B.indptr)
 
 
+def identity(n):
+    return CsrMatrix.from_scipy(sp.identity(n, format="csr"))
+
+
 def direct_solve(A, b):
     return LinearSolver(kind="direct").prepare(A).solve(b)[0]
+
+
+def count_lu_solves(monkeypatch, first_error=0.0):
+    """Count SuperLU ``solve`` calls; the first result is scaled by 1 + first_error."""
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    class CountingLU:
+        def __init__(self, A):
+            self.lu = splu(A)
+
+        def solve(self, b):
+            calls.append(b)
+            x = self.lu.solve(b)
+            return x * (1.0 + first_error) if len(calls) == 1 else x
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
+    return calls
 
 
 class TestSpmv:
     # sparse matrix-vector products through CsrMatrix.matvec
     def test_identity(self):
-        A = CsrMatrix.identity(7)
+        A = identity(7)
         x = np.arange(7.0)
         assert np.array_equal(A.matvec(x), x)
 
@@ -76,7 +99,7 @@ class TestSpmv:
         assert np.max(np.abs(A.matvec(x) - D @ x)) < 1e-14
 
     def test_dimension_mismatch(self):
-        A = CsrMatrix.identity(3)
+        A = identity(3)
         with pytest.raises(ValueError):
             A.matvec(np.ones(4))
 
@@ -111,7 +134,7 @@ def test_ilutp_on_dg_block_system(p, method, dt):
 
 class TestGmres:
     def test_identity_converges_immediately(self):
-        A = CsrMatrix.identity(9)
+        A = identity(9)
         b = np.arange(1.0, 10.0)
         x, stats = gmres_solve(A, b, rtol=1e-12)
         assert stats.converged
@@ -127,7 +150,7 @@ class TestGmres:
         assert np.max(np.abs(x - np.linalg.solve(D, b))) < 1e-10
 
     def test_zero_rhs(self):
-        A = CsrMatrix.identity(4)
+        A = identity(4)
         x, stats = gmres_solve(A, np.zeros(4))
         assert stats.converged
         assert np.array_equal(x, np.zeros(4))
@@ -156,7 +179,7 @@ class TestGmres:
 
     def test_invalid_rtol(self):
         with pytest.raises(ValueError):
-            gmres_solve(CsrMatrix.identity(2), np.ones(2), rtol=0.0)
+            gmres_solve(identity(2), np.ones(2), rtol=0.0)
 
     def test_determinism(self):
         A, _ = random_csr(30, 0.3, seed=13, diag_boost=4.0)
@@ -170,7 +193,7 @@ class TestGmres:
 
 class TestDirect:
     def test_identity(self):
-        A = CsrMatrix.identity(5)
+        A = identity(5)
         b = np.arange(5.0)
         assert np.max(np.abs(direct_solve(A, b) - b)) == 0.0
 
@@ -194,6 +217,24 @@ class TestDirect:
         for kind in ("direct", "gmres"):
             with pytest.raises(SolverFailure, match="singular"):
                 LinearSolver(kind=kind).prepare(A).solve(np.ones(3))
+
+    def test_accurate_solve_is_not_refined(self, monkeypatch):
+        calls = count_lu_solves(monkeypatch)
+        A, D = random_csr(50, 0.3, seed=14, diag_boost=8.0)
+        b = np.random.default_rng(15).normal(size=50)
+        x, stats = LinearSolver(kind="direct").prepare(A).solve(b)
+        assert len(calls) == 1
+        assert stats.converged and stats.residual <= 1e-12
+        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) == pytest.approx(stats.residual)
+
+    def test_inaccurate_solve_is_refined_once(self, monkeypatch):
+        calls = count_lu_solves(monkeypatch, first_error=1e-8)
+        A, D = random_csr(50, 0.3, seed=14, diag_boost=8.0)
+        b = np.random.default_rng(15).normal(size=50)
+        x, stats = LinearSolver(kind="direct").prepare(A).solve(b)
+        assert len(calls) == 2
+        assert stats.converged and stats.residual <= 1e-12
+        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
 
 class TestLinearSolver:
     def test_unknown_kind(self):
