@@ -34,7 +34,6 @@ from mddg.timeint import (
     builtin_two_point_schemes,
     builtin_mdrk6,
     builtin_gauss_legendre6,
-    two_point_step,
     mdrk_step,
     integrate,
 )

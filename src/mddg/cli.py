@@ -17,11 +17,9 @@ from fractions import Fraction
 
 from mddg import harness
 from mddg.harness import ConfigError, method_registry, parse_config
-from mddg.operator import assemble, l2_error, project_l2
-from mddg.basis import make_basis
 from mddg.sparse import SolverFailure
 from mddg.stability import StabilityReport, a_stability_scan
-from mddg.timeint import BlowUpError, integrate
+from mddg.timeint import BlowUpError
 
 
 class UsageError(Exception):
@@ -115,25 +113,14 @@ def cmd_convergence(config_path, output=None, out=None) -> int:
 def cmd_solve(config_path, out=None) -> int:
     out = out if out is not None else sys.stdout
     cfg = parse_config(config_path)
-    problem = harness.make_problem(cfg.problem)
-    basis = make_basis(cfg.p)
-    meshes = harness.mesh_hierarchy(cfg.level + 1)
-    mesh = meshes[cfg.level]
-    dt = cfg.dt0 / 2**cfg.level
-    op = assemble(mesh, basis, problem, cfg.resolved_eta())
-    w0 = project_l2(mesh, basis, problem.initial)
+    mesh = harness.mesh_hierarchy(cfg.level + 1)[cfg.level]
     stats = []
     try:
-        w = integrate(
-            op, method_registry()[cfg.method], w0, 0.0, problem.t_end, dt,
-            solver=cfg.linear_solver(), stats_out=stats,
-        )
+        err = harness.run_level(cfg, mesh, cfg.level, stats)
     except (SolverFailure, BlowUpError) as exc:
         out.write(f"solve failed: {exc}\n")
         return 2
-    if problem.exact is not None:
-        err = l2_error(mesh, basis, w, problem.exact, problem.t_end)
-        out.write(f"l2_error = {err:.17g}\n")
+    out.write(f"l2_error = {err:.17g}\n")
     n_solves = len(stats)
     iters = sum(s.iterations for s in stats)
     max_res = max((s.residual for s in stats), default=0.0)

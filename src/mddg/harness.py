@@ -283,36 +283,43 @@ def mesh_hierarchy(levels: int):
     return meshes
 
 
+def run_level(cfg: RunConfig, mesh, level: int, stats: list) -> float:
+    """Solve one study level on ``mesh`` with dt = dt0 / 2^level; return the L2 error at t_end.
+
+    The stats of every linear solve are appended to ``stats``.  A
+    SolverFailure or BlowUpError propagates, leaving the stats of the
+    solves already made in ``stats``.
+    """
+    problem = make_problem(cfg.problem)
+    basis = make_basis(cfg.p)
+    op = assemble(mesh, basis, problem, cfg.resolved_eta())
+    w0 = project_l2(mesh, basis, problem.initial)
+    w = integrate(
+        op,
+        method_registry()[cfg.method],
+        w0,
+        0.0,
+        problem.t_end,
+        cfg.dt0 / 2**level,
+        solver=cfg.linear_solver(),
+        stats_out=stats,
+    )
+    return l2_error(mesh, basis, w, problem.exact, problem.t_end)
+
+
 def run_convergence(cfg: RunConfig) -> ConvergenceReport:
     """Refinement study: level L uses mesh level L and dt = dt0 / 2^L.
 
     Solver failures and blow-ups abort the affected level with a diagnostic
     row (NaN error) and are listed in the report's failures.
     """
-    problem = make_problem(cfg.problem)
-    basis = make_basis(cfg.p)
-    method = method_registry()[cfg.method]
-    eta = cfg.resolved_eta()
+    n_modes = make_basis(cfg.p).n_modes
     report = ConvergenceReport(config=cfg)
     prev_error = None
     for level, mesh in enumerate(mesh_hierarchy(cfg.levels)):
-        dt = cfg.dt0 / 2**level
-        ndof = mesh.n_elements * basis.n_modes
-        op = assemble(mesh, basis, problem, eta)
-        w0 = project_l2(mesh, basis, problem.initial)
         stats = []
         try:
-            w = integrate(
-                op,
-                method,
-                w0,
-                0.0,
-                problem.t_end,
-                dt,
-                solver=cfg.linear_solver(),
-                stats_out=stats,
-            )
-            err = l2_error(mesh, basis, w, problem.exact, problem.t_end)
+            err = run_level(cfg, mesh, level, stats)
             note = ""
         except (SolverFailure, BlowUpError) as exc:
             err = float("nan")
@@ -326,8 +333,8 @@ def run_convergence(cfg: RunConfig) -> ConvergenceReport:
             ReportRow(
                 level=level,
                 h=mesh.h_max,
-                dt=dt,
-                ndof=ndof,
+                dt=cfg.dt0 / 2**level,
+                ndof=mesh.n_elements * n_modes,
                 l2_error=err,
                 observed_order=order,
                 note=note,

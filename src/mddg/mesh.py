@@ -161,22 +161,26 @@ def build_base_mesh() -> TriangularMesh:
 
 
 def refine_uniform(mesh: TriangularMesh) -> TriangularMesh:
-    """Quadrisect every triangle at its edge midpoints."""
-    vertices = [tuple(v) for v in mesh.vertices]
-    index = {(round(x / PAIRING_TOL), round(y / PAIRING_TOL)): i for i, (x, y) in enumerate(vertices)}
+    """Quadrisect every triangle at its edge midpoints.
 
-    def midpoint(i, j):
-        m = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-        key = (round(m[0] / PAIRING_TOL), round(m[1] / PAIRING_TOL))
-        if key not in index:
-            index[key] = len(vertices)
-            vertices.append(tuple(m))
-        return index[key]
-
-    triangles = []
-    for a, b, c in mesh.triangles:
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        triangles.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    Each side's midpoint becomes one new vertex, shared by the two triangles
+    that meet there; new vertices are numbered in order of first use,
+    triangle by triangle and side by side.
+    """
+    tri = mesh.triangles
+    nv = len(mesh.vertices)
+    mid = 0.5 * (mesh.vertices[tri] + mesh.vertices[np.roll(tri, -1, axis=1)])  # ab, bc, ca
+    mid = mid.reshape(-1, 2)
+    _, first, inverse = np.unique(
+        np.round(mid / PAIRING_TOL), axis=0, return_index=True, return_inverse=True
+    )
+    by_use = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int64)
+    number[by_use] = np.arange(nv, nv + len(first))
+    mab, mbc, mca = number[inverse].reshape(-1, 3).T
+    a, b, c = tri.T
+    # children (a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)
+    triangles = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
+    triangles = triangles.reshape(-1, 3)
+    vertices = np.concatenate([mesh.vertices, mid[first[by_use]]])
     return _make_mesh(vertices, triangles, level=mesh.level + 1)

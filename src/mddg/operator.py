@@ -82,7 +82,7 @@ class DgOperator:
 
     @property
     def n_dof(self) -> int:
-        return self.matrix.n_rows
+        return self.matrix.shape[0]
 
     def source_vector(self, t: float, derivative: int = 0) -> np.ndarray:
         """Modal projection of the source (or its 1st/2nd time derivative)."""

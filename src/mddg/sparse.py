@@ -1,13 +1,15 @@
 """Sparse kernels and linear solvers.
 
-Storage is compressed-row with rows sorted by column.  GMRES is restarted
-and right-preconditioned, so reported residuals are true residuals of the
-original system.  The preconditioner is SuperLU's threshold incomplete LU
-with partial pivoting (ILUTP) at a fixed drop tolerance and fill factor,
-on the default COLAMD column ordering.  A sparse direct LU (SuperLU)
-serves as the fallback when the incomplete factorization fails or GMRES
-does not converge; a direct solve takes one refinement pass only when its
-first residual is above ``REFINE_ABOVE``.
+Matrices are scipy CSR arrays with rows sorted by column.  ``CsrMatrix``
+subclasses scipy's CSR array only to fix the summation order of assembly
+and to give the solvers one matrix-vector product, ``matvec``.  GMRES is
+restarted and right-preconditioned, so reported residuals are true
+residuals of the original system.  The preconditioner is SuperLU's
+threshold incomplete LU with partial pivoting (ILUTP) at a fixed drop
+tolerance and fill factor, on the default COLAMD column ordering.  A
+sparse direct LU (SuperLU) serves as the fallback when the incomplete
+factorization fails or GMRES does not converge; a direct solve takes one
+refinement pass only when its first residual is above ``REFINE_ABOVE``.
 """
 
 from __future__ import annotations
@@ -34,31 +36,15 @@ class SolverFailure(RuntimeError):
         self.stats = stats
 
 
-class CsrMatrix:
-    """Square or rectangular CSR matrix with deterministic construction.
+class CsrMatrix(scipy.sparse.csr_array):
+    """scipy CSR array with a deterministic triplet builder and one product.
 
-    Index arrays are int32 whenever nnz and the column count allow it, so
-    the scipy view of ``to_scipy`` shares them.
+    The subclass exists for two reasons.  ``from_coo`` sums duplicate
+    triplets in a fixed order (stable sort, then left-to-right), so the
+    assembled operator is bitwise reproducible however its blocks were
+    emitted.  ``matvec`` is the one matrix-vector product the solvers call,
+    so counting or timing products means wrapping this one method.
     """
-
-    def __init__(self, n_rows, n_cols, indptr, indices, data):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.data = np.asarray(data, dtype=float)
-        index_dtype = np.int32 if max(len(self.data), self.n_cols) < 2**31 else np.int64
-        self.indptr = np.asarray(indptr, dtype=index_dtype)
-        self.indices = np.asarray(indices, dtype=index_dtype)
-        if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= n_cols):
-            raise ValueError("column index out of bounds")
-        self._scipy = None
-
-    @property
-    def shape(self):
-        return (self.n_rows, self.n_cols)
-
-    @property
-    def nnz(self):
-        return len(self.data)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
@@ -66,6 +52,9 @@ class CsrMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
+        for name, idx, size in (("row", rows, shape[0]), ("column", cols, shape[1])):
+            if len(idx) and (idx.min() < 0 or idx.max() >= size):
+                raise ValueError(f"{name} index out of bounds")
         order = np.lexsort((cols, rows))  # stable: insertion order breaks ties
         rows, cols, vals = rows[order], cols[order], vals[order]
         if len(rows):
@@ -75,33 +64,14 @@ class CsrMatrix:
             starts = np.flatnonzero(new)
             vals = np.add.reduceat(vals, starts)
             rows, cols = rows[starts], cols[starts]
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        index_dtype = np.int32 if max(len(vals), shape[1]) < 2**31 else np.int64
+        indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
         np.add.at(indptr, rows + 1, 1)
         np.cumsum(indptr, out=indptr)
-        return cls(shape[0], shape[1], indptr, cols, vals)
-
-    @classmethod
-    def from_scipy(cls, mat):
-        mat = scipy.sparse.csr_matrix(mat)
-        mat.sort_indices()
-        mat.sum_duplicates()
-        return cls(mat.shape[0], mat.shape[1], mat.indptr, mat.indices, mat.data)
-
-    def to_scipy(self):
-        if self._scipy is None:
-            self._scipy = scipy.sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape
-            )
-        return self._scipy
+        return cls((vals, cols.astype(index_dtype), indptr), shape=shape)
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_cols,):
-            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
-        return self.to_scipy() @ x
-
-    def toarray(self):
-        return self.to_scipy().toarray()
+        return self @ x
 
 
 class IluFactors:
@@ -128,9 +98,9 @@ def ilu_factor(A: CsrMatrix) -> IluFactors:
     Raises SuperLU's ``RuntimeError`` when a pivot column of the
     incomplete factor is exactly zero.
     """
-    if A.n_rows != A.n_cols:
+    if A.shape[0] != A.shape[1]:
         raise ValueError("ILU requires a square matrix")
-    csc = scipy.sparse.csc_matrix(A.to_scipy())
+    csc = scipy.sparse.csc_matrix(A)
     return IluFactors(
         scipy.sparse.linalg.spilu(csc, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
     )
@@ -158,7 +128,7 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
     if rtol <= 0:
         raise ValueError("rtol must be positive")
     t0 = time.perf_counter()
-    n = A.n_rows
+    n = A.shape[0]
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -264,7 +234,7 @@ class PreparedSystem:
     def _factorize_direct(self):
         if self._splu is None:
             try:
-                self._splu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.A.to_scipy()))
+                self._splu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.A))
             except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
                 raise SolverFailure(f"direct LU failed: {exc}") from exc
 
@@ -294,7 +264,7 @@ class PreparedSystem:
                 self.A, b, precond=self.ilu, rtol=s.rtol, restart=s.restart, maxit=s.maxit, x0=x0
             )
             if not stats.converged:
-                if s.fallback and self.A.n_rows <= FALLBACK_MAX_N:
+                if s.fallback and self.A.shape[0] <= FALLBACK_MAX_N:
                     self._prefer_direct = True
                     x, stats = self._solve_direct(b, fallback=True)
                 else:

@@ -97,14 +97,6 @@ class TwoPointScheme:
         return max(self.k, self.l)
 
     @property
-    def alpha_f(self) -> np.ndarray:
-        return np.array([float(a) for a in self.alpha])
-
-    @property
-    def beta_f(self) -> np.ndarray:
-        return np.array([float(b) for b in self.beta])
-
-    @property
     def tableau(self) -> MdrkTableau:
         """The scheme as a two-stage tableau: c = (0, 1), an explicit first
         stage and m-th derivative row (alpha_m, -beta_m), stiffly accurate."""
@@ -242,12 +234,12 @@ class MdrkWorkspace:
         self.op = op
         self.tableau = tableau
         self.dt = dt
-        n = op.matrix.n_rows
+        n = op.matrix.shape[0]
         self.n = n
         self.implicit = S = tableau.implicit_stages()
         self.stiffly_accurate = tableau.stiffly_accurate
         M = tableau.n_derivatives
-        A = op.matrix.to_scipy()
+        A = op.matrix
         I = scipy.sparse.identity(n, format="csr")
         Z = dt * A
         nb = len(S) * M
@@ -263,9 +255,8 @@ class MdrkWorkspace:
             for m in range(1, M):
                 blocks[row + m][row + m - 1] = -Z
                 blocks[row + m][row + m] = I
-        system = CsrMatrix.from_scipy(scipy.sparse.bmat(blocks, format="csr"))
-        self.system = system
-        self.prepared = solver.prepare(system)
+        self.system = CsrMatrix(scipy.sparse.bmat(blocks, format="csr"))
+        self.prepared = solver.prepare(self.system)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit
@@ -333,9 +324,6 @@ def mdrk_step(op, method, w, t, dt, solver: Optional[LinearSolver] = None):
     if dt <= 0:
         raise ValueError("dt must be positive")
     return make_workspace(op, method, dt, solver).step(np.asarray(w, float), t)
-
-
-two_point_step = mdrk_step
 
 
 def integrate(

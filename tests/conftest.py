@@ -18,13 +18,13 @@ class LinearOde:
 
     def __init__(self, A, source=None, source_t=None, source_tt=None):
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.matrix = CsrMatrix.from_scipy(A)
+        self.matrix = CsrMatrix(A)
         self._sources = (source, source_t, source_tt)
 
     def source_vector(self, t, derivative=0):
         fn = self._sources[derivative]
         if fn is None:
-            return np.zeros(self.matrix.n_rows)
+            return np.zeros(self.matrix.shape[0])
         return np.atleast_1d(np.asarray(fn(t), dtype=float))
 
 

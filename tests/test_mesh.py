@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mddg.mesh import PAIRING_TOL, _make_mesh, build_base_mesh, refine_uniform
+from mddg.mesh import PAIRING_TOL, EdgeTable, _make_mesh, build_base_mesh, refine_uniform
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,42 @@ def test_base_mesh_has_diagonal_edge():
     diag = np.all(np.isclose(np.abs(e.normal), np.sqrt(0.5)), axis=1)
     assert np.count_nonzero(diag) == 1
     assert np.all(e.offset[diag] == 0.0)
+
+
+def reference_refine(mesh):
+    """Per-triangle refinement with a midpoint dictionary: the oracle for ``refine_uniform``."""
+    vertices = [tuple(v) for v in mesh.vertices]
+    index = {(round(x / PAIRING_TOL), round(y / PAIRING_TOL)): i for i, (x, y) in enumerate(vertices)}
+
+    def midpoint(i, j):
+        m = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
+        key = (round(m[0] / PAIRING_TOL), round(m[1] / PAIRING_TOL))
+        if key not in index:
+            index[key] = len(vertices)
+            vertices.append(tuple(m))
+        return index[key]
+
+    triangles = []
+    for a, b, c in mesh.triangles:
+        mab = midpoint(a, b)
+        mbc = midpoint(b, c)
+        mca = midpoint(c, a)
+        triangles.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    return _make_mesh(vertices, triangles, level=mesh.level + 1)
+
+
+def test_refinement_matches_reference_bitwise():
+    m = build_base_mesh()
+    for level in range(1, 7):
+        ref = reference_refine(m)
+        m = refine_uniform(m)
+        assert m.level == ref.level == level
+        pairs = {"vertices": (m.vertices, ref.vertices), "triangles": (m.triangles, ref.triangles)}
+        for name in EdgeTable.__dataclass_fields__:
+            pairs[name] = (getattr(m.edges, name), getattr(ref.edges, name))
+        for name, (got, expected) in pairs.items():
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
 
 
 def _side_key(va, vb):

@@ -23,7 +23,7 @@ def random_csr(n, density, seed, diag_boost=0.0):
     np.fill_diagonal(mask, True)
     D = np.where(mask, D, 0.0)
     D += diag_boost * np.eye(n)
-    return CsrMatrix.from_scipy(D), D
+    return CsrMatrix(D), D
 
 
 class TestCsrMatrix:
@@ -36,16 +36,27 @@ class TestCsrMatrix:
         A = CsrMatrix.from_coo([0, 0, 0], [2, 0, 1], [1.0, 2.0, 3.0], (1, 3))
         assert list(A.indices) == [0, 1, 2]
 
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            CsrMatrix.from_coo([0], [5], [1.0], (2, 2))
+    @pytest.mark.parametrize(
+        "row, col", [(0, 5), (2, 0), (-1, 0)], ids=["column", "row-past-end", "row-negative"]
+    )
+    def test_out_of_bounds_rejected(self, row, col):
+        with pytest.raises(ValueError, match="index out of bounds"):
+            CsrMatrix.from_coo([row], [col], [1.0], (2, 2))
 
-    def test_scipy_view_shares_index_arrays(self):
-        A, _ = random_csr(12, 0.4, seed=3)
-        S = A.to_scipy()
-        assert np.shares_memory(S.data, A.data)
-        assert np.shares_memory(S.indices, A.indices)
-        assert np.shares_memory(S.indptr, A.indptr)
+    def test_int32_index_arrays(self):
+        # from_coo and the block-system build both keep scipy's int32 index arrays
+        A = CsrMatrix.from_coo([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        system = make_workspace(op, method_registry()["mdrk6"], 0.1).system
+        for M in (A, op.matrix, system):
+            assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
+
+    def test_operator_and_system_are_scipy_sparse(self):
+        op = assemble(mesh_hierarchy(2)[1], make_basis(1), make_problem("convection"), 20.0)
+        system = make_workspace(op, method_registry()["tp3"], 0.1).system
+        for M in (op.matrix, system):
+            assert sp.issparse(M) and M.format == "csr"
+            assert isinstance(M, CsrMatrix)
 
     def test_deterministic_construction(self):
         args = ([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
@@ -57,7 +68,7 @@ class TestCsrMatrix:
 
 
 def identity(n):
-    return CsrMatrix.from_scipy(sp.identity(n, format="csr"))
+    return CsrMatrix(sp.identity(n, format="csr"))
 
 
 def direct_solve(A, b):
@@ -117,12 +128,12 @@ def test_ilutp_on_dg_block_system(p, method, dt):
     op = assemble(mesh_hierarchy(2)[1], make_basis(p), prob, default_eta(p))
     A = make_workspace(op, method_registry()[method], dt, LinearSolver(kind="direct")).system
     D = A.toarray()
-    b = np.random.default_rng(21).normal(size=A.n_rows)
+    b = np.random.default_rng(21).normal(size=A.shape[0])
 
     x, stats = LinearSolver(fallback=False).prepare(A).solve(b)
     assert stats.converged and not stats.fallback_used
     assert np.linalg.norm(b - D @ x) <= 1e-10 * np.linalg.norm(b)
-    _, plain = gmres_solve(A, b, maxit=20 * A.n_rows)
+    _, plain = gmres_solve(A, b, maxit=20 * A.shape[0])
     assert stats.iterations < plain.iterations
 
     f = ilu_factor(A)
@@ -143,7 +154,7 @@ class TestGmres:
 
     def test_spd_3x3_known_inverse(self):
         D = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        A = CsrMatrix.from_scipy(sp.csr_matrix(D))
+        A = CsrMatrix(D)
         b = np.array([1.0, 2.0, 3.0])
         x, stats = gmres_solve(A, b, rtol=1e-12)
         assert stats.converged
@@ -199,7 +210,7 @@ class TestDirect:
 
     def test_permutation(self):
         P = np.eye(5)[[3, 0, 4, 1, 2]]
-        A = CsrMatrix.from_scipy(sp.csr_matrix(P))
+        A = CsrMatrix(P)
         b = np.arange(5.0)
         x = direct_solve(A, b)
         assert np.max(np.abs(P @ x - b)) < 1e-14
@@ -213,7 +224,7 @@ class TestDirect:
     def test_singular_reported(self):
         # SuperLU's "exactly singular" RuntimeError surfaces as SolverFailure, both
         # for the direct kind and for the GMRES fallback after an ILU zero pivot
-        A = CsrMatrix.from_scipy(sp.diags([1.0, 0.0, 2.0]).tocsr())
+        A = CsrMatrix(sp.diags([1.0, 0.0, 2.0]))
         for kind in ("direct", "gmres"):
             with pytest.raises(SolverFailure, match="singular"):
                 LinearSolver(kind=kind).prepare(A).solve(np.ones(3))
@@ -281,7 +292,7 @@ class TestLinearSolver:
 
     def test_singular_ilu_without_fallback(self):
         # SuperLU's RuntimeError from the incomplete factorization surfaces as SolverFailure
-        A = CsrMatrix.from_scipy(sp.diags([1.0, 0.0, 2.0]).tocsr())
+        A = CsrMatrix(sp.diags([1.0, 0.0, 2.0]))
         with pytest.raises(SolverFailure, match="singular"):
             LinearSolver(fallback=False).prepare(A)
 

@@ -17,7 +17,7 @@ from mddg.timeint import (
     builtin_gauss_legendre6,
     builtin_mdrk6,
     builtin_two_point_schemes,
-    two_point_step,
+    mdrk_step,
 )
 
 TP = builtin_two_point_schemes()
@@ -68,7 +68,7 @@ class TestTwoPointStabilityFunctions:
         solver = LinearSolver(kind="direct")
         for s in TP:
             r = stability_function_two_point(s)
-            w1 = two_point_step(scalar_op(lam), s, np.array([1.0]), 0.0, dt, solver)
+            w1 = mdrk_step(scalar_op(lam), s, np.array([1.0]), 0.0, dt, solver)
             assert abs(w1[0] - r(lam * dt).real) < 1e-13
 
     @pytest.mark.parametrize("scheme", TP, ids=lambda s: s.label)

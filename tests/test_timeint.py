@@ -19,7 +19,6 @@ from mddg.timeint import (
     derive_two_point_coefficients,
     integrate,
     mdrk_step,
-    two_point_step,
 )
 
 from conftest import LinearOde
@@ -171,7 +170,7 @@ class TestScalarSteps:
         op = scalar_op(0.0)
         w = np.array([1.7])
         for scheme in builtin_two_point_schemes():
-            assert two_point_step(op, scheme, w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
+            assert mdrk_step(op, scheme, w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
         assert mdrk_step(op, builtin_mdrk6(), w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
         assert mdrk_step(op, builtin_gauss_legendre6(), w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
 
@@ -181,14 +180,14 @@ class TestScalarSteps:
         lam, dt = -0.8, 0.37
         op = scalar_op(lam)
         for scheme in builtin_two_point_schemes():
-            w1 = two_point_step(op, scheme, np.array([1.0]), 0.0, dt, DIRECT)
+            w1 = mdrk_step(op, scheme, np.array([1.0]), 0.0, dt, DIRECT)
             R = stability_function_two_point(scheme)
             assert abs(w1[0] - R(lam * dt).real) < 1e-13
 
     def test_order6_rational_form(self, scalar_op):
         lam, dt = -0.9, 0.21
         z = lam * dt
-        w1 = two_point_step(scalar_op(lam), builtin_two_point_schemes()[3], np.array([1.0]), 0.0, dt, DIRECT)
+        w1 = mdrk_step(scalar_op(lam), builtin_two_point_schemes()[3], np.array([1.0]), 0.0, dt, DIRECT)
         expected = (1 + z / 2 + z**2 / 10 + z**3 / 120) / (1 - z / 2 + z**2 / 10 - z**3 / 120)
         assert abs(w1[0] - expected) < 1e-14
 
@@ -223,7 +222,7 @@ class TestPolynomialExactness:
 
         op = LinearOde([[0.0]], source=b, source_t=b1, source_tt=b2)
         dt = 0.7
-        w1 = two_point_step(op, scheme, np.array([0.3]), 0.1, dt, DIRECT)
+        w1 = mdrk_step(op, scheme, np.array([0.3]), 0.1, dt, DIRECT)
         anti = np.polyint(coeffs)
         exact = 0.3 + np.polyval(anti, 0.1 + dt) - np.polyval(anti, 0.1)
         assert abs(w1[0] - exact) < 1e-12
@@ -325,8 +324,8 @@ class TestBlockEquivalence:
         rng = np.random.default_rng(33)
         w = rng.normal(size=n)
         t, dt = 0.3, 0.2
-        wb = two_point_step(op, scheme, w, t, dt, DIRECT)
-        al, be = scheme.alpha_f, scheme.beta_f
+        wb = mdrk_step(op, scheme, w, t, dt, DIRECT)
+        al, be = np.array(scheme.alpha, float), np.array(scheme.beta, float)
         b = lambda tt, d=0: op.source_vector(tt, d)
         A2, A3 = A @ A, A @ A @ A
         t1 = t + dt
@@ -382,7 +381,7 @@ class TestBlockEquivalence:
         Z = dt * op.matrix.toarray()
         I = np.eye(op.n_dof)
         O = np.zeros_like(I)
-        al, be = scheme.alpha_f, scheme.beta_f
+        al, be = np.array(scheme.alpha, float), np.array(scheme.beta, float)
         assert al[0] - be[0] == 1.0
         top = [I + be[0] * Z, be[1] * Z, be[2] * Z]
         if scheme.n_derivatives == 2:
