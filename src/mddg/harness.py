@@ -239,9 +239,9 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8 text
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 

@@ -79,20 +79,41 @@ class DgOperator:
         self._cell_points = cell_points
         self._cell_scaled_w = cell_scaled_w
         self._cell_basis = cell_basis
+        # source projections at the last two distinct times: ((t, {derivative: vector}), ...);
+        # the tuple is replaced whole, so a concurrent caller never sees it half updated
+        self._source_memo = ()
 
     @property
     def n_dof(self) -> int:
         return self.matrix.shape[0]
 
     def source_vector(self, t: float, derivative: int = 0) -> np.ndarray:
-        """Modal projection of the source (or its 1st/2nd time derivative)."""
+        """Modal projection of the source (or its 1st/2nd time derivative).
+
+        The result is read-only and memoized on the exact (t, derivative) for
+        the last two distinct times: a step projects the source at its end
+        time, and the next step asks for the same vectors at its start time.
+        """
+        memo = self._source_memo
+        vectors = next((v for time, v in memo if time == t), None)
+        if vectors is None:
+            vectors = {}
+            self._source_memo = memo[-1:] + ((t, vectors),)
+        if derivative not in vectors:
+            vectors[derivative] = self._project_source(t, derivative)
+        return vectors[derivative]
+
+    def _project_source(self, t, derivative):
         g = self.problem.source_term(derivative)
         if g is None:
-            return np.zeros(self.n_dof)
-        x = self._cell_points[..., 0]
-        y = self._cell_points[..., 1]
-        vals = np.asarray(g(x, y, t), dtype=float)
-        return np.einsum("kq,qi->ki", vals * self._cell_scaled_w, self._cell_basis).ravel()
+            b = np.zeros(self.n_dof)
+        else:
+            x = self._cell_points[..., 0]
+            y = self._cell_points[..., 1]
+            vals = np.asarray(g(x, y, t), dtype=float)
+            b = np.einsum("kq,qi->ki", vals * self._cell_scaled_w, self._cell_basis).ravel()
+        b.flags.writeable = False
+        return b
 
     def compute_sigma(self, w: np.ndarray, t: float) -> np.ndarray:
         """First time derivative of the modal solution: A w + b(t)."""

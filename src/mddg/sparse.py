@@ -10,6 +10,10 @@ tolerance and fill factor, on the default COLAMD column ordering.  A
 sparse direct LU (SuperLU) serves as the fallback when the incomplete
 factorization fails or GMRES does not converge; a direct solve takes one
 refinement pass only when its first residual is above ``REFINE_ABOVE``.
+A system of the Kronecker form I - C (x) Z with a small dense C is
+factorized block by block: one n x n LU of I - lambda Z per real
+eigenvalue and per conjugate pair of C (Butcher, *On the implementation of
+implicit Runge-Kutta methods*, BIT 16, 1976).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
 ILU_DROP_TOL = 1e-4  # ILUTP drops entries below this size relative to their column
 ILU_FILL_FACTOR = 10  # ILUTP keeps at most this multiple of the matrix's nonzeros
 REFINE_ABOVE = 1e-12  # a direct solve refines once when its relative residual exceeds this
+COUPLING_COND_MAX = 1e4  # above this cond(V) of C = V diag(lambda) V^-1, factor I - C (x) Z whole
 
 
 class SolverFailure(RuntimeError):
@@ -211,13 +216,25 @@ class PreparedSystem:
     Once a GMRES solve on this system has fallen back to the direct
     factorization, later solves go direct immediately: non-convergence is a
     property of the matrix, not of the right-hand side.
+
+    ``coupling = (C, Z)`` states that A = I - C (x) Z, with C a small dense
+    matrix and Z an n x n sparse matrix.  With C = V diag(lambda) V^-1,
+    A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I), so the direct
+    factorization is one n x n LU of I - lambda_k Z per real eigenvalue and
+    one complex LU per conjugate pair, whose partner block is its complex
+    conjugate.  A plain matrix is the 1 x 1 case: one LU of A itself, and so
+    is a coupling whose eigenvector matrix V is too ill-conditioned to
+    transform with (``COUPLING_COND_MAX``).  The residual check and the
+    refinement pass always use A.  The blocks are built only when a direct
+    factor is requested, so a GMRES solve that never falls back holds none.
     """
 
-    def __init__(self, A, solver):
+    def __init__(self, A, solver, coupling=None):
         self.A = A
         self.solver = solver
+        self.coupling = coupling
         self.ilu = None
-        self._splu = None
+        self._direct = None  # (V, V^-1, [(k, LU of block k, paired)]), see _blocks
         self._prefer_direct = False
         self.history = []
         if solver.kind == "gmres":
@@ -231,21 +248,59 @@ class PreparedSystem:
         else:
             self._factorize_direct()
 
+    def _blocks(self):
+        """V, V^-1 and the blocks (k, block k, paired) of the direct factorization.
+
+        V is None for a plain matrix.  A conjugate pair appears once, as its
+        member k with positive imaginary part; ``paired`` marks it.
+        """
+        if self.coupling is not None:
+            C, Z = self.coupling
+            lam, V = np.linalg.eig(C)
+            if np.linalg.cond(V) <= COUPLING_COND_MAX:  # a repeated eigenvalue makes V singular
+                I = scipy.sparse.identity(Z.shape[0], format="csr")
+                # numpy returns a conjugate pair adjacently, positive imaginary part first
+                return V, np.linalg.inv(V), (
+                    (k, I - (lam[k] if lam[k].imag else lam[k].real) * Z, lam[k].imag > 0)
+                    for k in range(len(lam))
+                    if lam[k].imag >= 0
+                )
+        return None, None, [(0, self.A, False)]
+
     def _factorize_direct(self):
-        if self._splu is None:
+        if self._direct is None:
+            V, Vinv, blocks = self._blocks()
             try:
-                self._splu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(self.A))
+                lus = [
+                    (k, scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(B)), paired)
+                    for k, B, paired in blocks
+                ]
             except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
                 raise SolverFailure(f"direct LU failed: {exc}") from exc
+            self._direct = (V, Vinv, lus)
+
+    def _lu_solve(self, b):
+        V, Vinv, lus = self._direct
+        if V is None:
+            return lus[0][1].solve(b)
+        W = Vinv @ b.reshape(len(V), -1)
+        Y = np.empty_like(W)
+        for k, lu, paired in lus:
+            if paired:
+                Y[k] = lu.solve(W[k])
+                Y[k + 1] = Y[k].conj()
+            else:
+                Y[k] = lu.solve(W[k].real)
+        return (V @ Y).real.ravel()
 
     def _solve_direct(self, b, fallback=False):
         t0 = time.perf_counter()
         self._factorize_direct()
-        x = self._splu.solve(b)
+        x = self._lu_solve(b)
         r = b - self.A.matvec(x)
         bnorm = np.linalg.norm(b)
         if np.linalg.norm(r) > REFINE_ABOVE * bnorm:  # one refinement pass
-            x = x + self._splu.solve(r)
+            x = x + self._lu_solve(r)
             r = b - self.A.matvec(x)
         rel = np.linalg.norm(r) / bnorm if bnorm > 0 else 0.0
         stats = SolveStats(
@@ -309,5 +364,6 @@ class LinearSolver:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
-    def prepare(self, A: CsrMatrix) -> PreparedSystem:
-        return PreparedSystem(A, self)
+    def prepare(self, A: CsrMatrix, coupling=None) -> PreparedSystem:
+        """Factorize ``A``; ``coupling = (C, Z)`` states A = I - C (x) Z (see PreparedSystem)."""
+        return PreparedSystem(A, self, coupling)

@@ -15,7 +15,10 @@ step solves one sparse block system whose unknowns are, per implicit stage
 i, the stage value y_i and its derivative-scaled auxiliaries
 dt y_i', ..., dt^(M-1) y_i^(M-1), linked by  y^(m) = A y^(m-1) + b^(m-1).
 Eliminating the auxiliaries would reproduce powers of A and enlarge the
-stencil; the block form keeps every block as sparse as A itself.
+stencil; the block form keeps every block as sparse as A itself.  The
+system is I - C (x) dt A with the tableau's dt-independent coupling matrix
+C, which lets the direct solver factor it one n x n block per eigenvalue
+of C.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +62,25 @@ class MdrkTableau:
     label: str = ""
     a_exact: Optional[tuple] = None
     b_exact: Optional[tuple] = None
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """The sM x sM matrix C of the implicit block system I - C (x) dt A.
+
+        Over the s implicit stages, unknown (i, m) is dt^m y_i^(m), stage-major:
+        row (i, 0) holds a^(m+1)_ij in column (j, m), and row (i, m) for m >= 1
+        holds a one in column (i, m - 1).  C does not depend on dt.
+        """
+        S = self.implicit_stages()
+        M = self.n_derivatives
+        C = np.zeros((len(S) * M, len(S) * M))
+        for bi, i in enumerate(S):
+            for bj, j in enumerate(S):
+                for m, a_m in enumerate(self.a):
+                    C[bi * M, bj * M + m] = a_m[i, j]
+            for m in range(1, M):
+                C[bi * M + m, bi * M + m - 1] = 1.0
+        return C
 
     def implicit_stages(self):
         """Stage indices with a nonzero tableau row (solved implicitly)."""
@@ -227,7 +250,8 @@ class MdrkWorkspace:
     scaling keeps every off-diagonal block at the dt A scale; without it the
     derivative columns outweigh the solution columns by powers of ||A|| and
     starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
-    stage equal to the step input.
+    stage equal to the step input.  The blocks are read from
+    ``tableau.coupling``: the system is exactly I - C (x) dt A.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float, solver: LinearSolver):
@@ -236,27 +260,20 @@ class MdrkWorkspace:
         self.dt = dt
         n = op.matrix.shape[0]
         self.n = n
-        self.implicit = S = tableau.implicit_stages()
+        self.implicit = tableau.implicit_stages()
         self.stiffly_accurate = tableau.stiffly_accurate
-        M = tableau.n_derivatives
+        C = tableau.coupling
         A = op.matrix
         I = scipy.sparse.identity(n, format="csr")
         Z = dt * A
-        nb = len(S) * M
-        blocks = [[None] * nb for _ in range(nb)]
-        for bi, i in enumerate(S):
-            row = bi * M
-            for bj, j in enumerate(S):
-                for m, a_m in enumerate(tableau.a):  # column dt^m y_j^(m) carries a^(m+1)
-                    if i == j and m == 0:
-                        blocks[row][row] = I + (-a_m[i, j]) * Z
-                    elif a_m[i, j] != 0.0:
-                        blocks[row][bj * M + m] = (-a_m[i, j]) * Z
-            for m in range(1, M):
-                blocks[row + m][row + m - 1] = -Z
-                blocks[row + m][row + m] = I
+        blocks = [[None] * len(C) for _ in C]
+        for p, q in zip(*np.nonzero(C)):
+            blocks[p][q] = (-C[p, q]) * Z
+        for p, row in enumerate(blocks):
+            row[p] = I if row[p] is None else I + row[p]
         self.system = CsrMatrix(scipy.sparse.bmat(blocks, format="csr"))
-        self.prepared = solver.prepare(self.system)
+        # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
+        self.prepared = solver.prepare(self.system, coupling=(dt * C, A))
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit

@@ -1,11 +1,32 @@
-"""Shared fixtures and small linear-ODE operators for integrator tests."""
+"""Shared fixtures, small linear-ODE operators for integrator tests and
+config-file strategies for property tests."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from mddg.harness import PROBLEM_NAMES, RunConfig, method_registry
 from mddg.sparse import CsrMatrix
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+config_values = st.one_of(
+    st.integers(-10, 10).map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "true", "False", "yes", "off"]),
+    st.sampled_from(PROBLEM_NAMES + tuple(method_registry()) + ("gmres", "direct")),
+    st.text(max_size=12),
+)
+config_lines = st.one_of(
+    st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=8)), config_values).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"
+    ),
+    st.text(max_size=20),
+)
 
 
 class LinearOde:

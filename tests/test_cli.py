@@ -1,8 +1,16 @@
+import contextlib
+import io
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mddg.cli import main
+from mddg.harness import ConfigError, parse_config_text
+
+from conftest import config_lines
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -152,6 +160,39 @@ def test_invalid_setting_is_config_error(command, setting, capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
+
+
+def test_non_utf8_config_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("method = tp3\n# d\xe9j\xe0 vu\n".encode("latin-1"))
+    code, out, err = run_cli(["solve", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: cannot read config")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(config_lines, max_size=6))
+def test_rejected_config_text_is_one_line_cli_error(lines):
+    # whatever parse_config_text rejects, `mddg solve` reports as exit 1 with one
+    # `config error:` line and nothing on stdout, never a traceback
+    text = "\n".join(lines)
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+    else:
+        return  # an accepted config would run a solve
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cfg"
+        path.write_text(text, encoding="utf-8", newline="")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(path)])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("config error: ")
 
 
 def test_shipped_config_solves(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -6,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mddg.harness import (
-    PROBLEM_NAMES,
     ConfigError,
     RunConfig,
     default_eta,
@@ -17,6 +15,8 @@ from mddg.harness import (
     run_convergence,
     write_report,
 )
+
+from conftest import config_lines
 
 
 class TestConfigParsing:
@@ -74,23 +74,6 @@ class TestConfigParsing:
         # coercivity thresholds on this hierarchy sit just above p (p + 1)
         for p in range(6):
             assert default_eta(p) > p * (p + 1) + 1
-
-
-CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
-config_values = st.one_of(
-    st.integers(-10, 10).map(str),
-    st.integers().map(str),
-    st.floats().map(repr),
-    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "true", "False", "yes", "off"]),
-    st.sampled_from(PROBLEM_NAMES + tuple(method_registry()) + ("gmres", "direct")),
-    st.text(max_size=12),
-)
-config_lines = st.one_of(
-    st.tuples(st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=8)), config_values).map(
-        lambda kv: f"{kv[0]} = {kv[1]}"
-    ),
-    st.text(max_size=20),
-)
 
 
 @settings(deadline=None)

@@ -329,6 +329,19 @@ class TestSourceVector:
         with pytest.raises(ValueError):
             op.source_vector(0.0, 3)
 
+    def test_last_two_times_memoized_read_only(self, meshes):
+        # a step asks again for the previous step's end-time projections
+        op = assemble(meshes[1], make_basis(2), problem_convection_diffusion(), eta=20.0)
+        fresh = assemble(meshes[1], make_basis(2), problem_convection_diffusion(), eta=20.0)
+        b0, b1 = op.source_vector(0.25, 0), op.source_vector(0.25, 1)
+        assert not b0.flags.writeable and not b1.flags.writeable
+        op.source_vector(0.5, 0)
+        assert op.source_vector(0.25, 0) is b0 and op.source_vector(0.25, 1) is b1
+        op.source_vector(0.75, 0)  # a third time evicts the oldest
+        again = op.source_vector(0.25, 0)
+        assert again is not b0
+        assert np.array_equal(again, fresh.source_vector(0.25, 0))
+
 
 class TestSigmaTau:
     def test_steady_state_gives_zero_sigma(self, meshes):

@@ -13,7 +13,7 @@ from mddg.sparse import (
     gmres_solve,
     ilu_factor,
 )
-from mddg.timeint import make_workspace
+from mddg.timeint import as_tableau, make_workspace
 
 
 def random_csr(n, density, seed, diag_boost=0.0):
@@ -246,6 +246,80 @@ class TestDirect:
         assert len(calls) == 2
         assert stats.converged and stats.residual <= 1e-12
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
+
+def record_lu_shapes(monkeypatch):
+    """Record the shape of every matrix SuperLU factors completely."""
+    shapes = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(A):
+        shapes.append(A.shape)
+        return splu(A)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return shapes
+
+
+class TestDecoupledDirect:
+    # a block system I - C (x) Z is factored as one n x n LU per real eigenvalue
+    # and per conjugate pair of C, never as one sMn x sMn LU
+    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_workspace_solve_matches_dense(self, problem, method, monkeypatch):
+        shapes = record_lu_shapes(monkeypatch)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(kind="direct"))
+        K = ws.system.toarray()
+        b = np.random.default_rng(22).normal(size=K.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert stats.converged and stats.residual <= 1e-12
+        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+        x_dense = np.linalg.solve(K, b)
+        assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+        n = op.n_dof
+        lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
+        assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
+
+    def test_gmres_fallback_factors_blocks(self, monkeypatch):
+        # the preconditioner stays an ILUTP of the whole system; the fallback is blockwise
+        shapes = record_lu_shapes(monkeypatch)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver(maxit=1, restart=1))
+        assert ws.prepared.ilu is not None and shapes == []
+        b = np.random.default_rng(23).normal(size=ws.system.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert stats.fallback_used and stats.residual <= 1e-12
+        assert shapes == [(op.n_dof, op.n_dof)] * 2
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[0.3, 0.2], [-0.25, 0.1]],  # one conjugate pair
+            [[0.4, 0.1, 0.0], [1.0, 0.2, 0.0], [0.3, 0.0, 0.25]],  # three real eigenvalues
+            [[0.25, 0.0], [0.5, 0.25]],  # defective: V is singular, so K is factored whole
+        ],
+    )
+    def test_kron_system_vs_dense(self, C, monkeypatch):
+        shapes = record_lu_shapes(monkeypatch)
+        C = np.array(C)
+        Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
+        K = np.eye(len(C) * 30) - np.kron(C, Z.toarray())
+        b = np.random.default_rng(25).normal(size=len(K))
+        x, stats = LinearSolver(kind="direct").prepare(CsrMatrix(K), coupling=(C, Z)).solve(b)
+        assert stats.residual <= 1e-12
+        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+        lam, V = np.linalg.eig(C)
+        blockwise = np.linalg.cond(V) <= 1e4
+        assert shapes == ([(30, 30)] * int(np.sum(lam.imag >= 0)) if blockwise else [K.shape])
+
+    def test_plain_matrix_is_one_lu_of_itself(self, monkeypatch):
+        shapes = record_lu_shapes(monkeypatch)
+        A, _ = random_csr(50, 0.3, seed=14, diag_boost=8.0)
+        b = np.random.default_rng(15).normal(size=50)
+        x = direct_solve(A, b)
+        assert shapes == [(50, 50)]
+        assert np.array_equal(x, scipy.sparse.linalg.splu(sp.csc_matrix(A)).solve(b))
+
 
 class TestLinearSolver:
     def test_unknown_kind(self):

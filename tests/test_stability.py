@@ -137,6 +137,22 @@ class TestAStabilityScan:
         assert rep.min_pole_real_part > 0.0
 
     @pytest.mark.parametrize("method", TP + [MDRK6, GL6], ids=lambda m: m.label)
+    def test_coupling_eigenvalues_are_reciprocal_poles(self, method):
+        # eliminating the auxiliaries of I - z C leaves the stage matrix of R(z), so
+        # det(I - z C) = prod(1 - z lambda_k) is R's denominator: lambda_k = 1 / pole_k.
+        # Distinct eigenvalues with Re > 0 make the direct solver's block
+        # decoupling exact and every block I - lambda_k dt A nonsingular.
+        tab = as_tableau(method)
+        lam = np.linalg.eigvals(tab.coupling)
+        inv_poles = 1.0 / rational_function_mdrk(tab).poles()
+        assert len(lam) == len(inv_poles)
+        assert np.max(np.min(np.abs(lam[:, None] - inv_poles[None, :]), axis=1)) < 1e-10
+        assert np.max(np.min(np.abs(inv_poles[:, None] - lam[None, :]), axis=1)) < 1e-10
+        assert np.all(lam.real > 0)
+        gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(len(lam))
+        assert gaps.min() > 1e-2
+
+    @pytest.mark.parametrize("method", TP + [MDRK6, GL6], ids=lambda m: m.label)
     def test_half_plane_max_consistent_with_axis(self, method):
         # maximum principle: interior samples cannot beat the boundary
         rep = a_stability_scan(method)

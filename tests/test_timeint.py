@@ -13,11 +13,13 @@ from mddg.sparse import LinearSolver
 from mddg.timeint import (
     MdrkWorkspace,
     TwoPointWorkspace,
+    as_tableau,
     builtin_gauss_legendre6,
     builtin_mdrk6,
     builtin_two_point_schemes,
     derive_two_point_coefficients,
     integrate,
+    make_workspace,
     mdrk_step,
 )
 
@@ -393,6 +395,21 @@ class TestBlockEquivalence:
         w = np.random.default_rng(36).normal(size=op.n_dof)
         w_mdrk = MdrkWorkspace(op, scheme.tableau, dt, DIRECT).step(w, 0.1)
         assert np.array_equal(ws.step(w, 0.1), w_mdrk)
+
+    @pytest.mark.parametrize(
+        "method",
+        builtin_two_point_schemes() + [builtin_mdrk6(), builtin_gauss_legendre6()],
+        ids=lambda m: m.label,
+    )
+    def test_system_is_identity_minus_coupling_kron_dt_a(self, method):
+        # the block system is exactly I - C (x) Z with Z = dt A and the tableau's C
+        mesh = build_base_mesh()
+        op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
+        dt = 0.2
+        ws = make_workspace(op, method, dt, DIRECT)
+        C = as_tableau(method).coupling
+        Z = dt * op.matrix.toarray()
+        assert np.array_equal(ws.system.toarray(), np.eye(len(C) * op.n_dof) - np.kron(C, Z))
 
     def test_mdrk_update_equals_last_stage(self, scalar_op):
         # stiffly accurate tableau: the Eq-style update equals stage 3 of
