@@ -11,9 +11,11 @@ sparse direct LU (SuperLU) serves as the fallback when the incomplete
 factorization fails or GMRES does not converge; a direct solve takes one
 refinement pass only when its first residual is above ``REFINE_ABOVE``.
 A system of the Kronecker form I - C (x) Z with a small dense C is
-factorized block by block: one n x n LU of I - lambda Z per real
-eigenvalue and per conjugate pair of C (Butcher, *On the implementation of
-implicit Runge-Kutta methods*, BIT 16, 1976).
+factorized block by block, completely for the direct solve and
+incompletely for the preconditioner: one n x n factor of I - lambda Z per
+real eigenvalue and per conjugate pair of C, applied through C's
+eigenvectors (Butcher, *On the implementation of implicit Runge-Kutta
+methods*, BIT 16, 1976).  ``BlockFactors`` holds either kind.
 """
 
 from __future__ import annotations
@@ -79,35 +81,95 @@ class CsrMatrix(scipy.sparse.csr_array):
         return self @ x
 
 
-class IluFactors:
-    """Incomplete LU factors P_r A P_c ~ L U from SuperLU's ILUTP.
+def _decouple(A, coupling):
+    """V, V^-1 and the blocks (k, block k, paired) that factor A block by block.
 
-    Entries smaller than ``ILU_DROP_TOL`` relative to their column are
-    dropped, the factors hold at most ``ILU_FILL_FACTOR`` times the
-    nonzeros of A, rows are pivoted by threshold partial pivoting and
-    columns ordered by COLAMD (Saad, *Iterative Methods for Sparse Linear
-    Systems*, ch. 10; Li & Shao, ACM TOMS 37, 2011).
+    ``coupling = (C, Z)`` states that A = I - C (x) Z.  With
+    C = V diag(lambda) V^-1, A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I),
+    so block k is I - lambda_k Z: real for a real eigenvalue, complex for the
+    member k of a conjugate pair with positive imaginary part, whose partner
+    block is its complex conjugate (``paired`` marks it).  A plain matrix, and
+    a coupling whose V is too ill-conditioned to transform with
+    (``COUPLING_COND_MAX``), is the 1 x 1 case: V is None and A is one block.
+    """
+    if coupling is not None:
+        C, Z = coupling
+        lam, V = np.linalg.eig(C)
+        if np.linalg.cond(V) <= COUPLING_COND_MAX:  # a repeated eigenvalue makes V singular
+            I = scipy.sparse.identity(Z.shape[0], format="csr")
+            # numpy returns a conjugate pair adjacently, positive imaginary part first
+            return V, np.linalg.inv(V), (
+                (k, I - (lam[k] if lam[k].imag else lam[k].real) * Z, lam[k].imag > 0)
+                for k in range(len(lam))
+                if lam[k].imag >= 0
+            )
+    return None, None, [(0, A, False)]
+
+
+class BlockFactors:
+    """Factors of A = I - C (x) Z stored per block (see ``_decouple``).
+
+    ``factor`` turns one CSC block into an object with a ``solve`` method
+    (SuperLU's ``splu`` or ``spilu``); ``solve`` maps b through V^-1, solves
+    each stored block, fills a pair's partner by ``conj`` and maps back with
+    V.  For a plain matrix it is the one factor's own solve.
     """
 
-    def __init__(self, superlu):
-        self._superlu = superlu
+    def __init__(self, A, coupling, factor):
+        self.V, self.Vinv, blocks = _decouple(A, coupling)
+        self.factors = [
+            (k, factor(scipy.sparse.csc_matrix(B)), paired) for k, B, paired in blocks
+        ]
+
+    @property
+    def nnz(self) -> int:
+        """Nonzeros of L plus U, summed over the stored blocks."""
+        return sum(f.L.nnz + f.U.nnz for _, f, _ in self.factors)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        V = self.V
+        if V is None:
+            return self.factors[0][1].solve(b)
+        W = self.Vinv @ b.reshape(len(V), -1)
+        Y = np.empty_like(W)
+        for k, f, paired in self.factors:
+            if paired:
+                Y[k] = f.solve(W[k])
+                Y[k + 1] = Y[k].conj()
+            else:
+                Y[k] = f.solve(W[k].real)
+        return (V @ Y).real.ravel()
+
+
+class IluFactors(BlockFactors):
+    """Incomplete LU factors P_r B P_c ~ L U from SuperLU's ILUTP, per block.
+
+    Each block B of A (see ``_decouple``) is factored with entries smaller
+    than ``ILU_DROP_TOL`` relative to their column dropped, at most
+    ``ILU_FILL_FACTOR`` times the nonzeros of B kept, rows pivoted by
+    threshold partial pivoting and columns ordered by COLAMD (Saad,
+    *Iterative Methods for Sparse Linear Systems*, ch. 10; Li & Shao, ACM
+    TOMS 37, 2011).  ``nnz`` is the preconditioner's fill.
+    """
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Solve the factored system (L U x = v, permutations included)."""
-        return self._superlu.solve(np.asarray(v, dtype=float))
+        """Solve the factored system; returns a new real vector."""
+        return self.solve(np.asarray(v, dtype=float))
 
 
-def ilu_factor(A: CsrMatrix) -> IluFactors:
-    """ILUTP preconditioner of a square matrix.
+def ilu_factor(A: CsrMatrix, coupling=None) -> IluFactors:
+    """ILUTP preconditioner of a square matrix, blockwise when ``coupling`` is given.
 
-    Raises SuperLU's ``RuntimeError`` when a pivot column of the
-    incomplete factor is exactly zero.
+    ``coupling = (C, Z)`` states A = I - C (x) Z, as in ``PreparedSystem``.
+    Raises SuperLU's ``RuntimeError`` when a pivot column of an incomplete
+    factor is exactly zero.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError("ILU requires a square matrix")
-    csc = scipy.sparse.csc_matrix(A)
     return IluFactors(
-        scipy.sparse.linalg.spilu(csc, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
+        A,
+        coupling,
+        lambda B: scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR),
     )
 
 
@@ -218,15 +280,14 @@ class PreparedSystem:
     property of the matrix, not of the right-hand side.
 
     ``coupling = (C, Z)`` states that A = I - C (x) Z, with C a small dense
-    matrix and Z an n x n sparse matrix.  With C = V diag(lambda) V^-1,
-    A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I), so the direct
-    factorization is one n x n LU of I - lambda_k Z per real eigenvalue and
-    one complex LU per conjugate pair, whose partner block is its complex
-    conjugate.  A plain matrix is the 1 x 1 case: one LU of A itself, and so
-    is a coupling whose eigenvector matrix V is too ill-conditioned to
-    transform with (``COUPLING_COND_MAX``).  The residual check and the
-    refinement pass always use A.  The blocks are built only when a direct
-    factor is requested, so a GMRES solve that never falls back holds none.
+    matrix and Z an n x n sparse matrix.  Both the GMRES preconditioner and
+    the direct factorization are then ``BlockFactors``: one n x n ILUTP or
+    LU of I - lambda_k Z per real eigenvalue of C and one complex factor per
+    conjugate pair, applied through C's eigenvectors V.  A plain matrix, and
+    a coupling whose V is too ill-conditioned (``COUPLING_COND_MAX``), is
+    factored whole.  GMRES, the residual check and the refinement pass
+    always use A.  The direct factors are built only when requested, so a
+    GMRES solve that never falls back holds none.
     """
 
     def __init__(self, A, solver, coupling=None):
@@ -234,12 +295,12 @@ class PreparedSystem:
         self.solver = solver
         self.coupling = coupling
         self.ilu = None
-        self._direct = None  # (V, V^-1, [(k, LU of block k, paired)]), see _blocks
+        self._direct = None
         self._prefer_direct = False
         self.history = []
         if solver.kind == "gmres":
             try:
-                self.ilu = ilu_factor(A)
+                self.ilu = ilu_factor(A, coupling)
             except RuntimeError as exc:  # SuperLU signals a singular incomplete factor this way
                 if not solver.fallback:
                     raise SolverFailure(f"incomplete LU failed: {exc}") from exc
@@ -248,59 +309,21 @@ class PreparedSystem:
         else:
             self._factorize_direct()
 
-    def _blocks(self):
-        """V, V^-1 and the blocks (k, block k, paired) of the direct factorization.
-
-        V is None for a plain matrix.  A conjugate pair appears once, as its
-        member k with positive imaginary part; ``paired`` marks it.
-        """
-        if self.coupling is not None:
-            C, Z = self.coupling
-            lam, V = np.linalg.eig(C)
-            if np.linalg.cond(V) <= COUPLING_COND_MAX:  # a repeated eigenvalue makes V singular
-                I = scipy.sparse.identity(Z.shape[0], format="csr")
-                # numpy returns a conjugate pair adjacently, positive imaginary part first
-                return V, np.linalg.inv(V), (
-                    (k, I - (lam[k] if lam[k].imag else lam[k].real) * Z, lam[k].imag > 0)
-                    for k in range(len(lam))
-                    if lam[k].imag >= 0
-                )
-        return None, None, [(0, self.A, False)]
-
     def _factorize_direct(self):
         if self._direct is None:
-            V, Vinv, blocks = self._blocks()
             try:
-                lus = [
-                    (k, scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(B)), paired)
-                    for k, B, paired in blocks
-                ]
+                self._direct = BlockFactors(self.A, self.coupling, scipy.sparse.linalg.splu)
             except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
                 raise SolverFailure(f"direct LU failed: {exc}") from exc
-            self._direct = (V, Vinv, lus)
-
-    def _lu_solve(self, b):
-        V, Vinv, lus = self._direct
-        if V is None:
-            return lus[0][1].solve(b)
-        W = Vinv @ b.reshape(len(V), -1)
-        Y = np.empty_like(W)
-        for k, lu, paired in lus:
-            if paired:
-                Y[k] = lu.solve(W[k])
-                Y[k + 1] = Y[k].conj()
-            else:
-                Y[k] = lu.solve(W[k].real)
-        return (V @ Y).real.ravel()
 
     def _solve_direct(self, b, fallback=False):
         t0 = time.perf_counter()
         self._factorize_direct()
-        x = self._lu_solve(b)
+        x = self._direct.solve(b)
         r = b - self.A.matvec(x)
         bnorm = np.linalg.norm(b)
         if np.linalg.norm(r) > REFINE_ABOVE * bnorm:  # one refinement pass
-            x = x + self._lu_solve(r)
+            x = x + self._direct.solve(r)
             r = b - self.A.matvec(x)
         rel = np.linalg.norm(r) / bnorm if bnorm > 0 else 0.0
         stats = SolveStats(
@@ -342,9 +365,10 @@ class PreparedSystem:
 class LinearSolver:
     """Solver configuration: restarted GMRES with an ILUTP preconditioner, or direct LU.
 
-    GMRES defaults to relative tolerance 1e-10, right-preconditioned by
-    ``ilu_factor`` (SuperLU's ILUTP; the paper uses ILU(2)).  When the
-    incomplete factorization fails or GMRES does not converge, the solve
+    GMRES defaults to relative tolerance 1e-10 on the whole system,
+    right-preconditioned by ``ilu_factor`` (SuperLU's ILUTP, one per block
+    of a coupled system; the paper uses ILU(2) of the whole system).  When
+    the incomplete factorization fails or GMRES does not converge, the solve
     falls back to the direct factorization for systems up to
     FALLBACK_MAX_N unknowns; without the fallback it raises SolverFailure.
     """

@@ -378,7 +378,7 @@ def integrate(
         t = t0
         for i in range(n_full):
             w = ws.step(w, t)
-            t = t0 + (i + 1) * dt
+            t = t + dt  # the end time the step projected its source at, bit for bit
             if not np.all(np.isfinite(w)):
                 raise BlowUpError(f"non-finite state after step {i + 1} (t = {t:.6g})")
         if remainder > 0.0:

@@ -7,6 +7,8 @@ from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
 from mddg.operator import assemble
 from mddg.sparse import (
+    ILU_DROP_TOL,
+    ILU_FILL_FACTOR,
     CsrMatrix,
     LinearSolver,
     SolverFailure,
@@ -124,22 +126,28 @@ class TestSpmv:
 )
 def test_ilutp_on_dg_block_system(p, method, dt):
     # the implicit block system of one convection-diffusion step on mesh level 1 (8 elements)
+    # preconditioned blockwise through the tableau's eigenvectors, so apply works in
+    # complex arithmetic and must still hand GMRES a fresh real vector
     prob = make_problem("convection_diffusion")
     op = assemble(mesh_hierarchy(2)[1], make_basis(p), prob, default_eta(p))
-    A = make_workspace(op, method_registry()[method], dt, LinearSolver(kind="direct")).system
+    tableau = as_tableau(method_registry()[method])
+    A = make_workspace(op, tableau, dt, LinearSolver(kind="direct")).system
     D = A.toarray()
     b = np.random.default_rng(21).normal(size=A.shape[0])
 
-    x, stats = LinearSolver(fallback=False).prepare(A).solve(b)
+    prep = LinearSolver(fallback=False).prepare(A, coupling=(dt * tableau.coupling, op.matrix))
+    x, stats = prep.solve(b)
     assert stats.converged and not stats.fallback_used
     assert np.linalg.norm(b - D @ x) <= 1e-10 * np.linalg.norm(b)
     _, plain = gmres_solve(A, b, maxit=20 * A.shape[0])
     assert stats.iterations < plain.iterations
 
-    f = ilu_factor(A)
+    f = prep.ilu
+    assert f.V is not None and np.iscomplexobj(f.V)
     b_before = b.copy()
     y = f.apply(b)
     assert np.array_equal(b, b_before)
+    assert y.dtype == np.float64 and y.shape == b.shape and y is not b
     assert np.array_equal(f.apply(b), y)
 
 
@@ -247,16 +255,16 @@ class TestDirect:
         assert stats.converged and stats.residual <= 1e-12
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
 
-def record_lu_shapes(monkeypatch):
-    """Record the shape of every matrix SuperLU factors completely."""
+def record_lu_shapes(monkeypatch, name="splu"):
+    """Record the shape of every matrix SuperLU factors completely (or incompletely)."""
     shapes = []
-    splu = scipy.sparse.linalg.splu
+    factor = getattr(scipy.sparse.linalg, name)
 
-    def recording(A):
+    def recording(A, **kwargs):
         shapes.append(A.shape)
-        return splu(A)
+        return factor(A, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    monkeypatch.setattr(scipy.sparse.linalg, name, recording)
     return shapes
 
 
@@ -281,15 +289,20 @@ class TestDecoupledDirect:
         assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
 
     def test_gmres_fallback_factors_blocks(self, monkeypatch):
-        # the preconditioner stays an ILUTP of the whole system; the fallback is blockwise
+        # the preconditioner and the fallback both factor only n x n blocks, one per
+        # eigenvalue with nonnegative imaginary part; this system needs 4 GMRES
+        # iterations, so maxit = 1 forces the fallback
         shapes = record_lu_shapes(monkeypatch)
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
+        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
+        prob = make_problem("convection_diffusion")
+        op = assemble(mesh_hierarchy(3)[2], make_basis(2), prob, default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver(maxit=1, restart=1))
-        assert ws.prepared.ilu is not None and shapes == []
+        blocks = [(op.n_dof, op.n_dof)] * 2
+        assert ws.prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
         b = np.random.default_rng(23).normal(size=ws.system.shape[0])
         x, stats = ws.prepared.solve(b)
         assert stats.fallback_used and stats.residual <= 1e-12
-        assert shapes == [(op.n_dof, op.n_dof)] * 2
+        assert shapes == blocks
 
     @pytest.mark.parametrize(
         "C",
@@ -300,17 +313,20 @@ class TestDecoupledDirect:
         ],
     )
     def test_kron_system_vs_dense(self, C, monkeypatch):
-        shapes = record_lu_shapes(monkeypatch)
+        # the direct factor and the GMRES preconditioner split the same blocks
         C = np.array(C)
         Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
         K = np.eye(len(C) * 30) - np.kron(C, Z.toarray())
         b = np.random.default_rng(25).normal(size=len(K))
-        x, stats = LinearSolver(kind="direct").prepare(CsrMatrix(K), coupling=(C, Z)).solve(b)
-        assert stats.residual <= 1e-12
-        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
         lam, V = np.linalg.eig(C)
         blockwise = np.linalg.cond(V) <= 1e4
-        assert shapes == ([(30, 30)] * int(np.sum(lam.imag >= 0)) if blockwise else [K.shape])
+        for kind, name, rtol in (("direct", "splu", 1e-12), ("gmres", "spilu", 1e-10)):
+            shapes = record_lu_shapes(monkeypatch, name)
+            solver = LinearSolver(kind=kind, fallback=False)
+            x, stats = solver.prepare(CsrMatrix(K), coupling=(C, Z)).solve(b)
+            assert stats.residual <= rtol and not stats.fallback_used
+            assert np.linalg.norm(b - K @ x) <= rtol * np.linalg.norm(b)
+            assert shapes == ([(30, 30)] * int(np.sum(lam.imag >= 0)) if blockwise else [K.shape])
 
     def test_plain_matrix_is_one_lu_of_itself(self, monkeypatch):
         shapes = record_lu_shapes(monkeypatch)
@@ -319,6 +335,68 @@ class TestDecoupledDirect:
         x = direct_solve(A, b)
         assert shapes == [(50, 50)]
         assert np.array_equal(x, scipy.sparse.linalg.splu(sp.csc_matrix(A)).solve(b))
+
+
+class TestBlockPreconditioner:
+    # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
+    # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors
+    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_workspace_preconditioner_is_blockwise(self, problem, method, monkeypatch):
+        shapes = record_lu_shapes(monkeypatch, "spilu")
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(fallback=False))
+        n = op.n_dof
+        lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
+        assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
+        K = ws.system.toarray()
+        b = np.random.default_rng(26).normal(size=K.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert stats.converged and not stats.fallback_used
+        assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
+        shapes = record_lu_shapes(monkeypatch, "spilu")
+        A, _ = random_csr(50, 0.3, seed=14, diag_boost=8.0)
+        b = np.random.default_rng(15).normal(size=50)
+        f = ilu_factor(A)
+        assert shapes == [(50, 50)] and f.V is None
+        ref = scipy.sparse.linalg.spilu(
+            sp.csc_matrix(A), drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR
+        )
+        assert np.array_equal(f.apply(b), ref.solve(b))
+        assert f.nnz == ref.L.nnz + ref.U.nnz
+
+    def test_nnz_sums_block_factors(self):
+        C = np.array([[0.4, 0.1, 0.0], [1.0, 0.2, 0.0], [0.3, 0.0, 0.25]])  # three real eigenvalues
+        Z, _ = random_csr(40, 0.2, seed=27, diag_boost=-3.0)
+        K = CsrMatrix(np.eye(120) - np.kron(C, Z.toarray()))
+        f = ilu_factor(K, coupling=(C, Z))
+        expected = 0
+        for lam in np.linalg.eigvals(C):
+            B = sp.csc_matrix(sp.identity(40) - lam.real * Z)
+            g = scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
+            expected += g.L.nnz + g.U.nnz
+        assert f.nnz == expected > 0
+
+    def test_failed_block_ilutp_takes_direct_fallback(self, monkeypatch):
+        # SuperLU's RuntimeError from a block's incomplete factor routes to the direct
+        # fallback, or surfaces as SolverFailure when the fallback is off
+        def singular(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        with pytest.raises(SolverFailure, match="incomplete LU failed"):
+            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=False))
+        shapes = record_lu_shapes(monkeypatch)
+        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
+        assert ws.prepared.ilu is None
+        b = np.random.default_rng(28).normal(size=ws.system.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert stats.fallback_used and stats.converged and stats.residual <= 1e-10
+        lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
+        assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
 
 
 class TestLinearSolver:
