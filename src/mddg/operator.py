@@ -34,18 +34,17 @@ ERROR_DEGREE_MARGIN = 4  # error quadrature degree 2p + 4
 class Problem:
     """Constant-velocity linear convection-diffusion problem on [0,1]^2.
 
-    ``source`` and its analytic time derivatives take (x, y, t) arrays;
-    ``exact``, when available, is the reference solution used for error
-    measurement.  Time derivatives may be omitted for sources that are
-    constant in time.
+    ``source`` is a tuple of exponential modes (mu_k, phi_k): the source is
+    g(x, y, t) = Re sum_k exp(mu_k t) phi_k(x, y), with complex rates mu_k
+    and phi_k taking (x, y) arrays, so every time derivative is exact; ``()``
+    means no source.  ``exact``, when available, is the reference solution
+    used for error measurement.
     """
 
     velocity: np.ndarray
     epsilon: float
     initial: Callable
-    source: Optional[Callable] = None
-    source_t: Optional[Callable] = None
-    source_tt: Optional[Callable] = None
+    source: tuple = ()
     exact: Optional[Callable] = None
     t_end: float = 1.0
     name: str = ""
@@ -55,64 +54,31 @@ class Problem:
         if self.epsilon < 0:
             raise ValueError("diffusion coefficient must be non-negative")
 
-    def source_term(self, derivative: int) -> Optional[Callable]:
-        if derivative == 0:
-            return self.source
-        if derivative == 1:
-            return self.source_t
-        if derivative == 2:
-            return self.source_tt
-        raise ValueError("source derivative must be 0, 1 or 2")
-
 
 class DgOperator:
-    """Assembled DG operator: sparse matrix plus source projections."""
+    """Assembled DG operator: sparse matrix plus the projected source modes."""
 
-    def __init__(self, mesh, basis, problem, eta, matrix, cell_points, cell_scaled_w, cell_basis):
+    def __init__(self, mesh, basis, problem, eta, matrix, source_modes):
         self.mesh = mesh
         self.basis = basis
         self.problem = problem
         self.eta = eta
         self.matrix = matrix
-        # cached cell quadrature data for source projections:
-        # physical points (ne, nq, 2), weights*sqrt(detJ) (ne, nq), basis values (nq, nm)
-        self._cell_points = cell_points
-        self._cell_scaled_w = cell_scaled_w
-        self._cell_basis = cell_basis
-        # source projections at the last two distinct times: ((t, {derivative: vector}), ...);
-        # the tuple is replaced whole, so a concurrent caller never sees it half updated
-        self._source_memo = ()
+        # (mu_k, P_k): the rate and complex modal projection of each source mode
+        self._source_modes = source_modes
 
     @property
     def n_dof(self) -> int:
         return self.matrix.shape[0]
 
     def source_vector(self, t: float, derivative: int = 0) -> np.ndarray:
-        """Modal projection of the source (or its 1st/2nd time derivative).
-
-        The result is read-only and memoized on the exact (t, derivative) for
-        the last two distinct times: a step projects the source at its end
-        time, and the next step asks for the same vectors at its start time.
-        """
-        memo = self._source_memo
-        vectors = next((v for time, v in memo if time == t), None)
-        if vectors is None:
-            vectors = {}
-            self._source_memo = memo[-1:] + ((t, vectors),)
-        if derivative not in vectors:
-            vectors[derivative] = self._project_source(t, derivative)
-        return vectors[derivative]
-
-    def _project_source(self, t, derivative):
-        g = self.problem.source_term(derivative)
-        if g is None:
-            b = np.zeros(self.n_dof)
-        else:
-            x = self._cell_points[..., 0]
-            y = self._cell_points[..., 1]
-            vals = np.asarray(g(x, y, t), dtype=float)
-            b = np.einsum("kq,qi->ki", vals * self._cell_scaled_w, self._cell_basis).ravel()
-        b.flags.writeable = False
+        """Modal projection of the source's m-th time derivative, m = ``derivative``:
+        Re sum_k mu_k^m exp(mu_k t) P_k."""
+        if derivative < 0:
+            raise ValueError("source derivative must be non-negative")
+        b = np.zeros(self.n_dof)
+        for mu, P in self._source_modes:
+            b += (mu**derivative * np.exp(mu * t) * P).real
         return b
 
     def compute_sigma(self, w: np.ndarray, t: float) -> np.ndarray:
@@ -134,6 +100,12 @@ def _cell_geometry(mesh, basis, degree):
     return rule, pts, scaled_w, values, J, detJ
 
 
+def _project_cells(pts, scaled_w, values, f):
+    """Element-wise modal L2 projection of f(x, y) from the cell geometry's quadrature."""
+    vals = np.asarray(f(pts[..., 0], pts[..., 1]))
+    return np.einsum("kq,qi->ki", vals * scaled_w, values).ravel()
+
+
 def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float) -> DgOperator:
     """Assemble the sparse method-of-lines operator.
 
@@ -153,6 +125,9 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
 
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     cell_rule, cell_pts, cell_scaled_w, cell_vals, J, detJ = _cell_geometry(mesh, basis, degree)
+    source_modes = tuple(
+        (mu, _project_cells(cell_pts, cell_scaled_w, cell_vals, phi)) for mu, phi in problem.source
+    )
     origins = mesh.vertices[mesh.triangles[:, 0]]
     Jinv = np.linalg.inv(J)
     sqrtJ = np.sqrt(detJ)
@@ -220,15 +195,14 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
         data.ravel(),
         shape=(ne * nm, ne * nm),
     )
-    return DgOperator(mesh, basis, problem, eta, matrix, cell_pts, cell_scaled_w, cell_vals)
+    return DgOperator(mesh, basis, problem, eta, matrix, source_modes)
 
 
 def project_l2(mesh: TriangularMesh, basis: BasisSet, f: Callable) -> np.ndarray:
     """Element-wise modal L2 projection of f(x, y)."""
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     _, pts, scaled_w, values, _, _ = _cell_geometry(mesh, basis, degree)
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    return np.einsum("kq,qi->ki", vals * scaled_w, values).ravel()
+    return _project_cells(pts, scaled_w, values, f)
 
 
 def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callable, t: float) -> float:

@@ -202,6 +202,7 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
         return np.zeros(n), SolveStats(0, 0.0, True, time.perf_counter() - t0)
     apply_m = precond.apply if precond is not None else (lambda v: v)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    m = min(restart, n)  # the Krylov dimension cannot exceed n
     history = []
     total = 0
     converged = False
@@ -214,16 +215,16 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
             break
         if total >= maxit:
             break
-        V = np.zeros((restart + 1, n))
-        H = np.zeros((restart + 1, restart))
-        cs = np.zeros(restart)
-        sn = np.zeros(restart)
-        g = np.zeros(restart + 1)
+        V = np.zeros((m + 1, n))
+        H = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
         V[0] = r / beta
         g[0] = beta
         j_used = 0
         breakdown = False
-        for j in range(restart):
+        for j in range(m):
             if total >= maxit:
                 break
             w = A.matvec(apply_m(V[j]))

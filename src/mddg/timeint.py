@@ -336,10 +336,16 @@ def make_workspace(op, method, dt: float, solver: Optional[LinearSolver] = None)
     return MdrkWorkspace(op, as_tableau(method), dt, solver)
 
 
-def mdrk_step(op, method, w, t, dt, solver: Optional[LinearSolver] = None):
-    """One implicit step of a tableau or a two-point scheme."""
+def _check_times(dt, *times):
+    if not all(math.isfinite(v) for v in (dt, *times)):
+        raise ValueError("dt and the times must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
+
+
+def mdrk_step(op, method, w, t, dt, solver: Optional[LinearSolver] = None):
+    """One implicit step of a tableau or a two-point scheme."""
+    _check_times(dt, t)
     return make_workspace(op, method, dt, solver).step(np.asarray(w, float), t)
 
 
@@ -359,15 +365,16 @@ def integrate(
     non-finite state aborts with BlowUpError.  Per-step solver statistics
     are appended to ``stats_out`` when given.
     """
+    _check_times(dt, t0, t_end)
     if t_end < t0:
         raise ValueError("t_end must not precede t0")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     w = np.asarray(w0, dtype=float).copy()
     if t_end == t0:
         return w
     solver = solver if solver is not None else LinearSolver()
     span = t_end - t0
+    if not math.isfinite(span / dt):
+        raise ValueError("the span from t0 to t_end holds too many steps of dt")
     n_full = int(math.floor(span / dt * (1.0 + 1e-14)))
     remainder = span - n_full * dt
     if remainder <= _STEP_TOL * dt:
@@ -378,7 +385,7 @@ def integrate(
         t = t0
         for i in range(n_full):
             w = ws.step(w, t)
-            t = t + dt  # the end time the step projected its source at, bit for bit
+            t = t + dt  # the next step starts at this step's own end time
             if not np.all(np.isfinite(w)):
                 raise BlowUpError(f"non-finite state after step {i + 1} (t = {t:.6g})")
         if remainder > 0.0:

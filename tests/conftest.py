@@ -29,6 +29,13 @@ config_lines = st.one_of(
 )
 
 
+def source_at(problem, x, y, t, derivative=0):
+    """Pointwise m-th time derivative of a problem's exponential-mode source,
+    Re sum_k mu_k^m exp(mu_k t) phi_k(x, y)."""
+    terms = ((mu**derivative * np.exp(mu * t) * phi(x, y)).real for mu, phi in problem.source)
+    return sum(terms, np.zeros(np.broadcast(x, y, t).shape))
+
+
 class LinearOde:
     """Minimal method-of-lines operator: dy/dt = A y + b(t).
 

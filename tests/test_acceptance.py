@@ -344,7 +344,7 @@ def test_criterion_9_block_dense_equivalence():
         velocity=np.array([1.0, 1.0]),
         epsilon=0.1,
         initial=lambda x, y: np.zeros_like(x),
-        source=lambda x, y, t: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+        source=((0.0, lambda x, y: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)),),
     )
     op = assemble(mesh, basis, prob_const, eta=20.0)
     A = op.matrix.toarray()

@@ -21,6 +21,8 @@ from mddg.harness import (
     problem_convection_diffusion,
 )
 
+from conftest import source_at
+
 
 @pytest.fixture(scope="module")
 def meshes():
@@ -289,8 +291,8 @@ class TestAssemble:
 class TestSourceVector:
     def test_zero_source(self, meshes):
         op = assemble(meshes[1], make_basis(2), problem_convection(), eta=20.0)
-        assert np.array_equal(op.source_vector(0.3, 0), np.zeros(op.n_dof))
-        assert np.array_equal(op.source_vector(0.3, 2), np.zeros(op.n_dof))
+        for m in range(4):
+            assert np.array_equal(op.source_vector(0.3, m), np.zeros(op.n_dof))
 
     def test_constant_source_hits_constant_mode(self, meshes):
         mesh = meshes[1]
@@ -299,12 +301,32 @@ class TestSourceVector:
             velocity=np.array([1.0, 1.0]),
             epsilon=0.0,
             initial=lambda x, y: np.zeros_like(x),
-            source=lambda x, y, t: np.ones_like(x),
+            source=((0.0, lambda x, y: np.ones_like(x)),),
         )
         op = assemble(mesh, basis, prob, eta=20.0)
         b = op.source_vector(0.0, 0).reshape(mesh.n_elements, basis.n_modes)
         assert np.max(np.abs(b[:, 1:])) < 1e-12
         assert np.allclose(b[:, 0], np.sqrt(mesh.element_areas), atol=1e-13)
+        assert np.array_equal(op.source_vector(0.7, 1), np.zeros(op.n_dof))
+
+    def test_matches_projection_of_pointwise_source(self, meshes):
+        # the projected modes equal the projection of g = (8 pi^2 eps - 1) u at t
+        mesh, basis = meshes[2], make_basis(3)
+        prob = problem_convection_diffusion()
+        factor = 8.0 * np.pi**2 * prob.epsilon - 1.0
+        op = assemble(mesh, basis, prob, eta=20.0)
+        for t in (0.0, 0.3, 0.55, 1.0):
+            ref = project_l2(mesh, basis, lambda x, y: factor * prob.exact(x, y, t))
+            b = op.source_vector(t, 0)
+            assert np.linalg.norm(b - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_derivatives_match_finite_differences(self, meshes, m):
+        op = assemble(meshes[1], make_basis(2), problem_convection_diffusion(), eta=20.0)
+        t, h = 0.4, 1e-5
+        fd = (op.source_vector(t + h, m - 1) - op.source_vector(t - h, m - 1)) / (2 * h)
+        exact = op.source_vector(t, m)
+        assert np.linalg.norm(exact - fd) <= 1e-7 * np.linalg.norm(exact)
 
     def test_manufactured_source_projection(self, meshes):
         # projected source reconstructs the pointwise manufactured g
@@ -321,26 +343,13 @@ class TestSourceVector:
         for k in (0, 7, 20):
             recon = basis.eval(ref) @ coeffs[k] / np.sqrt(detJ[k])
             phys = origins[k] + ref @ J[k].T
-            exact = prob.source(phys[:, 0], phys[:, 1], 0.0)
+            exact = source_at(prob, phys[:, 0], phys[:, 1], 0.0)
             assert np.max(np.abs(recon - exact)) < 6e-2  # projection error at p=3
 
     def test_invalid_derivative(self, meshes):
-        op = assemble(meshes[0], make_basis(1), problem_convection(), eta=20.0)
+        op = assemble(meshes[0], make_basis(1), problem_convection_diffusion(), eta=20.0)
         with pytest.raises(ValueError):
-            op.source_vector(0.0, 3)
-
-    def test_last_two_times_memoized_read_only(self, meshes):
-        # a step asks again for the previous step's end-time projections
-        op = assemble(meshes[1], make_basis(2), problem_convection_diffusion(), eta=20.0)
-        fresh = assemble(meshes[1], make_basis(2), problem_convection_diffusion(), eta=20.0)
-        b0, b1 = op.source_vector(0.25, 0), op.source_vector(0.25, 1)
-        assert not b0.flags.writeable and not b1.flags.writeable
-        op.source_vector(0.5, 0)
-        assert op.source_vector(0.25, 0) is b0 and op.source_vector(0.25, 1) is b1
-        op.source_vector(0.75, 0)  # a third time evicts the oldest
-        again = op.source_vector(0.25, 0)
-        assert again is not b0
-        assert np.array_equal(again, fresh.source_vector(0.25, 0))
+            op.source_vector(0.0, -1)
 
 
 class TestSigmaTau:
@@ -448,13 +457,12 @@ class TestProblemDefinitions:
         assert abs(prob.exact(0.25, 0.25, 0.0) - 1.0) < 1e-15
 
     def test_convection_no_source(self):
-        prob = problem_convection()
-        assert prob.source is None and prob.source_t is None and prob.source_tt is None
+        assert problem_convection().source == ()
 
     def test_manufactured_source_value(self):
         prob = problem_convection_diffusion()
         expected = 0.8 * np.pi**2 - 1.0
-        assert abs(prob.source(0.25, 0.25, 0.0) - expected) < 1e-12
+        assert abs(source_at(prob, 0.25, 0.25, 0.0) - expected) < 1e-12
 
     def test_manufactured_residual_vanishes(self):
         # u_t + div(c u - eps grad u) - g = 0 via finite differences
@@ -468,20 +476,24 @@ class TestProblemDefinitions:
         u_y = (u(x, y + h, t) - u(x, y - h, t)) / (2 * h)
         u_xx = (u(x + h, y, t) - 2 * u(x, y, t) + u(x - h, y, t)) / h**2
         u_yy = (u(x, y + h, t) - 2 * u(x, y, t) + u(x, y - h, t)) / h**2
-        residual = u_t + u_x + u_y - prob.epsilon * (u_xx + u_yy) - prob.source(x, y, t)
+        residual = u_t + u_x + u_y - prob.epsilon * (u_xx + u_yy) - source_at(prob, x, y, t)
         assert np.max(np.abs(residual)) < 1e-5
 
     def test_source_time_derivatives_match_fd(self):
+        # the mode rates give the time derivatives of g = (8 pi^2 eps - 1) u
         prob = problem_convection_diffusion()
+        factor = 8.0 * np.pi**2 * prob.epsilon - 1.0
         rng = np.random.default_rng(32)
         x, y, t = rng.random(60), rng.random(60), rng.random(60)
+        g = lambda tt: factor * prob.exact(x, y, tt)
         h = 1e-6
-        fd1 = (prob.source(x, y, t + h) - prob.source(x, y, t - h)) / (2 * h)
-        rel1 = np.max(np.abs(prob.source_t(x, y, t) - fd1)) / np.max(np.abs(fd1))
+        fd1 = (g(t + h) - g(t - h)) / (2 * h)
+        rel1 = np.max(np.abs(source_at(prob, x, y, t, 1) - fd1)) / np.max(np.abs(fd1))
         assert rel1 < 1e-6
-        fd2 = (prob.source_t(x, y, t + h) - prob.source_t(x, y, t - h)) / (2 * h)
-        rel2 = np.max(np.abs(prob.source_tt(x, y, t) - fd2)) / np.max(np.abs(fd2))
-        assert rel2 < 1e-6
+        h = 1e-4
+        fd2 = (g(t + h) - 2 * g(t) + g(t - h)) / h**2
+        rel2 = np.max(np.abs(source_at(prob, x, y, t, 2) - fd2)) / np.max(np.abs(fd2))
+        assert rel2 < 1e-5
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):

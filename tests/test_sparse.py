@@ -196,6 +196,14 @@ class TestGmres:
         assert not stats.converged
         assert stats.iterations == 6
 
+    def test_huge_restart_sized_by_system(self):
+        # the Arnoldi arrays hold at most n + 1 vectors, whatever the restart
+        A, D = random_csr(10, 0.3, seed=14, diag_boost=10.0)
+        b = np.ones(10)
+        x, stats = gmres_solve(A, b, rtol=1e-12, restart=10**6)
+        assert stats.converged
+        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
+
     def test_invalid_rtol(self):
         with pytest.raises(ValueError):
             gmres_solve(identity(2), np.ones(2), rtol=0.0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from mddg.basis import make_basis
-from mddg.harness import mesh_hierarchy, problem_convection, problem_convection_diffusion
+from mddg.harness import problem_convection, problem_convection_diffusion
 from mddg.mesh import build_base_mesh
 from mddg.operator import assemble, project_l2
 from mddg.sparse import LinearSolver
@@ -295,31 +295,22 @@ class TestIntegrate:
         assert len(stats) == 3  # 0.4 + 0.4 + 0.2
         assert abs(w[0] - math.exp(-1.0)) < 1e-7
 
-    @pytest.mark.parametrize("dt", [0.125, 0.1])
-    def test_source_projected_once_per_time(self, dt):
-        # step i + 1 starts at the time step i ended at, so the source memo hits
-        # for a non-dyadic dt too: one projection per (time, derivative)
-        mesh = mesh_hierarchy(2)[1]
-        basis = make_basis(1)
-        prob = problem_convection_diffusion()
-        op = assemble(mesh, basis, prob, eta=20.0)
-        calls = []
-        project = op._project_source
-
-        def counting(t, derivative):
-            calls.append((t, derivative))
-            return project(t, derivative)
-
-        op._project_source = counting
-        stats = []
-        w0 = project_l2(mesh, basis, prob.initial)
-        integrate(op, builtin_two_point_schemes()[0], w0, 0.0, 1.0, dt, DIRECT, stats_out=stats)
-        assert len(calls) == len(set(calls))
-        assert len({t for t, _ in calls}) == len(stats) + 1
-
-    def test_invalid_dt(self, scalar_op):
+    @pytest.mark.parametrize(
+        "dt, t_end",
+        [(-0.1, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)],
+        ids=["dt-negative", "dt-zero", "dt-inf", "dt-nan", "t_end-inf", "t_end-nan"],
+    )
+    def test_invalid_dt(self, scalar_op, dt, t_end):
+        op, w0 = scalar_op(-1.0), np.array([1.0])
         with pytest.raises(ValueError):
-            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), 0.0, 1.0, -0.1, DIRECT)
+            integrate(op, builtin_mdrk6(), w0, 0.0, t_end, dt, DIRECT)
+        with pytest.raises(ValueError):
+            mdrk_step(op, builtin_mdrk6(), w0, t_end - 1.0, dt, DIRECT)
+
+    @pytest.mark.parametrize("t0, t_end, dt", [(0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0)])
+    def test_overflowing_step_count(self, scalar_op, t0, t_end, dt):
+        with pytest.raises(ValueError):
+            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), t0, t_end, dt, DIRECT)
 
     def test_dissipative_norm_bound(self):
         # convection problem: upwind DG + A-stable scheme never grows the norm
