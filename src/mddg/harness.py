@@ -151,14 +151,17 @@ class RunConfig:
             raise ConfigError("p must lie in 0..5")
         if self.problem == "convection_diffusion" and self.p == 0:
             raise ConfigError("convection_diffusion needs p >= 1 (interior-penalty diffusion)")
-        for name in ("dt0", "gmres_rtol", "eta"):
+        for name in ("dt0", "eta"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        for name, least in (("levels", 1), ("level", 0), ("gmres_restart", 1),
-                            ("gmres_maxit", 1)):
+        for name, least in (("levels", 1), ("level", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
+        try:
+            self.linear_solver()
+        except ValueError as exc:  # LinearSolver names its field; the config key is gmres_<field>
+            raise ConfigError(f"gmres_{exc}") from exc
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.p)

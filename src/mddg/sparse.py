@@ -10,12 +10,13 @@ tolerance and fill factor, on the default COLAMD column ordering.  A
 sparse direct LU (SuperLU) serves as the fallback when the incomplete
 factorization fails or GMRES does not converge; a direct solve takes one
 refinement pass only when its first residual is above ``REFINE_ABOVE``.
-A system of the Kronecker form I - C (x) Z with a small dense C is
-factorized block by block, completely for the direct solve and
-incompletely for the preconditioner: one n x n factor of I - lambda Z per
-real eigenvalue and per conjugate pair of C, applied through C's
-eigenvectors (Butcher, *On the implementation of implicit Runge-Kutta
-methods*, BIT 16, 1976).  ``BlockFactors`` holds either kind.
+A system of the Kronecker form I - C (x) Z with a small dense C is a
+``KroneckerSystem``: it is applied one block row at a time and never
+assembled.  It is factorized block by block, completely for the direct
+solve and incompletely for the preconditioner: one n x n factor of
+I - lambda Z per real eigenvalue and per conjugate pair of C, applied
+through C's eigenvectors (Butcher, *On the implementation of implicit
+Runge-Kutta methods*, BIT 16, 1976).  ``BlockFactors`` holds either kind.
 """
 
 from __future__ import annotations
@@ -81,29 +82,61 @@ class CsrMatrix(scipy.sparse.csr_array):
         return self @ x
 
 
-def _decouple(A, coupling):
+class KroneckerSystem:
+    """The block system I - C (x) Z, applied without assembling it.
+
+    C is a small dense sM x sM matrix and Z an n x n ``CsrMatrix``.  The
+    product reshapes x to (sM, n) and returns X - C (Z X), one ``Z.matvec``
+    per block row, so the system holds no more than C and Z themselves.
+    ``nnz`` counts those stored entries: the nonzeros of Z plus those of C.
+    """
+
+    def __init__(self, C, Z):
+        self.C = np.asarray(C, dtype=float)
+        self.Z = Z
+        N = len(self.C) * Z.shape[0]
+        self.shape = (N, N)
+
+    @property
+    def nnz(self) -> int:
+        return self.Z.nnz + int(np.count_nonzero(self.C))
+
+    def matvec(self, x):
+        X = np.asarray(x).reshape(len(self.C), -1)
+        ZX = np.array([self.Z.matvec(row) for row in X])
+        return (X - self.C @ ZX).ravel()
+
+    def assembled(self) -> CsrMatrix:
+        """The whole sMn x sMn matrix, for a C whose eigenvectors cannot decouple it."""
+        I = scipy.sparse.identity(self.shape[0], format="csr")
+        return CsrMatrix(I - scipy.sparse.kron(self.C, self.Z, format="csr"))
+
+
+def _decouple(A):
     """V, V^-1 and the blocks (k, block k, paired) that factor A block by block.
 
-    ``coupling = (C, Z)`` states that A = I - C (x) Z.  With
-    C = V diag(lambda) V^-1, A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I),
-    so block k is I - lambda_k Z: real for a real eigenvalue, complex for the
-    member k of a conjugate pair with positive imaginary part, whose partner
-    block is its complex conjugate (``paired`` marks it).  A plain matrix, and
-    a coupling whose V is too ill-conditioned to transform with
-    (``COUPLING_COND_MAX``), is the 1 x 1 case: V is None and A is one block.
+    For A = I - C (x) Z (a ``KroneckerSystem``) with C = V diag(lambda) V^-1,
+    A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I), so block k is
+    I - lambda_k Z: real for a real eigenvalue, complex for the member k of a
+    conjugate pair with positive imaginary part, whose partner block is its
+    complex conjugate (``paired`` marks it).  A plain matrix, and a system
+    whose V is too ill-conditioned to transform with (``COUPLING_COND_MAX``),
+    is the 1 x 1 case: V is None and the one block is the whole matrix, which
+    is assembled only then.
     """
-    if coupling is not None:
-        C, Z = coupling
-        lam, V = np.linalg.eig(C)
-        if np.linalg.cond(V) <= COUPLING_COND_MAX:  # a repeated eigenvalue makes V singular
-            I = scipy.sparse.identity(Z.shape[0], format="csr")
-            # numpy returns a conjugate pair adjacently, positive imaginary part first
-            return V, np.linalg.inv(V), (
-                (k, I - (lam[k] if lam[k].imag else lam[k].real) * Z, lam[k].imag > 0)
-                for k in range(len(lam))
-                if lam[k].imag >= 0
-            )
-    return None, None, [(0, A, False)]
+    if not isinstance(A, KroneckerSystem):
+        return None, None, [(0, A, False)]
+    C, Z = A.C, A.Z
+    lam, V = np.linalg.eig(C)
+    if np.linalg.cond(V) > COUPLING_COND_MAX:  # a repeated eigenvalue makes V singular
+        return None, None, [(0, A.assembled(), False)]
+    I = scipy.sparse.identity(Z.shape[0], format="csr")
+    # numpy returns a conjugate pair adjacently, positive imaginary part first
+    return V, np.linalg.inv(V), (
+        (k, I - (lam[k] if lam[k].imag else lam[k].real) * Z, lam[k].imag > 0)
+        for k in range(len(lam))
+        if lam[k].imag >= 0
+    )
 
 
 class BlockFactors:
@@ -115,8 +148,8 @@ class BlockFactors:
     V.  For a plain matrix it is the one factor's own solve.
     """
 
-    def __init__(self, A, coupling, factor):
-        self.V, self.Vinv, blocks = _decouple(A, coupling)
+    def __init__(self, A, factor):
+        self.V, self.Vinv, blocks = _decouple(A)
         self.factors = [
             (k, factor(scipy.sparse.csc_matrix(B)), paired) for k, B, paired in blocks
         ]
@@ -157,10 +190,9 @@ class IluFactors(BlockFactors):
         return self.solve(np.asarray(v, dtype=float))
 
 
-def ilu_factor(A: CsrMatrix, coupling=None) -> IluFactors:
-    """ILUTP preconditioner of a square matrix, blockwise when ``coupling`` is given.
+def ilu_factor(A) -> IluFactors:
+    """ILUTP preconditioner of a square matrix, blockwise for a ``KroneckerSystem``.
 
-    ``coupling = (C, Z)`` states A = I - C (x) Z, as in ``PreparedSystem``.
     Raises SuperLU's ``RuntimeError`` when a pivot column of an incomplete
     factor is exactly zero.
     """
@@ -168,7 +200,6 @@ def ilu_factor(A: CsrMatrix, coupling=None) -> IluFactors:
         raise ValueError("ILU requires a square matrix")
     return IluFactors(
         A,
-        coupling,
         lambda B: scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR),
     )
 
@@ -181,8 +212,12 @@ class SolveStats:
     residual: float
     converged: bool
     wall_time: float
-    fallback_used: bool = False
+    fallback_reason: str = ""  # why the direct fallback ran (see PreparedSystem); "" if it did not
     residual_history: tuple = ()
+
+    @property
+    def fallback_used(self) -> bool:
+        return bool(self.fallback_reason)
 
 
 def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None):
@@ -192,8 +227,8 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
     residual ||b - Ax|| / ||b||; within each restart cycle the Arnoldi
     least-squares residual is non-increasing by construction.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
+    if not 0 < rtol < 1:
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol!r}")
     t0 = time.perf_counter()
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -280,32 +315,36 @@ class PreparedSystem:
     factorization, later solves go direct immediately: non-convergence is a
     property of the matrix, not of the right-hand side.
 
-    ``coupling = (C, Z)`` states that A = I - C (x) Z, with C a small dense
-    matrix and Z an n x n sparse matrix.  Both the GMRES preconditioner and
-    the direct factorization are then ``BlockFactors``: one n x n ILUTP or
-    LU of I - lambda_k Z per real eigenvalue of C and one complex factor per
+    For a ``KroneckerSystem`` A = I - C (x) Z both the GMRES preconditioner
+    and the direct factorization are ``BlockFactors``: one n x n ILUTP or LU
+    of I - lambda_k Z per real eigenvalue of C and one complex factor per
     conjugate pair, applied through C's eigenvectors V.  A plain matrix, and
-    a coupling whose V is too ill-conditioned (``COUPLING_COND_MAX``), is
+    a system whose V is too ill-conditioned (``COUPLING_COND_MAX``), is
     factored whole.  GMRES, the residual check and the refinement pass
-    always use A.  The direct factors are built only when requested, so a
-    GMRES solve that never falls back holds none.
+    always apply A itself, so the residual is that of the whole system.
+    The direct factors are built only when requested, so a GMRES solve that
+    never falls back holds none.
+
+    ``SolveStats.fallback_reason`` of a GMRES-kind solve that went direct is
+    ``"ilu_failed"`` (no preconditioner could be built),
+    ``"gmres_not_converged"`` (this solve's GMRES gave up) or ``"sticky"``
+    (an earlier solve's GMRES gave up).
     """
 
-    def __init__(self, A, solver, coupling=None):
+    def __init__(self, A, solver):
         self.A = A
         self.solver = solver
-        self.coupling = coupling
         self.ilu = None
         self._direct = None
-        self._prefer_direct = False
+        self._direct_reason = ""  # why a GMRES-kind solve now goes direct
         self.history = []
         if solver.kind == "gmres":
             try:
-                self.ilu = ilu_factor(A, coupling)
+                self.ilu = ilu_factor(A)
             except RuntimeError as exc:  # SuperLU signals a singular incomplete factor this way
                 if not solver.fallback:
                     raise SolverFailure(f"incomplete LU failed: {exc}") from exc
-                self._prefer_direct = True
+                self._direct_reason = "ilu_failed"
                 self._factorize_direct()
         else:
             self._factorize_direct()
@@ -313,11 +352,11 @@ class PreparedSystem:
     def _factorize_direct(self):
         if self._direct is None:
             try:
-                self._direct = BlockFactors(self.A, self.coupling, scipy.sparse.linalg.splu)
+                self._direct = BlockFactors(self.A, scipy.sparse.linalg.splu)
             except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
                 raise SolverFailure(f"direct LU failed: {exc}") from exc
 
-    def _solve_direct(self, b, fallback=False):
+    def _solve_direct(self, b, fallback_reason=""):
         t0 = time.perf_counter()
         self._factorize_direct()
         x = self._direct.solve(b)
@@ -332,20 +371,20 @@ class PreparedSystem:
             residual=float(rel),
             converged=bool(np.all(np.isfinite(x)) and rel <= max(self.solver.rtol, 1e-10)),
             wall_time=time.perf_counter() - t0,
-            fallback_used=fallback,
+            fallback_reason=fallback_reason,
         )
         return x, stats
 
     def solve(self, b, x0=None):
         s = self.solver
-        if s.kind == "gmres" and self.ilu is not None and not self._prefer_direct:
+        if s.kind == "gmres" and not self._direct_reason:
             x, stats = gmres_solve(
                 self.A, b, precond=self.ilu, rtol=s.rtol, restart=s.restart, maxit=s.maxit, x0=x0
             )
             if not stats.converged:
                 if s.fallback and self.A.shape[0] <= FALLBACK_MAX_N:
-                    self._prefer_direct = True
-                    x, stats = self._solve_direct(b, fallback=True)
+                    self._direct_reason = "sticky"
+                    x, stats = self._solve_direct(b, "gmres_not_converged")
                 else:
                     self.history.append(stats)
                     raise SolverFailure(
@@ -354,7 +393,7 @@ class PreparedSystem:
                         stats=stats,
                     )
         else:
-            x, stats = self._solve_direct(b, fallback=self._prefer_direct and s.kind == "gmres")
+            x, stats = self._solve_direct(b, self._direct_reason)
             if not stats.converged:
                 self.history.append(stats)
                 raise SolverFailure("direct solve produced non-finite solution", stats=stats)
@@ -383,12 +422,12 @@ class LinearSolver:
     def __post_init__(self):
         if self.kind not in ("gmres", "direct"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if not (np.isfinite(self.rtol) and self.rtol > 0):
-            raise ValueError(f"rtol must be positive and finite, got {self.rtol!r}")
+        if not 0 < self.rtol < 1:  # also rejects nan
+            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol!r}")
         for name in ("restart", "maxit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
-    def prepare(self, A: CsrMatrix, coupling=None) -> PreparedSystem:
-        """Factorize ``A``; ``coupling = (C, Z)`` states A = I - C (x) Z (see PreparedSystem)."""
-        return PreparedSystem(A, self, coupling)
+    def prepare(self, A) -> PreparedSystem:
+        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
+        return PreparedSystem(A, self)

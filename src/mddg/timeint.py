@@ -17,8 +17,9 @@ dt y_i', ..., dt^(M-1) y_i^(M-1), linked by  y^(m) = A y^(m-1) + b^(m-1).
 Eliminating the auxiliaries would reproduce powers of A and enlarge the
 stencil; the block form keeps every block as sparse as A itself.  The
 system is I - C (x) dt A with the tableau's dt-independent coupling matrix
-C, which lets the direct solver factor it one n x n block per eigenvalue
-of C.
+C.  It is never assembled: the solvers apply it one block row at a time
+from C and A (``KroneckerSystem``) and factor it one n x n block per
+eigenvalue of C.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 from numpy.polynomial.legendre import leggauss
 
-from mddg.sparse import CsrMatrix, LinearSolver
+from mddg.sparse import KroneckerSystem, LinearSolver
 
 _STEP_TOL = 1e-12  # relative tolerance for "lands exactly on t_end"
 
@@ -250,30 +250,21 @@ class MdrkWorkspace:
     scaling keeps every off-diagonal block at the dt A scale; without it the
     derivative columns outweigh the solution columns by powers of ||A|| and
     starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
-    stage equal to the step input.  The blocks are read from
-    ``tableau.coupling``: the system is exactly I - C (x) dt A.
+    stage equal to the step input.  The system is exactly I - C (x) dt A
+    with C = ``tableau.coupling``; ``system`` is that product in Kronecker
+    form, holding dt C and A but no sMn x sMn matrix.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float, solver: LinearSolver):
         self.op = op
         self.tableau = tableau
         self.dt = dt
-        n = op.matrix.shape[0]
-        self.n = n
+        self.n = op.matrix.shape[0]
         self.implicit = tableau.implicit_stages()
         self.stiffly_accurate = tableau.stiffly_accurate
-        C = tableau.coupling
-        A = op.matrix
-        I = scipy.sparse.identity(n, format="csr")
-        Z = dt * A
-        blocks = [[None] * len(C) for _ in C]
-        for p, q in zip(*np.nonzero(C)):
-            blocks[p][q] = (-C[p, q]) * Z
-        for p, row in enumerate(blocks):
-            row[p] = I if row[p] is None else I + row[p]
-        self.system = CsrMatrix(scipy.sparse.bmat(blocks, format="csr"))
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
-        self.prepared = solver.prepare(self.system, coupling=(dt * C, A))
+        self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
+        self.prepared = solver.prepare(self.system)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit
@@ -377,7 +368,7 @@ def integrate(
         raise ValueError("the span from t0 to t_end holds too many steps of dt")
     n_full = int(math.floor(span / dt * (1.0 + 1e-14)))
     remainder = span - n_full * dt
-    if remainder <= _STEP_TOL * dt:
+    if n_full and remainder <= _STEP_TOL * dt:  # never drop the only step
         remainder = 0.0
     ws = make_workspace(op, method, dt, solver) if n_full else None
     ws_last = None

@@ -36,6 +36,11 @@ def source_at(problem, x, y, t, derivative=0):
     return sum(terms, np.zeros(np.broadcast(x, y, t).shape))
 
 
+def applied(system):
+    """The dense matrix of a linear operator, one ``matvec`` per identity column."""
+    return np.column_stack([system.matvec(e) for e in np.eye(system.shape[1])])
+
+
 class LinearOde:
     """Minimal method-of-lines operator: dy/dt = A y + b(t).
 

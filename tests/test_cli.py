@@ -142,6 +142,8 @@ class TestSolveCommand:
         "ilu_level = -1",
         "ilu_level = 2",
         "gmres_rtol = 0",
+        "gmres_rtol = 1",
+        "gmres_rtol = 2",
         "eta = 0",
         "dt0 = nan",
         pytest.param("problem = convection_diffusion\np = 0", id="diffusion-p0"),

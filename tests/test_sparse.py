@@ -10,12 +10,15 @@ from mddg.sparse import (
     ILU_DROP_TOL,
     ILU_FILL_FACTOR,
     CsrMatrix,
+    KroneckerSystem,
     LinearSolver,
     SolverFailure,
     gmres_solve,
     ilu_factor,
 )
-from mddg.timeint import as_tableau, make_workspace
+from mddg.timeint import as_tableau, make_workspace, mdrk_step
+
+from conftest import applied
 
 
 def random_csr(n, density, seed, diag_boost=0.0):
@@ -46,19 +49,22 @@ class TestCsrMatrix:
             CsrMatrix.from_coo([row], [col], [1.0], (2, 2))
 
     def test_int32_index_arrays(self):
-        # from_coo and the block-system build both keep scipy's int32 index arrays
+        # from_coo and the whole-matrix build of a block system keep scipy's int32 index arrays
         A = CsrMatrix.from_coo([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        system = make_workspace(op, method_registry()["mdrk6"], 0.1).system
-        for M in (A, op.matrix, system):
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.1)
+        for M in (A, op.matrix, ws.system.Z, ws.system.assembled()):
             assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
 
-    def test_operator_and_system_are_scipy_sparse(self):
+    def test_operator_is_scipy_sparse_and_system_is_kronecker(self):
+        # the block system keeps the operator itself, not a copy, and dt C
         op = assemble(mesh_hierarchy(2)[1], make_basis(1), make_problem("convection"), 20.0)
-        system = make_workspace(op, method_registry()["tp3"], 0.1).system
-        for M in (op.matrix, system):
-            assert sp.issparse(M) and M.format == "csr"
-            assert isinstance(M, CsrMatrix)
+        ws = make_workspace(op, method_registry()["tp3"], 0.1)
+        assert sp.issparse(op.matrix) and op.matrix.format == "csr"
+        assert isinstance(op.matrix, CsrMatrix)
+        assert isinstance(ws.system, KroneckerSystem) and ws.system.Z is op.matrix
+        assert np.array_equal(ws.system.C, 0.1 * ws.tableau.coupling)
+        assembled_system(ws)
 
     def test_deterministic_construction(self):
         args = ([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
@@ -67,6 +73,14 @@ class TestCsrMatrix:
         assert np.array_equal(A.data, B.data)
         assert np.array_equal(A.indices, B.indices)
         assert np.array_equal(A.indptr, B.indptr)
+
+
+def assembled_system(ws):
+    """The dense I - C (x) dt A of a workspace, checked against its system's products."""
+    C = ws.tableau.coupling
+    K = np.eye(len(C) * ws.n) - np.kron(C, ws.dt * ws.op.matrix.toarray())
+    assert np.max(np.abs(applied(ws.system) - K)) <= 1e-15 * np.max(np.abs(K))
+    return K
 
 
 def identity(n):
@@ -131,11 +145,12 @@ def test_ilutp_on_dg_block_system(p, method, dt):
     prob = make_problem("convection_diffusion")
     op = assemble(mesh_hierarchy(2)[1], make_basis(p), prob, default_eta(p))
     tableau = as_tableau(method_registry()[method])
-    A = make_workspace(op, tableau, dt, LinearSolver(kind="direct")).system
-    D = A.toarray()
+    ws = make_workspace(op, tableau, dt, LinearSolver(kind="direct"))
+    A = ws.system
+    D = assembled_system(ws)
     b = np.random.default_rng(21).normal(size=A.shape[0])
 
-    prep = LinearSolver(fallback=False).prepare(A, coupling=(dt * tableau.coupling, op.matrix))
+    prep = LinearSolver(fallback=False).prepare(A)
     x, stats = prep.solve(b)
     assert stats.converged and not stats.fallback_used
     assert np.linalg.norm(b - D @ x) <= 1e-10 * np.linalg.norm(b)
@@ -205,8 +220,10 @@ class TestGmres:
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
 
     def test_invalid_rtol(self):
-        with pytest.raises(ValueError):
-            gmres_solve(identity(2), np.ones(2), rtol=0.0)
+        # an rtol of 1 or more would return the initial guess as converged
+        for rtol in (0.0, 1.0, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="rtol"):
+                gmres_solve(identity(2), np.ones(2), rtol=rtol)
 
     def test_determinism(self):
         A, _ = random_csr(30, 0.3, seed=13, diag_boost=4.0)
@@ -285,7 +302,7 @@ class TestDecoupledDirect:
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(kind="direct"))
-        K = ws.system.toarray()
+        K = assembled_system(ws)
         b = np.random.default_rng(22).normal(size=K.shape[0])
         x, stats = ws.prepared.solve(b)
         assert stats.converged and stats.residual <= 1e-12
@@ -309,7 +326,7 @@ class TestDecoupledDirect:
         assert ws.prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
         b = np.random.default_rng(23).normal(size=ws.system.shape[0])
         x, stats = ws.prepared.solve(b)
-        assert stats.fallback_used and stats.residual <= 1e-12
+        assert stats.fallback_reason == "gmres_not_converged" and stats.residual <= 1e-12
         assert shapes == blocks
 
     @pytest.mark.parametrize(
@@ -328,10 +345,12 @@ class TestDecoupledDirect:
         b = np.random.default_rng(25).normal(size=len(K))
         lam, V = np.linalg.eig(C)
         blockwise = np.linalg.cond(V) <= 1e4
+        system = KroneckerSystem(C, Z)
+        assert np.max(np.abs(applied(system) - K)) <= 1e-15 * np.max(np.abs(K))
         for kind, name, rtol in (("direct", "splu", 1e-12), ("gmres", "spilu", 1e-10)):
             shapes = record_lu_shapes(monkeypatch, name)
             solver = LinearSolver(kind=kind, fallback=False)
-            x, stats = solver.prepare(CsrMatrix(K), coupling=(C, Z)).solve(b)
+            x, stats = solver.prepare(system).solve(b)
             assert stats.residual <= rtol and not stats.fallback_used
             assert np.linalg.norm(b - K @ x) <= rtol * np.linalg.norm(b)
             assert shapes == ([(30, 30)] * int(np.sum(lam.imag >= 0)) if blockwise else [K.shape])
@@ -357,7 +376,7 @@ class TestBlockPreconditioner:
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
         assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
-        K = ws.system.toarray()
+        K = assembled_system(ws)
         b = np.random.default_rng(26).normal(size=K.shape[0])
         x, stats = ws.prepared.solve(b)
         assert stats.converged and not stats.fallback_used
@@ -378,8 +397,7 @@ class TestBlockPreconditioner:
     def test_nnz_sums_block_factors(self):
         C = np.array([[0.4, 0.1, 0.0], [1.0, 0.2, 0.0], [0.3, 0.0, 0.25]])  # three real eigenvalues
         Z, _ = random_csr(40, 0.2, seed=27, diag_boost=-3.0)
-        K = CsrMatrix(np.eye(120) - np.kron(C, Z.toarray()))
-        f = ilu_factor(K, coupling=(C, Z))
+        f = ilu_factor(KroneckerSystem(C, Z))
         expected = 0
         for lam in np.linalg.eigvals(C):
             B = sp.csc_matrix(sp.identity(40) - lam.real * Z)
@@ -402,9 +420,34 @@ class TestBlockPreconditioner:
         assert ws.prepared.ilu is None
         b = np.random.default_rng(28).normal(size=ws.system.shape[0])
         x, stats = ws.prepared.solve(b)
-        assert stats.fallback_used and stats.converged and stats.residual <= 1e-10
+        assert stats.fallback_reason == "ilu_failed" and stats.fallback_used
+        assert stats.converged and stats.residual <= 1e-10
         lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
         assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
+
+
+class TestKroneckerSystem:
+    # I - C (x) Z applied one block row at a time; the whole matrix is built only for a
+    # C whose eigenvectors cannot decouple it
+    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_builtin_methods_never_assemble_the_block_system(self, problem, method, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an sMn x sMn block matrix was assembled")
+
+        monkeypatch.setattr(sp, "bmat", refuse)
+        monkeypatch.setattr(sp, "kron", refuse)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        w = np.random.default_rng(29).normal(size=op.n_dof)
+        for solver in (LinearSolver(fallback=False), LinearSolver(kind="direct")):
+            assert np.all(np.isfinite(mdrk_step(op, method_registry()[method], w, 0.0, 0.25, solver)))
+
+    def test_nnz_counts_stored_entries(self):
+        C = np.array([[0.3, 0.0], [1.0, 0.0]])
+        Z, _ = random_csr(20, 0.2, seed=30)
+        system = KroneckerSystem(C, Z)
+        assert system.shape == (40, 40)
+        assert system.nnz == Z.nnz + 2
 
 
 class TestLinearSolver:
@@ -421,10 +464,13 @@ class TestLinearSolver:
             ("rtol", -1e-10),
             ("rtol", float("nan")),
             ("rtol", float("inf")),
+            ("rtol", 1.0),
+            ("rtol", 2.0),
         ],
     )
     def test_invalid_setting_rejected(self, name, value):
-        # unchecked, a zero restart or maxit sends every solve to the direct fallback
+        # unchecked, a zero restart or maxit sends every solve to the direct fallback, and
+        # an rtol of 1 or more accepts the initial guess as a solution
         with pytest.raises(ValueError, match=name):
             LinearSolver(**{name: value})
 
@@ -434,7 +480,7 @@ class TestLinearSolver:
         b = np.ones(40)
         x, stats = prep.solve(b)
         assert stats.converged
-        assert not stats.fallback_used
+        assert not stats.fallback_used and stats.fallback_reason == ""
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_fallback_engages_and_sticks(self):
@@ -444,10 +490,10 @@ class TestLinearSolver:
         prep = LinearSolver(rtol=1e-16, maxit=2, restart=2).prepare(A)
         b = np.ones(40)
         x, stats = prep.solve(b)
-        assert stats.fallback_used
+        assert stats.fallback_used and stats.fallback_reason == "gmres_not_converged"
         assert stats.converged
         x2, stats2 = prep.solve(2 * b)
-        assert stats2.fallback_used
+        assert stats2.fallback_used and stats2.fallback_reason == "sticky"
         assert stats2.iterations == 1  # straight to the factorization
 
     def test_singular_ilu_without_fallback(self):

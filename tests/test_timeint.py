@@ -23,7 +23,7 @@ from mddg.timeint import (
     mdrk_step,
 )
 
-from conftest import LinearOde
+from conftest import LinearOde, applied
 
 DIRECT = LinearSolver(kind="direct")
 
@@ -295,6 +295,16 @@ class TestIntegrate:
         assert len(stats) == 3  # 0.4 + 0.4 + 0.2
         assert abs(w[0] - math.exp(-1.0)) < 1e-7
 
+    @pytest.mark.parametrize("dt", [2.0, 1e12, 1e13])
+    def test_step_longer_than_span_takes_one_shortened_step(self, scalar_op, dt):
+        # the only step is never dropped, however far dt overshoots the span
+        op, w0 = scalar_op(-1.0), np.array([1.0])
+        for method in (builtin_two_point_schemes()[0], builtin_mdrk6()):
+            stats = []
+            w = integrate(op, method, w0, 0.0, 1.0, dt, DIRECT, stats_out=stats)
+            assert len(stats) == 1
+            assert np.array_equal(w, mdrk_step(op, method, w0, 0.0, 1.0, DIRECT))
+
     @pytest.mark.parametrize(
         "dt, t_end",
         [(-0.1, 1.0), (0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)],
@@ -404,7 +414,7 @@ class TestBlockEquivalence:
         else:
             expected = np.block([top, [-Z, I, O], [O, -Z, I]])
         ws = TwoPointWorkspace(op, scheme, dt, DIRECT)
-        assert np.array_equal(ws.system.toarray(), expected)
+        assert np.max(np.abs(applied(ws.system) - expected)) <= 1e-15 * np.max(np.abs(expected))
         w = np.random.default_rng(36).normal(size=op.n_dof)
         w_mdrk = MdrkWorkspace(op, scheme.tableau, dt, DIRECT).step(w, 0.1)
         assert np.array_equal(ws.step(w, 0.1), w_mdrk)
@@ -421,8 +431,8 @@ class TestBlockEquivalence:
         dt = 0.2
         ws = make_workspace(op, method, dt, DIRECT)
         C = as_tableau(method).coupling
-        Z = dt * op.matrix.toarray()
-        assert np.array_equal(ws.system.toarray(), np.eye(len(C) * op.n_dof) - np.kron(C, Z))
+        K = np.eye(len(C) * op.n_dof) - np.kron(C, dt * op.matrix.toarray())
+        assert np.max(np.abs(applied(ws.system) - K)) <= 1e-15 * np.max(np.abs(K))
 
     def test_mdrk_update_equals_last_stage(self, scalar_op):
         # stiffly accurate tableau: the Eq-style update equals stage 3 of
