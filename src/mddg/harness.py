@@ -158,6 +158,10 @@ class RunConfig:
         for name, least in (("levels", 1), ("level", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
+        finest = max(self.levels - 1, self.level)
+        dt = math.ldexp(self.dt0, -finest)  # dt0 / 2^finest, without forming 2^finest
+        if not (dt > 0 and math.isfinite(make_problem(self.problem).t_end / dt)):
+            raise ConfigError(f"dt0 = {self.dt0!r} leaves too many time steps at level {finest}")
         try:
             self.linear_solver()
         except ValueError as exc:  # LinearSolver names its field; the config key is gmres_<field>

@@ -12,7 +12,9 @@ reference-element matrices, and the edge blocks are batched over all edges,
 so assembly has no per-element or per-edge Python loop.  Only the blocks the
 weak form couples are stored: for pure convection these are the cell blocks
 and one block per edge with c.n != 0, which couples the downwind element to
-the upwind one.
+the upwind one.  ``CsrMatrix.from_blocks`` builds the matrix from one
+(element, element) key per block, cells first and then edge by edge, which
+fixes the order in which every entry sums its contributions.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class DgOperator:
 def _cell_geometry(mesh, basis, degree):
     rule = triangle_rule(degree)
     origins, J, detJ = mesh.jacobians()
-    pts = origins[:, None, :] + np.einsum("kab,qb->kqa", J, rule.points)
+    pts = origins[:, None, :] + rule.points @ J.transpose(0, 2, 1)
     sqrtJ = np.sqrt(detJ)
     scaled_w = rule.weights[None, :] * sqrtJ[:, None]
     values = basis.eval(rule.points)
@@ -151,7 +153,7 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     wq = (erule.weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
     traces = []  # (values, normal derivatives or None), each (E, nq, nm), per side
     for k, pts in ((left, xq), (right, xq - edges.offset[:, None, :])):
-        ref = np.einsum("eab,eqb->eqa", Jinv[k], pts - origins[k][:, None, :]).reshape(-1, 2)
+        ref = ((pts - origins[k][:, None, :]) @ Jinv[k].transpose(0, 2, 1)).reshape(-1, 2)
         scale = sqrtJ[k][:, None, None]
         trace = basis.eval(ref).reshape(xq.shape[:2] + (nm,)) / scale
         derivs = None
@@ -185,14 +187,10 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     sides = (left, right)
     test_elem = np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]
     trial_elem = np.stack([sides[sj] for _, sj in pairs], axis=1)[emitted]
-    data = np.concatenate([cell, blocks[emitted]])
-    modes = np.arange(nm)
-    rows = np.concatenate([np.arange(ne), test_elem])[:, None, None] * nm + modes[:, None]
-    cols = np.concatenate([np.arange(ne), trial_elem])[:, None, None] * nm + modes
-    matrix = CsrMatrix.from_coo(
-        np.broadcast_to(rows, data.shape).ravel(),
-        np.broadcast_to(cols, data.shape).ravel(),
-        data.ravel(),
+    matrix = CsrMatrix.from_blocks(
+        np.concatenate([np.arange(ne), test_elem]),
+        np.concatenate([np.arange(ne), trial_elem]),
+        np.concatenate([cell, blocks[emitted]]),
         shape=(ne * nm, ne * nm),
     )
     return DgOperator(mesh, basis, problem, eta, matrix, source_modes)
@@ -210,7 +208,7 @@ def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callab
     degree = 2 * basis.p + ERROR_DEGREE_MARGIN
     rule = triangle_rule(degree)
     origins, J, detJ = mesh.jacobians()
-    pts = origins[:, None, :] + np.einsum("kab,qb->kqa", J, rule.points)
+    pts = origins[:, None, :] + rule.points @ J.transpose(0, 2, 1)
     values = basis.eval(rule.points)  # (nq, nm)
     coeffs = w.reshape(mesh.n_elements, basis.n_modes)
     wh = (coeffs @ values.T) / np.sqrt(detJ)[:, None]  # (ne, nq)

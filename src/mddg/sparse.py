@@ -45,38 +45,36 @@ class SolverFailure(RuntimeError):
 
 
 class CsrMatrix(scipy.sparse.csr_array):
-    """scipy CSR array with a deterministic triplet builder and one product.
+    """scipy CSR array with a deterministic block builder and one product.
 
-    The subclass exists for two reasons.  ``from_coo`` sums duplicate
-    triplets in a fixed order (stable sort, then left-to-right), so the
-    assembled operator is bitwise reproducible however its blocks were
-    emitted.  ``matvec`` is the one matrix-vector product the solvers call,
-    so counting or timing products means wrapping this one method.
+    The subclass exists for two reasons.  ``from_blocks`` stably sorts one
+    key per dense block, sums duplicate blocks left to right and expands them
+    through scipy's BSR-to-CSR conversion, so the assembled operator is
+    bitwise reproducible however its blocks were emitted; 1 x 1 blocks make
+    it a triplet builder.  ``matvec`` is the one matrix-vector product the
+    solvers call, so counting or timing products means wrapping this one
+    method.
     """
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        """Build from coordinate triplets; duplicates are summed in a fixed order."""
+    def from_blocks(cls, rows, cols, blocks, shape):
+        """Sum (n, R, C) ``blocks`` at block (rows, cols) of a ``shape`` matrix, in a fixed order."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        for name, idx, size in (("row", rows, shape[0]), ("column", cols, shape[1])):
+        blocks = np.asarray(blocks, dtype=float)
+        grid = (shape[0] // blocks.shape[1], shape[1] // blocks.shape[2])
+        for name, idx, size in (("block row", rows, grid[0]), ("block column", cols, grid[1])):
             if len(idx) and (idx.min() < 0 or idx.max() >= size):
                 raise ValueError(f"{name} index out of bounds")
-        order = np.lexsort((cols, rows))  # stable: insertion order breaks ties
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
-            new = np.empty(len(rows), dtype=bool)
-            new[0] = True
-            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(new)
-            vals = np.add.reduceat(vals, starts)
-            rows, cols = rows[starts], cols[starts]
-        index_dtype = np.int32 if max(len(vals), shape[1]) < 2**31 else np.int64
-        indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls((vals, cols.astype(index_dtype), indptr), shape=shape)
+        keys = rows * grid[1] + cols
+        order = np.argsort(keys, kind="stable")
+        keys, blocks = keys[order], blocks[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        blocks, keys = np.add.reduceat(blocks, starts, axis=0), keys[starts]
+        index_dtype = np.int32 if max(blocks.size, shape[1]) < 2**31 else np.int64
+        indptr = np.searchsorted(keys, np.arange(grid[0] + 1) * grid[1])
+        bsr = (blocks, (keys % grid[1]).astype(index_dtype), indptr.astype(index_dtype))
+        return cls(scipy.sparse.bsr_array(bsr, shape=shape).tocsr())
 
     def matvec(self, x):
         return self @ x

@@ -146,6 +146,7 @@ class TestSolveCommand:
         "gmres_rtol = 2",
         "eta = 0",
         "dt0 = nan",
+        "dt0 = 5e-324",  # positive and finite, but 1 / dt0 overflows
         pytest.param("problem = convection_diffusion\np = 0", id="diffusion-p0"),
         "gmres_restart = 0",
         "gmres_maxit = 0",
@@ -162,6 +163,15 @@ def test_invalid_setting_is_config_error(command, setting, capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
+
+
+def test_dt0_overflowing_at_the_solve_level_is_config_error(capsys, tmp_path):
+    # 1 / 1e-308 is finite, but at level 1 the step count 2 / 1e-308 overflows
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("method = tp3\nlevels = 1\ndt0 = 1e-308\nlevel = 1\n")
+    code, out, err = run_cli(["solve", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["config error: dt0 = 1e-308 leaves too many time steps at level 1"]
 
 
 def test_non_utf8_config_is_config_error(capsys, tmp_path):

@@ -59,6 +59,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig(levels=0)
 
+    def test_dt0_checked_at_the_finest_level(self):
+        # dt0 / 2^(levels - 1) must leave a finite step count; coarser levels alone do not decide
+        RunConfig(dt0=1e-308, levels=1)
+        with pytest.raises(ConfigError, match="too many time steps at level 1"):
+            RunConfig(dt0=1e-308, levels=2)
+        with pytest.raises(ConfigError, match="at level 1000000"):
+            RunConfig(levels=10**6 + 1)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")

@@ -14,6 +14,7 @@ from mddg.operator import (
     l2_error,
     project_l2,
 )
+from mddg.sparse import CsrMatrix
 from mddg.harness import (
     default_eta,
     make_problem,
@@ -107,6 +108,25 @@ def reference_assemble(mesh, basis, problem, eta):
     )
 
 
+def entrywise_csr(block_rows, block_cols, blocks, shape):
+    """(data, indices, indptr) of the entry-wise triplet build the block builder replaced.
+
+    Every scalar entry of every block gets its own (row, column) key in emission
+    order; a stable lexsort of the keys and left-to-right sums of equal keys give
+    the CSR arrays.  This is the summation order ``assemble`` must keep.
+    """
+    _, R, C = blocks.shape
+    rows = np.asarray(block_rows)[:, None, None] * R + np.arange(R)[:, None]
+    cols = np.asarray(block_cols)[:, None, None] * C + np.arange(C)
+    rows = np.broadcast_to(rows, blocks.shape).ravel()
+    cols = np.broadcast_to(cols, blocks.shape).ravel()
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], blocks.ravel()[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    indptr = np.searchsorted(rows[starts], np.arange(shape[0] + 1))
+    return np.add.reduceat(vals, starts), cols[starts], indptr
+
+
 class TestAssemble:
     def test_constants_are_steady_states(self, meshes):
         prob = problem_convection()
@@ -182,6 +202,28 @@ class TestAssemble:
         A = assemble(meshes[level], basis, prob, default_eta(p)).matrix
         R = reference_assemble(meshes[level], basis, prob, default_eta(p))
         assert abs(A - R).max() <= 1e-14 * abs(R).max()
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "name, p",
+        [("convection", p) for p in range(6)] + [("convection_diffusion", p) for p in range(1, 6)],
+    )
+    def test_bitwise_equal_to_entrywise_build(self, meshes, monkeypatch, name, p, level):
+        # the block builder sums every entry in the same order as one triplet per entry
+        emitted = []
+        build = CsrMatrix.from_blocks
+
+        def spy(*args, **kwargs):
+            emitted.append((args, kwargs))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(CsrMatrix, "from_blocks", spy)
+        A = assemble(meshes[level], make_basis(p), make_problem(name), default_eta(p)).matrix
+        [(args, kwargs)] = emitted
+        data, indices, indptr = entrywise_csr(*args, **kwargs)
+        assert np.array_equal(A.data, data)
+        assert np.array_equal(A.indices, indices)
+        assert np.array_equal(A.indptr, indptr)
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_pure_convection_stores_upwind_blocks_only(self, meshes, p):

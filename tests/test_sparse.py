@@ -31,14 +31,19 @@ def random_csr(n, density, seed, diag_boost=0.0):
     return CsrMatrix(D), D
 
 
+def triplets(rows, cols, vals, shape):
+    """``CsrMatrix.from_blocks`` with 1 x 1 blocks: the coordinate-triplet builder."""
+    return CsrMatrix.from_blocks(rows, cols, np.reshape(vals, (-1, 1, 1)), shape)
+
+
 class TestCsrMatrix:
-    def test_from_coo_sums_duplicates(self):
-        A = CsrMatrix.from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0], (2, 2))
+    def test_duplicates_summed(self):
+        A = triplets([0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0], (2, 2))
         assert A.nnz == 2
         assert A.toarray()[0, 1] == 5.0
 
     def test_rows_sorted_by_column(self):
-        A = CsrMatrix.from_coo([0, 0, 0], [2, 0, 1], [1.0, 2.0, 3.0], (1, 3))
+        A = triplets([0, 0, 0], [2, 0, 1], [1.0, 2.0, 3.0], (1, 3))
         assert list(A.indices) == [0, 1, 2]
 
     @pytest.mark.parametrize(
@@ -46,11 +51,30 @@ class TestCsrMatrix:
     )
     def test_out_of_bounds_rejected(self, row, col):
         with pytest.raises(ValueError, match="index out of bounds"):
-            CsrMatrix.from_coo([row], [col], [1.0], (2, 2))
+            triplets([row], [col], [1.0], (2, 2))
+
+    def test_empty_input(self):
+        A = triplets([], [], [], (3, 4))
+        assert A.shape == (3, 4) and A.nnz == 0
+        assert np.array_equal(A.indptr, np.zeros(4))
+        assert not A.toarray().any()
+
+    def test_blocks_summed_in_place(self):
+        # 2 x 3 blocks on a 3 x 2 block grid, two of them on the same block
+        rng = np.random.default_rng(4)
+        blocks = rng.normal(size=(4, 2, 3))
+        brows, bcols = [2, 0, 2, 1], [1, 0, 1, 0]
+        D = np.zeros((6, 6))
+        for r, c, b in zip(brows, bcols, blocks):
+            D[2 * r : 2 * r + 2, 3 * c : 3 * c + 3] += b
+        A = CsrMatrix.from_blocks(brows, bcols, blocks, (6, 6))
+        assert np.array_equal(A.toarray(), D)
+        assert A.nnz == 3 * 6
+        assert all(np.all(np.diff(A.indices[a:b]) > 0) for a, b in zip(A.indptr[:-1], A.indptr[1:]))
 
     def test_int32_index_arrays(self):
-        # from_coo and the whole-matrix build of a block system keep scipy's int32 index arrays
-        A = CsrMatrix.from_coo([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
+        # the builder and the whole-matrix build of a block system keep scipy's int32 index arrays
+        A = triplets([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
         ws = make_workspace(op, method_registry()["mdrk6"], 0.1)
         for M in (A, op.matrix, ws.system.Z, ws.system.assembled()):
@@ -68,8 +92,8 @@ class TestCsrMatrix:
 
     def test_deterministic_construction(self):
         args = ([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
-        A = CsrMatrix.from_coo(*args)
-        B = CsrMatrix.from_coo(*args)
+        A = triplets(*args)
+        B = triplets(*args)
         assert np.array_equal(A.data, B.data)
         assert np.array_equal(A.indices, B.indices)
         assert np.array_equal(A.indptr, B.indptr)
