@@ -32,6 +32,7 @@ from mddg.timeint import (
 TWO_PI = 2.0 * math.pi
 
 PROBLEM_NAMES = ("convection", "convection_diffusion")
+MAX_STEPS = 10**6  # most time steps a study's finest level may take; the shipped studies take <= 256
 
 
 def default_eta(p: int) -> float:
@@ -160,8 +161,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= {least}")
         finest = max(self.levels - 1, self.level)
         dt = math.ldexp(self.dt0, -finest)  # dt0 / 2^finest, without forming 2^finest
-        if not (dt > 0 and math.isfinite(make_problem(self.problem).t_end / dt)):
-            raise ConfigError(f"dt0 = {self.dt0!r} leaves too many time steps at level {finest}")
+        # an inf or nan step count fails the comparison too
+        if not (dt > 0 and make_problem(self.problem).t_end / dt <= MAX_STEPS):
+            raise ConfigError(
+                f"dt0 = {self.dt0!r} leaves too many time steps at level {finest} "
+                f"(more than MAX_STEPS = {MAX_STEPS})"
+            )
         try:
             self.linear_solver()
         except ValueError as exc:  # LinearSolver names its field; the config key is gmres_<field>

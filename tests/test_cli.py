@@ -147,6 +147,8 @@ class TestSolveCommand:
         "eta = 0",
         "dt0 = nan",
         "dt0 = 5e-324",  # positive and finite, but 1 / dt0 overflows
+        "dt0 = 1e-308",  # 1 / dt0 is finite, but far above MAX_STEPS
+        "dt0 = 1e-9",
         pytest.param("problem = convection_diffusion\np = 0", id="diffusion-p0"),
         "gmres_restart = 0",
         "gmres_maxit = 0",
@@ -171,7 +173,9 @@ def test_dt0_overflowing_at_the_solve_level_is_config_error(capsys, tmp_path):
     cfg.write_text("method = tp3\nlevels = 1\ndt0 = 1e-308\nlevel = 1\n")
     code, out, err = run_cli(["solve", "--config", str(cfg)], capsys)
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["config error: dt0 = 1e-308 leaves too many time steps at level 1"]
+    assert err.splitlines() == [
+        "config error: dt0 = 1e-308 leaves too many time steps at level 1 (more than MAX_STEPS = 1000000)"
+    ]
 
 
 def test_non_utf8_config_is_config_error(capsys, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mddg.harness import (
+    MAX_STEPS,
     ConfigError,
     RunConfig,
     default_eta,
@@ -60,12 +61,18 @@ class TestConfigParsing:
             RunConfig(levels=0)
 
     def test_dt0_checked_at_the_finest_level(self):
-        # dt0 / 2^(levels - 1) must leave a finite step count; coarser levels alone do not decide
-        RunConfig(dt0=1e-308, levels=1)
+        # dt0 / 2^(levels - 1) must leave at most MAX_STEPS steps; coarser levels alone do not decide
+        RunConfig(dt0=1.0 / MAX_STEPS, levels=1)
         with pytest.raises(ConfigError, match="too many time steps at level 1"):
-            RunConfig(dt0=1e-308, levels=2)
+            RunConfig(dt0=1.0 / MAX_STEPS, levels=2)
         with pytest.raises(ConfigError, match="at level 1000000"):
             RunConfig(levels=10**6 + 1)
+
+    @pytest.mark.parametrize("dt0", [1e-308, 1e-9, 0.99 / MAX_STEPS])
+    def test_step_count_capped(self, dt0):
+        # each is positive and leaves a finite step count, but more than MAX_STEPS (t_end = 1)
+        with pytest.raises(ConfigError, match=f"at level 0 \\(more than MAX_STEPS = {MAX_STEPS}\\)"):
+            RunConfig(method="tp3", levels=1, dt0=dt0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

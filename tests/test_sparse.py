@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
 from mddg.operator import assemble
@@ -249,6 +250,12 @@ class TestGmres:
             with pytest.raises(ValueError, match="rtol"):
                 gmres_solve(identity(2), np.ones(2), rtol=rtol)
 
+    @pytest.mark.parametrize("name", ["b", "x0"])
+    def test_wrong_length_rejected(self, name):
+        args = {"b": np.ones(3), "x0": np.zeros(3), name: np.ones(4)}
+        with pytest.raises(ValueError, match=f"{name} must have length 3, got shape \\(4,\\)"):
+            gmres_solve(identity(3), args["b"], x0=args["x0"])
+
     def test_determinism(self):
         A, _ = random_csr(30, 0.3, seed=13, diag_boost=4.0)
         f = ilu_factor(A)
@@ -257,6 +264,69 @@ class TestGmres:
         x2, s2 = gmres_solve(A, b, precond=f, rtol=1e-12)
         assert np.array_equal(x1, x2)
         assert s1.iterations == s2.iterations
+
+
+class CountingPrecond:
+    """A preconditioner that counts its applies."""
+
+    def __init__(self, apply):
+        self._apply = apply
+        self.calls = 0
+
+    def apply(self, v):
+        self.calls += 1
+        return self._apply(v)
+
+
+class TestGmresKeptVectors:
+    @pytest.mark.parametrize("restart", [60, 2])
+    def test_one_apply_per_iteration(self, restart):
+        # a cycle ends with x += Z y from the kept M^-1 v_j, not with one more apply
+        A, D = random_csr(60, 0.1, seed=8, diag_boost=10.0)
+        M = CountingPrecond(lambda v: v / A.diagonal())
+        b = np.random.default_rng(9).normal(size=60)
+        x, stats = gmres_solve(A, b, precond=M, rtol=1e-11, restart=restart)
+        assert stats.converged
+        assert (stats.iterations > restart) == (restart == 2)  # one cycle, or several
+        assert M.calls == stats.iterations
+        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-11
+
+    def test_one_apply_per_iteration_with_ilutp(self):
+        A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
+        M = CountingPrecond(ilu_factor(A).apply)
+        _, stats = gmres_solve(A, np.ones(40), precond=M, rtol=1e-16, restart=2, maxit=5)
+        assert stats.iterations == 5
+        assert M.calls == 5
+
+    def test_maxit_mid_cycle_updates_from_kept_vectors(self):
+        # stopped after 4 of 60 iterations, x is the minimum-residual iterate of the
+        # preconditioned Krylov space and the reported residual is the true one
+        A, D = random_csr(50, 0.3, seed=12, diag_boost=3.0)
+        M = CountingPrecond(lambda v: v / A.diagonal())
+        b = np.random.default_rng(21).normal(size=50)
+        x, stats = gmres_solve(A, b, precond=M, rtol=1e-14, restart=60, maxit=4)
+        assert (stats.iterations, stats.converged, M.calls) == (4, False, 4)
+        AM = D / A.diagonal()  # A M^-1
+        K = [b]
+        for _ in range(3):
+            K.append(AM @ K[-1])
+        Q, _ = np.linalg.qr(np.array(K).T)
+        y = np.linalg.lstsq(AM @ Q, b, rcond=None)[0]
+        x_ref = (Q @ y) / A.diagonal()
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        true_res = np.linalg.norm(b - D @ x) / np.linalg.norm(b)
+        assert stats.residual == pytest.approx(true_res, rel=1e-12)
+        assert stats.residual == pytest.approx(stats.residual_history[-1], rel=1e-8)
+
+    def test_lucky_breakdown_reads_only_set_rows(self, monkeypatch):
+        # A v_0 = v_0 exactly, so the first Arnoldi step breaks down; a NaN-filled
+        # np.empty shows any read of a basis row the solve never set
+        monkeypatch.setattr(np, "empty", lambda shape, *a, **k: np.full(shape, np.nan, *a, **k))
+        b = np.ones(4)
+        x, stats = gmres_solve(identity(4), b)
+        assert stats.converged
+        assert stats.iterations == 1
+        assert np.array_equal(x, b)
 
 
 class TestDirect:
@@ -526,6 +596,19 @@ class TestLinearSolver:
         with pytest.raises(SolverFailure, match="singular"):
             LinearSolver(fallback=False).prepare(A)
 
+    def test_refused_fallback_named(self, monkeypatch):
+        # GMRES starved at maxit = 2 on a system one unknown above the fallback's limit
+        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 39)
+        A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
+        prep = LinearSolver(rtol=1e-16, maxit=2, restart=2).prepare(A)
+        with pytest.raises(SolverFailure) as err:
+            prep.solve(np.ones(40))
+        assert str(err.value).startswith("GMRES did not converge: residual ")
+        assert str(err.value).endswith(
+            "after 2 iterations; direct fallback refused: n = 40 > FALLBACK_MAX_N = 39"
+        )
+        assert prep.history == [err.value.stats]
+
     def test_failure_without_fallback(self):
         A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
         prep = LinearSolver(rtol=1e-14, maxit=6, restart=5, fallback=False).prepare(A)
@@ -533,3 +616,4 @@ class TestLinearSolver:
             prep.solve(np.ones(50))
         assert err.value.stats is not None
         assert err.value.stats.iterations == 6
+        assert "refused" not in str(err.value)
