@@ -33,6 +33,11 @@ TWO_PI = 2.0 * math.pi
 
 PROBLEM_NAMES = ("convection", "convection_diffusion")
 MAX_STEPS = 10**6  # most time steps a study's finest level may take; the shipped studies take <= 256
+# Deepest mesh level a run may reach; the shipped studies reach level 6.  Level L has
+# 2 * 4^L triangles: level 7 holds 32768, at p = 5 688k unknowns per stage and an
+# operator of about 0.7 GB, and every further level quadruples both, so a deeper run
+# would end in a MemoryError or an out-of-memory kill rather than a result.
+MAX_LEVEL = 7
 
 
 def default_eta(p: int) -> float:
@@ -160,6 +165,11 @@ class RunConfig:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}")
         finest = max(self.levels - 1, self.level)
+        if finest > MAX_LEVEL:
+            raise ConfigError(
+                f"levels = {self.levels} and level = {self.level} put the finest mesh "
+                f"at level {finest}, deeper than MAX_LEVEL = {MAX_LEVEL}"
+            )
         dt = math.ldexp(self.dt0, -finest)  # dt0 / 2^finest, without forming 2^finest
         # an inf or nan step count fails the comparison too
         if not (dt > 0 and make_problem(self.problem).t_end / dt <= MAX_STEPS):

@@ -7,22 +7,29 @@ restarted and right-preconditioned, so reported residuals are true
 residuals of the original system.  It applies the preconditioner once per
 iteration and keeps each preconditioned Krylov vector, n floats per
 iteration taken, to form the update (Saad, *A flexible inner-outer
-preconditioned GMRES algorithm*, SISC 14, 1993); on the conv_p5 benchmark
-that cut a study pass from 335 to 245 applies and its median time from
-0.565 to 0.532 s (20 alternating runs, 2-core host).  The preconditioner
-is SuperLU's threshold incomplete LU with partial pivoting (ILUTP) at a
+preconditioned GMRES algorithm*, SISC 14, 1993).  The preconditioner is
+SuperLU's threshold incomplete LU with partial pivoting (ILUTP) at a
 fixed drop tolerance and fill factor, on the default COLAMD column
-ordering.  A sparse direct LU (SuperLU) serves as the fallback when the
-incomplete factorization fails or GMRES does not converge; a direct solve
+ordering.  When the operator has no diffusion it is SuperLU's complete
+LU instead: the upwind flux couples each element only to its upwind
+neighbour, so in downwind order each block is block triangular but for
+the periodic wrap (Lesaint & Raviart, *On a finite element method for
+solving the neutron transport equation*, 1974) and its LU keeps the fill
+near the matrix's own.  GMRES then converges in one iteration; on the
+conv_p5 benchmark that cut the median study pass from 0.633 to 0.466 s
+(10 alternating runs, 2-core host).  A sparse direct LU (SuperLU) serves
+as the fallback when the preconditioner cannot be built or GMRES does not
+converge; a complete preconditioner is reused as that LU.  A direct solve
 takes one refinement pass only when its first residual is above
 ``REFINE_ABOVE``.
 A system of the Kronecker form I - C (x) Z with a small dense C is a
 ``KroneckerSystem``: it is applied one block row at a time and never
 assembled.  It is factorized block by block, completely for the direct
-solve and incompletely for the preconditioner: one n x n factor of
-I - lambda Z per real eigenvalue and per conjugate pair of C, applied
-through C's eigenvectors (Butcher, *On the implementation of implicit
-Runge-Kutta methods*, BIT 16, 1976).  ``BlockFactors`` holds either kind.
+solve and, unless the operator has no diffusion, incompletely for the
+preconditioner: one n x n factor of I - lambda Z per real eigenvalue and
+per conjugate pair of C, applied through C's eigenvectors (Butcher, *On
+the implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
+``BlockFactors`` holds either kind.
 """
 
 from __future__ import annotations
@@ -179,14 +186,18 @@ class BlockFactors:
 
 
 class IluFactors(BlockFactors):
-    """Incomplete LU factors P_r B P_c ~ L U from SuperLU's ILUTP, per block.
+    """GMRES preconditioner: LU factors P_r B P_c ~ L U of each block B, from SuperLU.
 
-    Each block B of A (see ``_decouple``) is factored with entries smaller
-    than ``ILU_DROP_TOL`` relative to their column dropped, at most
-    ``ILU_FILL_FACTOR`` times the nonzeros of B kept, rows pivoted by
-    threshold partial pivoting and columns ordered by COLAMD (Saad,
-    *Iterative Methods for Sparse Linear Systems*, ch. 10; Li & Shao, ACM
-    TOMS 37, 2011).  ``nnz`` is the preconditioner's fill.
+    Incomplete by default: each block B of A (see ``_decouple``) is
+    factored by ILUTP with entries smaller than ``ILU_DROP_TOL`` relative
+    to their column dropped, at most ``ILU_FILL_FACTOR`` times the nonzeros
+    of B kept, rows pivoted by threshold partial pivoting and columns
+    ordered by COLAMD (Saad, *Iterative Methods for Sparse Linear Systems*,
+    ch. 10; Li & Shao, ACM TOMS 37, 2011).  Complete (``splu``, the same
+    ordering and no dropping) when ``ilu_factor`` is asked for it, which
+    ``MdrkWorkspace`` does for an operator with no diffusion; then
+    P_r B P_c = L U and the factors double as the direct solve.  ``nnz`` is
+    the preconditioner's fill.
     """
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -194,14 +205,22 @@ class IluFactors(BlockFactors):
         return self.solve(np.asarray(v, dtype=float))
 
 
-def ilu_factor(A) -> IluFactors:
-    """ILUTP preconditioner of a square matrix, blockwise for a ``KroneckerSystem``.
+def ilu_factor(A, complete: bool = False) -> IluFactors:
+    """LU preconditioner of a square matrix, blockwise for a ``KroneckerSystem``.
 
-    Raises SuperLU's ``RuntimeError`` when a pivot column of an incomplete
-    factor is exactly zero.
+    ILUTP by default; with ``complete`` each block's complete LU.  The
+    complete factor suits an operator with no diffusion, whose upwind
+    coupling runs one way so the LU keeps close to the matrix's own
+    nonzeros (at p = 5, mesh level 3: 165k entries per block against 113k
+    in the block and 113k-120k in its ILUTP, built in 9-13 against
+    11-14 ms).
+    Raises SuperLU's ``RuntimeError`` when a pivot column of a factor is
+    exactly zero.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError("ILU requires a square matrix")
+    if complete:
+        return IluFactors(A, scipy.sparse.linalg.splu)
     return IluFactors(
         A,
         lambda B: scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR),
@@ -338,8 +357,11 @@ class PreparedSystem:
     a system whose V is too ill-conditioned (``COUPLING_COND_MAX``), is
     factored whole.  GMRES, the residual check and the refinement pass
     always apply A itself, so the residual is that of the whole system.
-    The direct factors are built only when requested, so a GMRES solve that
-    never falls back holds none.
+    With ``complete`` (an operator with no diffusion) the preconditioner is
+    the complete LU of each block, so GMRES takes one iteration per solve
+    and the direct fallback reuses those factors.  Otherwise the direct
+    factors are built only when requested, so a GMRES solve that never
+    falls back holds none.
 
     ``SolveStats.fallback_reason`` of a GMRES-kind solve that went direct is
     ``"ilu_failed"`` (no preconditioner could be built),
@@ -347,7 +369,7 @@ class PreparedSystem:
     (an earlier solve's GMRES gave up).
     """
 
-    def __init__(self, A, solver):
+    def __init__(self, A, solver, complete=False):
         self.A = A
         self.solver = solver
         self.ilu = None
@@ -356,10 +378,13 @@ class PreparedSystem:
         self.history = []
         if solver.kind == "gmres":
             try:
-                self.ilu = ilu_factor(A)
-            except RuntimeError as exc:  # SuperLU signals a singular incomplete factor this way
+                self.ilu = ilu_factor(A, complete=complete)
+                if complete:
+                    self._direct = self.ilu  # already the LU of every block
+            except RuntimeError as exc:  # SuperLU signals a singular factor this way
                 if not solver.fallback:
-                    raise SolverFailure(f"incomplete LU failed: {exc}") from exc
+                    kind = "complete" if complete else "incomplete"
+                    raise SolverFailure(f"{kind} LU failed: {exc}") from exc
                 self._direct_reason = "ilu_failed"
                 self._factorize_direct()
         else:
@@ -429,10 +454,14 @@ class LinearSolver:
 
     GMRES defaults to relative tolerance 1e-10 on the whole system,
     right-preconditioned by ``ilu_factor`` (SuperLU's ILUTP, one per block
-    of a coupled system; the paper uses ILU(2) of the whole system).  When
-    the incomplete factorization fails or GMRES does not converge, the solve
-    falls back to the direct factorization for systems up to
-    FALLBACK_MAX_N unknowns; without the fallback it raises SolverFailure.
+    of a coupled system; the paper uses ILU(2) of the whole system).  The
+    caller of ``prepare`` may ask for the complete LU of each block instead,
+    as ``MdrkWorkspace`` does for an operator with no diffusion, whose
+    one-way upwind coupling keeps that LU within 1.5 times the ILUTP's
+    fill.  When the preconditioner cannot be built or GMRES does not
+    converge, the solve falls back to the direct factorization for systems
+    up to FALLBACK_MAX_N unknowns; without the fallback it raises
+    SolverFailure.
     """
 
     kind: str = "gmres"
@@ -450,6 +479,9 @@ class LinearSolver:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
-    def prepare(self, A) -> PreparedSystem:
-        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
-        return PreparedSystem(A, self)
+    def prepare(self, A, *, complete=False) -> PreparedSystem:
+        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem).
+
+        ``complete`` makes the GMRES preconditioner the complete LU of each block.
+        """
+        return PreparedSystem(A, self, complete)

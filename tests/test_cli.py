@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mddg.harness
 from mddg.cli import main
 from mddg.harness import ConfigError, parse_config_text
 
@@ -176,6 +177,25 @@ def test_dt0_overflowing_at_the_solve_level_is_config_error(capsys, tmp_path):
     assert err.splitlines() == [
         "config error: dt0 = 1e-308 leaves too many time steps at level 1 (more than MAX_STEPS = 1000000)"
     ]
+
+
+@pytest.mark.parametrize(
+    "settings", ["levels = 30\ndt0 = 1e9", "level = 40\ndt0 = 1e13\nlevels = 1"], ids=["levels", "level"]
+)
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_mesh_deeper_than_max_level_is_config_error(command, settings, capsys, tmp_path, monkeypatch):
+    # few enough time steps, but a finest mesh of 2 * 4^29 or more triangles: refused
+    # with one `config error:` line before any mesh is built
+    def refuse(*args):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mddg.harness, "mesh_hierarchy", refuse)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(f"method = tp3\n{settings}\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and "MAX_LEVEL = 7" in err
 
 
 def test_non_utf8_config_is_config_error(capsys, tmp_path):

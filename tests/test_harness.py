@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mddg.harness
 from mddg.harness import (
+    MAX_LEVEL,
     MAX_STEPS,
     ConfigError,
     RunConfig,
@@ -67,6 +69,30 @@ class TestConfigParsing:
             RunConfig(dt0=1.0 / MAX_STEPS, levels=2)
         with pytest.raises(ConfigError, match="at level 1000000"):
             RunConfig(levels=10**6 + 1)
+
+    @pytest.mark.parametrize(
+        "settings, finest",
+        [(dict(levels=30, dt0=1e9), 29), (dict(level=40, dt0=1e13, levels=1), 40)],
+        ids=["levels", "level"],
+    )
+    def test_mesh_level_capped(self, settings, finest, monkeypatch):
+        # dt0 keeps these within MAX_STEPS, but their finest mesh would hold 2 * 4^finest
+        # triangles; the config is refused before any mesh is built
+        def refuse(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(mddg.harness, "build_base_mesh", refuse)
+        monkeypatch.setattr(mddg.harness, "refine_uniform", refuse)
+        with pytest.raises(ConfigError, match=f"at level {finest}, deeper than MAX_LEVEL = {MAX_LEVEL}"):
+            RunConfig(**settings)
+
+    def test_mesh_level_cap_admits_max_level(self):
+        RunConfig(levels=MAX_LEVEL + 1)
+        RunConfig(level=MAX_LEVEL, levels=1)
+        with pytest.raises(ConfigError, match="MAX_LEVEL"):
+            RunConfig(levels=MAX_LEVEL + 2)
+        with pytest.raises(ConfigError, match="MAX_LEVEL"):
+            RunConfig(level=MAX_LEVEL + 1, levels=1)
 
     @pytest.mark.parametrize("dt0", [1e-308, 1e-9, 0.99 / MAX_STEPS])
     def test_step_count_capped(self, dt0):

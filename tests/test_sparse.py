@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
-from mddg.operator import assemble
+from mddg.operator import assemble, project_l2
 from mddg.sparse import (
     ILU_DROP_TOL,
     ILU_FILL_FACTOR,
@@ -17,7 +17,7 @@ from mddg.sparse import (
     gmres_solve,
     ilu_factor,
 )
-from mddg.timeint import as_tableau, make_workspace, mdrk_step
+from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
 
 from conftest import applied
 
@@ -460,11 +460,12 @@ class TestDecoupledDirect:
 
 class TestBlockPreconditioner:
     # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
-    # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors
+    # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors;
+    # with no diffusion each of those factors is a complete LU
     @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_preconditioner_is_blockwise(self, problem, method, monkeypatch):
-        shapes = record_lu_shapes(monkeypatch, "spilu")
+        shapes = record_lu_shapes(monkeypatch, "splu" if problem == "convection" else "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(fallback=False))
         n = op.n_dof
@@ -475,6 +476,60 @@ class TestBlockPreconditioner:
         x, stats = ws.prepared.solve(b)
         assert stats.converged and not stats.fallback_used
         assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
+
+    def test_convection_integrate_takes_one_iteration_per_solve(self):
+        # the complete block LU leaves GMRES one iteration on every step
+        prob = make_problem("convection")
+        mesh, basis = mesh_hierarchy(3)[2], make_basis(2)
+        op = assemble(mesh, basis, prob, default_eta(2))
+        stats = []
+        w0 = project_l2(mesh, basis, prob.initial)
+        integrate(op, method_registry()["tp6"], w0, 0.0, 1.0, 0.0625, stats_out=stats)
+        assert len(stats) == 16
+        assert all(s.iterations == 1 and not s.fallback_used for s in stats)
+        assert max(s.residual for s in stats) <= 1e-10
+
+    def test_complete_preconditioner_is_the_fallback_lu(self, monkeypatch):
+        # a starved GMRES on a convection workspace falls back to the very factors it was
+        # preconditioned with: SuperLU factors each stored block once
+        shapes = record_lu_shapes(monkeypatch)
+        op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection"), 20.0)
+        solver = LinearSolver(rtol=1e-300, maxit=1, restart=1)
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
+        blocks = [(op.n_dof, op.n_dof)] * 2
+        assert shapes == blocks
+        b = np.random.default_rng(31).normal(size=ws.system.shape[0])
+        for reason in ("gmres_not_converged", "sticky"):
+            x, stats = ws.prepared.solve(b)
+            assert stats.fallback_reason == reason and stats.converged
+            assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-10 * np.linalg.norm(b)
+        assert shapes == blocks
+
+    def test_failed_complete_factor_takes_direct_fallback(self, monkeypatch):
+        # the complete factor fails the way ILUTP does: SolverFailure without the
+        # fallback, the fallback's own LU (here built once SuperLU succeeds again) with it
+        splu = scipy.sparse.linalg.splu
+        calls = []
+
+        def singular_once(A, **kwargs):
+            calls.append(A.shape)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_once)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
+        with pytest.raises(SolverFailure, match="complete LU failed"):
+            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=False))
+        calls.clear()
+        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
+        assert ws.prepared.ilu is None
+        b = np.random.default_rng(32).normal(size=ws.system.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert stats.fallback_reason == "ilu_failed" and stats.converged
+        assert stats.residual <= 1e-10
+        lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
+        assert calls == [(op.n_dof, op.n_dof)] * (1 + int(np.sum(lam.imag >= 0)))
 
     def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
         shapes = record_lu_shapes(monkeypatch, "spilu")
