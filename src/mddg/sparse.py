@@ -2,34 +2,23 @@
 
 Matrices are scipy CSR arrays with rows sorted by column.  ``CsrMatrix``
 subclasses scipy's CSR array only to fix the summation order of assembly
-and to give the solvers one matrix-vector product, ``matvec``.  GMRES is
-restarted and right-preconditioned, so reported residuals are true
-residuals of the original system.  It applies the preconditioner once per
-iteration and keeps each preconditioned Krylov vector, n floats per
-iteration taken, to form the update (Saad, *A flexible inner-outer
-preconditioned GMRES algorithm*, SISC 14, 1993).  The preconditioner is
-SuperLU's threshold incomplete LU with partial pivoting (ILUTP) at a
-fixed drop tolerance and fill factor, on the default COLAMD column
-ordering.  When the operator has no diffusion it is SuperLU's complete
-LU instead: the upwind flux couples each element only to its upwind
-neighbour, so in downwind order each block is block triangular but for
-the periodic wrap (Lesaint & Raviart, *On a finite element method for
-solving the neutron transport equation*, 1974) and its LU keeps the fill
-near the matrix's own.  GMRES then converges in one iteration; on the
-conv_p5 benchmark that cut the median study pass from 0.633 to 0.466 s
-(10 alternating runs, 2-core host).  A sparse direct LU (SuperLU) serves
-as the fallback when the preconditioner cannot be built or GMRES does not
-converge; a complete preconditioner is reused as that LU.  A direct solve
-takes one refinement pass only when its first residual is above
-``REFINE_ABOVE``.
-A system of the Kronecker form I - C (x) Z with a small dense C is a
-``KroneckerSystem``: it is applied one block row at a time and never
-assembled.  It is factorized block by block, completely for the direct
-solve and, unless the operator has no diffusion, incompletely for the
-preconditioner: one n x n factor of I - lambda Z per real eigenvalue and
-per conjugate pair of C, applied through C's eigenvectors (Butcher, *On
-the implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
-``BlockFactors`` holds either kind.
+and to give the solvers one matrix-vector product, ``matvec``.
+A system I - C (x) Z with a small dense C is a ``KroneckerSystem``: it is
+applied one block row at a time, never assembled, and factored as one
+n x n block I - lambda Z per real eigenvalue and per conjugate pair of C,
+through C's eigenvectors (``BlockFactors``; Butcher, *On the
+implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
+
+A ``PreparedSystem`` holds one of two such factors.  SuperLU's complete
+LU is solved directly, refined once when its residual is above
+``REFINE_ABOVE``: for ``solver = direct``, for an operator with no
+diffusion, whose upwind LU stays near the block's own fill (see
+``MdrkWorkspace``), and as the fallback when the ILUTP cannot be built or
+GMRES does not converge.  GMRES, restarted and right-preconditioned so
+that its residuals are true ones, runs only on SuperLU's threshold
+incomplete LU (ILUTP, ``ilu_factor``), as a complete factor leaves it
+nothing to iterate, and keeps each preconditioned Krylov vector (Saad,
+*A flexible inner-outer preconditioned GMRES algorithm*, SISC 14, 1993).
 """
 
 from __future__ import annotations
@@ -46,7 +35,7 @@ FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
 ILU_DROP_TOL = 1e-4  # ILUTP drops entries below this size relative to their column
 ILU_FILL_FACTOR = 10  # ILUTP keeps at most this multiple of the matrix's nonzeros
 REFINE_ABOVE = 1e-12  # a direct solve refines once when its relative residual exceeds this
-COUPLING_COND_MAX = 1e4  # above this cond(V) of C = V diag(lambda) V^-1, factor I - C (x) Z whole
+COUPLING_COND_MAX = 1e4  # largest cond(V) of C = V diag(lambda) V^-1 that I - C (x) Z accepts
 
 
 class SolverFailure(RuntimeError):
@@ -117,11 +106,6 @@ class KroneckerSystem:
         ZX = np.array([self.Z.matvec(row) for row in X])
         return (X - self.C @ ZX).ravel()
 
-    def assembled(self) -> CsrMatrix:
-        """The whole sMn x sMn matrix, for a C whose eigenvectors cannot decouple it."""
-        I = scipy.sparse.identity(self.shape[0], format="csr")
-        return CsrMatrix(I - scipy.sparse.kron(self.C, self.Z, format="csr"))
-
 
 def _decouple(A):
     """V, V^-1 and the blocks (k, block k, paired) that factor A block by block.
@@ -130,17 +114,21 @@ def _decouple(A):
     A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I), so block k is
     I - lambda_k Z: real for a real eigenvalue, complex for the member k of a
     conjugate pair with positive imaginary part, whose partner block is its
-    complex conjugate (``paired`` marks it).  A plain matrix, and a system
-    whose V is too ill-conditioned to transform with (``COUPLING_COND_MAX``),
-    is the 1 x 1 case: V is None and the one block is the whole matrix, which
-    is assembled only then.
+    complex conjugate (``paired`` marks it).  A plain matrix is the 1 x 1
+    case: V is None and the one block is A.  A C whose V is too
+    ill-conditioned to transform with (a repeated eigenvalue makes it
+    singular; no built-in tableau has one) raises ValueError.
     """
     if not isinstance(A, KroneckerSystem):
         return None, None, [(0, A, False)]
     C, Z = A.C, A.Z
     lam, V = np.linalg.eig(C)
-    if np.linalg.cond(V) > COUPLING_COND_MAX:  # a repeated eigenvalue makes V singular
-        return None, None, [(0, A.assembled(), False)]
+    cond = np.linalg.cond(V)
+    if cond > COUPLING_COND_MAX:
+        raise ValueError(
+            f"cannot factor I - C (x) Z block by block: C's eigenvector matrix has "
+            f"cond(V) = {cond:.3g} > COUPLING_COND_MAX = {COUPLING_COND_MAX:g}"
+        )
     I = scipy.sparse.identity(Z.shape[0], format="csr")
     # numpy returns a conjugate pair adjacently, positive imaginary part first
     return V, np.linalg.inv(V), (
@@ -186,18 +174,14 @@ class BlockFactors:
 
 
 class IluFactors(BlockFactors):
-    """GMRES preconditioner: LU factors P_r B P_c ~ L U of each block B, from SuperLU.
+    """GMRES preconditioner: ILUTP factors P_r B P_c ~ L U of each block B, from SuperLU.
 
-    Incomplete by default: each block B of A (see ``_decouple``) is
-    factored by ILUTP with entries smaller than ``ILU_DROP_TOL`` relative
-    to their column dropped, at most ``ILU_FILL_FACTOR`` times the nonzeros
-    of B kept, rows pivoted by threshold partial pivoting and columns
-    ordered by COLAMD (Saad, *Iterative Methods for Sparse Linear Systems*,
-    ch. 10; Li & Shao, ACM TOMS 37, 2011).  Complete (``splu``, the same
-    ordering and no dropping) when ``ilu_factor`` is asked for it, which
-    ``MdrkWorkspace`` does for an operator with no diffusion; then
-    P_r B P_c = L U and the factors double as the direct solve.  ``nnz`` is
-    the preconditioner's fill.
+    Each block B of A (see ``_decouple``) is factored with entries smaller
+    than ``ILU_DROP_TOL`` relative to their column dropped, at most
+    ``ILU_FILL_FACTOR`` times the nonzeros of B kept, rows pivoted by
+    threshold partial pivoting and columns ordered by COLAMD (Saad,
+    *Iterative Methods for Sparse Linear Systems*, ch. 10; Li & Shao, ACM
+    TOMS 37, 2011).  ``nnz`` is the preconditioner's fill.
     """
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -205,22 +189,14 @@ class IluFactors(BlockFactors):
         return self.solve(np.asarray(v, dtype=float))
 
 
-def ilu_factor(A, complete: bool = False) -> IluFactors:
-    """LU preconditioner of a square matrix, blockwise for a ``KroneckerSystem``.
+def ilu_factor(A) -> IluFactors:
+    """ILUTP preconditioner of a square matrix, blockwise for a ``KroneckerSystem``.
 
-    ILUTP by default; with ``complete`` each block's complete LU.  The
-    complete factor suits an operator with no diffusion, whose upwind
-    coupling runs one way so the LU keeps close to the matrix's own
-    nonzeros (at p = 5, mesh level 3: 165k entries per block against 113k
-    in the block and 113k-120k in its ILUTP, built in 9-13 against
-    11-14 ms).
     Raises SuperLU's ``RuntimeError`` when a pivot column of a factor is
     exactly zero.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError("ILU requires a square matrix")
-    if complete:
-        return IluFactors(A, scipy.sparse.linalg.splu)
     return IluFactors(
         A,
         lambda B: scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR),
@@ -346,60 +322,57 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
 class PreparedSystem:
     """A factorized linear system ready for repeated right-hand sides.
 
-    Once a GMRES solve on this system has fallen back to the direct
-    factorization, later solves go direct immediately: non-convergence is a
-    property of the matrix, not of the right-hand side.
+    A GMRES-kind solver gets the ILUTP preconditioner ``ilu`` and solves by
+    GMRES; a direct-kind solver gets the complete LU and solves by it alone.
+    Either applies A itself for its residual, that of the whole system.
 
-    For a ``KroneckerSystem`` A = I - C (x) Z both the GMRES preconditioner
-    and the direct factorization are ``BlockFactors``: one n x n ILUTP or LU
-    of I - lambda_k Z per real eigenvalue of C and one complex factor per
-    conjugate pair, applied through C's eigenvectors V.  A plain matrix, and
-    a system whose V is too ill-conditioned (``COUPLING_COND_MAX``), is
-    factored whole.  GMRES, the residual check and the refinement pass
-    always apply A itself, so the residual is that of the whole system.
-    With ``complete`` (an operator with no diffusion) the preconditioner is
-    the complete LU of each block, so GMRES takes one iteration per solve
-    and the direct fallback reuses those factors.  Otherwise the direct
-    factors are built only when requested, so a GMRES solve that never
-    falls back holds none.
-
-    ``SolveStats.fallback_reason`` of a GMRES-kind solve that went direct is
-    ``"ilu_failed"`` (no preconditioner could be built),
+    A GMRES-kind system falls back to the complete LU, for this and every
+    later solve, when its ILUTP cannot be built or a GMRES solve does not
+    converge: non-convergence is a property of the matrix, not of the
+    right-hand side.  The fallback needs ``solver.fallback`` and at most
+    ``FALLBACK_MAX_N`` unknowns; without them the solve raises
+    ``SolverFailure``.  ``SolveStats.fallback_reason`` of a solve that fell
+    back is ``"ilu_failed"`` (no preconditioner could be built),
     ``"gmres_not_converged"`` (this solve's GMRES gave up) or ``"sticky"``
     (an earlier solve's GMRES gave up).
     """
 
-    def __init__(self, A, solver, complete=False):
+    def __init__(self, A, solver):
         self.A = A
         self.solver = solver
         self.ilu = None
         self._direct = None
         self._direct_reason = ""  # why a GMRES-kind solve now goes direct
         self.history = []
-        if solver.kind == "gmres":
-            try:
-                self.ilu = ilu_factor(A, complete=complete)
-                if complete:
-                    self._direct = self.ilu  # already the LU of every block
-            except RuntimeError as exc:  # SuperLU signals a singular factor this way
-                if not solver.fallback:
-                    kind = "complete" if complete else "incomplete"
-                    raise SolverFailure(f"{kind} LU failed: {exc}") from exc
-                self._direct_reason = "ilu_failed"
-                self._factorize_direct()
-        else:
+        if solver.kind == "direct":
             self._factorize_direct()
+            return
+        try:
+            self.ilu = ilu_factor(A)
+        except RuntimeError as exc:  # SuperLU signals a singular factor this way
+            self._fall_back("ilu_failed", f"incomplete LU failed: {exc}")
 
     def _factorize_direct(self):
-        if self._direct is None:
-            try:
-                self._direct = BlockFactors(self.A, scipy.sparse.linalg.splu)
-            except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
-                raise SolverFailure(f"direct LU failed: {exc}") from exc
+        try:
+            self._direct = BlockFactors(self.A, scipy.sparse.linalg.splu)
+        except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
+            raise SolverFailure(f"direct LU failed: {exc}") from exc
 
-    def _solve_direct(self, b, fallback_reason=""):
+    def _fall_back(self, reason, message, stats=None):
+        """Go direct for this and later solves (``reason``), or record ``stats`` and raise."""
+        n = self.A.shape[0]
+        if self.solver.fallback and n <= FALLBACK_MAX_N:
+            self._factorize_direct()
+            self._direct_reason = reason
+            return
+        if stats is not None:
+            self.history.append(stats)
+        if self.solver.fallback:
+            message += f"; direct fallback refused: n = {n} > FALLBACK_MAX_N = {FALLBACK_MAX_N}"
+        raise SolverFailure(message, stats=stats)
+
+    def _solve_direct(self, b, fallback_reason):
         t0 = time.perf_counter()
-        self._factorize_direct()
         x = self._direct.solve(b)
         r = b - self.A.matvec(x)
         bnorm = np.linalg.norm(b)
@@ -417,34 +390,27 @@ class PreparedSystem:
         return x, stats
 
     def solve(self, b, x0=None):
+        """Solve A x = b; returns (x, SolveStats).  ``x0`` seeds GMRES only."""
         s = self.solver
-        if s.kind == "gmres" and not self._direct_reason:
+        reason = self._direct_reason
+        if self._direct is None:
             x, stats = gmres_solve(
                 self.A, b, precond=self.ilu, rtol=s.rtol, restart=s.restart, maxit=s.maxit, x0=x0
             )
-            if not stats.converged:
-                n = self.A.shape[0]
-                if s.fallback and n <= FALLBACK_MAX_N:
-                    self._direct_reason = "sticky"
-                    x, stats = self._solve_direct(b, "gmres_not_converged")
-                else:
-                    self.history.append(stats)
-                    refused = (
-                        f"; direct fallback refused: n = {n} > FALLBACK_MAX_N = {FALLBACK_MAX_N}"
-                        if s.fallback
-                        else ""
-                    )
-                    raise SolverFailure(
-                        f"GMRES did not converge: residual {stats.residual:.3e} "
-                        f"after {stats.iterations} iterations{refused}",
-                        stats=stats,
-                    )
-        else:
-            x, stats = self._solve_direct(b, self._direct_reason)
-            if not stats.converged:
+            if stats.converged:
                 self.history.append(stats)
-                raise SolverFailure("direct solve produced non-finite solution", stats=stats)
+                return x, stats
+            self._fall_back(
+                "sticky",
+                f"GMRES did not converge: residual {stats.residual:.3e} "
+                f"after {stats.iterations} iterations",
+                stats,
+            )
+            reason = "gmres_not_converged"
+        x, stats = self._solve_direct(b, reason)
         self.history.append(stats)
+        if not stats.converged:
+            raise SolverFailure(f"direct solve did not converge: residual {stats.residual:.3e}", stats)
         return x, stats
 
 
@@ -454,14 +420,10 @@ class LinearSolver:
 
     GMRES defaults to relative tolerance 1e-10 on the whole system,
     right-preconditioned by ``ilu_factor`` (SuperLU's ILUTP, one per block
-    of a coupled system; the paper uses ILU(2) of the whole system).  The
-    caller of ``prepare`` may ask for the complete LU of each block instead,
-    as ``MdrkWorkspace`` does for an operator with no diffusion, whose
-    one-way upwind coupling keeps that LU within 1.5 times the ILUTP's
-    fill.  When the preconditioner cannot be built or GMRES does not
-    converge, the solve falls back to the direct factorization for systems
-    up to FALLBACK_MAX_N unknowns; without the fallback it raises
-    SolverFailure.
+    of a coupled system; the paper uses ILU(2) of the whole system).
+    ``direct`` solves with SuperLU's complete LU of each block.  With
+    ``fallback``, GMRES hands a system it cannot precondition or solve to
+    the complete LU (see PreparedSystem).
     """
 
     kind: str = "gmres"
@@ -479,9 +441,6 @@ class LinearSolver:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
-    def prepare(self, A, *, complete=False) -> PreparedSystem:
-        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem).
-
-        ``complete`` makes the GMRES preconditioner the complete LU of each block.
-        """
-        return PreparedSystem(A, self, complete)
+    def prepare(self, A) -> PreparedSystem:
+        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
+        return PreparedSystem(A, self)

@@ -25,7 +25,7 @@ eigenvalue of C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -253,9 +253,9 @@ class MdrkWorkspace:
     stage equal to the step input.  The system is exactly I - C (x) dt A
     with C = ``tableau.coupling``; ``system`` is that product in Kronecker
     form, holding dt C and A but no sMn x sMn matrix.  An operator whose
-    problem has no diffusion (``op.problem.epsilon == 0``) gets a GMRES
-    preconditioner that is the complete LU of each block; any other
-    operator, including one that carries no problem, gets ILUTP.
+    problem has no diffusion (``op.problem.epsilon == 0``) is solved by the
+    complete LU of each block whatever the solver's kind; any other
+    operator, including one that carries no problem, keeps its solver.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float, solver: LinearSolver):
@@ -267,11 +267,13 @@ class MdrkWorkspace:
         self.stiffly_accurate = tableau.stiffly_accurate
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
         self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
-        # with no diffusion the upwind coupling runs one way, so a complete LU of each
-        # block keeps within 1.5 times its ILUTP's fill and GMRES converges in one iteration
+        # with no diffusion the upwind flux couples each element to its upwind neighbour
+        # only, so in downwind order each block is block triangular but for the periodic
+        # wrap (Lesaint & Raviart 1974) and its complete LU keeps near the block's own fill
         problem = getattr(op, "problem", None)
-        complete = problem is not None and problem.epsilon == 0
-        self.prepared = solver.prepare(self.system, complete=complete)
+        if problem is not None and problem.epsilon == 0:
+            solver = replace(solver, kind="direct")
+        self.prepared = solver.prepare(self.system)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit

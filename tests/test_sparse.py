@@ -74,11 +74,11 @@ class TestCsrMatrix:
         assert all(np.all(np.diff(A.indices[a:b]) > 0) for a, b in zip(A.indptr[:-1], A.indptr[1:]))
 
     def test_int32_index_arrays(self):
-        # the builder and the whole-matrix build of a block system keep scipy's int32 index arrays
+        # the builder, the operator and the block system's Z keep scipy's int32 index arrays
         A = triplets([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
         ws = make_workspace(op, method_registry()["mdrk6"], 0.1)
-        for M in (A, op.matrix, ws.system.Z, ws.system.assembled()):
+        for M in (A, op.matrix, ws.system.Z):
             assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
 
     def test_operator_is_scipy_sparse_and_system_is_kronecker(self):
@@ -428,7 +428,6 @@ class TestDecoupledDirect:
         [
             [[0.3, 0.2], [-0.25, 0.1]],  # one conjugate pair
             [[0.4, 0.1, 0.0], [1.0, 0.2, 0.0], [0.3, 0.0, 0.25]],  # three real eigenvalues
-            [[0.25, 0.0], [0.5, 0.25]],  # defective: V is singular, so K is factored whole
         ],
     )
     def test_kron_system_vs_dense(self, C, monkeypatch):
@@ -437,8 +436,7 @@ class TestDecoupledDirect:
         Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
         K = np.eye(len(C) * 30) - np.kron(C, Z.toarray())
         b = np.random.default_rng(25).normal(size=len(K))
-        lam, V = np.linalg.eig(C)
-        blockwise = np.linalg.cond(V) <= 1e4
+        lam = np.linalg.eigvals(C)
         system = KroneckerSystem(C, Z)
         assert np.max(np.abs(applied(system) - K)) <= 1e-15 * np.max(np.abs(K))
         for kind, name, rtol in (("direct", "splu", 1e-12), ("gmres", "spilu", 1e-10)):
@@ -447,7 +445,17 @@ class TestDecoupledDirect:
             x, stats = solver.prepare(system).solve(b)
             assert stats.residual <= rtol and not stats.fallback_used
             assert np.linalg.norm(b - K @ x) <= rtol * np.linalg.norm(b)
-            assert shapes == ([(30, 30)] * int(np.sum(lam.imag >= 0)) if blockwise else [K.shape])
+            assert shapes == [(30, 30)] * int(np.sum(lam.imag >= 0))
+
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_kron_system_without_eigenbasis_rejected(self, kind, monkeypatch):
+        # a defective C has a singular V, so its blocks cannot be decoupled; no factor is built
+        shapes = record_lu_shapes(monkeypatch, "splu" if kind == "direct" else "spilu")
+        Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
+        system = KroneckerSystem(np.array([[0.25, 0.0], [0.5, 0.25]]), Z)
+        with pytest.raises(ValueError, match=r"cond\(V\) = .* > COUPLING_COND_MAX = 10000"):
+            LinearSolver(kind=kind).prepare(system)
+        assert shapes == []
 
     def test_plain_matrix_is_one_lu_of_itself(self, monkeypatch):
         shapes = record_lu_shapes(monkeypatch)
@@ -461,7 +469,7 @@ class TestDecoupledDirect:
 class TestBlockPreconditioner:
     # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
     # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors;
-    # with no diffusion each of those factors is a complete LU
+    # with no diffusion the workspace solves by each block's complete LU instead
     @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_preconditioner_is_blockwise(self, problem, method, monkeypatch):
@@ -478,7 +486,7 @@ class TestBlockPreconditioner:
         assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
 
     def test_convection_integrate_takes_one_iteration_per_solve(self):
-        # the complete block LU leaves GMRES one iteration on every step
+        # every convection step is one direct solve of the complete block LU
         prob = make_problem("convection")
         mesh, basis = mesh_hierarchy(3)[2], make_basis(2)
         op = assemble(mesh, basis, prob, default_eta(2))
@@ -489,47 +497,43 @@ class TestBlockPreconditioner:
         assert all(s.iterations == 1 and not s.fallback_used for s in stats)
         assert max(s.residual for s in stats) <= 1e-10
 
-    def test_complete_preconditioner_is_the_fallback_lu(self, monkeypatch):
-        # a starved GMRES on a convection workspace falls back to the very factors it was
-        # preconditioned with: SuperLU factors each stored block once
+    def test_convection_workspace_solves_directly(self, monkeypatch):
+        # a GMRES-kind solver on an operator with no diffusion factors each stored block
+        # completely, once, and solves by those factors alone: no ILUTP, no Krylov iteration
+        def refuse(*args, **kwargs):
+            raise AssertionError("GMRES or ILUTP ran on a convection workspace")
+
+        monkeypatch.setattr(mddg.sparse, "gmres_solve", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection"), 20.0)
-        solver = LinearSolver(rtol=1e-300, maxit=1, restart=1)
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
-        blocks = [(op.n_dof, op.n_dof)] * 2
-        assert shapes == blocks
-        b = np.random.default_rng(31).normal(size=ws.system.shape[0])
-        for reason in ("gmres_not_converged", "sticky"):
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        assert ws.prepared.ilu is None
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            b = rng.normal(size=ws.system.shape[0])
             x, stats = ws.prepared.solve(b)
-            assert stats.fallback_reason == reason and stats.converged
-            assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-10 * np.linalg.norm(b)
-        assert shapes == blocks
+            assert stats.iterations == 1 and stats.fallback_reason == ""
+            assert stats.residual <= 1e-12
+            assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
+        lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
+        assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
 
-    def test_failed_complete_factor_takes_direct_fallback(self, monkeypatch):
-        # the complete factor fails the way ILUTP does: SolverFailure without the
-        # fallback, the fallback's own LU (here built once SuperLU succeeds again) with it
-        splu = scipy.sparse.linalg.splu
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_singular_complete_factor_is_a_solver_failure(self, fallback, monkeypatch):
+        # the complete LU is the convection solve itself, so there is nothing to fall back
+        # to: SuperLU is not asked again
         calls = []
 
-        def singular_once(A, **kwargs):
+        def singular(A, **kwargs):
             calls.append(A.shape)
-            if len(calls) == 1:
-                raise RuntimeError("Factor is exactly singular")
-            return splu(A, **kwargs)
+            raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_once)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
-        with pytest.raises(SolverFailure, match="complete LU failed"):
-            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=False))
-        calls.clear()
-        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
-        assert ws.prepared.ilu is None
-        b = np.random.default_rng(32).normal(size=ws.system.shape[0])
-        x, stats = ws.prepared.solve(b)
-        assert stats.fallback_reason == "ilu_failed" and stats.converged
-        assert stats.residual <= 1e-10
-        lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
-        assert calls == [(op.n_dof, op.n_dof)] * (1 + int(np.sum(lam.imag >= 0)))
+        with pytest.raises(SolverFailure, match="direct LU failed: Factor is exactly singular"):
+            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=fallback))
+        assert calls == [(op.n_dof, op.n_dof)]
 
     def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
         shapes = record_lu_shapes(monkeypatch, "spilu")
@@ -574,10 +578,28 @@ class TestBlockPreconditioner:
         lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
         assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
 
+    def test_failed_block_ilutp_fallback_refused_above_cap(self, monkeypatch):
+        # the ilu_failed fallback keeps to FALLBACK_MAX_N like the gmres_not_converged one
+        def singular(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
+        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 10)
+        shapes = record_lu_shapes(monkeypatch)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        n = len(as_tableau(method_registry()["tp5"]).coupling) * op.n_dof
+        with pytest.raises(SolverFailure) as err:
+            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
+        assert str(err.value) == (
+            "incomplete LU failed: Factor is exactly singular; "
+            f"direct fallback refused: n = {n} > FALLBACK_MAX_N = 10"
+        )
+        assert shapes == []
+
 
 class TestKroneckerSystem:
-    # I - C (x) Z applied one block row at a time; the whole matrix is built only for a
-    # C whose eigenvectors cannot decouple it
+    # I - C (x) Z applied one block row at a time and never assembled, for every
+    # built-in method and both solver kinds
     @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_builtin_methods_never_assemble_the_block_system(self, problem, method, monkeypatch):
@@ -663,6 +685,24 @@ class TestLinearSolver:
             "after 2 iterations; direct fallback refused: n = 40 > FALLBACK_MAX_N = 39"
         )
         assert prep.history == [err.value.stats]
+
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_unconverged_direct_solve_raises(self, kind, monkeypatch):
+        # a direct solve that misses the residual contract is a SolverFailure, whether it
+        # was asked for or is the fallback of a starved GMRES
+        class NanLU:
+            def __init__(self, A):
+                pass
+
+            def solve(self, b):
+                return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", NanLU)
+        A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
+        prep = LinearSolver(kind=kind, rtol=1e-16, maxit=2, restart=2).prepare(A)
+        with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
+            prep.solve(np.ones(40))
+        assert not err.value.stats.converged and prep.history == [err.value.stats]
 
     def test_failure_without_fallback(self):
         A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
