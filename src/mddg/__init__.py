@@ -50,7 +50,6 @@ from mddg.harness import (
     problem_convection,
     problem_convection_diffusion,
     run_convergence,
-    write_report,
 )
 
 __version__ = "0.1.0"

@@ -11,16 +11,18 @@ the final-time L2 error and the observed order between consecutive levels.
 
 from __future__ import annotations
 
+import functools
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from mddg.basis import make_basis
+from mddg.basis import MAX_DEGREE, make_basis
 from mddg.mesh import build_base_mesh, refine_uniform
 from mddg.operator import Problem, assemble, l2_error, project_l2
-from mddg.sparse import LinearSolver, SolverFailure
+from mddg.sparse import SOLVER_KINDS, LinearSolver, SolverFailure
 from mddg.timeint import (
     BlowUpError,
     builtin_gauss_legendre6,
@@ -31,7 +33,6 @@ from mddg.timeint import (
 
 TWO_PI = 2.0 * math.pi
 
-PROBLEM_NAMES = ("convection", "convection_diffusion")
 MAX_STEPS = 10**6  # most time steps a study's finest level may take; the shipped studies take <= 256
 # Deepest mesh level a run may reach; the shipped studies reach level 6.  Level L has
 # 2 * 4^L triangles: level 7 holds 32768, at p = 5 688k unknowns per stage and an
@@ -102,26 +103,22 @@ def problem_convection_diffusion(epsilon: float = 0.1) -> Problem:
     )
 
 
+PROBLEMS = {"convection": problem_convection, "convection_diffusion": problem_convection_diffusion}
+
+
 def make_problem(name: str) -> Problem:
-    if name == "convection":
-        return problem_convection()
-    if name == "convection_diffusion":
-        return problem_convection_diffusion()
-    raise ValueError(f"unknown problem {name!r}")
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem {name!r}")
+    return PROBLEMS[name]()
 
 
-_METHODS = None
-
-
+@functools.cache
 def method_registry() -> dict:
     """Registered time integrators keyed by CLI name."""
-    global _METHODS
-    if _METHODS is None:
-        tp = builtin_two_point_schemes()
-        _METHODS = {s.label: s for s in tp}
-        _METHODS["mdrk6"] = builtin_mdrk6()
-        _METHODS["gl6"] = builtin_gauss_legendre6()
-    return _METHODS
+    methods = {s.label: s for s in builtin_two_point_schemes()}
+    methods["mdrk6"] = builtin_mdrk6()
+    methods["gl6"] = builtin_gauss_legendre6()
+    return methods
 
 
 class ConfigError(ValueError):
@@ -138,23 +135,23 @@ class RunConfig:
     dt0: float = 0.25
     levels: int = 5
     eta: Optional[float] = None
-    solver: str = "gmres"
-    gmres_rtol: float = 1e-10
-    gmres_restart: int = 60
-    gmres_maxit: int = 5000
-    gmres_fallback: bool = True
+    solver: str = LinearSolver.kind
+    gmres_rtol: float = LinearSolver.rtol
+    gmres_restart: int = LinearSolver.restart
+    gmres_maxit: int = LinearSolver.maxit
+    gmres_fallback: bool = LinearSolver.fallback
     level: int = 0  # single-run level for `solve`
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.problem not in PROBLEM_NAMES:
+        if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.method not in method_registry():
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.solver not in ("gmres", "direct"):
+        if self.solver not in SOLVER_KINDS:
             raise ConfigError(f"unknown solver {self.solver!r}")
-        if not 0 <= self.p <= 5:
-            raise ConfigError("p must lie in 0..5")
+        if not 0 <= self.p <= MAX_DEGREE:
+            raise ConfigError(f"p must lie in 0..{MAX_DEGREE}")
         if self.problem == "convection_diffusion" and self.p == 0:
             raise ConfigError("convection_diffusion needs p >= 1 (interior-penalty diffusion)")
         for name in ("dt0", "eta"):
@@ -195,20 +192,9 @@ class RunConfig:
         )
 
 
+# the type each config key's text parses to: its RunConfig annotation, Optional[T] as T
 _CONFIG_TYPES = {
-    "problem": str,
-    "p": int,
-    "method": str,
-    "dt0": float,
-    "levels": int,
-    "eta": float,
-    "solver": str,
-    "gmres_rtol": float,
-    "gmres_restart": int,
-    "gmres_maxit": int,
-    "gmres_fallback": bool,
-    "level": int,
-    "output": str,
+    key: (typing.get_args(hint) or (hint,))[0] for key, hint in typing.get_type_hints(RunConfig).items()
 }
 
 
@@ -356,14 +342,9 @@ CSV_HEADER = "level,h,dt,ndof,l2_error,observed_order"
 
 
 def format_report(report: ConvergenceReport) -> str:
+    """CSV with 17-significant-digit values; the order cell is empty on level 0."""
     lines = [CSV_HEADER]
     for r in report.rows:
         order = "" if r.observed_order is None else f"{r.observed_order:.17g}"
         lines.append(f"{r.level},{r.h:.17g},{r.dt:.17g},{r.ndof},{r.l2_error:.17g},{order}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(report: ConvergenceReport, path) -> None:
-    """CSV with 17-significant-digit values; the order cell is empty on level 0."""
-    with open(path, "w") as fh:
-        fh.write(format_report(report))

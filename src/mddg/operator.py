@@ -205,11 +205,7 @@ def project_l2(mesh: TriangularMesh, basis: BasisSet, f: Callable) -> np.ndarray
 
 def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callable, t: float) -> float:
     """Global L2 distance between the modal solution and a reference field."""
-    degree = 2 * basis.p + ERROR_DEGREE_MARGIN
-    rule = triangle_rule(degree)
-    origins, J, detJ = mesh.jacobians()
-    pts = origins[:, None, :] + rule.points @ J.transpose(0, 2, 1)
-    values = basis.eval(rule.points)  # (nq, nm)
+    rule, pts, _, values, _, detJ = _cell_geometry(mesh, basis, 2 * basis.p + ERROR_DEGREE_MARGIN)
     coeffs = w.reshape(mesh.n_elements, basis.n_modes)
     wh = (coeffs @ values.T) / np.sqrt(detJ)[:, None]  # (ne, nq)
     diff = wh - np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float)

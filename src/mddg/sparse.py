@@ -36,6 +36,7 @@ ILU_DROP_TOL = 1e-4  # ILUTP drops entries below this size relative to their col
 ILU_FILL_FACTOR = 10  # ILUTP keeps at most this multiple of the matrix's nonzeros
 REFINE_ABOVE = 1e-12  # a direct solve refines once when its relative residual exceeds this
 COUPLING_COND_MAX = 1e4  # largest cond(V) of C = V diag(lambda) V^-1 that I - C (x) Z accepts
+SOLVER_KINDS = ("gmres", "direct")
 
 
 class SolverFailure(RuntimeError):
@@ -219,7 +220,47 @@ class SolveStats:
         return bool(self.fallback_reason)
 
 
-def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None):
+def _check_gmres_settings(rtol, restart, maxit):
+    """Reject a GMRES tolerance outside (0, 1) or a restart or iteration limit below 1."""
+    if not 0 < rtol < 1:  # also rejects nan
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol!r}")
+    for name, value in (("restart", restart), ("maxit", maxit)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
+@dataclass
+class LinearSolver:
+    """Solver configuration: restarted GMRES with an ILUTP preconditioner, or direct LU.
+
+    GMRES defaults to relative tolerance 1e-10 on the whole system,
+    right-preconditioned by ``ilu_factor`` (SuperLU's ILUTP, one per block
+    of a coupled system; the paper uses ILU(2) of the whole system).
+    ``direct`` solves with SuperLU's complete LU of each block.  With
+    ``fallback``, GMRES hands a system it cannot precondition or solve to
+    the complete LU (see PreparedSystem).
+    """
+
+    kind: str = "gmres"
+    rtol: float = 1e-10
+    restart: int = 60
+    maxit: int = 5000
+    fallback: bool = True
+
+    def __post_init__(self):
+        if self.kind not in SOLVER_KINDS:
+            raise ValueError(f"unknown solver kind {self.kind!r}")
+        _check_gmres_settings(self.rtol, self.restart, self.maxit)
+
+    def prepare(self, A) -> PreparedSystem:
+        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
+        return PreparedSystem(A, self)
+
+
+def gmres_solve(
+    A, b, precond=None, rtol=LinearSolver.rtol, restart=LinearSolver.restart,
+    maxit=LinearSolver.maxit, x0=None,
+):
     """Right-preconditioned restarted GMRES.
 
     Returns (x, SolveStats).  The reported residual is the true relative
@@ -233,8 +274,7 @@ def gmres_solve(A, b, precond=None, rtol=1e-10, restart=60, maxit=5000, x0=None)
     per solve and left uninitialised, so only the rows a solve reaches are
     written.
     """
-    if not 0 < rtol < 1:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol!r}")
+    _check_gmres_settings(rtol, restart, maxit)
     t0 = time.perf_counter()
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -383,7 +423,7 @@ class PreparedSystem:
         stats = SolveStats(
             iterations=1,
             residual=float(rel),
-            converged=bool(np.all(np.isfinite(x)) and rel <= max(self.solver.rtol, 1e-10)),
+            converged=bool(np.all(np.isfinite(x)) and rel <= max(self.solver.rtol, LinearSolver.rtol)),
             wall_time=time.perf_counter() - t0,
             fallback_reason=fallback_reason,
         )
@@ -412,35 +452,3 @@ class PreparedSystem:
         if not stats.converged:
             raise SolverFailure(f"direct solve did not converge: residual {stats.residual:.3e}", stats)
         return x, stats
-
-
-@dataclass
-class LinearSolver:
-    """Solver configuration: restarted GMRES with an ILUTP preconditioner, or direct LU.
-
-    GMRES defaults to relative tolerance 1e-10 on the whole system,
-    right-preconditioned by ``ilu_factor`` (SuperLU's ILUTP, one per block
-    of a coupled system; the paper uses ILU(2) of the whole system).
-    ``direct`` solves with SuperLU's complete LU of each block.  With
-    ``fallback``, GMRES hands a system it cannot precondition or solve to
-    the complete LU (see PreparedSystem).
-    """
-
-    kind: str = "gmres"
-    rtol: float = 1e-10
-    restart: int = 60
-    maxit: int = 5000
-    fallback: bool = True
-
-    def __post_init__(self):
-        if self.kind not in ("gmres", "direct"):
-            raise ValueError(f"unknown solver kind {self.kind!r}")
-        if not 0 < self.rtol < 1:  # also rejects nan
-            raise ValueError(f"rtol must lie in (0, 1), got {self.rtol!r}")
-        for name in ("restart", "maxit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-
-    def prepare(self, A) -> PreparedSystem:
-        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
-        return PreparedSystem(A, self)

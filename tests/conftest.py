@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mddg.harness import PROBLEM_NAMES, RunConfig, method_registry
-from mddg.sparse import CsrMatrix
+from mddg.harness import PROBLEMS, RunConfig, method_registry
+from mddg.sparse import SOLVER_KINDS, CsrMatrix
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 config_values = st.one_of(
@@ -18,7 +18,7 @@ config_values = st.one_of(
     st.integers().map(str),
     st.floats().map(repr),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "true", "False", "yes", "off"]),
-    st.sampled_from(PROBLEM_NAMES + tuple(method_registry()) + ("gmres", "direct")),
+    st.sampled_from([*PROBLEMS, *method_registry(), *SOLVER_KINDS]),
     st.text(max_size=12),
 )
 config_lines = st.one_of(

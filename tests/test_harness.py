@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,16 +9,18 @@ import mddg.harness
 from mddg.harness import (
     MAX_LEVEL,
     MAX_STEPS,
+    PROBLEMS,
     ConfigError,
     RunConfig,
     default_eta,
     format_report,
+    make_problem,
     method_registry,
     parse_config,
     parse_config_text,
     run_convergence,
-    write_report,
 )
+from mddg.sparse import LinearSolver
 
 from conftest import config_lines
 
@@ -108,6 +111,38 @@ class TestConfigParsing:
         cfg = parse_config_text("gmres_fallback = false\n")
         assert cfg.gmres_fallback is False
 
+    def test_every_key_parses_to_its_annotated_type(self):
+        # key: (config text, parsed value); Optional fields parse to their inner type
+        settings = {
+            "problem": ("convection_diffusion", "convection_diffusion"),
+            "p": ("2", 2),
+            "method": ("tp4", "tp4"),
+            "dt0": ("0.5", 0.5),
+            "levels": ("2", 2),
+            "eta": ("25", 25.0),
+            "solver": ("direct", "direct"),
+            "gmres_rtol": ("1e-8", 1e-8),
+            "gmres_restart": ("30", 30),
+            "gmres_maxit": ("100", 100),
+            "gmres_fallback": ("off", False),
+            "level": ("1", 1),
+            "output": ("7.csv", "7.csv"),
+        }
+        assert set(settings) == {f.name for f in dataclasses.fields(RunConfig)}
+        cfg = parse_config_text("".join(f"{key} = {text}\n" for key, (text, _) in settings.items()))
+        for key, (_, value) in settings.items():
+            got = getattr(cfg, key)
+            assert type(got) is type(value) and got == value, key
+
+    def test_solver_defaults_are_linear_solvers(self):
+        assert RunConfig().linear_solver() == LinearSolver()
+
+    def test_problem_table_names_its_problems(self):
+        for name in PROBLEMS:
+            assert make_problem(name).name == name
+        with pytest.raises(ValueError, match="unknown problem 'heat'"):
+            make_problem("heat")
+
     def test_registry_contents(self):
         assert set(method_registry()) == {"tp3", "tp4", "tp5", "tp6", "mdrk6", "gl6"}
 
@@ -169,25 +204,20 @@ class TestRunConvergence:
             RunConfig(problem="convection_diffusion", p=0, method="tp3", levels=2)
 
 
-class TestWriteReport:
-    def test_csv_contract(self, tmp_path):
+class TestFormatReport:
+    def test_csv_contract(self):
         cfg = RunConfig(problem="convection", p=0, method="tp3", dt0=0.25, levels=1)
-        report = run_convergence(cfg)
-        path = tmp_path / "report.csv"
-        write_report(report, path)
-        lines = path.read_text().splitlines()
+        lines = format_report(run_convergence(cfg)).splitlines()
         assert lines[0] == "level,h,dt,ndof,l2_error,observed_order"
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert cells[0] == "0"
         assert cells[5] == ""  # empty order on level 0
 
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         cfg = RunConfig(problem="convection", p=1, method="tp3", dt0=0.25, levels=2)
         report = run_convergence(cfg)
-        path = tmp_path / "report.csv"
-        write_report(report, path)
-        lines = path.read_text().splitlines()[1:]
+        lines = format_report(report).splitlines()[1:]
         for row, line in zip(report.rows, lines):
             cells = line.split(",")
             assert float(cells[1]) == row.h

@@ -250,6 +250,19 @@ class TestGmres:
             with pytest.raises(ValueError, match="rtol"):
                 gmres_solve(identity(2), np.ones(2), rtol=rtol)
 
+    @pytest.mark.parametrize(
+        "name, value", [("restart", 0), ("restart", -3), ("maxit", 0), ("maxit", -1)]
+    )
+    def test_invalid_limit_rejected(self, name, value):
+        # refused before any product: restart 0 used to return unconverged after no
+        # iterations, a negative restart leaked numpy's error and maxit -1 did nothing
+        class Untouchable:
+            def __getattr__(self, attr):
+                raise AssertionError(f"the system was used: {attr}")
+
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            gmres_solve(Untouchable(), np.ones(2), **{name: value})
+
     @pytest.mark.parametrize("name", ["b", "x0"])
     def test_wrong_length_rejected(self, name):
         args = {"b": np.ones(3), "x0": np.zeros(3), name: np.ones(4)}
