@@ -17,17 +17,17 @@ diffusion, whose upwind LU stays near the block's own fill (see
 GMRES does not converge.  GMRES, restarted and right-preconditioned so
 that its residuals are true ones, runs only on SuperLU's threshold
 incomplete LU (ILUTP, ``ilu_factor``), as a complete factor leaves it
-nothing to iterate, and keeps each preconditioned Krylov vector (Saad,
-*A flexible inner-outer preconditioned GMRES algorithm*, SISC 14, 1993).
+nothing to iterate.  It orthogonalises by classical Gram-Schmidt run
+twice (CGS2), solves its small least-squares problem with LAPACK and
+keeps each preconditioned Krylov vector (Saad, *A flexible inner-outer
+preconditioned GMRES algorithm*, SISC 14, 1993).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -211,7 +211,6 @@ class SolveStats:
     iterations: int
     residual: float
     converged: bool
-    wall_time: float
     fallback_reason: str = ""  # why the direct fallback ran (see PreparedSystem); "" if it did not
     residual_history: tuple = ()
 
@@ -264,99 +263,72 @@ def gmres_solve(
     """Right-preconditioned restarted GMRES.
 
     Returns (x, SolveStats).  The reported residual is the true relative
-    residual ||b - Ax|| / ||b||; within each restart cycle the Arnoldi
-    least-squares residual is non-increasing by construction.  Each
-    iteration applies the preconditioner once and keeps z_j = M^-1 v_j, so
-    a cycle ends with x += Z y instead of one more apply to V y (the storage
-    of flexible GMRES: Saad, *A flexible inner-outer preconditioned GMRES
-    algorithm*, SISC 14, 1993).  That costs n floats per iteration taken;
-    without a preconditioner Z is V itself.  The bases are allocated once
-    per solve and left uninitialised, so only the rows a solve reaches are
-    written.
+    residual ||b - Ax|| / ||b||.  Each Arnoldi column is orthogonalised by
+    classical Gram-Schmidt run twice (CGS2: Giraud, Langou and Rozloznik,
+    Comput. Math. Appl. 50, 2005), and each iteration solves the Hessenberg
+    least-squares problem min ||g - H y|| with LAPACK's ``lstsq``; its
+    residual over ||b|| is the history entry and the convergence test, and
+    stays finite for a singular operator.  Each iteration applies the
+    preconditioner once and keeps z_j = M^-1 v_j, so a cycle ends with
+    x += Z y instead of one more apply to V y (flexible GMRES storage: Saad,
+    SISC 14, 1993).  That costs n floats per iteration taken; without a
+    preconditioner Z is V itself.  The bases are allocated once per solve
+    and left uninitialised, so only the rows a solve reaches are written.
     """
     _check_gmres_settings(rtol, restart, maxit)
-    t0 = time.perf_counter()
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     for name, v in (("b", b), ("x0", x)):
         if v.shape != (n,):
             raise ValueError(f"{name} must have length {n}, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n), SolveStats(0, 0.0, True, time.perf_counter() - t0)
+        return np.zeros(n), SolveStats(0, 0.0, True)
     m = min(restart, n)  # the Krylov dimension cannot exceed n
     V = np.empty((m + 1, n))
     Z = V if precond is None else np.empty((m, n))
     history = []
     total = 0
-    converged = False
     while True:
         r = b - A.matvec(x)
         beta = np.linalg.norm(r)
         relres = beta / bnorm
-        if relres <= rtol:
-            converged = True
-            break
-        if total >= maxit:
+        if relres <= rtol or total >= maxit:
             break
         H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
         g = np.zeros(m + 1)
         V[0] = r / beta
         g[0] = beta
-        j_used = 0
-        breakdown = False
         for j in range(m):
-            if total >= maxit:
-                break
             if precond is not None:
                 Z[j] = precond.apply(V[j])
             w = A.matvec(Z[j])
             total += 1
-            for i in range(j + 1):  # modified Gram-Schmidt
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            hnext = np.linalg.norm(w)
-            H[j + 1, j] = hnext
-            if hnext > 1e-300:
-                V[j + 1] = w / hnext
-            else:
-                breakdown = True
-            for i in range(j):
-                hi, hi1 = H[i, j], H[i + 1, j]
-                H[i, j] = cs[i] * hi + sn[i] * hi1
-                H[i + 1, j] = -sn[i] * hi + cs[i] * hi1
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom
-            sn[j] = H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            j_used = j + 1
-            history.append(abs(g[j + 1]) / bnorm)
-            if abs(g[j + 1]) / bnorm <= rtol or breakdown:
+            for _ in range(2):  # CGS2
+                h = V[: j + 1] @ w
+                H[: j + 1, j] += h
+                w -= h @ V[: j + 1]
+            H[j + 1, j] = hnext = np.linalg.norm(w)
+            k = j + 1
+            y = np.linalg.lstsq(H[: k + 1, :k], g[: k + 1], rcond=None)[0]
+            history.append(np.linalg.norm(g[: k + 1] - H[: k + 1, :k] @ y) / bnorm)
+            breakdown = not hnext > 1e-300
+            if history[-1] <= rtol or breakdown or total >= maxit:
                 break
-        if j_used:
-            y = scipy.linalg.solve_triangular(H[:j_used, :j_used], g[:j_used])
-            x += Z[:j_used].T @ y
-        else:
-            break
+            V[k] = w / hnext
+        x += Z[:k].T @ y
         if breakdown:
-            r = b - A.matvec(x)
-            relres = np.linalg.norm(r) / bnorm
-            converged = relres <= rtol
+            relres = np.linalg.norm(b - A.matvec(x)) / bnorm
             break
-    stats = SolveStats(
+    return x, SolveStats(
         iterations=total,
         residual=float(relres),
-        converged=bool(converged),
-        wall_time=time.perf_counter() - t0,
+        converged=bool(relres <= rtol),
         residual_history=tuple(history),
     )
-    return x, stats
 
 
 class PreparedSystem:
@@ -412,7 +384,6 @@ class PreparedSystem:
         raise SolverFailure(message, stats=stats)
 
     def _solve_direct(self, b, fallback_reason):
-        t0 = time.perf_counter()
         x = self._direct.solve(b)
         r = b - self.A.matvec(x)
         bnorm = np.linalg.norm(b)
@@ -424,7 +395,6 @@ class PreparedSystem:
             iterations=1,
             residual=float(rel),
             converged=bool(np.all(np.isfinite(x)) and rel <= max(self.solver.rtol, LinearSolver.rtol)),
-            wall_time=time.perf_counter() - t0,
             fallback_reason=fallback_reason,
         )
         return x, stats

@@ -269,6 +269,34 @@ class TestGmres:
         with pytest.raises(ValueError, match=f"{name} must have length 3, got shape \\(4,\\)"):
             gmres_solve(identity(3), args["b"], x0=args["x0"])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["b", "x0"])
+    def test_non_finite_rejected(self, name, value):
+        # refused before any work, not left to fail inside the least-squares solve
+        args = {"b": np.ones(3), "x0": np.zeros(3)}
+        args[name][1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            gmres_solve(identity(3), args["b"], x0=args["x0"])
+
+    @pytest.mark.parametrize(
+        "D, b, residual",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], 1.0),
+            ([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0], 1.0),
+            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], np.sqrt(0.5)),
+        ],
+    )
+    def test_singular_operator_ends_unconverged(self, D, b, residual):
+        # A z_j = 0 makes a Hessenberg column vanish; the least-squares solve
+        # still gives a finite iterate, whose true residual is reported
+        D, b = np.array(D), np.array(b)
+        x, stats = gmres_solve(CsrMatrix(D), b)
+        assert not stats.converged
+        assert np.all(np.isfinite(x))
+        assert stats.residual == pytest.approx(residual, rel=1e-12)
+        true_res = np.linalg.norm(b - D @ x) / np.linalg.norm(b)
+        assert stats.residual == pytest.approx(true_res, rel=1e-12)
+
     def test_determinism(self):
         A, _ = random_csr(30, 0.3, seed=13, diag_boost=4.0)
         f = ilu_factor(A)
@@ -311,17 +339,18 @@ class TestGmresKeptVectors:
         assert stats.iterations == 5
         assert M.calls == 5
 
-    def test_maxit_mid_cycle_updates_from_kept_vectors(self):
-        # stopped after 4 of 60 iterations, x is the minimum-residual iterate of the
-        # preconditioned Krylov space and the reported residual is the true one
+    @pytest.mark.parametrize("maxit", [1, 4, 12])
+    def test_maxit_mid_cycle_updates_from_kept_vectors(self, maxit):
+        # stopped after maxit of 60 iterations, x is the minimum-residual iterate of
+        # the preconditioned Krylov space and the reported residual is the true one
         A, D = random_csr(50, 0.3, seed=12, diag_boost=3.0)
         M = CountingPrecond(lambda v: v / A.diagonal())
         b = np.random.default_rng(21).normal(size=50)
-        x, stats = gmres_solve(A, b, precond=M, rtol=1e-14, restart=60, maxit=4)
-        assert (stats.iterations, stats.converged, M.calls) == (4, False, 4)
+        x, stats = gmres_solve(A, b, precond=M, rtol=1e-14, restart=60, maxit=maxit)
+        assert (stats.iterations, stats.converged, M.calls) == (maxit, False, maxit)
         AM = D / A.diagonal()  # A M^-1
         K = [b]
-        for _ in range(3):
+        for _ in range(maxit - 1):
             K.append(AM @ K[-1])
         Q, _ = np.linalg.qr(np.array(K).T)
         y = np.linalg.lstsq(AM @ Q, b, rcond=None)[0]
