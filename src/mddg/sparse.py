@@ -12,15 +12,21 @@ implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
 A ``PreparedSystem`` holds one of two such factors.  SuperLU's complete
 LU is solved directly, refined once when its residual is above
 ``REFINE_ABOVE``: for ``solver = direct``, for an operator with no
-diffusion, whose upwind LU stays near the block's own fill (see
+diffusion, whose upwind LU stays near the block's own fill, for one with
+diffusion and at most ``COMPLETE_LU_MAX_NNZ`` nonzeros (see
 ``MdrkWorkspace``), and as the fallback when the ILUTP cannot be built or
-GMRES does not converge.  GMRES, restarted and right-preconditioned so
-that its residuals are true ones, runs only on SuperLU's threshold
-incomplete LU (ILUTP, ``ilu_factor``), as a complete factor leaves it
-nothing to iterate.  It orthogonalises by classical Gram-Schmidt run
-twice (CGS2), solves its small least-squares problem with LAPACK and
-keeps each preconditioned Krylov vector (Saad, *A flexible inner-outer
-preconditioned GMRES algorithm*, SISC 14, 1993).
+GMRES does not converge.  Its columns are ordered by minimum degree on
+B + B^T (SuperLU's ``MMD_AT_PLUS_A``: George and Liu, *The evolution of
+the minimum degree ordering algorithm*, SIAM Review 31, 1989) when the
+pattern of Z is symmetric, as the interior-penalty terms make it, which
+cuts the fill 2-2.5x against COLAMD; an upwind convection Z keeps COLAMD,
+which gives the same fill there and faster solves.  GMRES, restarted and
+right-preconditioned so that its residuals are true ones, runs only on
+SuperLU's threshold incomplete LU (ILUTP, ``ilu_factor``), as a complete
+factor leaves it nothing to iterate.  It orthogonalises by classical
+Gram-Schmidt run twice (CGS2), solves its small least-squares problem
+with LAPACK and keeps each preconditioned Krylov vector (Saad, *A
+flexible inner-outer preconditioned GMRES algorithm*, SISC 14, 1993).
 """
 
 from __future__ import annotations
@@ -32,6 +38,15 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
+# largest diffusion operator Z (nonzeros) whose blocks are solved by their complete LU
+# rather than by ILUTP + GMRES (see MdrkWorkspace).  The mesh family fixes the sizes:
+# p1-p5 reach 74k, 74k, 51k, 115k, 56k nonzeros at levels 5, 4, 3, 3, 2 and 4x that one
+# level deeper.  One run_level per side (ILUTP + GMRES -> complete LU, tp3 / tp5 / mdrk6,
+# 2-core host): every operator up to 115k wins (p4 level 3: 0.14 -> 0.09, 0.23 -> 0.11,
+# 0.23 -> 0.12 s; p1 level 5: 1.28 -> 0.34, 0.91 -> 0.47, 1.06 -> 0.61 s), while p3 level
+# 4 (205k) loses (0.49-0.56 -> 0.52-0.68, 0.72 -> 0.79, 0.85 -> 0.91 s) and so does
+# p1 level 6 (295k, tp3: 5.0-5.6 -> 5.8-7.4 s, 142 -> 222 MB)
+COMPLETE_LU_MAX_NNZ = 150_000
 ILU_DROP_TOL = 1e-4  # ILUTP drops entries below this size relative to their column
 ILU_FILL_FACTOR = 10  # ILUTP keeps at most this multiple of the matrix's nonzeros
 REFINE_ABOVE = 1e-12  # a direct solve refines once when its relative residual exceeds this
@@ -139,6 +154,15 @@ def _decouple(A):
     )
 
 
+def _pattern_symmetric(Z) -> bool:
+    """Whether Z's stored pattern, explicit zeros included, equals that of its transpose."""
+    Z = scipy.sparse.csr_array(Z)
+    P = scipy.sparse.csr_array((np.ones(Z.nnz, np.int8), Z.indices, Z.indptr), shape=Z.shape)
+    P.sum_duplicates()
+    T = P.T.tocsr()
+    return np.array_equal(P.indptr, T.indptr) and np.array_equal(P.indices, T.indices)
+
+
 class BlockFactors:
     """Factors of A = I - C (x) Z stored per block (see ``_decouple``).
 
@@ -237,7 +261,10 @@ class LinearSolver:
     of a coupled system; the paper uses ILU(2) of the whole system).
     ``direct`` solves with SuperLU's complete LU of each block.  With
     ``fallback``, GMRES hands a system it cannot precondition or solve to
-    the complete LU (see PreparedSystem).
+    the complete LU (see PreparedSystem).  ``MdrkWorkspace`` solves
+    convection, and diffusion up to ``COMPLETE_LU_MAX_NNZ`` nonzeros,
+    directly whatever the kind, so there the GMRES settings act only
+    above that cap.
     """
 
     kind: str = "gmres"
@@ -365,8 +392,14 @@ class PreparedSystem:
             self._fall_back("ilu_failed", f"incomplete LU failed: {exc}")
 
     def _factorize_direct(self):
+        # minimum degree on B + B^T for a symmetric pattern (tested on Z: forming
+        # B = I - lambda Z drops Z's stored zeros), COLAMD otherwise
+        Z = self.A.Z if isinstance(self.A, KroneckerSystem) else self.A
+        permc = "MMD_AT_PLUS_A" if _pattern_symmetric(Z) else "COLAMD"
         try:
-            self._direct = BlockFactors(self.A, scipy.sparse.linalg.splu)
+            self._direct = BlockFactors(
+                self.A, lambda B: scipy.sparse.linalg.splu(B, permc_spec=permc)
+            )
         except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
             raise SolverFailure(f"direct LU failed: {exc}") from exc
 
@@ -400,7 +433,13 @@ class PreparedSystem:
         return x, stats
 
     def solve(self, b, x0=None):
-        """Solve A x = b; returns (x, SolveStats).  ``x0`` seeds GMRES only."""
+        """Solve A x = b; returns (x, SolveStats).  ``x0`` seeds GMRES only.
+
+        A non-finite ``b`` raises ValueError whatever the solver's kind.
+        """
+        b = np.asarray(b, dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b must be finite")
         s = self.solver
         reason = self._direct_reason
         if self._direct is None:

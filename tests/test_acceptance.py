@@ -27,6 +27,7 @@ from mddg.harness import (
     run_convergence,
 )
 from mddg.operator import Problem, assemble, project_l2
+import mddg.sparse
 from mddg.sparse import LinearSolver
 from mddg.stability import a_stability_scan, stability_function_two_point
 from mddg.timeint import integrate, make_workspace, mdrk_step
@@ -423,11 +424,13 @@ def test_coarse_timestep_variant():
     assert rep_m.errors[-1] <= rep_g.errors[-1]
 
 
-def test_criterion_11_fallback_path_triggers():
-    # p = 5 diffusion with the penalty at the coercivity borderline; the
-    # blockwise ILUTP solves this system in 5 GMRES iterations, so GMRES is
-    # starved at 2 to make non-convergence route to the documented fallback,
-    # and the direct factorization must still meet the residual contract
+def test_criterion_11_fallback_path_triggers(monkeypatch):
+    # p = 5 diffusion with the penalty at the coercivity borderline; with the
+    # complete-LU cap at 0 the blockwise ILUTP solves this system in 5 GMRES
+    # iterations, so GMRES is starved at 2 to make non-convergence route to the
+    # documented fallback, and the direct factorization must still meet the
+    # residual contract
+    monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
     prob = make_problem("convection_diffusion")
     basis = make_basis(5)
     mesh = mesh_hierarchy(4)[3]

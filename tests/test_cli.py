@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mddg.harness
+import mddg.sparse
 from mddg.cli import main
 from mddg.harness import ConfigError, parse_config_text
 
@@ -125,8 +126,10 @@ class TestSolveCommand:
         assert "l2_error = " in out
         assert "max_residual" in out
 
-    def test_solver_failure_exits_2(self, capsys, tmp_path):
-        # starved GMRES with the fallback disabled must fail loudly
+    def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        # starved GMRES with the fallback disabled must fail loudly; with the cap at 0
+        # this diffusion system is solved by GMRES rather than by its complete LU
+        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         cfg = tmp_path / "fail.cfg"
         cfg.write_text(
             "problem = convection_diffusion\nmethod = tp3\np = 2\ndt0 = 0.5\n"

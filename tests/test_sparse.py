@@ -10,11 +10,13 @@ from mddg.operator import assemble, project_l2
 from mddg.sparse import (
     ILU_DROP_TOL,
     ILU_FILL_FACTOR,
+    BlockFactors,
     CsrMatrix,
     KroneckerSystem,
     LinearSolver,
     SolverFailure,
     gmres_solve,
+    _pattern_symmetric,
     ilu_factor,
 )
 from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
@@ -122,8 +124,8 @@ def count_lu_solves(monkeypatch, first_error=0.0):
     splu = scipy.sparse.linalg.splu
 
     class CountingLU:
-        def __init__(self, A):
-            self.lu = splu(A)
+        def __init__(self, A, **kwargs):
+            self.lu = splu(A, **kwargs)
 
         def solve(self, b):
             calls.append(b)
@@ -416,13 +418,14 @@ class TestDirect:
         assert stats.converged and stats.residual <= 1e-12
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
 
-def record_lu_shapes(monkeypatch, name="splu"):
-    """Record the shape of every matrix SuperLU factors completely (or incompletely)."""
+def record_lu_shapes(monkeypatch, name="splu", record=lambda A, kwargs: A.shape):
+    """Record the shape (or ``record(A, kwargs)``) of every matrix SuperLU factors
+    completely (or incompletely)."""
     shapes = []
     factor = getattr(scipy.sparse.linalg, name)
 
     def recording(A, **kwargs):
-        shapes.append(A.shape)
+        shapes.append(record(A, kwargs))
         return factor(A, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, name, recording)
@@ -451,8 +454,9 @@ class TestDecoupledDirect:
 
     def test_gmres_fallback_factors_blocks(self, monkeypatch):
         # the preconditioner and the fallback both factor only n x n blocks, one per
-        # eigenvalue with nonnegative imaginary part; this system needs 4 GMRES
-        # iterations, so maxit = 1 forces the fallback
+        # eigenvalue with nonnegative imaginary part; with the complete-LU cap at 0 this
+        # system needs 4 GMRES iterations, so maxit = 1 forces the fallback
+        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         prob = make_problem("convection_diffusion")
@@ -511,11 +515,21 @@ class TestDecoupledDirect:
 class TestBlockPreconditioner:
     # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
     # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors;
-    # with no diffusion the workspace solves by each block's complete LU instead
-    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    # with no diffusion, or with diffusion and at most COMPLETE_LU_MAX_NNZ nonzeros in
+    # Z, the workspace solves by each block's complete LU instead
+    @pytest.mark.parametrize(
+        "problem, cap",
+        [
+            pytest.param("convection", None, id="convection"),
+            pytest.param("convection_diffusion", None, id="convection_diffusion"),
+            pytest.param("convection_diffusion", 0, id="convection_diffusion-cap0"),
+        ],
+    )
     @pytest.mark.parametrize("method", sorted(method_registry()))
-    def test_workspace_preconditioner_is_blockwise(self, problem, method, monkeypatch):
-        shapes = record_lu_shapes(monkeypatch, "splu" if problem == "convection" else "spilu")
+    def test_workspace_preconditioner_is_blockwise(self, problem, cap, method, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", cap)
+        shapes = record_lu_shapes(monkeypatch, "splu" if cap is None else "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(fallback=False))
         n = op.n_dof
@@ -539,16 +553,18 @@ class TestBlockPreconditioner:
         assert all(s.iterations == 1 and not s.fallback_used for s in stats)
         assert max(s.residual for s in stats) <= 1e-10
 
-    def test_convection_workspace_solves_directly(self, monkeypatch):
-        # a GMRES-kind solver on an operator with no diffusion factors each stored block
-        # completely, once, and solves by those factors alone: no ILUTP, no Krylov iteration
+    @staticmethod
+    def check_solves_directly(problem, monkeypatch):
+        """A GMRES-kind mdrk6 workspace on ``problem`` factors each stored block
+        completely, once, and solves by those factors alone: no ILUTP, no Krylov
+        iteration."""
         def refuse(*args, **kwargs):
-            raise AssertionError("GMRES or ILUTP ran on a convection workspace")
+            raise AssertionError(f"GMRES or ILUTP ran on a {problem} workspace")
 
         monkeypatch.setattr(mddg.sparse, "gmres_solve", refuse)
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
         shapes = record_lu_shapes(monkeypatch)
-        op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection"), 20.0)
+        op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem(problem), 20.0)
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
         assert ws.prepared.ilu is None
         rng = np.random.default_rng(31)
@@ -560,6 +576,40 @@ class TestBlockPreconditioner:
             assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
         lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
         assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
+
+    def test_convection_workspace_solves_directly(self, monkeypatch):
+        self.check_solves_directly("convection", monkeypatch)
+
+    def test_diffusion_workspace_below_cap_solves_directly(self, monkeypatch):
+        # 4608 nonzeros in Z, far below COMPLETE_LU_MAX_NNZ
+        self.check_solves_directly("convection_diffusion", monkeypatch)
+
+    def test_diffusion_workspace_above_cap_iterates(self, monkeypatch):
+        # with the cap at 0 the same diffusion workspace keeps ILUTP + GMRES
+        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+        shapes = record_lu_shapes(monkeypatch)
+        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
+        op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
+        assert ws.prepared.ilu is not None
+        assert ilu_shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
+        b = np.random.default_rng(31).normal(size=ws.system.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert stats.converged and stats.iterations > 1 and not stats.fallback_used
+        assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-10 * np.linalg.norm(b)
+        assert shapes == []
+
+    @pytest.mark.parametrize("p, level, direct", [(4, 3, True), (3, 4, False)])
+    def test_cap_splits_the_measured_sizes(self, p, level, direct):
+        # the largest operator measured faster by its complete LU (p = 4, level 3: 115k
+        # nonzeros) goes direct; the smallest measured slower (p = 3, level 4: 205k) does not
+        op = assemble(
+            mesh_hierarchy(level + 1)[level], make_basis(p), make_problem("convection_diffusion"),
+            default_eta(p),
+        )
+        ws = make_workspace(op, method_registry()["tp3"], 0.5 / 2**level, LinearSolver())
+        assert (ws.prepared.ilu is None) == direct
 
     @pytest.mark.parametrize("fallback", [False, True])
     def test_singular_complete_factor_is_a_solver_failure(self, fallback, monkeypatch):
@@ -607,6 +657,7 @@ class TestBlockPreconditioner:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
+        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
         with pytest.raises(SolverFailure, match="incomplete LU failed"):
             make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=False))
@@ -627,6 +678,7 @@ class TestBlockPreconditioner:
 
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
         monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 10)
+        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
         n = len(as_tableau(method_registry()["tp5"]).coupling) * op.n_dof
@@ -637,6 +689,70 @@ class TestBlockPreconditioner:
             f"direct fallback refused: n = {n} > FALLBACK_MAX_N = 10"
         )
         assert shapes == []
+
+
+def record_orderings(monkeypatch):
+    """Record the column ordering SuperLU's complete LU is asked for, per block."""
+    return record_lu_shapes(monkeypatch, record=lambda A, kwargs: kwargs.get("permc_spec"))
+
+
+class TestOrdering:
+    # a complete LU is ordered by minimum degree on B + B^T when the pattern of Z is
+    # symmetric (interior-penalty diffusion) and by COLAMD otherwise (upwind convection)
+    @pytest.mark.parametrize(
+        "problem, degrees, symmetric",
+        [("convection_diffusion", range(1, 6), True), ("convection", range(0, 6), False)],
+    )
+    def test_operator_pattern(self, problem, degrees, symmetric):
+        for p in degrees:
+            op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
+            assert _pattern_symmetric(op.matrix) == symmetric, p
+
+    def test_plain_matrix_pattern(self):
+        # values play no part; a stored zero does, and index order and duplicates do not
+        assert _pattern_symmetric(CsrMatrix(np.array([[1.0, 2.0, 0.0], [-3.0, 4.0, 0.0], [0, 0, 5.0]])))
+        assert not _pattern_symmetric(CsrMatrix(np.array([[1.0, 2.0], [0.0, 3.0]])))
+        stored_zero = sp.csr_array(([1.0, 2.0, 0.0, 3.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
+        assert _pattern_symmetric(stored_zero)
+        unsorted = sp.csr_array(([2.0, 1.0, 1.0, 1.0, 3.0], [1, 0, 1, 0, 1], [0, 2, 5]), shape=(2, 2))
+        assert not unsorted.has_canonical_format and _pattern_symmetric(unsorted)
+        assert not _pattern_symmetric(random_csr(30, 0.2, seed=32)[0])
+
+    @pytest.mark.parametrize(
+        "problem, permc", [("convection", "COLAMD"), ("convection_diffusion", "MMD_AT_PLUS_A")]
+    )
+    @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
+    def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
+        # the default workspace, solver = direct and the GMRES fallback all get it
+        specs = record_orderings(monkeypatch)
+        solver = LinearSolver(kind="direct" if route == "direct" else "gmres")
+        if route == "fallback":
+            monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+            solver = LinearSolver(rtol=1e-300, maxit=1, restart=1)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
+        x, stats = ws.prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
+        assert stats.converged and stats.residual <= 1e-12
+        assert stats.fallback_used == (route == "fallback" and problem == "convection_diffusion")
+        assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
+
+    def test_plain_matrix_ordering(self, monkeypatch):
+        specs = record_orderings(monkeypatch)
+        tridiagonal = CsrMatrix(sp.diags([[-1.0] * 9, [4.0] * 10, [-2.0] * 9], [-1, 0, 1]))
+        for A in (tridiagonal, random_csr(30, 0.2, seed=32, diag_boost=8.0)[0]):
+            direct_solve(A, np.ones(A.shape[0]))
+        assert specs == ["MMD_AT_PLUS_A", "COLAMD"]
+
+    def test_minimum_degree_halves_diffusion_fill(self):
+        # guards the ordering: on the tp3, p = 2, level-4 convection-diffusion system the
+        # LU of the one (complex) block holds 0.38M entries against 0.96M under COLAMD
+        op = assemble(
+            mesh_hierarchy(5)[4], make_basis(2), make_problem("convection_diffusion"), default_eta(2)
+        )
+        ws = make_workspace(op, method_registry()["tp3"], 0.5 / 2**4, LinearSolver())
+        colamd = BlockFactors(ws.system, lambda B: scipy.sparse.linalg.splu(B, permc_spec="COLAMD"))
+        assert ws.prepared.ilu is None
+        assert ws.prepared._direct.nnz <= colamd.nnz / 2
 
 
 class TestKroneckerSystem:
@@ -733,7 +849,7 @@ class TestLinearSolver:
         # a direct solve that misses the residual contract is a SolverFailure, whether it
         # was asked for or is the fallback of a starved GMRES
         class NanLU:
-            def __init__(self, A):
+            def __init__(self, A, **kwargs):
                 pass
 
             def solve(self, b):
@@ -745,6 +861,15 @@ class TestLinearSolver:
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
             prep.solve(np.ones(40))
         assert not err.value.stats.converged and prep.history == [err.value.stats]
+
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_non_finite_rhs_rejected(self, kind):
+        # one behaviour for both kinds, before any solve; the direct kind used to report
+        # the NaN ||b|| as an unconverged solve with residual 0
+        prep = LinearSolver(kind=kind).prepare(CsrMatrix(sp.diags([2.0, 3.0, 4.0])))
+        with pytest.raises(ValueError, match="^b must be finite$"):
+            prep.solve(np.array([1.0, np.nan, 1.0]))
+        assert prep.history == []
 
     def test_failure_without_fallback(self):
         A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
