@@ -136,10 +136,6 @@ class RunConfig:
     levels: int = 5
     eta: Optional[float] = None
     solver: str = LinearSolver.kind
-    gmres_rtol: float = LinearSolver.rtol
-    gmres_restart: int = LinearSolver.restart
-    gmres_maxit: int = LinearSolver.maxit
-    gmres_fallback: bool = LinearSolver.fallback
     level: int = 0  # single-run level for `solve`
     output: Optional[str] = None
 
@@ -174,37 +170,18 @@ class RunConfig:
                 f"dt0 = {self.dt0!r} leaves too many time steps at level {finest} "
                 f"(more than MAX_STEPS = {MAX_STEPS})"
             )
-        try:
-            self.linear_solver()
-        except ValueError as exc:  # LinearSolver names its field; the config key is gmres_<field>
-            raise ConfigError(f"gmres_{exc}") from exc
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.p)
 
     def linear_solver(self) -> LinearSolver:
-        return LinearSolver(
-            kind=self.solver,
-            rtol=self.gmres_rtol,
-            restart=self.gmres_restart,
-            maxit=self.gmres_maxit,
-            fallback=self.gmres_fallback,
-        )
+        return LinearSolver(kind=self.solver)
 
 
 # the type each config key's text parses to: its RunConfig annotation, Optional[T] as T
 _CONFIG_TYPES = {
     key: (typing.get_args(hint) or (hint,))[0] for key, hint in typing.get_type_hints(RunConfig).items()
 }
-
-
-def _parse_bool(text):
-    low = text.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -223,9 +200,8 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        typ = _CONFIG_TYPES[key]
         try:
-            values[key] = _parse_bool(val) if typ is bool else typ(val)
+            values[key] = _CONFIG_TYPES[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     return RunConfig(**values)

@@ -3,9 +3,10 @@ equation on a periodic triangulation.
 
 With the per-element orthonormal basis the mass matrix is the identity, so
 the method of lines reads  dw/dt = A w + b(t)  where A is the assembled
-sparse operator and b projects the source.  The first and second time
-derivatives of the solution are carried as auxiliary coefficient vectors:
-sigma = A w + b  and  tau = A sigma + b'.
+sparse operator and b projects the source.  The integrator builds the
+first and second time derivatives of the solution, the auxiliary
+coefficient vectors sigma = A w + b and tau = A sigma + b', from
+``matrix.matvec`` and ``source_vector``.
 
 On affine triangles every cell block is a fixed combination of a few
 reference-element matrices, and the edge blocks are batched over all edges,
@@ -82,14 +83,6 @@ class DgOperator:
         for mu, P in self._source_modes:
             b += (mu**derivative * np.exp(mu * t) * P).real
         return b
-
-    def compute_sigma(self, w: np.ndarray, t: float) -> np.ndarray:
-        """First time derivative of the modal solution: A w + b(t)."""
-        return self.matrix.matvec(w) + self.source_vector(t, 0)
-
-    def compute_tau(self, sigma: np.ndarray, t: float) -> np.ndarray:
-        """Second time derivative from sigma: A sigma + b'(t)."""
-        return self.matrix.matvec(sigma) + self.source_vector(t, 1)
 
 
 def _cell_geometry(mesh, basis, degree):

@@ -27,6 +27,8 @@ factor leaves it nothing to iterate.  It orthogonalises by classical
 Gram-Schmidt run twice (CGS2), solves its small least-squares problem
 with LAPACK and keeps each preconditioned Krylov vector (Saad, *A
 flexible inner-outer preconditioned GMRES algorithm*, SISC 14, 1993).
+Its tolerance, restart length and iteration limit are the constants
+``GMRES_RTOL``, ``GMRES_RESTART`` and ``GMRES_MAXIT``, not settings.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+GMRES_RTOL = 1e-10  # relative residual every GMRES solve must reach
+GMRES_RESTART = 60  # Krylov vectors GMRES keeps before it restarts
+GMRES_MAXIT = 5000  # GMRES iterations a solve may take before it falls back
 FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
 # largest diffusion operator Z (nonzeros) whose blocks are solved by their complete LU
 # rather than by ILUTP + GMRES (see MdrkWorkspace).  The mesh family fixes the sizes:
@@ -243,40 +248,26 @@ class SolveStats:
         return bool(self.fallback_reason)
 
 
-def _check_gmres_settings(rtol, restart, maxit):
-    """Reject a GMRES tolerance outside (0, 1) or a restart or iteration limit below 1."""
-    if not 0 < rtol < 1:  # also rejects nan
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol!r}")
-    for name, value in (("restart", restart), ("maxit", maxit)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
-
-
 @dataclass
 class LinearSolver:
-    """Solver configuration: restarted GMRES with an ILUTP preconditioner, or direct LU.
+    """Solver kind: restarted GMRES with an ILUTP preconditioner, or direct LU.
 
-    GMRES defaults to relative tolerance 1e-10 on the whole system,
-    right-preconditioned by ``ilu_factor`` (SuperLU's ILUTP, one per block
-    of a coupled system; the paper uses ILU(2) of the whole system).
-    ``direct`` solves with SuperLU's complete LU of each block.  With
-    ``fallback``, GMRES hands a system it cannot precondition or solve to
-    the complete LU (see PreparedSystem).  ``MdrkWorkspace`` solves
-    convection, and diffusion up to ``COMPLETE_LU_MAX_NNZ`` nonzeros,
-    directly whatever the kind, so there the GMRES settings act only
-    above that cap.
+    GMRES solves to ``GMRES_RTOL`` on the whole system, restarted every
+    ``GMRES_RESTART`` iterations, right-preconditioned by ``ilu_factor``
+    (SuperLU's ILUTP, one per block of a coupled system; the paper uses
+    ILU(2) of the whole system), and hands a system it cannot precondition
+    or solve within ``GMRES_MAXIT`` iterations to the complete LU (see
+    PreparedSystem).  ``direct`` solves with SuperLU's complete LU of each
+    block.  ``MdrkWorkspace`` solves convection, and diffusion up to
+    ``COMPLETE_LU_MAX_NNZ`` nonzeros, directly whatever the kind, so GMRES
+    runs only above that cap.
     """
 
     kind: str = "gmres"
-    rtol: float = 1e-10
-    restart: int = 60
-    maxit: int = 5000
-    fallback: bool = True
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        _check_gmres_settings(self.rtol, self.restart, self.maxit)
 
     def prepare(self, A) -> PreparedSystem:
         """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
@@ -284,8 +275,7 @@ class LinearSolver:
 
 
 def gmres_solve(
-    A, b, precond=None, rtol=LinearSolver.rtol, restart=LinearSolver.restart,
-    maxit=LinearSolver.maxit, x0=None,
+    A, b, precond=None, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxit=GMRES_MAXIT, x0=None
 ):
     """Right-preconditioned restarted GMRES.
 
@@ -302,7 +292,11 @@ def gmres_solve(
     preconditioner Z is V itself.  The bases are allocated once per solve
     and left uninitialised, so only the rows a solve reaches are written.
     """
-    _check_gmres_settings(rtol, restart, maxit)
+    if not 0 < rtol < 1:  # also rejects nan
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol!r}")
+    for name, value in (("restart", restart), ("maxit", maxit)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -368,17 +362,16 @@ class PreparedSystem:
     A GMRES-kind system falls back to the complete LU, for this and every
     later solve, when its ILUTP cannot be built or a GMRES solve does not
     converge: non-convergence is a property of the matrix, not of the
-    right-hand side.  The fallback needs ``solver.fallback`` and at most
-    ``FALLBACK_MAX_N`` unknowns; without them the solve raises
-    ``SolverFailure``.  ``SolveStats.fallback_reason`` of a solve that fell
-    back is ``"ilu_failed"`` (no preconditioner could be built),
+    right-hand side.  The fallback takes at most ``FALLBACK_MAX_N``
+    unknowns; above that the solve raises ``SolverFailure``.
+    ``SolveStats.fallback_reason`` of a solve that fell back is
+    ``"ilu_failed"`` (no preconditioner could be built),
     ``"gmres_not_converged"`` (this solve's GMRES gave up) or ``"sticky"``
     (an earlier solve's GMRES gave up).
     """
 
     def __init__(self, A, solver):
         self.A = A
-        self.solver = solver
         self.ilu = None
         self._direct = None
         self._direct_reason = ""  # why a GMRES-kind solve now goes direct
@@ -406,14 +399,13 @@ class PreparedSystem:
     def _fall_back(self, reason, message, stats=None):
         """Go direct for this and later solves (``reason``), or record ``stats`` and raise."""
         n = self.A.shape[0]
-        if self.solver.fallback and n <= FALLBACK_MAX_N:
+        if n <= FALLBACK_MAX_N:
             self._factorize_direct()
             self._direct_reason = reason
             return
         if stats is not None:
             self.history.append(stats)
-        if self.solver.fallback:
-            message += f"; direct fallback refused: n = {n} > FALLBACK_MAX_N = {FALLBACK_MAX_N}"
+        message += f"; direct fallback refused: n = {n} > FALLBACK_MAX_N = {FALLBACK_MAX_N}"
         raise SolverFailure(message, stats=stats)
 
     def _solve_direct(self, b, fallback_reason):
@@ -427,7 +419,7 @@ class PreparedSystem:
         stats = SolveStats(
             iterations=1,
             residual=float(rel),
-            converged=bool(np.all(np.isfinite(x)) and rel <= max(self.solver.rtol, LinearSolver.rtol)),
+            converged=bool(np.all(np.isfinite(x)) and rel <= GMRES_RTOL),
             fallback_reason=fallback_reason,
         )
         return x, stats
@@ -435,16 +427,20 @@ class PreparedSystem:
     def solve(self, b, x0=None):
         """Solve A x = b; returns (x, SolveStats).  ``x0`` seeds GMRES only.
 
-        A non-finite ``b`` raises ValueError whatever the solver's kind.
+        A ``b`` of the wrong shape or with a non-finite entry raises
+        ValueError whatever the solver's kind.
         """
         b = np.asarray(b, dtype=float)
+        n = self.A.shape[0]
+        if b.shape != (n,):
+            raise ValueError(f"b must have length {n}, got shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("b must be finite")
-        s = self.solver
         reason = self._direct_reason
         if self._direct is None:
             x, stats = gmres_solve(
-                self.A, b, precond=self.ilu, rtol=s.rtol, restart=s.restart, maxit=s.maxit, x0=x0
+                self.A, b, precond=self.ilu, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                maxit=GMRES_MAXIT, x0=x0,
             )
             if stats.converged:
                 self.history.append(stats)

@@ -25,7 +25,7 @@ eigenvalue of C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -277,7 +277,7 @@ class MdrkWorkspace:
         if problem is not None and (
             problem.epsilon == 0 or op.matrix.nnz <= sparse.COMPLETE_LU_MAX_NNZ
         ):
-            solver = replace(solver, kind="direct")
+            solver = LinearSolver(kind="direct")
         self.prepared = solver.prepare(self.system)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:

@@ -127,13 +127,15 @@ class TestSolveCommand:
         assert "max_residual" in out
 
     def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
-        # starved GMRES with the fallback disabled must fail loudly; with the cap at 0
+        # starved GMRES with the fallback refused must fail loudly; with the cap at 0
         # this diffusion system is solved by GMRES rather than by its complete LU
         monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+        monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 1)
+        monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", 1)
+        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
         cfg = tmp_path / "fail.cfg"
         cfg.write_text(
-            "problem = convection_diffusion\nmethod = tp3\np = 2\ndt0 = 0.5\n"
-            "level = 2\ngmres_maxit = 1\ngmres_restart = 1\ngmres_fallback = false\n"
+            "problem = convection_diffusion\nmethod = tp3\np = 2\ndt0 = 0.5\nlevel = 2\n"
         )
         code, out, _ = run_cli(["solve", "--config", str(cfg)], capsys)
         assert code == 2
@@ -145,17 +147,22 @@ class TestSolveCommand:
     [
         "ilu_level = -1",
         "ilu_level = 2",
+        # the GMRES settings are module constants: any value is an unknown key
         "gmres_rtol = 0",
         "gmres_rtol = 1",
         "gmres_rtol = 2",
+        "gmres_rtol = 1e-8",
+        "gmres_restart = 0",
+        "gmres_restart = 30",
+        "gmres_maxit = 0",
+        "gmres_maxit = 100",
+        "gmres_fallback = false",
         "eta = 0",
         "dt0 = nan",
         "dt0 = 5e-324",  # positive and finite, but 1 / dt0 overflows
         "dt0 = 1e-308",  # 1 / dt0 is finite, but far above MAX_STEPS
         "dt0 = 1e-9",
         pytest.param("problem = convection_diffusion\np = 0", id="diffusion-p0"),
-        "gmres_restart = 0",
-        "gmres_maxit = 0",
         "level = -1",
     ],
 )
@@ -169,6 +176,9 @@ def test_invalid_setting_is_config_error(command, setting, capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ")
+    key = setting.partition(" =")[0]
+    if key.startswith("gmres_"):
+        assert err == f"config error: line 3: unknown key {key!r}\n"
 
 
 def test_dt0_overflowing_at_the_solve_level_is_config_error(capsys, tmp_path):

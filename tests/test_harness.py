@@ -107,10 +107,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
 
-    def test_bool_parsing(self):
-        cfg = parse_config_text("gmres_fallback = false\n")
-        assert cfg.gmres_fallback is False
-
     def test_every_key_parses_to_its_annotated_type(self):
         # key: (config text, parsed value); Optional fields parse to their inner type
         settings = {
@@ -121,10 +117,6 @@ class TestConfigParsing:
             "levels": ("2", 2),
             "eta": ("25", 25.0),
             "solver": ("direct", "direct"),
-            "gmres_rtol": ("1e-8", 1e-8),
-            "gmres_restart": ("30", 30),
-            "gmres_maxit": ("100", 100),
-            "gmres_fallback": ("off", False),
             "level": ("1", 1),
             "output": ("7.csv", "7.csv"),
         }

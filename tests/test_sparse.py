@@ -118,6 +118,15 @@ def direct_solve(A, b):
     return LinearSolver(kind="direct").prepare(A).solve(b)[0]
 
 
+def starve_gmres(monkeypatch, maxit, restart):
+    """Stop GMRES after ``maxit`` iterations, under an ILUTP that drops every entry below
+    a tenth of its column: the default ILUTP is all but an exact LU of the small test
+    systems, which GMRES then solves to 1e-10 in one iteration."""
+    monkeypatch.setattr(mddg.sparse, "ILU_DROP_TOL", 0.1)
+    monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", maxit)
+    monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", restart)
+
+
 def count_lu_solves(monkeypatch, first_error=0.0):
     """Count SuperLU ``solve`` calls; the first result is scaled by 1 + first_error."""
     calls = []
@@ -177,7 +186,7 @@ def test_ilutp_on_dg_block_system(p, method, dt):
     D = assembled_system(ws)
     b = np.random.default_rng(21).normal(size=A.shape[0])
 
-    prep = LinearSolver(fallback=False).prepare(A)
+    prep = LinearSolver().prepare(A)
     x, stats = prep.solve(b)
     assert stats.converged and not stats.fallback_used
     assert np.linalg.norm(b - D @ x) <= 1e-10 * np.linalg.norm(b)
@@ -457,11 +466,13 @@ class TestDecoupledDirect:
         # eigenvalue with nonnegative imaginary part; with the complete-LU cap at 0 this
         # system needs 4 GMRES iterations, so maxit = 1 forces the fallback
         monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+        monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 1)
+        monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", 1)
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         prob = make_problem("convection_diffusion")
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), prob, default_eta(2))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver(maxit=1, restart=1))
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
         blocks = [(op.n_dof, op.n_dof)] * 2
         assert ws.prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
         b = np.random.default_rng(23).normal(size=ws.system.shape[0])
@@ -487,7 +498,7 @@ class TestDecoupledDirect:
         assert np.max(np.abs(applied(system) - K)) <= 1e-15 * np.max(np.abs(K))
         for kind, name, rtol in (("direct", "splu", 1e-12), ("gmres", "spilu", 1e-10)):
             shapes = record_lu_shapes(monkeypatch, name)
-            solver = LinearSolver(kind=kind, fallback=False)
+            solver = LinearSolver(kind=kind)
             x, stats = solver.prepare(system).solve(b)
             assert stats.residual <= rtol and not stats.fallback_used
             assert np.linalg.norm(b - K @ x) <= rtol * np.linalg.norm(b)
@@ -531,7 +542,7 @@ class TestBlockPreconditioner:
             monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", cap)
         shapes = record_lu_shapes(monkeypatch, "splu" if cap is None else "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
-        ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(fallback=False))
+        ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver())
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
         assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
@@ -611,8 +622,7 @@ class TestBlockPreconditioner:
         ws = make_workspace(op, method_registry()["tp3"], 0.5 / 2**level, LinearSolver())
         assert (ws.prepared.ilu is None) == direct
 
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_singular_complete_factor_is_a_solver_failure(self, fallback, monkeypatch):
+    def test_singular_complete_factor_is_a_solver_failure(self, monkeypatch):
         # the complete LU is the convection solve itself, so there is nothing to fall back
         # to: SuperLU is not asked again
         calls = []
@@ -624,7 +634,7 @@ class TestBlockPreconditioner:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
         with pytest.raises(SolverFailure, match="direct LU failed: Factor is exactly singular"):
-            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=fallback))
+            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
         assert calls == [(op.n_dof, op.n_dof)]
 
     def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
@@ -652,15 +662,17 @@ class TestBlockPreconditioner:
 
     def test_failed_block_ilutp_takes_direct_fallback(self, monkeypatch):
         # SuperLU's RuntimeError from a block's incomplete factor routes to the direct
-        # fallback, or surfaces as SolverFailure when the fallback is off
+        # fallback, or surfaces as SolverFailure when the fallback is refused
         def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
         monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        with pytest.raises(SolverFailure, match="incomplete LU failed"):
-            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver(fallback=False))
+        with monkeypatch.context() as refused:
+            refused.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
+            with pytest.raises(SolverFailure, match="incomplete LU failed"):
+                make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
         shapes = record_lu_shapes(monkeypatch)
         ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
         assert ws.prepared.ilu is None
@@ -728,7 +740,7 @@ class TestOrdering:
         solver = LinearSolver(kind="direct" if route == "direct" else "gmres")
         if route == "fallback":
             monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
-            solver = LinearSolver(rtol=1e-300, maxit=1, restart=1)
+            starve_gmres(monkeypatch, maxit=1, restart=1)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
         x, stats = ws.prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
@@ -768,7 +780,7 @@ class TestKroneckerSystem:
         monkeypatch.setattr(sp, "kron", refuse)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         w = np.random.default_rng(29).normal(size=op.n_dof)
-        for solver in (LinearSolver(fallback=False), LinearSolver(kind="direct")):
+        for solver in (LinearSolver(), LinearSolver(kind="direct")):
             assert np.all(np.isfinite(mdrk_step(op, method_registry()[method], w, 0.0, 0.25, solver)))
 
     def test_nnz_counts_stored_entries(self):
@@ -784,25 +796,6 @@ class TestLinearSolver:
         with pytest.raises(ValueError):
             LinearSolver(kind="magic")
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("restart", 0),
-            ("maxit", 0),
-            ("rtol", 0.0),
-            ("rtol", -1e-10),
-            ("rtol", float("nan")),
-            ("rtol", float("inf")),
-            ("rtol", 1.0),
-            ("rtol", 2.0),
-        ],
-    )
-    def test_invalid_setting_rejected(self, name, value):
-        # unchecked, a zero restart or maxit sends every solve to the direct fallback, and
-        # an rtol of 1 or more accepts the initial guess as a solution
-        with pytest.raises(ValueError, match=name):
-            LinearSolver(**{name: value})
-
     def test_gmres_prepared_solve(self):
         A, D = random_csr(40, 0.2, seed=18, diag_boost=6.0)
         prep = LinearSolver().prepare(A)
@@ -812,11 +805,11 @@ class TestLinearSolver:
         assert not stats.fallback_used and stats.fallback_reason == ""
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-10
 
-    def test_fallback_engages_and_sticks(self):
-        # starve GMRES so the direct fallback must take over; ILUTP is an exact LU of
-        # this small matrix, so only a tolerance below round-off starves it
+    def test_fallback_engages_and_sticks(self, monkeypatch):
+        # starve GMRES so the direct fallback must take over
+        starve_gmres(monkeypatch, maxit=2, restart=2)
         A, D = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver(rtol=1e-16, maxit=2, restart=2).prepare(A)
+        prep = LinearSolver().prepare(A)
         b = np.ones(40)
         x, stats = prep.solve(b)
         assert stats.fallback_used and stats.fallback_reason == "gmres_not_converged"
@@ -825,17 +818,19 @@ class TestLinearSolver:
         assert stats2.fallback_used and stats2.fallback_reason == "sticky"
         assert stats2.iterations == 1  # straight to the factorization
 
-    def test_singular_ilu_without_fallback(self):
+    def test_singular_ilu_without_fallback(self, monkeypatch):
         # SuperLU's RuntimeError from the incomplete factorization surfaces as SolverFailure
+        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
         A = CsrMatrix(sp.diags([1.0, 0.0, 2.0]))
         with pytest.raises(SolverFailure, match="singular"):
-            LinearSolver(fallback=False).prepare(A)
+            LinearSolver().prepare(A)
 
     def test_refused_fallback_named(self, monkeypatch):
         # GMRES starved at maxit = 2 on a system one unknown above the fallback's limit
         monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 39)
+        starve_gmres(monkeypatch, maxit=2, restart=2)
         A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver(rtol=1e-16, maxit=2, restart=2).prepare(A)
+        prep = LinearSolver().prepare(A)
         with pytest.raises(SolverFailure) as err:
             prep.solve(np.ones(40))
         assert str(err.value).startswith("GMRES did not converge: residual ")
@@ -856,8 +851,9 @@ class TestLinearSolver:
                 return np.full_like(b, np.nan)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", NanLU)
+        starve_gmres(monkeypatch, maxit=2, restart=2)
         A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver(kind=kind, rtol=1e-16, maxit=2, restart=2).prepare(A)
+        prep = LinearSolver(kind=kind).prepare(A)
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
             prep.solve(np.ones(40))
         assert not err.value.stats.converged and prep.history == [err.value.stats]
@@ -871,11 +867,31 @@ class TestLinearSolver:
             prep.solve(np.array([1.0, np.nan, 1.0]))
         assert prep.history == []
 
-    def test_failure_without_fallback(self):
+    @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "kronecker"])
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_wrong_rhs_shape_rejected(self, kind, coupled):
+        # one check for both kinds, before any solve; the direct kind used to solve a
+        # column b as if it were a vector, and to leak SuperLU's or numpy's error for a
+        # wrong length
+        A = CsrMatrix(sp.diags([2.0, 3.0, 4.0]))
+        if coupled:
+            A = KroneckerSystem(np.array([[0.3, 0.2], [-0.25, 0.1]]), A)
+        n = A.shape[0]
+        prep = LinearSolver(kind=kind).prepare(A)
+        for shape in ((n, 1), (n - 1,)):
+            with pytest.raises(ValueError) as err:
+                prep.solve(np.ones(shape))
+            assert str(err.value) == f"b must have length {n}, got shape {shape}"
+        assert prep.history == []
+
+    def test_failure_without_fallback(self, monkeypatch):
+        # the raw GMRES failure, its iterations counted across a restart
+        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
+        starve_gmres(monkeypatch, maxit=6, restart=5)
         A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
-        prep = LinearSolver(rtol=1e-14, maxit=6, restart=5, fallback=False).prepare(A)
+        prep = LinearSolver().prepare(A)
         with pytest.raises(SolverFailure) as err:
             prep.solve(np.ones(50))
         assert err.value.stats is not None
         assert err.value.stats.iterations == 6
-        assert "refused" not in str(err.value)
+        assert str(err.value).endswith("direct fallback refused: n = 50 > FALLBACK_MAX_N = 0")
