@@ -74,6 +74,15 @@ class TriangularMesh:
     def h_max(self) -> float:
         return float(self.edges.length.max())
 
+    @property
+    def slots(self) -> np.ndarray:
+        """Each element's slot 2 (iy N + ix) + shape on the N x N grid of cells, N = 2^level:
+        vertex 0 is (ix, iy) / N, and shape 1 marks an upper triangle (vertex 1 up and right)."""
+        N = 2**self.level
+        v = self.vertices[self.triangles]
+        ix, iy = np.round(v[:, 0] * N).astype(np.int64).T
+        return 2 * (iy * N + ix) + (v[:, 1, 1] > v[:, 0, 1])
+
     def jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Affine maps x = v0 + J xhat per element.
 
@@ -165,7 +174,9 @@ def refine_uniform(mesh: TriangularMesh) -> TriangularMesh:
 
     Each side's midpoint becomes one new vertex, shared by the two triangles
     that meet there; new vertices are numbered in order of first use,
-    triangle by triangle and side by side.
+    triangle by triangle and side by side.  Each child then starts at its
+    lower-left vertex (least x + y), so every element is a translate of a
+    base triangle, vertex order included, and has the same local basis.
     """
     tri = mesh.triangles
     nv = len(mesh.vertices)
@@ -183,4 +194,6 @@ def refine_uniform(mesh: TriangularMesh) -> TriangularMesh:
     triangles = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
     triangles = triangles.reshape(-1, 3)
     vertices = np.concatenate([mesh.vertices, mid[first[by_use]]])
+    start = np.argmin(vertices[triangles].sum(axis=2), axis=1)
+    triangles = np.take_along_axis(triangles, (start[:, None] + np.arange(3)) % 3, axis=1)
     return _make_mesh(vertices, triangles, level=mesh.level + 1)

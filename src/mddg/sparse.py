@@ -9,26 +9,28 @@ n x n block I - lambda Z per real eigenvalue and per conjugate pair of C,
 through C's eigenvectors (``BlockFactors``; Butcher, *On the
 implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
 
-A ``PreparedSystem`` holds one of two such factors.  SuperLU's complete
-LU is solved directly, refined once when its residual is above
-``REFINE_ABOVE``: for ``solver = direct``, for an operator with no
-diffusion, whose upwind LU stays near the block's own fill, for one with
-diffusion and at most ``COMPLETE_LU_MAX_NNZ`` nonzeros (see
-``MdrkWorkspace``), and as the fallback when the ILUTP cannot be built or
-GMRES does not converge.  Its columns are ordered by minimum degree on
-B + B^T (SuperLU's ``MMD_AT_PLUS_A``: George and Liu, *The evolution of
-the minimum degree ordering algorithm*, SIAM Review 31, 1989) when the
-pattern of Z is symmetric, as the interior-penalty terms make it, which
-cuts the fill 2-2.5x against COLAMD; an upwind convection Z keeps COLAMD,
-which gives the same fill there and faster solves.  GMRES, restarted and
-right-preconditioned so that its residuals are true ones, runs only on
-SuperLU's threshold incomplete LU (ILUTP, ``ilu_factor``), as a complete
-factor leaves it nothing to iterate.  It orthogonalises by classical
-Gram-Schmidt run twice (CGS2), solves its small least-squares problem
-with LAPACK and keeps each preconditioned Krylov vector (Saad, *A
-flexible inner-outer preconditioned GMRES algorithm*, SISC 14, 1993).
-Its tolerance, restart length and iteration limit are the constants
-``GMRES_RTOL``, ``GMRES_RESTART`` and ``GMRES_MAXIT``, not settings.
+A ``PreparedSystem`` holds one of three such factors.  Two are solved
+directly, refined once when the residual is above ``REFINE_ABOVE``.  A
+convection-diffusion Z commutes with the mesh grid's translations, so a
+2-D FFT over the grid cells splits each of its blocks into one dense
+block per frequency (``fourier_symbol``).  SuperLU's complete LU serves
+``solver = direct``, an operator with no diffusion, whose upwind LU
+stays near the block's own fill, and the fallback when the ILUTP cannot
+be built or GMRES does not converge.  Its columns are ordered by minimum
+degree on B + B^T (SuperLU's ``MMD_AT_PLUS_A``: George and Liu, *The
+evolution of the minimum degree ordering algorithm*, SIAM Review 31,
+1989) when the pattern of Z is symmetric, as the interior-penalty terms
+make it, which cuts the fill 2-2.5x against COLAMD; an upwind convection
+Z keeps COLAMD, which gives the same fill there and faster solves.
+GMRES, restarted and right-preconditioned so that its residuals are true
+ones, runs only on SuperLU's threshold incomplete LU (ILUTP,
+``ilu_factor``), as a complete factor leaves it nothing to iterate.  It
+orthogonalises by classical Gram-Schmidt run twice (CGS2), solves its
+small least-squares problem with LAPACK and keeps each preconditioned
+Krylov vector (Saad, *A flexible inner-outer preconditioned GMRES
+algorithm*, SISC 14, 1993).  Its tolerance, restart length and iteration
+limit are the constants ``GMRES_RTOL``, ``GMRES_RESTART`` and
+``GMRES_MAXIT``, not settings.
 """
 
 from __future__ import annotations
@@ -43,15 +45,6 @@ GMRES_RTOL = 1e-10  # relative residual every GMRES solve must reach
 GMRES_RESTART = 60  # Krylov vectors GMRES keeps before it restarts
 GMRES_MAXIT = 5000  # GMRES iterations a solve may take before it falls back
 FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
-# largest diffusion operator Z (nonzeros) whose blocks are solved by their complete LU
-# rather than by ILUTP + GMRES (see MdrkWorkspace).  The mesh family fixes the sizes:
-# p1-p5 reach 74k, 74k, 51k, 115k, 56k nonzeros at levels 5, 4, 3, 3, 2 and 4x that one
-# level deeper.  One run_level per side (ILUTP + GMRES -> complete LU, tp3 / tp5 / mdrk6,
-# 2-core host): every operator up to 115k wins (p4 level 3: 0.14 -> 0.09, 0.23 -> 0.11,
-# 0.23 -> 0.12 s; p1 level 5: 1.28 -> 0.34, 0.91 -> 0.47, 1.06 -> 0.61 s), while p3 level
-# 4 (205k) loses (0.49-0.56 -> 0.52-0.68, 0.72 -> 0.79, 0.85 -> 0.91 s) and so does
-# p1 level 6 (295k, tp3: 5.0-5.6 -> 5.8-7.4 s, 142 -> 222 MB)
-COMPLETE_LU_MAX_NNZ = 150_000
 ILU_DROP_TOL = 1e-4  # ILUTP drops entries below this size relative to their column
 ILU_FILL_FACTOR = 10  # ILUTP keeps at most this multiple of the matrix's nonzeros
 REFINE_ABOVE = 1e-12  # a direct solve refines once when its relative residual exceeds this
@@ -129,34 +122,76 @@ class KroneckerSystem:
 
 
 def _decouple(A):
-    """V, V^-1 and the blocks (k, block k, paired) that factor A block by block.
+    """V, V^-1 and the eigenvalues (k, lambda_k, paired) whose blocks factor A.
 
     For A = I - C (x) Z (a ``KroneckerSystem``) with C = V diag(lambda) V^-1,
     A^-1 = (V (x) I) (I - diag(lambda) (x) Z)^-1 (V^-1 (x) I), so block k is
     I - lambda_k Z: real for a real eigenvalue, complex for the member k of a
     conjugate pair with positive imaginary part, whose partner block is its
     complex conjugate (``paired`` marks it).  A plain matrix is the 1 x 1
-    case: V is None and the one block is A.  A C whose V is too
-    ill-conditioned to transform with (a repeated eigenvalue makes it
-    singular; no built-in tableau has one) raises ValueError.
+    case: V is None and lambda None marks the one block, A itself.  A C
+    whose V is too ill-conditioned to transform with (a repeated eigenvalue
+    makes it singular; no built-in tableau has one) raises ValueError.
     """
     if not isinstance(A, KroneckerSystem):
-        return None, None, [(0, A, False)]
-    C, Z = A.C, A.Z
-    lam, V = np.linalg.eig(C)
+        return None, None, [(0, None, False)]
+    lam, V = np.linalg.eig(A.C)
     cond = np.linalg.cond(V)
     if cond > COUPLING_COND_MAX:
         raise ValueError(
             f"cannot factor I - C (x) Z block by block: C's eigenvector matrix has "
             f"cond(V) = {cond:.3g} > COUPLING_COND_MAX = {COUPLING_COND_MAX:g}"
         )
-    I = scipy.sparse.identity(Z.shape[0], format="csr")
     # numpy returns a conjugate pair adjacently, positive imaginary part first
-    return V, np.linalg.inv(V), (
-        (k, I - (lam[k] if lam[k].imag else lam[k].real) * Z, lam[k].imag > 0)
+    return V, np.linalg.inv(V), [
+        (k, lam[k] if lam[k].imag else lam[k].real, lam[k].imag > 0)
         for k in range(len(lam))
         if lam[k].imag >= 0
-    )
+    ]
+
+
+def _sparse_block(A, lam):
+    """The CSC block I - lam Z of A, or A itself for lam None (see ``_decouple``)."""
+    B = A if lam is None else scipy.sparse.identity(A.Z.shape[0], format="csr") - lam * A.Z
+    return scipy.sparse.csc_matrix(B)
+
+
+def fourier_symbol(Z, slots):
+    """The symbol S(k) = sum_d K_d exp(2 pi i k.d / N), (N, N, 2 nm, 2 nm), of Z on a grid.
+
+    A Z whose blocks depend only on the element shapes and the offset d
+    between the cells of the periodic N x N grid (``slots``, see
+    ``TriangularMesh.slots``) is block circulant, and the 2-D DFT over the
+    cells splits it into the dense S(k) (Davis, *Circulant Matrices*, 1979;
+    Hemker, Hoffmann and van Raalte, SISC 25, 2003).  The K_d are read off
+    cell 0's rows, summed by d mod N; a solve's residual against Z itself
+    checks that the other rows agree.
+    """
+    nm, N = Z.shape[0] // len(slots), round((len(slots) // 2) ** 0.5)
+    rows = Z[(np.argsort(slots)[:2, None] * nm + np.arange(nm)).ravel()].tocoo()
+    slot = slots[rows.col // nm]
+    dy, dx = np.divmod(slot // 2, N)
+    K = np.zeros((N, N, 2 * nm, 2 * nm))
+    np.add.at(K, (dy, dx, rows.row, slot % 2 * nm + rows.col % nm), rows.data)
+    return N * N * np.fft.ifft2(K, axes=(0, 1))
+
+
+class FourierFactor:
+    """inv(I - lambda S(k)) of the block I - lambda Z (inv(S(k)) for lambda None).
+
+    A solve gathers by slot, runs ``fft2`` over the cells, multiplies each frequency by its
+    inverse and transforms back; a real vector, as a real lambda's block gets, comes back real.
+    """
+
+    def __init__(self, S, slots, lam):
+        self.slots, self.order = slots, np.argsort(slots)
+        self.inverse = np.linalg.inv(S if lam is None else np.eye(S.shape[-1]) - lam * S)
+
+    def solve(self, w):
+        ne, (N, _, nb, _) = len(self.slots), self.inverse.shape
+        X = np.fft.fft2(w.reshape(ne, -1)[self.order].reshape(N, N, nb), axes=(0, 1))
+        Y = np.fft.ifft2((self.inverse @ X[..., None])[..., 0], axes=(0, 1)).reshape(ne, -1)
+        return (Y.real if np.isrealobj(w) else Y)[self.slots].ravel()
 
 
 def _pattern_symmetric(Z) -> bool:
@@ -171,21 +206,26 @@ def _pattern_symmetric(Z) -> bool:
 class BlockFactors:
     """Factors of A = I - C (x) Z stored per block (see ``_decouple``).
 
-    ``factor`` turns one CSC block into an object with a ``solve`` method
-    (SuperLU's ``splu`` or ``spilu``); ``solve`` maps b through V^-1, solves
-    each stored block, fills a pair's partner by ``conj`` and maps back with
-    V.  For a plain matrix it is the one factor's own solve.
+    ``factor`` turns one eigenvalue lambda into an object with a ``solve``
+    method for the block I - lambda Z (SuperLU's factor of ``_sparse_block``
+    or a ``FourierFactor``); ``solve`` maps b through V^-1, solves each stored
+    block and maps back with V into one real array.  For a plain matrix it
+    is the one factor's own solve.
     """
 
     def __init__(self, A, factor):
         self.V, self.Vinv, blocks = _decouple(A)
-        self.factors = [
-            (k, factor(scipy.sparse.csc_matrix(B)), paired) for k, B, paired in blocks
-        ]
+        self.factors = [(k, factor(lam), paired) for k, lam, paired in blocks]
+        V = self.V
+        if V is not None:
+            # Re(V Y) = T [y_k; Re y_k, Im y_k per pair], as a pair's partner is its conjugate
+            pair = np.array([k for k, _, paired in self.factors if paired], dtype=int)
+            self.T = V.real.copy()
+            self.T[:, pair], self.T[:, pair + 1] = 2 * V[:, pair].real, -2 * V[:, pair].imag
 
     @property
     def nnz(self) -> int:
-        """Nonzeros of L plus U, summed over the stored blocks."""
+        """Nonzeros of L plus U, summed over the stored blocks (SuperLU factors only)."""
         return sum(f.L.nnz + f.U.nnz for _, f, _ in self.factors)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -193,14 +233,14 @@ class BlockFactors:
         if V is None:
             return self.factors[0][1].solve(b)
         W = self.Vinv @ b.reshape(len(V), -1)
-        Y = np.empty_like(W)
+        R = np.empty(W.shape)
         for k, f, paired in self.factors:
             if paired:
-                Y[k] = f.solve(W[k])
-                Y[k + 1] = Y[k].conj()
+                y = f.solve(W[k])
+                R[k], R[k + 1] = y.real, y.imag
             else:
-                Y[k] = f.solve(W[k].real)
-        return (V @ Y).real.ravel()
+                R[k] = f.solve(W[k].real)
+        return np.dot(self.T, R, out=np.empty(R.shape)).ravel()
 
 
 class IluFactors(BlockFactors):
@@ -229,7 +269,9 @@ def ilu_factor(A) -> IluFactors:
         raise ValueError("ILU requires a square matrix")
     return IluFactors(
         A,
-        lambda B: scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR),
+        lambda lam: scipy.sparse.linalg.spilu(
+            _sparse_block(A, lam), drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR
+        ),
     )
 
 
@@ -258,9 +300,9 @@ class LinearSolver:
     ILU(2) of the whole system), and hands a system it cannot precondition
     or solve within ``GMRES_MAXIT`` iterations to the complete LU (see
     PreparedSystem).  ``direct`` solves with SuperLU's complete LU of each
-    block.  ``MdrkWorkspace`` solves convection, and diffusion up to
-    ``COMPLETE_LU_MAX_NNZ`` nonzeros, directly whatever the kind, so GMRES
-    runs only above that cap.
+    block.  ``MdrkWorkspace`` solves convection by that LU and diffusion
+    through the operator's Fourier symbol whatever the kind, so GMRES runs
+    only on systems prepared outside a problem's workspace.
     """
 
     kind: str = "gmres"
@@ -269,9 +311,9 @@ class LinearSolver:
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}")
 
-    def prepare(self, A) -> PreparedSystem:
+    def prepare(self, A, slots=None) -> PreparedSystem:
         """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
-        return PreparedSystem(A, self)
+        return PreparedSystem(A, self, slots)
 
 
 def gmres_solve(
@@ -356,8 +398,9 @@ class PreparedSystem:
     """A factorized linear system ready for repeated right-hand sides.
 
     A GMRES-kind solver gets the ILUTP preconditioner ``ilu`` and solves by
-    GMRES; a direct-kind solver gets the complete LU and solves by it alone.
-    Either applies A itself for its residual, that of the whole system.
+    GMRES; a direct-kind solver gets the complete LU, and either kind given
+    ``slots`` the Fourier-symbol factor (see ``fourier_symbol``), and solves
+    by it alone.  Each applies A itself for its residual.
 
     A GMRES-kind system falls back to the complete LU, for this and every
     later solve, when its ILUTP cannot be built or a GMRES solve does not
@@ -370,30 +413,35 @@ class PreparedSystem:
     (an earlier solve's GMRES gave up).
     """
 
-    def __init__(self, A, solver):
+    def __init__(self, A, solver, slots=None):
         self.A = A
         self.ilu = None
         self._direct = None
         self._direct_reason = ""  # why a GMRES-kind solve now goes direct
         self.history = []
-        if solver.kind == "direct":
-            self._factorize_direct()
+        if solver.kind == "direct" or slots is not None:
+            self._factorize_direct(slots)
             return
         try:
             self.ilu = ilu_factor(A)
         except RuntimeError as exc:  # SuperLU signals a singular factor this way
             self._fall_back("ilu_failed", f"incomplete LU failed: {exc}")
 
-    def _factorize_direct(self):
-        # minimum degree on B + B^T for a symmetric pattern (tested on Z: forming
-        # B = I - lambda Z drops Z's stored zeros), COLAMD otherwise
+    def _factorize_direct(self, slots=None):
         Z = self.A.Z if isinstance(self.A, KroneckerSystem) else self.A
-        permc = "MMD_AT_PLUS_A" if _pattern_symmetric(Z) else "COLAMD"
         try:
+            if slots is not None:
+                S = fourier_symbol(Z, slots)
+                self._direct = BlockFactors(self.A, lambda lam: FourierFactor(S, slots, lam))
+                return
+            # minimum degree on B + B^T for a symmetric pattern (tested on Z: forming
+            # B = I - lambda Z drops Z's stored zeros), COLAMD otherwise
+            permc = "MMD_AT_PLUS_A" if _pattern_symmetric(Z) else "COLAMD"
             self._direct = BlockFactors(
-                self.A, lambda B: scipy.sparse.linalg.splu(B, permc_spec=permc)
+                self.A,
+                lambda lam: scipy.sparse.linalg.splu(_sparse_block(self.A, lam), permc_spec=permc),
             )
-        except RuntimeError as exc:  # SuperLU signals an exactly singular matrix this way
+        except (RuntimeError, np.linalg.LinAlgError) as exc:  # an exactly singular factor
             raise SolverFailure(f"direct LU failed: {exc}") from exc
 
     def _fall_back(self, reason, message, stats=None):

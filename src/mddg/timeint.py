@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from mddg import sparse
 from mddg.sparse import KroneckerSystem, LinearSolver
 
 _STEP_TOL = 1e-12  # relative tolerance for "lands exactly on t_end"
@@ -253,11 +252,12 @@ class MdrkWorkspace:
     starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
     stage equal to the step input.  The system is exactly I - C (x) dt A
     with C = ``tableau.coupling``; ``system`` is that product in Kronecker
-    form, holding dt C and A but no sMn x sMn matrix.  An operator whose
-    problem has no diffusion (``op.problem.epsilon == 0``), or has diffusion
-    and at most ``COMPLETE_LU_MAX_NNZ`` nonzeros, is solved by the complete
-    LU of each block whatever the solver's kind; a larger diffusion
-    operator, or one that carries no problem, keeps its solver.
+    form, holding dt C and A but no sMn x sMn matrix.  Whatever the
+    solver's kind, an operator whose problem has no diffusion
+    (``op.problem.epsilon == 0``) is solved by the complete LU of each
+    block, and one with diffusion through A's Fourier symbol on the mesh
+    grid (``sparse.fourier_symbol``); one that carries no problem keeps its
+    solver.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float, solver: LinearSolver):
@@ -272,13 +272,12 @@ class MdrkWorkspace:
         # with no diffusion the upwind flux couples each element to its upwind neighbour
         # only, so in downwind order each block is block triangular but for the periodic
         # wrap (Lesaint & Raviart 1974) and its complete LU keeps near the block's own fill;
-        # with diffusion the minimum-degree LU of a block up to the cap beats ILUTP + GMRES
+        # with diffusion constant coefficients on the periodic grid make A block circulant
         problem = getattr(op, "problem", None)
-        if problem is not None and (
-            problem.epsilon == 0 or op.matrix.nnz <= sparse.COMPLETE_LU_MAX_NNZ
-        ):
+        if problem is not None:
             solver = LinearSolver(kind="direct")
-        self.prepared = solver.prepare(self.system)
+        diffusion = problem is not None and problem.epsilon > 0
+        self.prepared = solver.prepare(self.system, op.mesh.slots if diffusion else None)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit

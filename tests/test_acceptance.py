@@ -21,6 +21,7 @@ import scipy.linalg
 from mddg.basis import make_basis
 from mddg.harness import (
     RunConfig,
+    default_eta,
     make_problem,
     mesh_hierarchy,
     method_registry,
@@ -28,7 +29,7 @@ from mddg.harness import (
 )
 from mddg.operator import Problem, assemble, project_l2
 import mddg.sparse
-from mddg.sparse import LinearSolver
+from mddg.sparse import LinearSolver, fourier_symbol
 from mddg.stability import a_stability_scan, stability_function_two_point
 from mddg.timeint import integrate, make_workspace, mdrk_step
 
@@ -271,6 +272,40 @@ def test_criterion_6_coercivity():
     assert ok
 
 
+def test_criterion_6_exact_dissipativity_certificate():
+    # the exact form of criterion 6: the DFT over the grid cells is unitary up to a
+    # factor N, so A + A^T <= 0 in the orthonormal modal basis exactly when every
+    # Fourier symbol block has (S(k) + S(k)^H) / 2 <= 0, and ||A||_2 = max_k ||S(k)||_2.
+    # Then ||R(dt A)||_2 <= 1 for every A-stable R and every dt (von Neumann's
+    # inequality; Hairer and Wanner, Solving ODEs II, IV.11)
+    t0 = time.perf_counter()
+    meshes = mesh_hierarchy(5)
+
+    def abscissa(p, problem, eta, mesh):
+        """max_k lambda_max((S(k) + S(k)^H) / 2) and ||A||_2 of one operator."""
+        op = assemble(mesh, make_basis(p), make_problem(problem), eta)
+        S = fourier_symbol(op.matrix, mesh.slots)
+        top = np.linalg.eigvalsh(0.5 * (S + S.conj().swapaxes(-1, -2)))[..., -1].max()
+        return float(top), float(np.linalg.norm(S, ord=2, axis=(-2, -1)).max())
+
+    worst = -np.inf
+    ok = True
+    for problem, degrees in (("convection", range(0, 6)), ("convection_diffusion", range(1, 6))):
+        for p in degrees:
+            for mesh in meshes:
+                top, norm = abscissa(p, problem, default_eta(p), mesh)
+                ok &= top <= 1e-10 * norm
+                worst = max(worst, top / norm)
+    # below the threshold default_eta states (p = 5 needs eta > 31) the certificate fails
+    below = [abscissa(5, "convection_diffusion", 20.0, mesh) for mesh in meshes[1:]]
+    ok &= all(top > 1e-10 * norm for top, norm in below)
+    elapsed = time.perf_counter() - t0
+    report(6, ok, f"max_k lambda_max(S + S^H) / 2 / ||A|| = {worst:.1e} at default eta, "
+                  f"p = 0..5, levels 0..4; p = 5, eta = 20: "
+                  f"{', '.join(f'{top:+.1e}' for top, _ in below)} at levels 1..4; {elapsed:.1f}s")
+    assert ok
+
+
 # ------------------------------------- criterion 7: A-stability certificates
 
 
@@ -426,18 +461,18 @@ def test_coarse_timestep_variant():
 
 
 def test_criterion_11_fallback_path_triggers(monkeypatch):
-    # p = 5 diffusion with the penalty at the coercivity borderline; with the
-    # complete-LU cap at 0 the blockwise ILUTP solves this system in 5 GMRES
-    # iterations, so GMRES is starved at 2 to make non-convergence route to the
-    # documented fallback, and the direct factorization must still meet the
-    # residual contract
-    monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+    # p = 5 diffusion with the penalty at the coercivity borderline; the workspace
+    # solves it through its Fourier symbol, so its system is prepared for GMRES here.
+    # The blockwise ILUTP solves it in 5 GMRES iterations, so GMRES is starved at 2
+    # to make non-convergence route to the documented fallback, and the direct
+    # factorization must still meet the residual contract
     monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 2)
     prob = make_problem("convection_diffusion")
     basis = make_basis(5)
     mesh = mesh_hierarchy(4)[3]
     op = assemble(mesh, basis, prob, eta=30.0)
     ws = make_workspace(op, method_registry()["tp6"], 0.0625, LinearSolver())
+    ws.prepared = LinearSolver().prepare(ws.system)
     w0 = project_l2(mesh, basis, prob.initial)
     ws.step(w0, 0.0)
     st = ws.prepared.history[-1]

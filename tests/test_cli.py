@@ -4,11 +4,11 @@ import pathlib
 import tempfile
 
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mddg.harness
-import mddg.sparse
 from mddg.cli import main
 from mddg.harness import ConfigError, parse_config_text
 
@@ -127,16 +127,14 @@ class TestSolveCommand:
         assert "max_residual" in out
 
     def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
-        # starved GMRES with the fallback refused must fail loudly; with the cap at 0
-        # this diffusion system is solved by GMRES rather than by its complete LU
-        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
-        monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 1)
-        monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", 1)
-        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
+        # a complete LU that SuperLU cannot build must fail loudly: this convection
+        # system is solved by it alone, with nothing to fall back to
+        def singular(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         cfg = tmp_path / "fail.cfg"
-        cfg.write_text(
-            "problem = convection_diffusion\nmethod = tp3\np = 2\ndt0 = 0.5\nlevel = 2\n"
-        )
+        cfg.write_text("problem = convection\nmethod = tp3\np = 2\ndt0 = 0.5\nlevel = 2\n")
         code, out, _ = run_cli(["solve", "--config", str(cfg)], capsys)
         assert code == 2
         assert "solve failed" in out

@@ -135,12 +135,18 @@ def reference_refine(mesh):
             vertices.append(tuple(m))
         return index[key]
 
+    def from_lower_left(tri):
+        # the cyclic rotation that starts at the vertex of least x + y
+        start = min(range(3), key=lambda i: sum(vertices[tri[i]]))
+        return tri[start:] + tri[:start]
+
     triangles = []
     for a, b, c in mesh.triangles:
         mab = midpoint(a, b)
         mbc = midpoint(b, c)
         mca = midpoint(c, a)
-        triangles.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+        for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)):
+            triangles.append(from_lower_left(child))
     return _make_mesh(vertices, triangles, level=mesh.level + 1)
 
 
@@ -156,6 +162,25 @@ def test_refinement_matches_reference_bitwise():
         for name, (got, expected) in pairs.items():
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
+
+
+def test_elements_are_translates_of_the_base_triangles():
+    # every element starts at its lower-left vertex, and the slots place exactly one
+    # lower and one upper triangle in each of the N x N cells
+    m = build_base_mesh()
+    for level in range(7):
+        if level:
+            m = refine_uniform(m)
+        N, h = 2**level, 2.0**-level
+        v = m.vertices[m.triangles]
+        assert np.all(np.argmin(v.sum(axis=2), axis=1) == 0)
+        slots = m.slots
+        assert np.array_equal(np.sort(slots), np.arange(2 * N * N))
+        cell, upper = np.divmod(slots, 2)
+        iy, ix = np.divmod(cell, N)
+        assert np.array_equal(v[:, 0], h * np.stack([ix, iy], axis=1))
+        shapes = h * np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
+        assert np.array_equal(v - v[:, :1], shapes[upper])
 
 
 def _side_key(va, vb):

@@ -15,8 +15,10 @@ from mddg.sparse import (
     KroneckerSystem,
     LinearSolver,
     SolverFailure,
+    fourier_symbol,
     gmres_solve,
     _pattern_symmetric,
+    _sparse_block,
     ilu_factor,
 )
 from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
@@ -447,25 +449,30 @@ class TestDecoupledDirect:
     @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_solve_matches_dense(self, problem, method, monkeypatch):
+        # a diffusion workspace solves through the Fourier symbol, with no SuperLU call;
+        # the direct kind's SuperLU factors the same system block by block
         shapes = record_lu_shapes(monkeypatch)
+        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(kind="direct"))
         K = assembled_system(ws)
         b = np.random.default_rng(22).normal(size=K.shape[0])
-        x, stats = ws.prepared.solve(b)
-        assert stats.converged and stats.residual <= 1e-12
-        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
         x_dense = np.linalg.solve(K, b)
-        assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
-        assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
+        blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
+        assert shapes == (blocks if problem == "convection" else []) and ilu_shapes == []
+        for prepared in (ws.prepared, LinearSolver(kind="direct").prepare(ws.system)):
+            x, stats = prepared.solve(b)
+            assert stats.converged and stats.residual <= 1e-12
+            assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+        assert shapes == blocks * (2 if problem == "convection" else 1) and ilu_shapes == []
 
     def test_gmres_fallback_factors_blocks(self, monkeypatch):
         # the preconditioner and the fallback both factor only n x n blocks, one per
-        # eigenvalue with nonnegative imaginary part; with the complete-LU cap at 0 this
-        # system needs 4 GMRES iterations, so maxit = 1 forces the fallback
-        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+        # eigenvalue with nonnegative imaginary part; prepared for GMRES this system needs
+        # 4 GMRES iterations, so maxit = 1 forces the fallback
         monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 1)
         monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", 1)
         shapes = record_lu_shapes(monkeypatch)
@@ -473,10 +480,11 @@ class TestDecoupledDirect:
         prob = make_problem("convection_diffusion")
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), prob, default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        prepared = LinearSolver().prepare(ws.system)
         blocks = [(op.n_dof, op.n_dof)] * 2
-        assert ws.prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
+        assert prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
         b = np.random.default_rng(23).normal(size=ws.system.shape[0])
-        x, stats = ws.prepared.solve(b)
+        x, stats = prepared.solve(b)
         assert stats.fallback_reason == "gmres_not_converged" and stats.residual <= 1e-12
         assert shapes == blocks
 
@@ -525,30 +533,32 @@ class TestDecoupledDirect:
 
 class TestBlockPreconditioner:
     # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
-    # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors;
-    # with no diffusion, or with diffusion and at most COMPLETE_LU_MAX_NNZ nonzeros in
-    # Z, the workspace solves by each block's complete LU instead
+    # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors; a
+    # workspace solves convection by each block's complete LU instead and diffusion
+    # through its Fourier symbol, so the ILUTP is reached by preparing its system
     @pytest.mark.parametrize(
-        "problem, cap",
+        "problem, factor",
         [
-            pytest.param("convection", None, id="convection"),
+            pytest.param("convection", "splu", id="convection"),
             pytest.param("convection_diffusion", None, id="convection_diffusion"),
-            pytest.param("convection_diffusion", 0, id="convection_diffusion-cap0"),
+            pytest.param("convection_diffusion", "spilu", id="convection_diffusion-ilutp"),
         ],
     )
     @pytest.mark.parametrize("method", sorted(method_registry()))
-    def test_workspace_preconditioner_is_blockwise(self, problem, cap, method, monkeypatch):
-        if cap is not None:
-            monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", cap)
-        shapes = record_lu_shapes(monkeypatch, "splu" if cap is None else "spilu")
+    def test_workspace_preconditioner_is_blockwise(self, problem, factor, method, monkeypatch):
+        lu_shapes = record_lu_shapes(monkeypatch)
+        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver())
+        prepared = LinearSolver().prepare(ws.system) if factor == "spilu" else ws.prepared
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
-        assert shapes == [(n, n)] * int(np.sum(lam.imag >= 0))
+        blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
+        assert lu_shapes == (blocks if factor == "splu" else [])
+        assert ilu_shapes == (blocks if factor == "spilu" else [])
         K = assembled_system(ws)
         b = np.random.default_rng(26).normal(size=K.shape[0])
-        x, stats = ws.prepared.solve(b)
+        x, stats = prepared.solve(b)
         assert stats.converged and not stats.fallback_used
         assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -567,7 +577,8 @@ class TestBlockPreconditioner:
     @staticmethod
     def check_solves_directly(problem, monkeypatch):
         """A GMRES-kind mdrk6 workspace on ``problem`` factors each stored block
-        completely, once, and solves by those factors alone: no ILUTP, no Krylov
+        completely, once (by SuperLU for convection, through the Fourier symbol for
+        diffusion), and solves by those factors alone: no ILUTP, no Krylov
         iteration."""
         def refuse(*args, **kwargs):
             raise AssertionError(f"GMRES or ILUTP ran on a {problem} workspace")
@@ -586,41 +597,30 @@ class TestBlockPreconditioner:
             assert stats.residual <= 1e-12
             assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
         lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
-        assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
+        lu_blocks = int(np.sum(lam.imag >= 0)) if problem == "convection" else 0
+        assert shapes == [(op.n_dof, op.n_dof)] * lu_blocks
 
     def test_convection_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection", monkeypatch)
 
-    def test_diffusion_workspace_below_cap_solves_directly(self, monkeypatch):
-        # 4608 nonzeros in Z, far below COMPLETE_LU_MAX_NNZ
+    def test_diffusion_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection_diffusion", monkeypatch)
 
-    def test_diffusion_workspace_above_cap_iterates(self, monkeypatch):
-        # with the cap at 0 the same diffusion workspace keeps ILUTP + GMRES
-        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+    def test_diffusion_system_prepared_for_gmres_iterates(self, monkeypatch):
+        # prepared by a GMRES-kind solver, the same diffusion system keeps ILUTP + GMRES
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection_diffusion"), 20.0)
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        prepared = LinearSolver().prepare(ws.system)
         lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
-        assert ws.prepared.ilu is not None
+        assert prepared.ilu is not None
         assert ilu_shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
         b = np.random.default_rng(31).normal(size=ws.system.shape[0])
-        x, stats = ws.prepared.solve(b)
+        x, stats = prepared.solve(b)
         assert stats.converged and stats.iterations > 1 and not stats.fallback_used
         assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-10 * np.linalg.norm(b)
         assert shapes == []
-
-    @pytest.mark.parametrize("p, level, direct", [(4, 3, True), (3, 4, False)])
-    def test_cap_splits_the_measured_sizes(self, p, level, direct):
-        # the largest operator measured faster by its complete LU (p = 4, level 3: 115k
-        # nonzeros) goes direct; the smallest measured slower (p = 3, level 4: 205k) does not
-        op = assemble(
-            mesh_hierarchy(level + 1)[level], make_basis(p), make_problem("convection_diffusion"),
-            default_eta(p),
-        )
-        ws = make_workspace(op, method_registry()["tp3"], 0.5 / 2**level, LinearSolver())
-        assert (ws.prepared.ilu is None) == direct
 
     def test_singular_complete_factor_is_a_solver_failure(self, monkeypatch):
         # the complete LU is the convection solve itself, so there is nothing to fall back
@@ -667,17 +667,17 @@ class TestBlockPreconditioner:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
-        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
         with monkeypatch.context() as refused:
             refused.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
             with pytest.raises(SolverFailure, match="incomplete LU failed"):
-                make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
+                LinearSolver().prepare(ws.system)
         shapes = record_lu_shapes(monkeypatch)
-        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
-        assert ws.prepared.ilu is None
+        prepared = LinearSolver().prepare(ws.system)
+        assert prepared.ilu is None
         b = np.random.default_rng(28).normal(size=ws.system.shape[0])
-        x, stats = ws.prepared.solve(b)
+        x, stats = prepared.solve(b)
         assert stats.fallback_reason == "ilu_failed" and stats.fallback_used
         assert stats.converged and stats.residual <= 1e-10
         lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
@@ -690,12 +690,12 @@ class TestBlockPreconditioner:
 
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
         monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 10)
-        monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
         n = len(as_tableau(method_registry()["tp5"]).coupling) * op.n_dof
         with pytest.raises(SolverFailure) as err:
-            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
+            LinearSolver().prepare(ws.system)
         assert str(err.value) == (
             "incomplete LU failed: Factor is exactly singular; "
             f"direct fallback refused: n = {n} > FALLBACK_MAX_N = 10"
@@ -735,18 +735,25 @@ class TestOrdering:
     )
     @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # the default workspace, solver = direct and the GMRES fallback all get it
+        # the default workspace, solver = direct and the GMRES fallback all get it; a
+        # diffusion workspace solves through its Fourier symbol, so SuperLU sees its
+        # system only when a solver prepares it, and the default workspace not at all
         specs = record_orderings(monkeypatch)
         solver = LinearSolver(kind="direct" if route == "direct" else "gmres")
         if route == "fallback":
-            monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
             starve_gmres(monkeypatch, maxit=1, restart=1)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
-        x, stats = ws.prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
+        prepared = ws.prepared
+        diffusion = problem == "convection_diffusion"
+        if diffusion and route != "workspace":
+            assert specs == []
+            prepared = solver.prepare(ws.system)
+        x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
-        assert stats.fallback_used == (route == "fallback" and problem == "convection_diffusion")
-        assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
+        assert stats.fallback_used == (route == "fallback" and diffusion)
+        # mdrk6 stores one real and one complex block
+        assert specs == ([] if diffusion and route == "workspace" else [permc] * 2)
 
     def test_plain_matrix_ordering(self, monkeypatch):
         specs = record_orderings(monkeypatch)
@@ -762,9 +769,53 @@ class TestOrdering:
             mesh_hierarchy(5)[4], make_basis(2), make_problem("convection_diffusion"), default_eta(2)
         )
         ws = make_workspace(op, method_registry()["tp3"], 0.5 / 2**4, LinearSolver())
-        colamd = BlockFactors(ws.system, lambda B: scipy.sparse.linalg.splu(B, permc_spec="COLAMD"))
+        colamd = BlockFactors(
+            ws.system,
+            lambda lam: scipy.sparse.linalg.splu(_sparse_block(ws.system, lam), permc_spec="COLAMD"),
+        )
         assert ws.prepared.ilu is None
-        assert ws.prepared._direct.nnz <= colamd.nnz / 2
+        assert LinearSolver(kind="direct").prepare(ws.system)._direct.nnz <= colamd.nnz / 2
+
+
+class TestFourierSymbol:
+    # a diffusion workspace solves each block I - lambda Z through Z's Fourier symbol
+    @pytest.mark.parametrize(
+        "problem, degrees", [("convection", range(0, 6)), ("convection_diffusion", range(1, 6))]
+    )
+    def test_symbol_product_matches_matvec(self, problem, degrees):
+        # the FFT product reproduces the sparse one on grids of N = 1, 2, 4, 8 and 16 cells
+        rng = np.random.default_rng(34)
+        for p in degrees:
+            for level, mesh in enumerate(mesh_hierarchy(5)):
+                op = assemble(mesh, make_basis(p), make_problem(problem), default_eta(p))
+                S = fourier_symbol(op.matrix, mesh.slots)
+                N = 2**level
+                x = rng.normal(size=op.n_dof).reshape(mesh.n_elements, -1)
+                X = np.fft.fft2(x[np.argsort(mesh.slots)].reshape(N, N, -1), axes=(0, 1))
+                Y = np.fft.ifft2((S @ X[..., None])[..., 0], axes=(0, 1))
+                y = Y.reshape(mesh.n_elements, -1)[mesh.slots].ravel()
+                expected = op.matrix.matvec(x.ravel())
+                assert np.abs(y.imag).max() <= 1e-13 * np.linalg.norm(expected), (p, level)
+                assert np.linalg.norm(y.real - expected) <= 1e-13 * np.linalg.norm(expected), (
+                    p, level,
+                )
+
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_operator_that_is_not_translation_invariant_fails(self, kind):
+        # the symbol is read off cell 0's rows, so one perturbed entry elsewhere makes it
+        # the wrong operator: the residual check against A itself must refuse the answer
+        mesh = mesh_hierarchy(3)[2]
+        op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
+        A = op.matrix
+        row = int(np.argmax(mesh.slots)) * make_basis(2).n_modes
+        diagonal = A.indptr[row] + np.flatnonzero(A.indices[A.indptr[row] : A.indptr[row + 1]] == row)
+        A.data[diagonal] += 10 * np.abs(A.data).max()
+        ws = make_workspace(op, method_registry()["tp3"], 0.25, LinearSolver(kind=kind))
+        assert ws.prepared.ilu is None
+        b = np.random.default_rng(35).normal(size=ws.system.shape[0])
+        with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
+            ws.prepared.solve(b)
+        assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
 
 
 class TestKroneckerSystem:

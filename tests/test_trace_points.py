@@ -10,6 +10,8 @@ import pytest
 
 import mddg
 from mddg.harness import RunConfig, run_convergence
+from mddg.sparse import LinearSolver
+from mddg.timeint import MdrkWorkspace
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -35,9 +37,16 @@ def test_every_wrap_point_is_an_own_attribute(spans):
 
 def test_traced_study_records_every_solver_attr(spans, monkeypatch):
     # the attrs hooks read SolveStats fields and the system's nnz; a field that
-    # went missing would otherwise break only the traced bench run.  With the
-    # complete-LU cap at 0 the diffusion solves run GMRES, so its span is recorded
-    monkeypatch.setattr(mddg.sparse, "COMPLETE_LU_MAX_NNZ", 0)
+    # went missing would otherwise break only the traced bench run.  Each workspace's
+    # system is prepared again by a GMRES-kind solver, so the diffusion solves run
+    # GMRES rather than the Fourier-symbol solve and its span is recorded
+    init = MdrkWorkspace.__init__
+
+    def gmres_workspace(self, *args):
+        init(self, *args)
+        self.prepared = LinearSolver().prepare(self.system)
+
+    monkeypatch.setattr(MdrkWorkspace, "__init__", gmres_workspace)
     tracer = spans.Tracer()
     tracer.install(mddg)
     try:
