@@ -13,15 +13,11 @@ A ``PreparedSystem`` holds one of three such factors.  Two are solved
 directly, refined once when the residual is above ``REFINE_ABOVE``.  A
 convection-diffusion Z commutes with the mesh grid's translations, so a
 2-D FFT over the grid cells splits each of its blocks into one dense
-block per frequency (``fourier_symbol``).  SuperLU's complete LU serves
-``solver = direct``, an operator with no diffusion, whose upwind LU
-stays near the block's own fill, and the fallback when the ILUTP cannot
-be built or GMRES does not converge.  Its columns are ordered by minimum
-degree on B + B^T (SuperLU's ``MMD_AT_PLUS_A``: George and Liu, *The
-evolution of the minimum degree ordering algorithm*, SIAM Review 31,
-1989) when the pattern of Z is symmetric, as the interior-penalty terms
-make it, which cuts the fill 2-2.5x against COLAMD; an upwind convection
-Z keeps COLAMD, which gives the same fill there and faster solves.
+block per frequency (``fourier_symbol``).  SuperLU's complete LU, its
+columns ordered by COLAMD, serves a system prepared without the grid:
+an operator with no diffusion, whose upwind LU stays near the block's
+own fill, ``solver = direct`` on a matrix with no problem, and the
+fallback when the ILUTP cannot be built or GMRES does not converge.
 GMRES, restarted and right-preconditioned so that its residuals are true
 ones, runs only on SuperLU's threshold incomplete LU (ILUTP,
 ``ilu_factor``), as a complete factor leaves it nothing to iterate.  It
@@ -194,15 +190,6 @@ class FourierFactor:
         return (Y.real if np.isrealobj(w) else Y)[self.slots].ravel()
 
 
-def _pattern_symmetric(Z) -> bool:
-    """Whether Z's stored pattern, explicit zeros included, equals that of its transpose."""
-    Z = scipy.sparse.csr_array(Z)
-    P = scipy.sparse.csr_array((np.ones(Z.nnz, np.int8), Z.indices, Z.indptr), shape=Z.shape)
-    P.sum_duplicates()
-    T = P.T.tocsr()
-    return np.array_equal(P.indptr, T.indptr) and np.array_equal(P.indices, T.indices)
-
-
 class BlockFactors:
     """Factors of A = I - C (x) Z stored per block (see ``_decouple``).
 
@@ -240,7 +227,7 @@ class BlockFactors:
                 R[k], R[k + 1] = y.real, y.imag
             else:
                 R[k] = f.solve(W[k].real)
-        return np.dot(self.T, R, out=np.empty(R.shape)).ravel()
+        return (self.T @ R).ravel()
 
 
 class IluFactors(BlockFactors):
@@ -292,17 +279,17 @@ class SolveStats:
 
 @dataclass
 class LinearSolver:
-    """Solver kind: restarted GMRES with an ILUTP preconditioner, or direct LU.
+    """Solver kind: restarted GMRES with an ILUTP preconditioner, or a direct solve.
 
     GMRES solves to ``GMRES_RTOL`` on the whole system, restarted every
     ``GMRES_RESTART`` iterations, right-preconditioned by ``ilu_factor``
     (SuperLU's ILUTP, one per block of a coupled system; the paper uses
     ILU(2) of the whole system), and hands a system it cannot precondition
-    or solve within ``GMRES_MAXIT`` iterations to the complete LU (see
-    PreparedSystem).  ``direct`` solves with SuperLU's complete LU of each
-    block.  ``MdrkWorkspace`` solves convection by that LU and diffusion
-    through the operator's Fourier symbol whatever the kind, so GMRES runs
-    only on systems prepared outside a problem's workspace.
+    or solve within ``GMRES_MAXIT`` iterations to the complete factor (see
+    PreparedSystem).  ``direct`` solves with the complete factor alone.
+    ``MdrkWorkspace`` gives every operator that carries a problem the
+    direct kind, so GMRES runs only on systems prepared outside a
+    problem's workspace.
     """
 
     kind: str = "gmres"
@@ -398,11 +385,12 @@ class PreparedSystem:
     """A factorized linear system ready for repeated right-hand sides.
 
     A GMRES-kind solver gets the ILUTP preconditioner ``ilu`` and solves by
-    GMRES; a direct-kind solver gets the complete LU, and either kind given
-    ``slots`` the Fourier-symbol factor (see ``fourier_symbol``), and solves
-    by it alone.  Each applies A itself for its residual.
+    GMRES; a direct-kind solver gets the complete factor and solves by it
+    alone.  The complete factor is the Fourier-symbol one when ``slots``
+    places A's elements on the mesh grid (see ``fourier_symbol``), and
+    SuperLU's LU otherwise.  Each applies A itself for its residual.
 
-    A GMRES-kind system falls back to the complete LU, for this and every
+    A GMRES-kind system falls back to the complete factor, for this and every
     later solve, when its ILUTP cannot be built or a GMRES solve does not
     converge: non-convergence is a property of the matrix, not of the
     right-hand side.  The fallback takes at most ``FALLBACK_MAX_N``
@@ -415,31 +403,29 @@ class PreparedSystem:
 
     def __init__(self, A, solver, slots=None):
         self.A = A
+        self.slots = slots
         self.ilu = None
         self._direct = None
         self._direct_reason = ""  # why a GMRES-kind solve now goes direct
         self.history = []
-        if solver.kind == "direct" or slots is not None:
-            self._factorize_direct(slots)
+        if solver.kind == "direct":
+            self._factorize_direct()
             return
         try:
             self.ilu = ilu_factor(A)
         except RuntimeError as exc:  # SuperLU signals a singular factor this way
             self._fall_back("ilu_failed", f"incomplete LU failed: {exc}")
 
-    def _factorize_direct(self, slots=None):
-        Z = self.A.Z if isinstance(self.A, KroneckerSystem) else self.A
+    def _factorize_direct(self):
         try:
-            if slots is not None:
-                S = fourier_symbol(Z, slots)
-                self._direct = BlockFactors(self.A, lambda lam: FourierFactor(S, slots, lam))
+            if self.slots is not None:
+                Z = self.A.Z if isinstance(self.A, KroneckerSystem) else self.A
+                S = fourier_symbol(Z, self.slots)
+                self._direct = BlockFactors(self.A, lambda lam: FourierFactor(S, self.slots, lam))
                 return
-            # minimum degree on B + B^T for a symmetric pattern (tested on Z: forming
-            # B = I - lambda Z drops Z's stored zeros), COLAMD otherwise
-            permc = "MMD_AT_PLUS_A" if _pattern_symmetric(Z) else "COLAMD"
             self._direct = BlockFactors(
                 self.A,
-                lambda lam: scipy.sparse.linalg.splu(_sparse_block(self.A, lam), permc_spec=permc),
+                lambda lam: scipy.sparse.linalg.splu(_sparse_block(self.A, lam), permc_spec="COLAMD"),
             )
         except (RuntimeError, np.linalg.LinAlgError) as exc:  # an exactly singular factor
             raise SolverFailure(f"direct LU failed: {exc}") from exc

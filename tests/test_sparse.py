@@ -10,15 +10,13 @@ from mddg.operator import assemble, project_l2
 from mddg.sparse import (
     ILU_DROP_TOL,
     ILU_FILL_FACTOR,
-    BlockFactors,
     CsrMatrix,
+    FourierFactor,
     KroneckerSystem,
     LinearSolver,
     SolverFailure,
     fourier_symbol,
     gmres_solve,
-    _pattern_symmetric,
-    _sparse_block,
     ilu_factor,
 )
 from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
@@ -709,72 +707,29 @@ def record_orderings(monkeypatch):
 
 
 class TestOrdering:
-    # a complete LU is ordered by minimum degree on B + B^T when the pattern of Z is
-    # symmetric (interior-penalty diffusion) and by COLAMD otherwise (upwind convection)
-    @pytest.mark.parametrize(
-        "problem, degrees, symmetric",
-        [("convection_diffusion", range(1, 6), True), ("convection", range(0, 6), False)],
-    )
-    def test_operator_pattern(self, problem, degrees, symmetric):
-        for p in degrees:
-            op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
-            assert _pattern_symmetric(op.matrix) == symmetric, p
-
-    def test_plain_matrix_pattern(self):
-        # values play no part; a stored zero does, and index order and duplicates do not
-        assert _pattern_symmetric(CsrMatrix(np.array([[1.0, 2.0, 0.0], [-3.0, 4.0, 0.0], [0, 0, 5.0]])))
-        assert not _pattern_symmetric(CsrMatrix(np.array([[1.0, 2.0], [0.0, 3.0]])))
-        stored_zero = sp.csr_array(([1.0, 2.0, 0.0, 3.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
-        assert _pattern_symmetric(stored_zero)
-        unsorted = sp.csr_array(([2.0, 1.0, 1.0, 1.0, 3.0], [1, 0, 1, 0, 1], [0, 2, 5]), shape=(2, 2))
-        assert not unsorted.has_canonical_format and _pattern_symmetric(unsorted)
-        assert not _pattern_symmetric(random_csr(30, 0.2, seed=32)[0])
-
-    @pytest.mark.parametrize(
-        "problem, permc", [("convection", "COLAMD"), ("convection_diffusion", "MMD_AT_PLUS_A")]
-    )
+    # every complete LU orders its columns by COLAMD, which keeps an upwind convection
+    # block near its own fill
+    @pytest.mark.parametrize("problem, permc", [("convection", "COLAMD")])
     @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # the default workspace, solver = direct and the GMRES fallback all get it; a
-        # diffusion workspace solves through its Fourier symbol, so SuperLU sees its
-        # system only when a solver prepares it, and the default workspace not at all
+        # the default workspace, solver = direct and a starved GMRES all get it
         specs = record_orderings(monkeypatch)
         solver = LinearSolver(kind="direct" if route == "direct" else "gmres")
         if route == "fallback":
             starve_gmres(monkeypatch, maxit=1, restart=1)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
-        prepared = ws.prepared
-        diffusion = problem == "convection_diffusion"
-        if diffusion and route != "workspace":
-            assert specs == []
-            prepared = solver.prepare(ws.system)
-        x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
+        x, stats = ws.prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
-        assert stats.fallback_used == (route == "fallback" and diffusion)
-        # mdrk6 stores one real and one complex block
-        assert specs == ([] if diffusion and route == "workspace" else [permc] * 2)
+        assert not stats.fallback_used
+        assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
 
     def test_plain_matrix_ordering(self, monkeypatch):
         specs = record_orderings(monkeypatch)
         tridiagonal = CsrMatrix(sp.diags([[-1.0] * 9, [4.0] * 10, [-2.0] * 9], [-1, 0, 1]))
         for A in (tridiagonal, random_csr(30, 0.2, seed=32, diag_boost=8.0)[0]):
             direct_solve(A, np.ones(A.shape[0]))
-        assert specs == ["MMD_AT_PLUS_A", "COLAMD"]
-
-    def test_minimum_degree_halves_diffusion_fill(self):
-        # guards the ordering: on the tp3, p = 2, level-4 convection-diffusion system the
-        # LU of the one (complex) block holds 0.38M entries against 0.96M under COLAMD
-        op = assemble(
-            mesh_hierarchy(5)[4], make_basis(2), make_problem("convection_diffusion"), default_eta(2)
-        )
-        ws = make_workspace(op, method_registry()["tp3"], 0.5 / 2**4, LinearSolver())
-        colamd = BlockFactors(
-            ws.system,
-            lambda lam: scipy.sparse.linalg.splu(_sparse_block(ws.system, lam), permc_spec="COLAMD"),
-        )
-        assert ws.prepared.ilu is None
-        assert LinearSolver(kind="direct").prepare(ws.system)._direct.nnz <= colamd.nnz / 2
+        assert specs == ["COLAMD", "COLAMD"]
 
 
 class TestFourierSymbol:
@@ -799,6 +754,35 @@ class TestFourierSymbol:
                 assert np.linalg.norm(y.real - expected) <= 1e-13 * np.linalg.norm(expected), (
                     p, level,
                 )
+
+    @pytest.mark.parametrize("kind", ["direct", "gmres"])
+    def test_kind_routes_and_slots_pick_the_factor(self, kind, monkeypatch):
+        # the kind decides whether GMRES runs; given slots, the complete factor, asked
+        # for or the fallback of a starved GMRES, is the symbol's and SuperLU's LU never runs
+        starve_gmres(monkeypatch, maxit=1, restart=1)
+        lus = record_lu_shapes(monkeypatch)
+        mesh = mesh_hierarchy(2)[1]
+        op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        prepared = LinearSolver(kind=kind).prepare(ws.system, mesh.slots)
+        assert (prepared.ilu is None) == (kind == "direct")
+        x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
+        assert stats.converged and stats.residual <= 1e-12
+        assert stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
+        assert lus == []
+        assert all(isinstance(f, FourierFactor) for _, f, _ in prepared._direct.factors)
+
+    def test_plain_matrix_solved_through_its_symbol(self, monkeypatch):
+        # a plain matrix on the grid is one block: its own symbol is inverted, not I - lambda S
+        lus = record_lu_shapes(monkeypatch)
+        mesh = mesh_hierarchy(3)[2]
+        op = assemble(mesh, make_basis(1), make_problem("convection_diffusion"), default_eta(1))
+        B = CsrMatrix(sp.identity(op.n_dof, format="csr") - 0.25 * op.matrix)
+        prepared = LinearSolver(kind="direct").prepare(B, mesh.slots)
+        b = np.random.default_rng(36).normal(size=op.n_dof)
+        x, stats = prepared.solve(b)
+        assert stats.converged and stats.residual <= 1e-12 and lus == []
+        assert np.linalg.norm(x - np.linalg.solve(B.toarray(), b)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("kind", ["direct", "gmres"])
     def test_operator_that_is_not_translation_invariant_fails(self, kind):
