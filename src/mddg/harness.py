@@ -127,7 +127,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Settings of one study: problem, discretization, method, solver."""
+    """Settings of one study: problem, discretization, method.
+
+    ``solver`` is checked against the solver kinds but changes nothing:
+    ``timeint.MdrkWorkspace`` solves every step directly.
+    """
 
     problem: str = "convection"
     p: int = 1
@@ -173,9 +177,6 @@ class RunConfig:
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.p)
-
-    def linear_solver(self) -> LinearSolver:
-        return LinearSolver(kind=self.solver)
 
 
 # the type each config key's text parses to: its RunConfig annotation, Optional[T] as T
@@ -271,7 +272,6 @@ def run_level(cfg: RunConfig, mesh, level: int, stats: list) -> float:
         0.0,
         problem.t_end,
         cfg.dt0 / 2**level,
-        solver=cfg.linear_solver(),
         stats_out=stats,
     )
     return l2_error(mesh, basis, w, problem.exact, problem.t_end)

@@ -16,17 +16,18 @@ convection-diffusion Z commutes with the mesh grid's translations, so a
 block per frequency (``fourier_symbol``).  SuperLU's complete LU, its
 columns ordered by COLAMD, serves a system prepared without the grid:
 an operator with no diffusion, whose upwind LU stays near the block's
-own fill, ``solver = direct`` on a matrix with no problem, and the
-fallback when the ILUTP cannot be built or GMRES does not converge.
-GMRES, restarted and right-preconditioned so that its residuals are true
-ones, runs only on SuperLU's threshold incomplete LU (ILUTP,
-``ilu_factor``), as a complete factor leaves it nothing to iterate.  It
-orthogonalises by classical Gram-Schmidt run twice (CGS2), solves its
-small least-squares problem with LAPACK and keeps each preconditioned
-Krylov vector (Saad, *A flexible inner-outer preconditioned GMRES
-algorithm*, SISC 14, 1993).  Its tolerance, restart length and iteration
-limit are the constants ``GMRES_RTOL``, ``GMRES_RESTART`` and
-``GMRES_MAXIT``, not settings.
+own fill, or a plain matrix.  Every time step is solved by one of these
+two; ``timeint.MdrkWorkspace`` picks which.  GMRES, restarted and
+right-preconditioned so that its residuals are true ones, runs only on a
+system prepared with the GMRES kind, preconditioned by SuperLU's
+threshold incomplete LU (ILUTP, ``ilu_factor``), and falls back to the
+complete factor when the ILUTP cannot be built or GMRES does not
+converge.  It orthogonalises by classical Gram-Schmidt run twice (CGS2),
+solves its small least-squares problem with LAPACK and keeps each
+preconditioned Krylov vector (Saad, *A flexible inner-outer
+preconditioned GMRES algorithm*, SISC 14, 1993).  Its tolerance, restart
+length and iteration limit are the constants ``GMRES_RTOL``,
+``GMRES_RESTART`` and ``GMRES_MAXIT``, not settings.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import scipy.sparse.linalg
 GMRES_RTOL = 1e-10  # relative residual every GMRES solve must reach
 GMRES_RESTART = 60  # Krylov vectors GMRES keeps before it restarts
 GMRES_MAXIT = 5000  # GMRES iterations a solve may take before it falls back
-FALLBACK_MAX_N = 50000  # largest system the automatic direct fallback accepts
 ILU_DROP_TOL = 1e-4  # ILUTP drops entries below this size relative to their column
 ILU_FILL_FACTOR = 10  # ILUTP keeps at most this multiple of the matrix's nonzeros
 REFINE_ABOVE = 1e-12  # a direct solve refines once when its relative residual exceeds this
@@ -287,9 +287,8 @@ class LinearSolver:
     ILU(2) of the whole system), and hands a system it cannot precondition
     or solve within ``GMRES_MAXIT`` iterations to the complete factor (see
     PreparedSystem).  ``direct`` solves with the complete factor alone.
-    ``MdrkWorkspace`` gives every operator that carries a problem the
-    direct kind, so GMRES runs only on systems prepared outside a
-    problem's workspace.
+    Every ``MdrkWorkspace`` prepares its step system with the direct kind,
+    so GMRES runs only on systems prepared outside a workspace.
     """
 
     kind: str = "gmres"
@@ -393,10 +392,9 @@ class PreparedSystem:
     A GMRES-kind system falls back to the complete factor, for this and every
     later solve, when its ILUTP cannot be built or a GMRES solve does not
     converge: non-convergence is a property of the matrix, not of the
-    right-hand side.  The fallback takes at most ``FALLBACK_MAX_N``
-    unknowns; above that the solve raises ``SolverFailure``.
-    ``SolveStats.fallback_reason`` of a solve that fell back is
-    ``"ilu_failed"`` (no preconditioner could be built),
+    right-hand side.  The fallback builds the same complete factor as the
+    direct kind, at any size.  ``SolveStats.fallback_reason`` of a solve
+    that fell back is ``"ilu_failed"`` (no preconditioner could be built),
     ``"gmres_not_converged"`` (this solve's GMRES gave up) or ``"sticky"``
     (an earlier solve's GMRES gave up).
     """
@@ -413,8 +411,8 @@ class PreparedSystem:
             return
         try:
             self.ilu = ilu_factor(A)
-        except RuntimeError as exc:  # SuperLU signals a singular factor this way
-            self._fall_back("ilu_failed", f"incomplete LU failed: {exc}")
+        except RuntimeError:  # SuperLU signals a singular factor this way
+            self._fall_back("ilu_failed")
 
     def _factorize_direct(self):
         try:
@@ -430,17 +428,10 @@ class PreparedSystem:
         except (RuntimeError, np.linalg.LinAlgError) as exc:  # an exactly singular factor
             raise SolverFailure(f"direct LU failed: {exc}") from exc
 
-    def _fall_back(self, reason, message, stats=None):
-        """Go direct for this and later solves (``reason``), or record ``stats`` and raise."""
-        n = self.A.shape[0]
-        if n <= FALLBACK_MAX_N:
-            self._factorize_direct()
-            self._direct_reason = reason
-            return
-        if stats is not None:
-            self.history.append(stats)
-        message += f"; direct fallback refused: n = {n} > FALLBACK_MAX_N = {FALLBACK_MAX_N}"
-        raise SolverFailure(message, stats=stats)
+    def _fall_back(self, reason):
+        """Go direct for this and every later solve, which record ``reason``."""
+        self._factorize_direct()
+        self._direct_reason = reason
 
     def _solve_direct(self, b, fallback_reason):
         x = self._direct.solve(b)
@@ -458,8 +449,8 @@ class PreparedSystem:
         )
         return x, stats
 
-    def solve(self, b, x0=None):
-        """Solve A x = b; returns (x, SolveStats).  ``x0`` seeds GMRES only.
+    def solve(self, b):
+        """Solve A x = b; returns (x, SolveStats).
 
         A ``b`` of the wrong shape or with a non-finite entry raises
         ValueError whatever the solver's kind.
@@ -473,18 +464,12 @@ class PreparedSystem:
         reason = self._direct_reason
         if self._direct is None:
             x, stats = gmres_solve(
-                self.A, b, precond=self.ilu, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-                maxit=GMRES_MAXIT, x0=x0,
+                self.A, b, precond=self.ilu, rtol=GMRES_RTOL, restart=GMRES_RESTART, maxit=GMRES_MAXIT
             )
             if stats.converged:
                 self.history.append(stats)
                 return x, stats
-            self._fall_back(
-                "sticky",
-                f"GMRES did not converge: residual {stats.residual:.3e} "
-                f"after {stats.iterations} iterations",
-                stats,
-            )
+            self._fall_back("sticky")
             reason = "gmres_not_converged"
         x, stats = self._solve_direct(b, reason)
         self.history.append(stats)

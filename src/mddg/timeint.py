@@ -252,15 +252,15 @@ class MdrkWorkspace:
     starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
     stage equal to the step input.  The system is exactly I - C (x) dt A
     with C = ``tableau.coupling``; ``system`` is that product in Kronecker
-    form, holding dt C and A but no sMn x sMn matrix.  Whatever the
-    solver's kind, an operator whose problem has no diffusion
-    (``op.problem.epsilon == 0``) is solved by the complete LU of each
-    block, and one with diffusion through A's Fourier symbol on the mesh
-    grid (``sparse.fourier_symbol``); one that carries no problem keeps its
-    solver.
+    form, holding dt C and A but no sMn x sMn matrix.  This is the one
+    place that picks the step solver: every system is solved directly by
+    its complete factor, through A's Fourier symbol on the mesh grid
+    (``sparse.fourier_symbol``) when the operator's problem has diffusion
+    (``op.problem.epsilon > 0``), and by the COLAMD-ordered complete LU of
+    each block otherwise, also for an operator that carries no problem.
     """
 
-    def __init__(self, op, tableau: MdrkTableau, dt: float, solver: LinearSolver):
+    def __init__(self, op, tableau: MdrkTableau, dt: float):
         self.op = op
         self.tableau = tableau
         self.dt = dt
@@ -274,20 +274,18 @@ class MdrkWorkspace:
         # wrap (Lesaint & Raviart 1974) and its complete LU keeps near the block's own fill;
         # with diffusion constant coefficients on the periodic grid make A block circulant
         problem = getattr(op, "problem", None)
-        if problem is not None:
-            solver = LinearSolver(kind="direct")
         diffusion = problem is not None and problem.epsilon > 0
-        self.prepared = solver.prepare(self.system, op.mesh.slots if diffusion else None)
+        self.prepared = LinearSolver(kind="direct").prepare(
+            self.system, op.mesh.slots if diffusion else None
+        )
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit
         M = tab.n_derivatives
         A = op.matrix
-        explicit = len(S) < tab.stages
-        # derivatives of the step input at t: the explicit stages' M derivatives (one A w
-        # for all of them) and the initial guess of the auxiliaries
+        # the explicit stages' M derivatives of the step input at t, one A w for all of them
         deriv = [w]
-        for m in range(1, M + 1 if explicit else M):
+        for m in range(1, M + 1 if len(S) < tab.stages else 1):
             deriv.append(A.matvec(deriv[-1]) + op.source_vector(t, m - 1))
         scaled = [dt**m * v for m, v in enumerate(deriv)]
         # src[i][m-1] = dt^m b^(m-1)(t_i), the source part of dt^m y_i^(m)
@@ -304,8 +302,7 @@ class MdrkWorkspace:
                     if a_m[i, j] != 0.0:
                         r += a_m[i, j] * (src[j][m - 1] if j in src else scaled[m])
             rhs += [r, *src[i][: M - 1]]
-        x0 = np.concatenate(scaled[:M] * len(S))
-        x, _ = self.prepared.solve(np.concatenate(rhs), x0=x0)
+        x, _ = self.prepared.solve(np.concatenate(rhs))
         x = x.reshape(len(S), M, n)
         if self.stiffly_accurate:
             return x[-1, 0]
@@ -326,18 +323,13 @@ class MdrkWorkspace:
 
 
 class TwoPointWorkspace(MdrkWorkspace):
-    """The workspace of a two-point scheme's two-stage tableau."""
+    """A name kept for bench/spans.py, which wraps ``step`` through this class's own __dict__."""
 
-    def __init__(self, op, scheme: TwoPointScheme, dt: float, solver: LinearSolver):
-        super().__init__(op, scheme.tableau, dt, solver)
-
-    # bench/spans.py wraps TwoPointWorkspace.step through this class's own __dict__
     step = MdrkWorkspace.step
 
 
-def make_workspace(op, method, dt: float, solver: Optional[LinearSolver] = None):
-    solver = solver if solver is not None else LinearSolver()
-    return MdrkWorkspace(op, as_tableau(method), dt, solver)
+def make_workspace(op, method, dt: float) -> MdrkWorkspace:
+    return MdrkWorkspace(op, as_tableau(method), dt)
 
 
 def _check_times(dt, *times):
@@ -347,10 +339,10 @@ def _check_times(dt, *times):
         raise ValueError("dt must be positive")
 
 
-def mdrk_step(op, method, w, t, dt, solver: Optional[LinearSolver] = None):
+def mdrk_step(op, method, w, t, dt):
     """One implicit step of a tableau or a two-point scheme."""
     _check_times(dt, t)
-    return make_workspace(op, method, dt, solver).step(np.asarray(w, float), t)
+    return make_workspace(op, method, dt).step(np.asarray(w, float), t)
 
 
 def integrate(
@@ -360,7 +352,7 @@ def integrate(
     t0: float,
     t_end: float,
     dt: float,
-    solver: Optional[LinearSolver] = None,
+    *,
     stats_out: Optional[list] = None,
 ):
     """March from t0 to t_end; the final step is shortened to land on t_end.
@@ -375,7 +367,6 @@ def integrate(
     w = np.asarray(w0, dtype=float).copy()
     if t_end == t0:
         return w
-    solver = solver if solver is not None else LinearSolver()
     span = t_end - t0
     if not math.isfinite(span / dt):
         raise ValueError("the span from t0 to t_end holds too many steps of dt")
@@ -383,7 +374,7 @@ def integrate(
     remainder = span - n_full * dt
     if n_full and remainder <= _STEP_TOL * dt:  # never drop the only step
         remainder = 0.0
-    ws = make_workspace(op, method, dt, solver) if n_full else None
+    ws = make_workspace(op, method, dt) if n_full else None
     ws_last = None
     try:
         t = t0
@@ -393,7 +384,7 @@ def integrate(
             if not np.all(np.isfinite(w)):
                 raise BlowUpError(f"non-finite state after step {i + 1} (t = {t:.6g})")
         if remainder > 0.0:
-            ws_last = make_workspace(op, method, remainder, solver)
+            ws_last = make_workspace(op, method, remainder)
             w = ws_last.step(w, t)
             if not np.all(np.isfinite(w)):
                 raise BlowUpError(f"non-finite state in final shortened step (t = {t_end:.6g})")

@@ -225,7 +225,7 @@ def test_criterion_5_large_time_step_stability():
     details = []
     for name, method in method_registry().items():
         stats = []
-        w = integrate(op, method, w0, 0.0, 1.0, 0.25, LinearSolver(), stats_out=stats)
+        w = integrate(op, method, w0, 0.0, 1.0, 0.25, stats_out=stats)
         n_end = np.linalg.norm(w)
         ok = (
             n_end <= n0 + 1e-8
@@ -350,7 +350,6 @@ def test_criterion_9_block_dense_equivalence():
     mesh = mesh_hierarchy(1)[0]
     basis = make_basis(1)
     reg = method_registry()
-    solver = LinearSolver(kind="direct")
     rng = np.random.default_rng(9)
     worst = 0.0
     for prob_name in ("convection", "convection_diffusion"):
@@ -363,7 +362,7 @@ def test_criterion_9_block_dense_equivalence():
         t, dt = 0.3, 0.2
         for name in ("tp4", "tp6"):
             scheme = reg[name]
-            wb = mdrk_step(op, scheme, w, t, dt, solver)
+            wb = mdrk_step(op, scheme, w, t, dt)
             al, be = np.array(scheme.alpha, float), np.array(scheme.beta, float)
             b = lambda tt, d=0: op.source_vector(tt, d)
             t1 = t + dt
@@ -404,7 +403,6 @@ def test_criterion_10_ode_order_battery():
     y0 = np.array([1.0, 0.3])
     T = 1.0
     exact = scipy.linalg.expm(A * T) @ y0
-    solver = LinearSolver(kind="direct")
     reg = method_registry()
     expected = {"tp3": 3, "tp4": 4, "tp5": 5, "tp6": 6, "mdrk6": 6, "gl6": 6}
     oks = []
@@ -412,7 +410,7 @@ def test_criterion_10_ode_order_battery():
     for name, order in expected.items():
         errs = []
         for n in (8, 16):
-            w = integrate(op, reg[name], y0, 0.0, T, T / n, solver)
+            w = integrate(op, reg[name], y0, 0.0, T, T / n)
             errs.append(np.linalg.norm(w - exact))
         slope = math.log2(errs[0] / errs[1])
         ok = errs[0] < 1e-3 and abs(slope - order) <= 0.1 * order
@@ -471,7 +469,7 @@ def test_criterion_11_fallback_path_triggers(monkeypatch):
     basis = make_basis(5)
     mesh = mesh_hierarchy(4)[3]
     op = assemble(mesh, basis, prob, eta=30.0)
-    ws = make_workspace(op, method_registry()["tp6"], 0.0625, LinearSolver())
+    ws = make_workspace(op, method_registry()["tp6"], 0.0625)
     ws.prepared = LinearSolver().prepare(ws.system)
     w0 = project_l2(mesh, basis, prob.initial)
     ws.step(w0, 0.0)

@@ -20,7 +20,7 @@ from mddg.harness import (
     parse_config_text,
     run_convergence,
 )
-from mddg.sparse import LinearSolver
+from mddg.sparse import SOLVER_KINDS
 
 from conftest import config_lines
 
@@ -126,9 +126,6 @@ class TestConfigParsing:
             got = getattr(cfg, key)
             assert type(got) is type(value) and got == value, key
 
-    def test_solver_defaults_are_linear_solvers(self):
-        assert RunConfig().linear_solver() == LinearSolver()
-
     def test_problem_table_names_its_problems(self):
         for name in PROBLEMS:
             assert make_problem(name).name == name
@@ -189,6 +186,15 @@ class TestRunConvergence:
         a = format_report(run_convergence(cfg))
         b = format_report(run_convergence(cfg))
         assert a == b
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_solver_key_has_no_effect(self, problem):
+        # the key is validated but every step is solved directly whatever it names
+        reports = {
+            kind: format_report(run_convergence(RunConfig(problem=problem, p=1, levels=2, solver=kind)))
+            for kind in SOLVER_KINDS
+        }
+        assert reports["gmres"] == reports["direct"]
 
     def test_diffusion_rejects_p0(self):
         # rejected when the config is built, before any level runs

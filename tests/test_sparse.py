@@ -181,7 +181,7 @@ def test_ilutp_on_dg_block_system(p, method, dt):
     prob = make_problem("convection_diffusion")
     op = assemble(mesh_hierarchy(2)[1], make_basis(p), prob, default_eta(p))
     tableau = as_tableau(method_registry()[method])
-    ws = make_workspace(op, tableau, dt, LinearSolver(kind="direct"))
+    ws = make_workspace(op, tableau, dt)
     A = ws.system
     D = assembled_system(ws)
     b = np.random.default_rng(21).normal(size=A.shape[0])
@@ -452,7 +452,7 @@ class TestDecoupledDirect:
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
-        ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver(kind="direct"))
+        ws = make_workspace(op, method_registry()[method], 0.25)
         K = assembled_system(ws)
         b = np.random.default_rng(22).normal(size=K.shape[0])
         x_dense = np.linalg.solve(K, b)
@@ -477,7 +477,7 @@ class TestDecoupledDirect:
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         prob = make_problem("convection_diffusion")
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), prob, default_eta(2))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         prepared = LinearSolver().prepare(ws.system)
         blocks = [(op.n_dof, op.n_dof)] * 2
         assert prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
@@ -547,7 +547,7 @@ class TestBlockPreconditioner:
         lu_shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
-        ws = make_workspace(op, method_registry()[method], 0.25, LinearSolver())
+        ws = make_workspace(op, method_registry()[method], 0.25)
         prepared = LinearSolver().prepare(ws.system) if factor == "spilu" else ws.prepared
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
@@ -574,10 +574,9 @@ class TestBlockPreconditioner:
 
     @staticmethod
     def check_solves_directly(problem, monkeypatch):
-        """A GMRES-kind mdrk6 workspace on ``problem`` factors each stored block
-        completely, once (by SuperLU for convection, through the Fourier symbol for
-        diffusion), and solves by those factors alone: no ILUTP, no Krylov
-        iteration."""
+        """An mdrk6 workspace on ``problem`` factors each stored block completely,
+        once (by SuperLU for convection, through the Fourier symbol for diffusion),
+        and solves by those factors alone: no ILUTP, no Krylov iteration."""
         def refuse(*args, **kwargs):
             raise AssertionError(f"GMRES or ILUTP ran on a {problem} workspace")
 
@@ -585,7 +584,7 @@ class TestBlockPreconditioner:
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem(problem), 20.0)
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         assert ws.prepared.ilu is None
         rng = np.random.default_rng(31)
         for _ in range(3):
@@ -609,7 +608,7 @@ class TestBlockPreconditioner:
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         prepared = LinearSolver().prepare(ws.system)
         lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
         assert prepared.ilu is not None
@@ -632,7 +631,7 @@ class TestBlockPreconditioner:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
         with pytest.raises(SolverFailure, match="direct LU failed: Factor is exactly singular"):
-            make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
+            make_workspace(op, method_registry()["tp5"], 0.25)
         assert calls == [(op.n_dof, op.n_dof)]
 
     def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
@@ -659,18 +658,13 @@ class TestBlockPreconditioner:
         assert f.nnz == expected > 0
 
     def test_failed_block_ilutp_takes_direct_fallback(self, monkeypatch):
-        # SuperLU's RuntimeError from a block's incomplete factor routes to the direct
-        # fallback, or surfaces as SolverFailure when the fallback is refused
+        # SuperLU's RuntimeError from a block's incomplete factor routes to the direct fallback
         def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
-        with monkeypatch.context() as refused:
-            refused.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
-            with pytest.raises(SolverFailure, match="incomplete LU failed"):
-                LinearSolver().prepare(ws.system)
+        ws = make_workspace(op, method_registry()["tp5"], 0.25)
         shapes = record_lu_shapes(monkeypatch)
         prepared = LinearSolver().prepare(ws.system)
         assert prepared.ilu is None
@@ -680,25 +674,6 @@ class TestBlockPreconditioner:
         assert stats.converged and stats.residual <= 1e-10
         lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
         assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
-
-    def test_failed_block_ilutp_fallback_refused_above_cap(self, monkeypatch):
-        # the ilu_failed fallback keeps to FALLBACK_MAX_N like the gmres_not_converged one
-        def singular(A, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
-        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 10)
-        shapes = record_lu_shapes(monkeypatch)
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["tp5"], 0.25, LinearSolver())
-        n = len(as_tableau(method_registry()["tp5"]).coupling) * op.n_dof
-        with pytest.raises(SolverFailure) as err:
-            LinearSolver().prepare(ws.system)
-        assert str(err.value) == (
-            "incomplete LU failed: Factor is exactly singular; "
-            f"direct fallback refused: n = {n} > FALLBACK_MAX_N = 10"
-        )
-        assert shapes == []
 
 
 def record_orderings(monkeypatch):
@@ -712,16 +687,19 @@ class TestOrdering:
     @pytest.mark.parametrize("problem, permc", [("convection", "COLAMD")])
     @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # the default workspace, solver = direct and a starved GMRES all get it
+        # the workspace, the direct kind and the fallback of a starved GMRES all get it
         specs = record_orderings(monkeypatch)
-        solver = LinearSolver(kind="direct" if route == "direct" else "gmres")
-        if route == "fallback":
-            starve_gmres(monkeypatch, maxit=1, restart=1)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, solver)
-        x, stats = ws.prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
+        prepared = ws.prepared
+        if route != "workspace":
+            specs.clear()
+            if route == "fallback":
+                starve_gmres(monkeypatch, maxit=1, restart=1)
+            prepared = LinearSolver(kind="direct" if route == "direct" else "gmres").prepare(ws.system)
+        x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
-        assert not stats.fallback_used
+        assert stats.fallback_reason == ("gmres_not_converged" if route == "fallback" else "")
         assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
 
     def test_plain_matrix_ordering(self, monkeypatch):
@@ -763,7 +741,7 @@ class TestFourierSymbol:
         lus = record_lu_shapes(monkeypatch)
         mesh = mesh_hierarchy(2)[1]
         op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25, LinearSolver())
+        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         prepared = LinearSolver(kind=kind).prepare(ws.system, mesh.slots)
         assert (prepared.ilu is None) == (kind == "direct")
         x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
@@ -785,21 +763,28 @@ class TestFourierSymbol:
         assert np.linalg.norm(x - np.linalg.solve(B.toarray(), b)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_operator_that_is_not_translation_invariant_fails(self, kind):
+    def test_operator_that_is_not_translation_invariant_fails(self, kind, monkeypatch):
         # the symbol is read off cell 0's rows, so one perturbed entry elsewhere makes it
-        # the wrong operator: the residual check against A itself must refuse the answer
+        # the wrong operator: the residual check against A itself must refuse the answer,
+        # whether the symbol is the workspace's own factor or a starved GMRES's fallback
         mesh = mesh_hierarchy(3)[2]
         op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
         A = op.matrix
         row = int(np.argmax(mesh.slots)) * make_basis(2).n_modes
         diagonal = A.indptr[row] + np.flatnonzero(A.indices[A.indptr[row] : A.indptr[row + 1]] == row)
         A.data[diagonal] += 10 * np.abs(A.data).max()
-        ws = make_workspace(op, method_registry()["tp3"], 0.25, LinearSolver(kind=kind))
-        assert ws.prepared.ilu is None
+        ws = make_workspace(op, method_registry()["tp3"], 0.25)
+        prepared = ws.prepared
+        assert prepared.ilu is None
+        if kind == "gmres":
+            starve_gmres(monkeypatch, maxit=1, restart=1)
+            prepared = LinearSolver().prepare(ws.system, mesh.slots)
+            assert prepared.ilu is not None
         b = np.random.default_rng(35).normal(size=ws.system.shape[0])
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
-            ws.prepared.solve(b)
-        assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
+            prepared.solve(b)
+        assert err.value.stats.residual > 1e-10 and prepared.history == [err.value.stats]
+        assert err.value.stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
 
 
 class TestKroneckerSystem:
@@ -815,8 +800,11 @@ class TestKroneckerSystem:
         monkeypatch.setattr(sp, "kron", refuse)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         w = np.random.default_rng(29).normal(size=op.n_dof)
+        assert np.all(np.isfinite(mdrk_step(op, method_registry()[method], w, 0.0, 0.25)))
+        system = make_workspace(op, method_registry()[method], 0.25).system
         for solver in (LinearSolver(), LinearSolver(kind="direct")):
-            assert np.all(np.isfinite(mdrk_step(op, method_registry()[method], w, 0.0, 0.25, solver)))
+            x, stats = solver.prepare(system).solve(np.tile(w, len(system.C)))
+            assert stats.converged and np.all(np.isfinite(x))
 
     def test_nnz_counts_stored_entries(self):
         C = np.array([[0.3, 0.0], [1.0, 0.0]])
@@ -854,25 +842,11 @@ class TestLinearSolver:
         assert stats2.iterations == 1  # straight to the factorization
 
     def test_singular_ilu_without_fallback(self, monkeypatch):
-        # SuperLU's RuntimeError from the incomplete factorization surfaces as SolverFailure
-        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
+        # SuperLU's RuntimeError from the incomplete factorization sends the system to its
+        # complete LU, which is singular as well, so the prepare ends in SolverFailure
         A = CsrMatrix(sp.diags([1.0, 0.0, 2.0]))
         with pytest.raises(SolverFailure, match="singular"):
             LinearSolver().prepare(A)
-
-    def test_refused_fallback_named(self, monkeypatch):
-        # GMRES starved at maxit = 2 on a system one unknown above the fallback's limit
-        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 39)
-        starve_gmres(monkeypatch, maxit=2, restart=2)
-        A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver().prepare(A)
-        with pytest.raises(SolverFailure) as err:
-            prep.solve(np.ones(40))
-        assert str(err.value).startswith("GMRES did not converge: residual ")
-        assert str(err.value).endswith(
-            "after 2 iterations; direct fallback refused: n = 40 > FALLBACK_MAX_N = 39"
-        )
-        assert prep.history == [err.value.stats]
 
     @pytest.mark.parametrize("kind", ["direct", "gmres"])
     def test_unconverged_direct_solve_raises(self, kind, monkeypatch):
@@ -920,13 +894,10 @@ class TestLinearSolver:
         assert prep.history == []
 
     def test_failure_without_fallback(self, monkeypatch):
-        # the raw GMRES failure, its iterations counted across a restart
-        monkeypatch.setattr(mddg.sparse, "FALLBACK_MAX_N", 0)
-        starve_gmres(monkeypatch, maxit=6, restart=5)
+        # the raw GMRES failure under a coarse ILUTP (starve_gmres's drop tolerance),
+        # its iterations counted across a restart
+        monkeypatch.setattr(mddg.sparse, "ILU_DROP_TOL", 0.1)
         A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
-        prep = LinearSolver().prepare(A)
-        with pytest.raises(SolverFailure) as err:
-            prep.solve(np.ones(50))
-        assert err.value.stats is not None
-        assert err.value.stats.iterations == 6
-        assert str(err.value).endswith("direct fallback refused: n = 50 > FALLBACK_MAX_N = 0")
+        _, stats = gmres_solve(A, np.ones(50), precond=ilu_factor(A), restart=5, maxit=6)
+        assert not stats.converged
+        assert stats.iterations == 6

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
+import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import problem_convection, problem_convection_diffusion
 from mddg.mesh import build_base_mesh
@@ -12,7 +14,6 @@ from mddg.operator import assemble, project_l2
 from mddg.sparse import LinearSolver
 from mddg.timeint import (
     MdrkWorkspace,
-    TwoPointWorkspace,
     as_tableau,
     builtin_gauss_legendre6,
     builtin_mdrk6,
@@ -24,8 +25,6 @@ from mddg.timeint import (
 )
 
 from conftest import LinearOde, applied
-
-DIRECT = LinearSolver(kind="direct")
 
 
 class TestTwoPointCoefficients:
@@ -172,9 +171,9 @@ class TestScalarSteps:
         op = scalar_op(0.0)
         w = np.array([1.7])
         for scheme in builtin_two_point_schemes():
-            assert mdrk_step(op, scheme, w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
-        assert mdrk_step(op, builtin_mdrk6(), w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
-        assert mdrk_step(op, builtin_gauss_legendre6(), w, 0.0, 0.5, DIRECT) == pytest.approx(1.7)
+            assert mdrk_step(op, scheme, w, 0.0, 0.5) == pytest.approx(1.7)
+        assert mdrk_step(op, builtin_mdrk6(), w, 0.0, 0.5) == pytest.approx(1.7)
+        assert mdrk_step(op, builtin_gauss_legendre6(), w, 0.0, 0.5) == pytest.approx(1.7)
 
     def test_two_point_step_matches_stability_function(self, scalar_op):
         from mddg.stability import stability_function_two_point
@@ -182,25 +181,25 @@ class TestScalarSteps:
         lam, dt = -0.8, 0.37
         op = scalar_op(lam)
         for scheme in builtin_two_point_schemes():
-            w1 = mdrk_step(op, scheme, np.array([1.0]), 0.0, dt, DIRECT)
+            w1 = mdrk_step(op, scheme, np.array([1.0]), 0.0, dt)
             R = stability_function_two_point(scheme)
             assert abs(w1[0] - R(lam * dt).real) < 1e-13
 
     def test_order6_rational_form(self, scalar_op):
         lam, dt = -0.9, 0.21
         z = lam * dt
-        w1 = mdrk_step(scalar_op(lam), builtin_two_point_schemes()[3], np.array([1.0]), 0.0, dt, DIRECT)
+        w1 = mdrk_step(scalar_op(lam), builtin_two_point_schemes()[3], np.array([1.0]), 0.0, dt)
         expected = (1 + z / 2 + z**2 / 10 + z**3 / 120) / (1 - z / 2 + z**2 / 10 - z**3 / 120)
         assert abs(w1[0] - expected) < 1e-14
 
     def test_mdrk6_exponential_accuracy(self, scalar_op):
-        w1 = mdrk_step(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), 0.0, 0.1, DIRECT)
+        w1 = mdrk_step(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), 0.0, 0.1)
         assert abs(w1[0] - math.exp(-0.1)) < 1e-11
 
     def test_gl6_agrees_with_mdrk6(self, scalar_op):
         op = scalar_op(-1.0)
-        w_m = mdrk_step(op, builtin_mdrk6(), np.array([1.0]), 0.0, 0.1, DIRECT)
-        w_g = mdrk_step(op, builtin_gauss_legendre6(), np.array([1.0]), 0.0, 0.1, DIRECT)
+        w_m = mdrk_step(op, builtin_mdrk6(), np.array([1.0]), 0.0, 0.1)
+        w_g = mdrk_step(op, builtin_gauss_legendre6(), np.array([1.0]), 0.0, 0.1)
         assert abs(w_m[0] - w_g[0]) < 1e-10
 
 
@@ -224,7 +223,7 @@ class TestPolynomialExactness:
 
         op = LinearOde([[0.0]], source=b, source_t=b1, source_tt=b2)
         dt = 0.7
-        w1 = mdrk_step(op, scheme, np.array([0.3]), 0.1, dt, DIRECT)
+        w1 = mdrk_step(op, scheme, np.array([0.3]), 0.1, dt)
         anti = np.polyint(coeffs)
         exact = 0.3 + np.polyval(anti, 0.1 + dt) - np.polyval(anti, 0.1)
         assert abs(w1[0] - exact) < 1e-12
@@ -242,7 +241,7 @@ class TestPolynomialExactness:
 
         op = LinearOde([[0.0]], source=b, source_t=b1)
         dt = 0.6
-        w1 = mdrk_step(op, tab, np.array([-0.2]), 0.2, dt, DIRECT)
+        w1 = mdrk_step(op, tab, np.array([-0.2]), 0.2, dt)
         anti = np.polyint(coeffs)
         exact = -0.2 + np.polyval(anti, 0.2 + dt) - np.polyval(anti, 0.2)
         assert abs(w1[0] - exact) < 1e-12
@@ -264,7 +263,7 @@ class TestOdeOrders:
         for method, order in self.methods():
             errs = []
             for n in (8, 16):
-                w = integrate(rotation_op, method, y0, 0.0, T, T / n, DIRECT)
+                w = integrate(rotation_op, method, y0, 0.0, T, T / n)
                 errs.append(np.linalg.norm(w - exact))
             slope = math.log2(errs[0] / errs[1])
             assert errs[0] < 1e-3
@@ -275,7 +274,7 @@ class TestIntegrate:
     def test_zero_span_returns_copy(self, scalar_op):
         op = scalar_op(-1.0)
         w0 = np.array([2.0])
-        w = integrate(op, builtin_two_point_schemes()[0], w0, 0.5, 0.5, 0.1, DIRECT)
+        w = integrate(op, builtin_two_point_schemes()[0], w0, 0.5, 0.5, 0.1)
         assert w[0] == 2.0
         w[0] = 0.0
         assert w0[0] == 2.0
@@ -284,14 +283,14 @@ class TestIntegrate:
         op = scalar_op(-1.0)
         stats = []
         integrate(op, builtin_two_point_schemes()[0], np.array([1.0]), 0.0, 1.0, 0.25,
-                  DIRECT, stats_out=stats)
+                  stats_out=stats)
         assert len(stats) == 4
 
     def test_shortened_final_step(self, scalar_op):
         op = scalar_op(-1.0)
         stats = []
         w = integrate(op, builtin_two_point_schemes()[3], np.array([1.0]), 0.0, 1.0, 0.4,
-                      DIRECT, stats_out=stats)
+                      stats_out=stats)
         assert len(stats) == 3  # 0.4 + 0.4 + 0.2
         assert abs(w[0] - math.exp(-1.0)) < 1e-7
 
@@ -301,9 +300,9 @@ class TestIntegrate:
         op, w0 = scalar_op(-1.0), np.array([1.0])
         for method in (builtin_two_point_schemes()[0], builtin_mdrk6()):
             stats = []
-            w = integrate(op, method, w0, 0.0, 1.0, dt, DIRECT, stats_out=stats)
+            w = integrate(op, method, w0, 0.0, 1.0, dt, stats_out=stats)
             assert len(stats) == 1
-            assert np.array_equal(w, mdrk_step(op, method, w0, 0.0, 1.0, DIRECT))
+            assert np.array_equal(w, mdrk_step(op, method, w0, 0.0, 1.0))
 
     @pytest.mark.parametrize(
         "dt, t_end",
@@ -313,14 +312,35 @@ class TestIntegrate:
     def test_invalid_dt(self, scalar_op, dt, t_end):
         op, w0 = scalar_op(-1.0), np.array([1.0])
         with pytest.raises(ValueError):
-            integrate(op, builtin_mdrk6(), w0, 0.0, t_end, dt, DIRECT)
+            integrate(op, builtin_mdrk6(), w0, 0.0, t_end, dt)
         with pytest.raises(ValueError):
-            mdrk_step(op, builtin_mdrk6(), w0, t_end - 1.0, dt, DIRECT)
+            mdrk_step(op, builtin_mdrk6(), w0, t_end - 1.0, dt)
 
     @pytest.mark.parametrize("t0, t_end, dt", [(0.0, 1.0, 5e-324), (-1e308, 1e308, 1.0)])
     def test_overflowing_step_count(self, scalar_op, t0, t_end, dt):
         with pytest.raises(ValueError):
-            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), t0, t_end, dt, DIRECT)
+            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), t0, t_end, dt)
+
+    def test_default_solves_by_the_complete_factor(self, rotation_op, monkeypatch):
+        # with no arguments beyond the times every step is one direct solve of the
+        # complete factor, also for an operator that carries no problem
+        def refuse(*args, **kwargs):
+            raise AssertionError("ILUTP or GMRES ran on a time step")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
+        monkeypatch.setattr(mddg.sparse, "gmres_solve", refuse)
+        y0 = np.array([1.0, 0.3])
+        for method in builtin_two_point_schemes() + [builtin_mdrk6(), builtin_gauss_legendre6()]:
+            stats = []
+            integrate(rotation_op, method, y0, 0.0, 1.0, 0.3, stats_out=stats)
+            assert len(stats) == 4  # 0.3 + 0.3 + 0.3 + 0.1
+            assert all(s.iterations == 1 and not s.fallback_used and s.converged for s in stats)
+
+    def test_positional_solver_rejected(self, scalar_op):
+        # the step solver is not an argument, and stats_out is keyword-only, so a stale
+        # positional solver fails at the call rather than as a stats list deep inside
+        with pytest.raises(TypeError):
+            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), 0.0, 1.0, 0.25, LinearSolver())
 
     def test_dissipative_norm_bound(self):
         # convection problem: upwind DG + A-stable scheme never grows the norm
@@ -330,7 +350,7 @@ class TestIntegrate:
         op = assemble(mesh, basis, prob, eta=20.0)
         w0 = project_l2(mesh, basis, prob.initial)
         for method in (builtin_two_point_schemes()[1], builtin_mdrk6()):
-            w = integrate(op, method, w0, 0.0, 1.0, 0.25, DIRECT)
+            w = integrate(op, method, w0, 0.0, 1.0, 0.25)
             assert np.linalg.norm(w) <= np.linalg.norm(w0) + 1e-8
 
 
@@ -349,7 +369,7 @@ class TestBlockEquivalence:
         rng = np.random.default_rng(33)
         w = rng.normal(size=n)
         t, dt = 0.3, 0.2
-        wb = mdrk_step(op, scheme, w, t, dt, DIRECT)
+        wb = mdrk_step(op, scheme, w, t, dt)
         al, be = np.array(scheme.alpha, float), np.array(scheme.beta, float)
         b = lambda tt, d=0: op.source_vector(tt, d)
         A2, A3 = A @ A, A @ A @ A
@@ -394,7 +414,7 @@ class TestBlockEquivalence:
         for i in range(s):
             for m, b_m in enumerate(tab.b, start=1):
                 wd += dt**m * b_m[i] * (powers[m] @ Y[i] + srcs[i][m])
-        wb = mdrk_step(op, tab, w, t, dt, DIRECT)
+        wb = mdrk_step(op, tab, w, t, dt)
         assert np.linalg.norm(wb - wd) / np.linalg.norm(wd) < 1e-8
 
     @pytest.mark.parametrize("scheme", builtin_two_point_schemes(), ids=lambda s: s.label)
@@ -413,10 +433,10 @@ class TestBlockEquivalence:
             expected = np.block([top[:2], [-Z, I]])
         else:
             expected = np.block([top, [-Z, I, O], [O, -Z, I]])
-        ws = TwoPointWorkspace(op, scheme, dt, DIRECT)
+        ws = make_workspace(op, scheme, dt)
         assert np.max(np.abs(applied(ws.system) - expected)) <= 1e-15 * np.max(np.abs(expected))
         w = np.random.default_rng(36).normal(size=op.n_dof)
-        w_mdrk = MdrkWorkspace(op, scheme.tableau, dt, DIRECT).step(w, 0.1)
+        w_mdrk = MdrkWorkspace(op, scheme.tableau, dt).step(w, 0.1)
         assert np.array_equal(ws.step(w, 0.1), w_mdrk)
 
     @pytest.mark.parametrize(
@@ -429,7 +449,7 @@ class TestBlockEquivalence:
         mesh = build_base_mesh()
         op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
         dt = 0.2
-        ws = make_workspace(op, method, dt, DIRECT)
+        ws = make_workspace(op, method, dt)
         C = as_tableau(method).coupling
         K = np.eye(len(C) * op.n_dof) - np.kron(C, dt * op.matrix.toarray())
         assert np.max(np.abs(applied(ws.system) - K)) <= 1e-15 * np.max(np.abs(K))
@@ -445,7 +465,7 @@ class TestBlockEquivalence:
         Y = np.linalg.solve(M, np.ones(3))
         update = 1.0 + (z * tab.b[0] + z * z * tab.b[1]) @ Y
         assert abs(update - Y[2]) < 1e-13
-        w1 = mdrk_step(scalar_op(lam), tab, np.array([1.0]), 0.0, dt, DIRECT)
+        w1 = mdrk_step(scalar_op(lam), tab, np.array([1.0]), 0.0, dt)
         assert abs(w1[0] - update) < 1e-13
 
     def test_mdrk_step_deterministic(self):
@@ -454,6 +474,6 @@ class TestBlockEquivalence:
         op = assemble(mesh, basis, problem_convection_diffusion(), eta=20.0)
         tab = builtin_mdrk6()
         w = np.random.default_rng(34).normal(size=op.n_dof)
-        w1 = MdrkWorkspace(op, tab, 0.125, DIRECT).step(w, 0.0)
-        w2 = MdrkWorkspace(op, tab, 0.125, DIRECT).step(w, 0.0)
+        w1 = MdrkWorkspace(op, tab, 0.125).step(w, 0.0)
+        w2 = MdrkWorkspace(op, tab, 0.125).step(w, 0.0)
         assert np.array_equal(w1, w2)
