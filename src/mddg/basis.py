@@ -5,11 +5,12 @@ The basis is the Dubiner family on the reference triangle with vertices
 polynomials, normalized so the mass matrix under exact integration is the
 identity.  Triangle quadrature is a collapsed (Duffy) Gauss product rule
 symmetrized over the six vertex permutations; edge quadrature is
-Gauss-Legendre on [0,1].
+Gauss-Legendre on [0,1].  Rules and bases are built once and shared, read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,9 +34,9 @@ class QuadratureRule:
     weights: np.ndarray
     exactness_degree: int
 
-    @property
-    def n_points(self) -> int:
-        return len(self.weights)
+    def __post_init__(self):
+        for array in (self.points, self.weights):
+            array.setflags(write=False)
 
 
 class BasisSet:
@@ -92,8 +93,9 @@ class BasisSet:
         return out
 
 
+@functools.cache
 def make_basis(p: int) -> BasisSet:
-    """Orthonormal modal basis of total degree p on the reference triangle."""
+    """Orthonormal modal basis of total degree p on the reference triangle, one instance per p."""
     return BasisSet(p)
 
 
@@ -107,6 +109,7 @@ def _duffy_rule(n: int):
     return pts, (WU * WV * (1.0 - V)).ravel()
 
 
+@functools.cache
 def triangle_rule(min_degree: int) -> QuadratureRule:
     """Symmetric triangle rule exact for total degree >= min_degree.
 
@@ -130,6 +133,7 @@ def triangle_rule(min_degree: int) -> QuadratureRule:
     )
 
 
+@functools.cache
 def edge_rule(min_degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0,1] exact for degree >= min_degree."""
     if min_degree < 0:

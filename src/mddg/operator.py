@@ -9,28 +9,35 @@ coefficient vectors sigma = A w + b and tau = A sigma + b', from
 ``matrix.matvec`` and ``source_vector``.
 
 On affine triangles every cell block is a fixed combination of a few
-reference-element matrices, and the edge blocks are batched over all edges,
-so assembly has no per-element or per-edge Python loop.  Only the blocks the
-weak form couples are stored: for pure convection these are the cell blocks
-and one block per edge with c.n != 0, which couples the downwind element to
-the upwind one.  ``CsrMatrix.from_blocks`` builds the matrix from one
-(element, element) key per block, cells first and then edge by edge, which
-fixes the order in which every entry sums its contributions.
+reference-element matrices, every edge trace is one of six reference tables
+(three sides, two directions), all built once per degree, and the edge blocks
+are batched over all edges, so assembly has no per-element or per-edge Python
+loop.  Only the blocks the weak form couples are stored: for pure convection
+these are the cell blocks and one block per edge with c.n != 0, which couples
+the downwind element to the upwind one.  ``CsrMatrix.from_blocks`` builds the
+matrix from one (element, element) key per block, cells first and then edge by
+edge, which fixes the order in which every entry sums its contributions.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from mddg.basis import BasisSet, edge_rule, triangle_rule
+from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
 from mddg.mesh import TriangularMesh
 from mddg.sparse import CsrMatrix
 
 ASSEMBLY_DEGREE_MARGIN = 2  # cell/edge quadrature degree 2p + 2
 ERROR_DEGREE_MARGIN = 4  # error quadrature degree 2p + 4
+
+# side s of the reference triangle (0,0), (1,0), (0,1) runs from its vertex s to vertex s + 1
+_SIDE_ENDS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
+ReferenceTables = namedtuple("ReferenceTables", "values G K side_values side_grads")
 
 
 @dataclass
@@ -85,14 +92,57 @@ class DgOperator:
         return b
 
 
-def _cell_geometry(mesh, basis, degree):
+@functools.cache
+def reference_tables(p: int, degree: int) -> ReferenceTables:
+    """Read-only reference data of the degree-p basis under quadrature degree ``degree``:
+    ``values`` (nq, nm) at the triangle rule, the cell-term matrices G_b = (d_b phi_i, phi_j)
+    and K_ab = (d_a phi_i, d_b phi_j), and ``side_values`` (3, 2, nqe, nm) and ``side_grads``
+    (3, 2, nqe, nm, 2) at the edge rule on side s, run from vertex s (direction 0) or s + 1."""
+    basis = make_basis(p)
+    rule = triangle_rule(degree)
+    values, grads = basis.eval(rule.points), basis.grad(rule.points)
+    w_grads = grads * rule.weights[:, None, None]
+    start = _SIDE_ENDS[:, :, None, :]  # (side, direction, 1, 2)
+    t = edge_rule(degree).points[:, None]
+    side_pts = (start + t * (start[:, ::-1] - start)).reshape(-1, 2)
+    tables = ReferenceTables(
+        values,
+        np.einsum("qib,qj->bij", w_grads, values),
+        np.einsum("qia,qjb->abij", w_grads, grads),
+        basis.eval(side_pts).reshape(3, 2, len(t), -1),
+        basis.grad(side_pts).reshape(3, 2, len(t), -1, 2),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _cell_geometry(mesh, p, degree):
+    """Every cell's quadrature points and sqrt(detJ)-scaled weights, and the reference tables."""
     rule = triangle_rule(degree)
     origins, J, detJ = mesh.jacobians()
     pts = origins[:, None, :] + rule.points @ J.transpose(0, 2, 1)
-    sqrtJ = np.sqrt(detJ)
-    scaled_w = rule.weights[None, :] * sqrtJ[:, None]
-    values = basis.eval(rule.points)
-    return rule, pts, scaled_w, values, J, detJ
+    scaled_w = rule.weights[None, :] * np.sqrt(detJ)[:, None]
+    return rule, pts, scaled_w, reference_tables(p, degree), J, detJ
+
+
+def _edge_traces(mesh, ref, Jinv, sqrtJ, with_derivs):
+    """Left and right (values, normal derivatives or None) traces, each (E, nq, nm).
+
+    Each trace is a reference side table at the element's side and the direction whose
+    first vertex is nearer to where ``v0`` lands in the element's frame (they lie >= 1 apart).
+    """
+    e = mesh.edges
+    origins = mesh.vertices[mesh.triangles[:, 0]]
+    for k, side, v0 in ((e.left, e.left_side, e.v0), (e.right, e.right_side, e.v0 - e.offset)):
+        v0_ref = np.einsum("eab,eb->ea", Jinv[k], v0 - origins[k])
+        direction = np.argmin(np.linalg.norm(v0_ref[:, None] - _SIDE_ENDS[side], axis=2), axis=1)
+        scale = sqrtJ[k][:, None, None]
+        derivs = None
+        if with_derivs:  # grad(phi) . n = grad_ref(phi) . (J^-1 n)
+            along = np.einsum("eab,eb->ea", Jinv[k], e.normal)
+            derivs = np.einsum("eqib,eb->eqi", ref.side_grads[side, direction], along) / scale
+        yield ref.side_values[side, direction] / scale, derivs
 
 
 def _project_cells(pts, scaled_w, values, f):
@@ -119,42 +169,23 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     ne = mesh.n_elements
 
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
-    cell_rule, cell_pts, cell_scaled_w, cell_vals, J, detJ = _cell_geometry(mesh, basis, degree)
+    _, cell_pts, cell_scaled_w, ref, J, detJ = _cell_geometry(mesh, basis.p, degree)
     source_modes = tuple(
-        (mu, _project_cells(cell_pts, cell_scaled_w, cell_vals, phi)) for mu, phi in problem.source
+        (mu, _project_cells(cell_pts, cell_scaled_w, ref.values, phi)) for mu, phi in problem.source
     )
-    origins = mesh.vertices[mesh.triangles[:, 0]]
     Jinv = np.linalg.inv(J)
-    sqrtJ = np.sqrt(detJ)
 
-    # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i).  With the reference
-    # matrices G_b = (d_b phi_i, phi_j) and K_ab = (d_a phi_i, d_b phi_j) they are
-    # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element.
-    grads_ref = basis.grad(cell_rule.points)  # (nq, nm, 2)
-    w_grads = grads_ref * cell_rule.weights[:, None, None]
-    G = np.einsum("qib,qj->bij", w_grads, cell_vals)
-    cell = np.einsum("kb,bij->kij", Jinv @ c, G)
+    # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i), that is
+    # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element
+    cell = np.einsum("kb,bij->kij", Jinv @ c, ref.G)
     if eps > 0:
-        K = np.einsum("qia,qjb->abij", w_grads, grads_ref)
-        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), K)
+        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), ref.K)
 
     # edge terms, batched over all edges of the mesh's edge table
     edges = mesh.edges
     left, right, normal, length = edges.left, edges.right, edges.normal, edges.length
-    erule = edge_rule(degree)
-    xq = edges.v0[:, None, :] + erule.points[None, :, None] * (edges.v1 - edges.v0)[:, None, :]
-    wq = (erule.weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
-    traces = []  # (values, normal derivatives or None), each (E, nq, nm), per side
-    for k, pts in ((left, xq), (right, xq - edges.offset[:, None, :])):
-        ref = ((pts - origins[k][:, None, :]) @ Jinv[k].transpose(0, 2, 1)).reshape(-1, 2)
-        scale = sqrtJ[k][:, None, None]
-        trace = basis.eval(ref).reshape(xq.shape[:2] + (nm,)) / scale
-        derivs = None
-        if eps > 0:  # grad(phi) . n = grad_ref(phi) . (J^-1 n)
-            along = np.einsum("eab,eb->ea", Jinv[k], normal)
-            grads = basis.grad(ref).reshape(xq.shape[:2] + (nm, 2))
-            derivs = np.einsum("eqib,eb->eqi", grads, along) / scale
-        traces.append((trace, derivs))
+    wq = (edge_rule(degree).weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
+    traces = list(_edge_traces(mesh, ref, Jinv, np.sqrt(detJ), eps > 0))  # (left, right)
     cn = normal[:, 0] * c[0] + normal[:, 1] * c[1]
     upwind = (cn > 0.0, cn < 0.0)  # trial sides (left, right) the convective flux couples
     sign = (1.0, -1.0)  # jump factor for (left, right)
@@ -191,16 +222,15 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
 
 def project_l2(mesh: TriangularMesh, basis: BasisSet, f: Callable) -> np.ndarray:
     """Element-wise modal L2 projection of f(x, y)."""
-    degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
-    _, pts, scaled_w, values, _, _ = _cell_geometry(mesh, basis, degree)
-    return _project_cells(pts, scaled_w, values, f)
+    _, pts, scaled_w, ref, _, _ = _cell_geometry(mesh, basis.p, 2 * basis.p + ASSEMBLY_DEGREE_MARGIN)
+    return _project_cells(pts, scaled_w, ref.values, f)
 
 
 def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callable, t: float) -> float:
     """Global L2 distance between the modal solution and a reference field."""
-    rule, pts, _, values, _, detJ = _cell_geometry(mesh, basis, 2 * basis.p + ERROR_DEGREE_MARGIN)
+    rule, pts, _, ref, _, detJ = _cell_geometry(mesh, basis.p, 2 * basis.p + ERROR_DEGREE_MARGIN)
     coeffs = w.reshape(mesh.n_elements, basis.n_modes)
-    wh = (coeffs @ values.T) / np.sqrt(detJ)[:, None]  # (ne, nq)
+    wh = (coeffs @ ref.values.T) / np.sqrt(detJ)[:, None]  # (ne, nq)
     diff = wh - np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float)
     per_elem = (diff**2 * rule.weights[None, :]).sum(axis=1) * detJ
     return float(np.sqrt(per_elem.sum()))

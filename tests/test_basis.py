@@ -12,6 +12,21 @@ def monomial_integral(m, n):
     return math.factorial(m) * math.factorial(n) / math.factorial(m + n + 2)
 
 
+class TestSharedData:
+    def test_one_instance_per_argument(self):
+        for p in range(6):
+            assert make_basis(p) is make_basis(p)
+        for deg in (0, 4, 12):
+            assert triangle_rule(deg) is triangle_rule(deg)
+            assert edge_rule(deg) is edge_rule(deg)
+
+    @pytest.mark.parametrize("rule", [triangle_rule, edge_rule])
+    def test_rule_arrays_are_read_only(self, rule):
+        for array in (rule(6).points, rule(6).weights):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.5
+
+
 class TestTriangleRule:
     def test_weights_sum_to_area(self):
         for deg in range(0, 15):
@@ -56,19 +71,19 @@ class TestEdgeRule:
 
     def test_three_point_quintic(self):
         rule = edge_rule(5)
-        assert rule.n_points == 3
+        assert len(rule.weights) == 3
         got = np.sum(rule.weights * rule.points**5)
         assert abs(got - 1.0 / 6.0) < 1e-15
 
     def test_one_point_is_midpoint(self):
         rule = edge_rule(0)
-        assert rule.n_points == 1
+        assert len(rule.weights) == 1
         assert abs(rule.points[0] - 0.5) < 1e-15
         assert abs(rule.weights[0] - 1.0) < 1e-15
 
     def test_two_point_symmetric(self):
         rule = edge_rule(3)
-        assert rule.n_points == 2
+        assert len(rule.weights) == 2
         assert abs(rule.points.sum() - 1.0) < 1e-15
 
     def test_gauss_exactness(self):

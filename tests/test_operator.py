@@ -5,14 +5,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from mddg.basis import edge_rule, make_basis, triangle_rule
+from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
 from mddg.mesh import build_base_mesh, refine_uniform
 from mddg.operator import (
     ASSEMBLY_DEGREE_MARGIN,
     Problem,
+    _edge_traces,
     assemble,
     l2_error,
     project_l2,
+    reference_tables,
 )
 from mddg.sparse import CsrMatrix
 from mddg.harness import (
@@ -328,6 +330,76 @@ class TestAssemble:
         a = assemble(meshes[1], make_basis(2), prob, eta=20.0).matrix
         b = assemble(meshes[1], make_basis(2), prob, eta=20.0).matrix
         assert np.array_equal(a.data, b.data)
+
+
+class TestReferenceData:
+    """Assembly reads every basis value from reference data built once per degree."""
+
+    @staticmethod
+    def _clear_caches():
+        for cached in (make_basis, triangle_rule, edge_rule, reference_tables):
+            cached.cache_clear()
+
+    @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
+    def test_warm_assembly_evaluates_no_basis(self, meshes, monkeypatch, name):
+        mesh = refine_uniform(meshes[3])
+        prob = make_problem(name)
+        assemble(mesh, make_basis(2), prob, default_eta(2))
+        calls = []
+        for attr in ("eval", "grad"):
+            original = getattr(BasisSet, attr)
+
+            def counted(self, pts, original=original):
+                calls.append(len(pts))
+                return original(self, pts)
+
+            monkeypatch.setattr(BasisSet, attr, counted)
+        assemble(mesh, make_basis(2), prob, default_eta(2))
+        assert calls == []
+        self._clear_caches()  # the counter does see a cold build, at reference points only
+        assemble(mesh, make_basis(2), prob, default_eta(2))
+        assert calls and max(calls) < mesh.n_elements
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_side_tables_match_mapped_traces(self, meshes, p):
+        # every edge side's table trace equals the basis at its edge points mapped through J^-1
+        flip = TestAssemble._flip
+        every = [flip(m, np.ones(len(m.edges), dtype=bool), True) for m in meshes]
+        interior = [flip(m, np.all(m.edges.offset == 0.0, axis=1), False) for m in meshes]
+        basis, degree = make_basis(p), 2 * p + ASSEMBLY_DEGREE_MARGIN
+        points = edge_rule(degree).points
+        for mesh in meshes + interior + every:
+            e = mesh.edges
+            origins, J, detJ = mesh.jacobians()
+            Jinv, sqrtJ = np.linalg.inv(J), np.sqrt(detJ)
+            traces = _edge_traces(mesh, reference_tables(p, degree), Jinv, sqrtJ, True)
+            xq = e.v0[:, None, :] + points[None, :, None] * (e.v1 - e.v0)[:, None, :]
+            sides = zip(traces, (e.left, e.right), (xq, xq - e.offset[:, None]))
+            for (values, derivs), k, pts in sides:
+                ref = np.einsum("eab,eqb->eqa", Jinv[k], pts - origins[k][:, None]).reshape(-1, 2)
+                scale = sqrtJ[k][:, None, None]
+                expected = basis.eval(ref).reshape(values.shape)
+                assert np.max(np.abs(values * scale - expected)) <= 1e-13 * np.max(np.abs(expected))
+                grads = basis.grad(ref).reshape(values.shape + (2,))
+                expected = np.einsum("eqib,eba,ea->eqi", grads, Jinv[k], e.normal)
+                assert np.max(np.abs(derivs * scale - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
+    def test_cold_and_warm_assembly_bitwise_equal(self, meshes, name):
+        prob = make_problem(name)
+        self._clear_caches()
+        cold = assemble(meshes[2], make_basis(3), prob, default_eta(3)).matrix
+        warm = assemble(meshes[2], make_basis(3), prob, default_eta(3)).matrix
+        assert np.array_equal(cold.indptr, warm.indptr)
+        assert np.array_equal(cold.indices, warm.indices)
+        assert np.array_equal(cold.data, warm.data)
+
+    def test_tables_are_read_only(self):
+        tables = reference_tables(2, 2 * 2 + ASSEMBLY_DEGREE_MARGIN)
+        assert tables is reference_tables(2, 2 * 2 + ASSEMBLY_DEGREE_MARGIN)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table.flat[0] = 0.0
 
 
 class TestSourceVector:

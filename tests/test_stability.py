@@ -8,7 +8,6 @@ from mddg.stability import (
     RationalFunction,
     a_stability_scan,
     rational_function_mdrk,
-    stability_function_mdrk,
     stability_function_two_point,
 )
 from mddg.timeint import (
@@ -22,6 +21,32 @@ from mddg.timeint import (
 TP = builtin_two_point_schemes()
 MDRK6 = builtin_mdrk6()
 GL6 = builtin_gauss_legendre6()
+
+
+def stability_function_mdrk(tableau, z):
+    """Float oracle for R(z) of a multiderivative RK tableau, by the stage solve.
+
+    Accepts scalars or arrays of z; a singular stage matrix at a sample
+    point yields NaN there.
+    """
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    zf = z.ravel()
+    s = tableau.stages
+    M = np.broadcast_to(np.eye(s, dtype=complex), (len(zf), s, s)).copy()
+    w = np.zeros((len(zf), s), dtype=complex)
+    for m, (a_m, b_m) in enumerate(zip(tableau.a, tableau.b), start=1):
+        zm = zf**m
+        M -= zm[:, None, None] * a_m[None, :, :]
+        w += zm[:, None] * b_m[None, :]
+    out = np.empty(len(zf), dtype=complex)
+    ok = np.abs(np.linalg.det(M)) > 0
+    out[~ok] = np.nan
+    if np.any(ok):
+        rhs = np.ones((int(ok.sum()), s, 1))
+        y = np.linalg.solve(M[ok], rhs)[..., 0]
+        out[ok] = 1.0 + np.einsum("ts,ts->t", w[ok], y)
+    return out.reshape(shape) if shape else complex(out[0])
 
 
 class TestRationalFunction:
