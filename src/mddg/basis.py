@@ -17,13 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_jacobi
 
 MAX_DEGREE = 5  # highest supported polynomial order
 
 # Collapsed coordinates are singular at the vertex (0,1); points closer to
 # it than this in 1-y are evaluated at the limit a = -1.
 _COLLAPSE_TOL = 1e-13
+
+
+def jacobi(n: int, alpha: int, beta: int, x: np.ndarray) -> np.ndarray:
+    """Jacobi polynomial P_n^(alpha, beta)(x) by the standard three-term recurrence in n."""
+    prev, cur = np.ones_like(x), 0.5 * (alpha - beta + (alpha + beta + 2) * x)
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        s = 2 * k + alpha + beta
+        a0 = 2 * k * (k + alpha + beta) * (s - 2)
+        a1 = (s - 1) * (alpha**2 - beta**2)
+        a2 = (s - 2) * (s - 1) * s
+        a3 = 2 * (k + alpha - 1) * (k + beta - 1) * s
+        prev, cur = cur, ((a1 + a2 * x) * cur - a3 * prev) / a0
+    return cur
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,7 @@ class BasisSet:
         a, b, omy = self._collapsed(pts)
         out = np.empty((len(pts), self.n_modes))
         for i, ((m, n), norm) in enumerate(zip(self._mn, self._norms)):
-            out[:, i] = norm * eval_jacobi(m, 0, 0, a) * omy**m * eval_jacobi(n, 2 * m + 1, 0, b)
+            out[:, i] = norm * jacobi(m, 0, 0, a) * omy**m * jacobi(n, 2 * m + 1, 0, b)
         return out
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
@@ -77,14 +91,14 @@ class BasisSet:
         a, b, omy = self._collapsed(pts)
         out = np.empty((len(pts), self.n_modes, 2))
         for i, ((m, n), norm) in enumerate(zip(self._mn, self._norms)):
-            f = eval_jacobi(m, 0, 0, a)
-            g = eval_jacobi(n, 2 * m + 1, 0, b)
-            gp = 0.0 if n == 0 else (n + 2 * m + 2) / 2.0 * eval_jacobi(n - 1, 2 * m + 2, 1, b)
+            f = jacobi(m, 0, 0, a)
+            g = jacobi(n, 2 * m + 1, 0, b)
+            gp = 0.0 if n == 0 else (n + 2 * m + 2) / 2.0 * jacobi(n - 1, 2 * m + 2, 1, b)
             if m == 0:
                 out[:, i, 0] = 0.0
                 out[:, i, 1] = norm * 2.0 * gp
             else:
-                fp = (m + 1) / 2.0 * eval_jacobi(m - 1, 1, 1, a)
+                fp = (m + 1) / 2.0 * jacobi(m - 1, 1, 1, a)
                 omy_m1 = omy ** (m - 1)
                 out[:, i, 0] = norm * 2.0 * fp * omy_m1 * g
                 out[:, i, 1] = norm * (

@@ -16,7 +16,10 @@ loop.  Only the blocks the weak form couples are stored: for pure convection
 these are the cell blocks and one block per edge with c.n != 0, which couples
 the downwind element to the upwind one.  ``CsrMatrix.from_blocks`` builds the
 matrix from one (element, element) key per block, cells first and then edge by
-edge, which fixes the order in which every entry sums its contributions.
+edge, which fixes the order in which every entry sums its contributions;
+assembly writes the blocks into one array in that order.  Mesh-sized cell
+quadrature (projections and the error) runs over element chunks of at most
+``CHUNK_POINTS`` points, so no (ne, nq) array is ever built.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from mddg.sparse import CsrMatrix
 
 ASSEMBLY_DEGREE_MARGIN = 2  # cell/edge quadrature degree 2p + 2
 ERROR_DEGREE_MARGIN = 4  # error quadrature degree 2p + 4
+CHUNK_POINTS = 16384  # cell quadrature points per element chunk of a mesh-sized projection or error
 
 # side s of the reference triangle (0,0), (1,0), (0,1) runs from its vertex s to vertex s + 1
 _SIDE_ENDS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
@@ -61,8 +65,10 @@ class Problem:
 
     def __post_init__(self):
         self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.epsilon < 0:
-            raise ValueError("diffusion coefficient must be non-negative")
+        if self.velocity.shape != (2,) or not np.all(np.isfinite(self.velocity)):
+            raise ValueError(f"velocity must be two finite components, got {self.velocity}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
 
 
 class DgOperator:
@@ -117,13 +123,14 @@ def reference_tables(p: int, degree: int) -> ReferenceTables:
     return tables
 
 
-def _cell_geometry(mesh, p, degree):
-    """Every cell's quadrature points and sqrt(detJ)-scaled weights, and the reference tables."""
-    rule = triangle_rule(degree)
-    origins, J, detJ = mesh.jacobians()
-    pts = origins[:, None, :] + rule.points @ J.transpose(0, 2, 1)
-    scaled_w = rule.weights[None, :] * np.sqrt(detJ)[:, None]
-    return rule, pts, scaled_w, reference_tables(p, degree), J, detJ
+def _cell_chunks(rule, origins, J, detJ):
+    """Yield (elements, points (k, nq, 2), sqrt(detJ)-scaled weights (k, nq)) for consecutive
+    element slices of at most CHUNK_POINTS quadrature points (one element at least)."""
+    step = max(1, CHUNK_POINTS // len(rule.weights))
+    for start in range(0, len(detJ), step):
+        k = slice(start, start + step)
+        pts = origins[k, None, :] + rule.points @ J[k].transpose(0, 2, 1)
+        yield k, pts, rule.weights[None, :] * np.sqrt(detJ[k])[:, None]
 
 
 def _edge_traces(mesh, ref, Jinv, sqrtJ, with_derivs):
@@ -145,52 +152,34 @@ def _edge_traces(mesh, ref, Jinv, sqrtJ, with_derivs):
         yield ref.side_values[side, direction] / scale, derivs
 
 
-def _project_cells(pts, scaled_w, values, f):
-    """Element-wise modal L2 projection of f(x, y) from the cell geometry's quadrature."""
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]))
-    return np.einsum("kq,qi->ki", vals * scaled_w, values).ravel()
+def _stored_blocks(mesh, ref, Jinv, sqrtJ, problem, eta, degree):
+    """Block rows, block columns and (n, nm, nm) blocks of the operator, in summation order.
 
-
-def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float) -> DgOperator:
-    """Assemble the sparse method-of-lines operator.
-
-    Cell terms integrate (c w - eps grad w) . grad(test); edge terms apply
-    the upwind convective flux and, for eps > 0, the symmetric interior
-    penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
-    edge stores only its upwind element's column, and nothing where c.n = 0.
+    The cell blocks come first, then the blocks each edge stores, edge-major and in
+    (test side, trial side) order: all four for eps > 0, else those whose trial side is
+    upwind.  Each (test side, trial side) batch is written straight into its slots.
     """
-    if eta <= 0:
-        raise ValueError("penalty parameter eta must be positive")
-    eps = problem.epsilon
-    if eps > 0 and basis.p == 0:
-        raise ValueError("interior-penalty diffusion requires polynomial degree p >= 1")
-    c = problem.velocity
-    nm = basis.n_modes
-    ne = mesh.n_elements
-
-    degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
-    _, cell_pts, cell_scaled_w, ref, J, detJ = _cell_geometry(mesh, basis.p, degree)
-    source_modes = tuple(
-        (mu, _project_cells(cell_pts, cell_scaled_w, ref.values, phi)) for mu, phi in problem.source
-    )
-    Jinv = np.linalg.inv(J)
-
-    # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i), that is
-    # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element
-    cell = np.einsum("kb,bij->kij", Jinv @ c, ref.G)
-    if eps > 0:
-        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), ref.K)
-
-    # edge terms, batched over all edges of the mesh's edge table
+    c, eps = problem.velocity, problem.epsilon
+    ne, nm = len(Jinv), ref.values.shape[1]
     edges = mesh.edges
     left, right, normal, length = edges.left, edges.right, edges.normal, edges.length
-    wq = (edge_rule(degree).weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
-    traces = list(_edge_traces(mesh, ref, Jinv, np.sqrt(detJ), eps > 0))  # (left, right)
     cn = normal[:, 0] * c[0] + normal[:, 1] * c[1]
     upwind = (cn > 0.0, cn < 0.0)  # trial sides (left, right) the convective flux couples
     sign = (1.0, -1.0)  # jump factor for (left, right)
     pairs = ((0, 0), (0, 1), (1, 0), (1, 1))  # (test side, trial side)
-    blocks = np.empty((len(edges), len(pairs), nm, nm))
+    emitted = np.stack([upwind[sj] | (eps > 0) for _, sj in pairs], axis=1)  # (E, pairs)
+    slot = ne - 1 + np.cumsum(emitted).reshape(emitted.shape)
+    blocks = np.empty((ne + np.count_nonzero(emitted), nm, nm))
+
+    # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i), that is
+    # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element
+    cell = np.einsum("kb,bij->kij", Jinv @ c, ref.G, out=blocks[:ne])
+    if eps > 0:
+        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), ref.K)
+
+    # edge terms, batched over all edges of the mesh's edge table
+    wq = (edge_rule(degree).weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
+    traces = list(_edge_traces(mesh, ref, Jinv, sqrtJ, eps > 0))  # (left, right)
     for t, (si, sj) in enumerate(pairs):
         (vi, gi), (vj, gj) = traces[si], traces[sj]
         test = (wq * vi).transpose(0, 2, 1)
@@ -204,34 +193,66 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
             block -= (eps * eta / length * (sign[si] * sign[sj]))[:, None, None] * mass
             # symmetry: + eps [w] ({grad phi}.n)
             block += (0.5 * eps * sign[sj]) * ((wq * gi).transpose(0, 2, 1) @ vj)
-        blocks[:, t] = block
-    emitted = np.stack([upwind[sj] | (eps > 0) for _, sj in pairs], axis=1)
+        blocks[slot[emitted[:, t], t]] = block[emitted[:, t]]
 
-    # cell blocks first, then the edges' blocks edge-major: every entry sums in edge order
     sides = (left, right)
-    test_elem = np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]
-    trial_elem = np.stack([sides[sj] for _, sj in pairs], axis=1)[emitted]
-    matrix = CsrMatrix.from_blocks(
-        np.concatenate([np.arange(ne), test_elem]),
-        np.concatenate([np.arange(ne), trial_elem]),
-        np.concatenate([cell, blocks[emitted]]),
-        shape=(ne * nm, ne * nm),
+    rows = np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]
+    cols = np.stack([sides[sj] for _, sj in pairs], axis=1)[emitted]
+    return np.concatenate([np.arange(ne), rows]), np.concatenate([np.arange(ne), cols]), blocks
+
+
+def _project_cells(chunks, values, f):
+    """Element-wise modal L2 projection of f(x, y), one cell chunk at a time."""
+    return np.concatenate(
+        [(np.asarray(f(pts[..., 0], pts[..., 1])) * w) @ values for _, pts, w in chunks]
+    ).ravel()
+
+
+def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float) -> DgOperator:
+    """Assemble the sparse method-of-lines operator.
+
+    Cell terms integrate (c w - eps grad w) . grad(test); edge terms apply
+    the upwind convective flux and, for eps > 0, the symmetric interior
+    penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
+    edge stores only its upwind element's column, and nothing where c.n = 0.
+    """
+    if eta <= 0:
+        raise ValueError("penalty parameter eta must be positive")
+    if problem.epsilon > 0 and basis.p == 0:
+        raise ValueError("interior-penalty diffusion requires polynomial degree p >= 1")
+    n = mesh.n_elements * basis.n_modes
+
+    degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
+    ref = reference_tables(basis.p, degree)
+    origins, J, detJ = mesh.jacobians()
+    cell_rule = triangle_rule(degree)
+    source_modes = tuple(
+        (mu, _project_cells(_cell_chunks(cell_rule, origins, J, detJ), ref.values, phi))
+        for mu, phi in problem.source
     )
+    Jinv = np.linalg.inv(J)
+    # the edge temporaries are freed on return, before from_blocks copies the blocks
+    rows, cols, blocks = _stored_blocks(mesh, ref, Jinv, np.sqrt(detJ), problem, eta, degree)
+    matrix = CsrMatrix.from_blocks(rows, cols, blocks, shape=(n, n))
     return DgOperator(mesh, basis, problem, eta, matrix, source_modes)
 
 
 def project_l2(mesh: TriangularMesh, basis: BasisSet, f: Callable) -> np.ndarray:
     """Element-wise modal L2 projection of f(x, y)."""
-    _, pts, scaled_w, ref, _, _ = _cell_geometry(mesh, basis.p, 2 * basis.p + ASSEMBLY_DEGREE_MARGIN)
-    return _project_cells(pts, scaled_w, ref.values, f)
+    degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
+    chunks = _cell_chunks(triangle_rule(degree), *mesh.jacobians())
+    return _project_cells(chunks, reference_tables(basis.p, degree).values, f)
 
 
 def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callable, t: float) -> float:
     """Global L2 distance between the modal solution and a reference field."""
-    rule, pts, _, ref, _, detJ = _cell_geometry(mesh, basis.p, 2 * basis.p + ERROR_DEGREE_MARGIN)
+    degree = 2 * basis.p + ERROR_DEGREE_MARGIN
+    rule, values = triangle_rule(degree), reference_tables(basis.p, degree).values
+    origins, J, detJ = mesh.jacobians()
     coeffs = w.reshape(mesh.n_elements, basis.n_modes)
-    wh = (coeffs @ ref.values.T) / np.sqrt(detJ)[:, None]  # (ne, nq)
-    diff = wh - np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float)
-    per_elem = (diff**2 * rule.weights[None, :]).sum(axis=1) * detJ
+    per_elem = np.empty(mesh.n_elements)
+    for k, pts, _ in _cell_chunks(rule, origins, J, detJ):
+        wh = (coeffs[k] @ values.T) / np.sqrt(detJ[k])[:, None]  # (k, nq)
+        diff = wh - np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float)
+        per_elem[k] = (diff**2 * rule.weights[None, :]).sum(axis=1) * detJ[k]
     return float(np.sqrt(per_elem.sum()))
-

@@ -1,15 +1,41 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
-from mddg.basis import make_basis, triangle_rule, edge_rule
+import mddg
+from mddg.basis import BasisSet, jacobi, make_basis, triangle_rule, edge_rule
 from mddg.mesh import build_base_mesh, refine_uniform
 
 
 def monomial_integral(m, n):
     # exact integral of x^m y^n over the reference triangle
     return math.factorial(m) * math.factorial(n) / math.factorial(m + n + 2)
+
+
+def reference_eval_grad(p, pts):
+    """Dubiner values (npts, nm) and reference gradients (npts, nm, 2) through
+    ``scipy.special.eval_jacobi``: the oracle for ``BasisSet.eval`` and ``grad``."""
+    a, b, omy = BasisSet._collapsed(pts)
+    modes = [(m, d - m) for d in range(p + 1) for m in range(d + 1)]
+    vals = np.empty((len(pts), len(modes)))
+    grads = np.empty((len(pts), len(modes), 2))
+    for i, (m, n) in enumerate(modes):
+        norm = math.sqrt(2 * (2 * m + 1) * (m + n + 1))
+        f, g = eval_jacobi(m, 0, 0, a), eval_jacobi(n, 2 * m + 1, 0, b)
+        gp = 0.0 if n == 0 else (n + 2 * m + 2) / 2.0 * eval_jacobi(n - 1, 2 * m + 2, 1, b)
+        fp = 0.0 if m == 0 else (m + 1) / 2.0 * eval_jacobi(m - 1, 1, 1, a)
+        omy_m1 = omy ** max(m - 1, 0)
+        vals[:, i] = norm * f * omy**m * g
+        grads[:, i, 0] = norm * 2.0 * fp * omy_m1 * g
+        grads[:, i, 1] = norm * (
+            fp * (a + 1.0) * omy_m1 * g - m * omy_m1 * f * g + 2.0 * f * omy**m * gp
+        )
+    return vals, grads
 
 
 class TestSharedData:
@@ -162,6 +188,37 @@ class TestBasis:
         pts = np.column_stack([probe[:, 1], probe[:, 2]])
         recon = basis.eval(pts) @ modal
         assert np.max(np.abs(recon - poly(pts[:, 0], pts[:, 1]))) < 1e-12
+
+    @pytest.mark.parametrize("p", range(6))
+    def test_matches_scipy_jacobi_oracle(self, p):
+        rng = np.random.default_rng(5)
+        lam = rng.dirichlet([1.0, 1.0, 1.0], size=200)
+        corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0 - 1e-14], [0.5, 0.5]]
+        pts = np.vstack([np.column_stack([lam[:, 1], lam[:, 2]]), corners])
+        vals, grads = reference_eval_grad(p, pts)
+        basis = make_basis(p)
+        assert np.max(np.abs(basis.eval(pts) - vals)) <= 1e-13 * np.max(np.abs(vals))
+        assert np.max(np.abs(basis.grad(pts) - grads)) <= 1e-13 * np.max(np.abs(grads))
+
+    def test_jacobi_recurrence_matches_scipy(self):
+        x = np.linspace(-1.0, 1.0, 401)
+        for n in range(7):
+            for alpha in range(13):
+                for beta in (0, 1):
+                    ref = eval_jacobi(n, alpha, beta, x)
+                    assert np.max(np.abs(jacobi(n, alpha, beta, x) - ref)) <= 1e-14 * np.max(
+                        np.abs(ref)
+                    )
+
+    def test_runtime_import_leaves_out_scipy_special(self):
+        # the Jacobi recurrence replaces scipy.special, whose import costs every process
+        src = os.path.dirname(os.path.dirname(mddg.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, mddg.harness; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_mapped_orthonormality(self):
         # scaled modes stay orthonormal under physical-element integration

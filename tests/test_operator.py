@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
+import mddg.operator
 from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
 from mddg.mesh import build_base_mesh, refine_uniform
 from mddg.operator import (
@@ -560,6 +562,67 @@ class TestProjectionAndError:
         ratio = errs[-2] / errs[-1]
         assert abs(ratio - 16.0) < 0.15 * 16.0
 
+    @pytest.mark.parametrize("elements", [1, 3])
+    @pytest.mark.parametrize("p", range(6))
+    @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
+    def test_chunk_size_changes_no_value(self, meshes, monkeypatch, name, p, elements):
+        # projections, the error and the projected source modes are element by element, so
+        # chunks of one or a few elements change nothing beyond round-off
+        prob, basis = make_problem(name), make_basis(p)
+
+        def results(mesh):
+            w = project_l2(mesh, basis, prob.initial)
+            out = [w, np.array([l2_error(mesh, basis, w, prob.exact, 0.3)])]
+            if prob.epsilon == 0 or p > 0:
+                out += [P for _, P in assemble(mesh, basis, prob, default_eta(p))._source_modes]
+            return out
+
+        default = [results(mesh) for mesh in meshes]
+        step = len(triangle_rule(2 * p + ASSEMBLY_DEGREE_MARGIN).weights)
+        monkeypatch.setattr(mddg.operator, "CHUNK_POINTS", elements * step)
+        for mesh, ref in zip(meshes, default):
+            got = results(mesh)
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+def traced_peak(fn):
+    """tracemalloc peak in bytes of one call of ``fn`` after a warm-up call, and its result."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """Mesh-sized quadrature and assembly stay bounded on the study meshes."""
+
+    @pytest.fixture(scope="class")
+    def level6(self, meshes):
+        mesh = meshes[3]
+        for _ in range(3):
+            mesh = refine_uniform(mesh)
+        return mesh
+
+    def test_projection_and_error_at_level_6(self, level6):
+        basis, prob = make_basis(0), problem_convection()
+        peak, w = traced_peak(lambda: project_l2(level6, basis, prob.initial))
+        assert peak < 4e6
+        peak, _ = traced_peak(lambda: l2_error(level6, basis, w, prob.exact, 1.0))
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
+    def test_assembly_peak_within_four_operators(self, meshes, name):
+        mesh = refine_uniform(meshes[3])
+        basis, prob = make_basis(5), make_problem(name)
+        peak, op = traced_peak(lambda: assemble(mesh, basis, prob, default_eta(5)))
+        A = op.matrix
+        assert peak < 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
 
 class TestProblemDefinitions:
     def test_convection_exact_periodic_return(self):
@@ -614,3 +677,18 @@ class TestProblemDefinitions:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             Problem(velocity=np.array([1.0, 0.0]), epsilon=-0.1, initial=lambda x, y: x)
+
+    @pytest.mark.parametrize(
+        "field, velocity, epsilon",
+        [
+            ("epsilon", [1.0, 0.0], np.nan),
+            ("epsilon", [1.0, 0.0], np.inf),
+            ("velocity", [np.nan, 1.0], 0.0),
+            ("velocity", [1.0, -np.inf], 0.01),
+            ("velocity", [1.0], 0.0),
+            ("velocity", [1.0, 1.0, 0.0], 0.0),
+        ],
+    )
+    def test_non_finite_or_malformed_field_rejected(self, field, velocity, epsilon):
+        with pytest.raises(ValueError, match=field):
+            Problem(velocity=velocity, epsilon=epsilon, initial=lambda x, y: x)
