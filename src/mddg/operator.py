@@ -157,7 +157,8 @@ def _stored_blocks(mesh, ref, Jinv, sqrtJ, problem, eta, degree):
 
     The cell blocks come first, then the blocks each edge stores, edge-major and in
     (test side, trial side) order: all four for eps > 0, else those whose trial side is
-    upwind.  Each (test side, trial side) batch is written straight into its slots.
+    upwind.  Each (test side, trial side) batch is formed for its storing edges only and
+    written straight into their slots.
     """
     c, eps = problem.velocity, problem.epsilon
     ne, nm = len(Jinv), ref.values.shape[1]
@@ -181,19 +182,20 @@ def _stored_blocks(mesh, ref, Jinv, sqrtJ, problem, eta, degree):
     wq = (edge_rule(degree).weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
     traces = list(_edge_traces(mesh, ref, Jinv, sqrtJ, eps > 0))  # (left, right)
     for t, (si, sj) in enumerate(pairs):
+        e = slice(None) if eps > 0 else emitted[:, t]  # the edges that store this pair's block
         (vi, gi), (vj, gj) = traces[si], traces[sj]
-        test = (wq * vi).transpose(0, 2, 1)
-        mass = test @ vj  # sum_q wq phi_i phi_j
+        test = (wq[e] * vi[e]).transpose(0, 2, 1)
+        mass = test @ vj[e]  # sum_q wq phi_i phi_j
         # convective upwind flux: -(c.n) w_up (phi- - phi+)
-        block = np.where(upwind[sj], -cn * sign[si], 0.0)[:, None, None] * mass
+        block = np.where(upwind[sj][e], -cn[e] * sign[si], 0.0)[:, None, None] * mass
         if eps > 0:
             # consistency: + eps ({grad w}.n) (phi- - phi+)
-            block += (0.5 * eps * sign[si]) * (test @ gj)
+            block += (0.5 * eps * sign[si]) * (test @ gj[e])
             # penalty: - eps (eta/h) [w][phi]
-            block -= (eps * eta / length * (sign[si] * sign[sj]))[:, None, None] * mass
+            block -= (eps * eta / length[e] * (sign[si] * sign[sj]))[:, None, None] * mass
             # symmetry: + eps [w] ({grad phi}.n)
-            block += (0.5 * eps * sign[sj]) * ((wq * gi).transpose(0, 2, 1) @ vj)
-        blocks[slot[emitted[:, t], t]] = block[emitted[:, t]]
+            block += (0.5 * eps * sign[sj]) * ((wq[e] * gi[e]).transpose(0, 2, 1) @ vj[e])
+        blocks[slot[e, t]] = block
 
     sides = (left, right)
     rows = np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]
@@ -216,8 +218,8 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
     edge stores only its upwind element's column, and nothing where c.n = 0.
     """
-    if eta <= 0:
-        raise ValueError("penalty parameter eta must be positive")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"penalty parameter eta must be finite and positive, got {eta!r}")
     if problem.epsilon > 0 and basis.p == 0:
         raise ValueError("interior-penalty diffusion requires polynomial degree p >= 1")
     n = mesh.n_elements * basis.n_modes

@@ -11,13 +11,16 @@ implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
 
 A ``PreparedSystem`` holds one of three such factors.  Two are solved
 directly, refined once when the residual is above ``REFINE_ABOVE``.  A
-convection-diffusion Z commutes with the mesh grid's translations, so a
-2-D FFT over the grid cells splits each of its blocks into one dense
-block per frequency (``fourier_symbol``).  SuperLU's complete LU, its
-columns ordered by COLAMD, serves a system prepared without the grid:
-an operator with no diffusion, whose upwind LU stays near the block's
-own fill, or a plain matrix.  Every time step is solved by one of these
-two; ``timeint.MdrkWorkspace`` picks which.  GMRES, restarted and
+DG operator Z with constant coefficients commutes with the mesh grid's
+translations, so a 2-D FFT over the grid cells splits each of its blocks
+into one dense block per frequency (``fourier_symbol``).  SuperLU's
+complete LU, its columns ordered by COLAMD, serves a system prepared
+without the grid: p = 0 convection, whose upwind LU stays near the
+block's own fill, an operator without a mesh, or a plain matrix.  Every
+time step is solved by one of these two; ``timeint.MdrkWorkspace`` picks
+which.  ``scipy.sparse.linalg`` (which loads ``scipy.linalg``) is
+imported by the first SuperLU factor, so a process that builds only
+symbol factors never loads it.  GMRES, restarted and
 right-preconditioned so that its residuals are true ones, runs only on a
 system prepared with the GMRES kind, preconditioned by SuperLU's
 threshold incomplete LU (ILUTP, ``ilu_factor``), and falls back to the
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 GMRES_RTOL = 1e-10  # relative residual every GMRES solve must reach
 GMRES_RESTART = 60  # Krylov vectors GMRES keeps before it restarts
@@ -254,6 +256,8 @@ def ilu_factor(A) -> IluFactors:
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError("ILU requires a square matrix")
+    import scipy.sparse.linalg
+
     return IluFactors(
         A,
         lambda lam: scipy.sparse.linalg.spilu(
@@ -421,6 +425,8 @@ class PreparedSystem:
                 S = fourier_symbol(Z, self.slots)
                 self._direct = BlockFactors(self.A, lambda lam: FourierFactor(S, self.slots, lam))
                 return
+            import scipy.sparse.linalg
+
             self._direct = BlockFactors(
                 self.A,
                 lambda lam: scipy.sparse.linalg.splu(_sparse_block(self.A, lam), permc_spec="COLAMD"),

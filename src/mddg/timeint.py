@@ -255,9 +255,10 @@ class MdrkWorkspace:
     form, holding dt C and A but no sMn x sMn matrix.  This is the one
     place that picks the step solver: every system is solved directly by
     its complete factor, through A's Fourier symbol on the mesh grid
-    (``sparse.fourier_symbol``) when the operator's problem has diffusion
-    (``op.problem.epsilon > 0``), and by the COLAMD-ordered complete LU of
-    each block otherwise, also for an operator that carries no problem.
+    (``sparse.fourier_symbol``) when the operator's basis has degree
+    p >= 1, diffusion included (it needs p >= 1), and by the
+    COLAMD-ordered complete LU of each block otherwise: at p = 0 and for
+    an operator that carries no basis.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float):
@@ -269,14 +270,13 @@ class MdrkWorkspace:
         self.stiffly_accurate = tableau.stiffly_accurate
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
         self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
-        # with no diffusion the upwind flux couples each element to its upwind neighbour
-        # only, so in downwind order each block is block triangular but for the periodic
-        # wrap (Lesaint & Raviart 1974) and its complete LU keeps near the block's own fill;
-        # with diffusion constant coefficients on the periodic grid make A block circulant
-        problem = getattr(op, "problem", None)
-        diffusion = problem is not None and problem.epsilon > 0
+        # constant coefficients on the periodic grid make a mesh operator block circulant;
+        # at p = 0 its 2 x 2 frequency blocks cost more to transform than the upwind LU,
+        # which keeps near the block's own fill in downwind order (Lesaint & Raviart 1974)
+        basis = getattr(op, "basis", None)
+        symbol = basis is not None and basis.p >= 1
         self.prepared = LinearSolver(kind="direct").prepare(
-            self.system, op.mesh.slots if diffusion else None
+            self.system, op.mesh.slots if symbol else None
         )
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:

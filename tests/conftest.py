@@ -4,11 +4,15 @@ config-file strategies for property tests."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import mddg
 from mddg.harness import PROBLEMS, RunConfig, method_registry
 from mddg.sparse import SOLVER_KINDS, CsrMatrix
 
@@ -73,3 +77,13 @@ def scalar_op():
 def rotation_op():
     """Real 2x2 block representing lambda = -1 + 2i."""
     return LinearOde([[-1.0, -2.0], [2.0, -1.0]])
+
+
+def run_fresh(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports this checkout's mddg."""
+    src = os.path.dirname(os.path.dirname(mddg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()

@@ -1,15 +1,13 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-import mddg
 from mddg.basis import BasisSet, jacobi, make_basis, triangle_rule, edge_rule
 from mddg.mesh import build_base_mesh, refine_uniform
+
+from conftest import run_fresh
 
 
 def monomial_integral(m, n):
@@ -212,13 +210,8 @@ class TestBasis:
 
     def test_runtime_import_leaves_out_scipy_special(self):
         # the Jacobi recurrence replaces scipy.special, whose import costs every process
-        src = os.path.dirname(os.path.dirname(mddg.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         code = "import sys, mddg.harness; print('scipy.special' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert run_fresh(code) == "False"
 
     def test_mapped_orthonormality(self):
         # scaled modes stay orthonormal under physical-element integration

@@ -127,17 +127,21 @@ class TestSolveCommand:
         assert "max_residual" in out
 
     def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
-        # a complete LU that SuperLU cannot build must fail loudly: this convection
+        # a complete LU that SuperLU cannot build must fail loudly: this p = 0 convection
         # system is solved by it alone, with nothing to fall back to
+        calls = []
+
         def singular(A, **kwargs):
+            calls.append(A.shape)
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         cfg = tmp_path / "fail.cfg"
-        cfg.write_text("problem = convection\nmethod = tp3\np = 2\ndt0 = 0.5\nlevel = 2\n")
+        cfg.write_text("problem = convection\nmethod = tp3\np = 0\ndt0 = 0.5\nlevel = 2\n")
         code, out, _ = run_cli(["solve", "--config", str(cfg)], capsys)
         assert code == 2
         assert "solve failed" in out
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,12 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(meshes[0], make_basis(1), problem_convection(), eta=0.0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_eta_not_finite_and_positive(self, meshes, eta):
+        # a nan or infinite penalty would give a non-finite diffusion operator
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            assemble(meshes[1], make_basis(1), problem_convection_diffusion(), eta=eta)
+
     def test_rejects_p0_diffusion(self, meshes):
         with pytest.raises(ValueError):
             assemble(meshes[0], make_basis(0), problem_convection_diffusion(), eta=20.0)

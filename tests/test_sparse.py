@@ -21,7 +21,7 @@ from mddg.sparse import (
 )
 from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
 
-from conftest import applied
+from conftest import applied, run_fresh
 
 
 def random_csr(n, density, seed, diag_boost=0.0):
@@ -441,17 +441,30 @@ def record_lu_shapes(monkeypatch, name="splu", record=lambda A, kwargs: A.shape)
     return shapes
 
 
+def through_symbol(prepared):
+    """Whether every block of ``prepared``'s complete factor is a ``FourierFactor``."""
+    return all(isinstance(f, FourierFactor) for _, f, _ in prepared._direct.factors)
+
+
 class TestDecoupledDirect:
     # a block system I - C (x) Z is factored as one n x n LU per real eigenvalue
     # and per conjugate pair of C, never as one sMn x sMn LU
-    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    @pytest.mark.parametrize(
+        "problem, p",
+        [
+            pytest.param("convection", 2, id="convection"),
+            pytest.param("convection_diffusion", 2, id="convection_diffusion"),
+            pytest.param("convection", 0, id="convection-p0"),
+        ],
+    )
     @pytest.mark.parametrize("method", sorted(method_registry()))
-    def test_workspace_solve_matches_dense(self, problem, method, monkeypatch):
-        # a diffusion workspace solves through the Fourier symbol, with no SuperLU call;
-        # the direct kind's SuperLU factors the same system block by block
+    def test_workspace_solve_matches_dense(self, problem, p, method, monkeypatch):
+        # a workspace at p >= 1 solves through the Fourier symbol, with no SuperLU call,
+        # and at p = 0 by SuperLU; the direct kind's SuperLU factors the same system block
+        # by block
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = make_workspace(op, method_registry()[method], 0.25)
         K = assembled_system(ws)
         b = np.random.default_rng(22).normal(size=K.shape[0])
@@ -459,13 +472,14 @@ class TestDecoupledDirect:
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
         blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
-        assert shapes == (blocks if problem == "convection" else []) and ilu_shapes == []
+        assert shapes == (blocks if p == 0 else []) and ilu_shapes == []
+        assert through_symbol(ws.prepared) == (p >= 1)
         for prepared in (ws.prepared, LinearSolver(kind="direct").prepare(ws.system)):
             x, stats = prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
-        assert shapes == blocks * (2 if problem == "convection" else 1) and ilu_shapes == []
+        assert shapes == blocks * (2 if p == 0 else 1) and ilu_shapes == []
 
     def test_gmres_fallback_factors_blocks(self, monkeypatch):
         # the preconditioner and the fallback both factor only n x n blocks, one per
@@ -532,21 +546,23 @@ class TestDecoupledDirect:
 class TestBlockPreconditioner:
     # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
     # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors; a
-    # workspace solves convection by each block's complete LU instead and diffusion
-    # through its Fourier symbol, so the ILUTP is reached by preparing its system
+    # workspace solves p = 0 convection by each block's complete LU instead and every
+    # p >= 1 operator through its Fourier symbol, so the ILUTP is reached by preparing
+    # its system
     @pytest.mark.parametrize(
-        "problem, factor",
+        "problem, p, factor",
         [
-            pytest.param("convection", "splu", id="convection"),
-            pytest.param("convection_diffusion", None, id="convection_diffusion"),
-            pytest.param("convection_diffusion", "spilu", id="convection_diffusion-ilutp"),
+            pytest.param("convection", 2, None, id="convection"),
+            pytest.param("convection", 0, "splu", id="convection-p0"),
+            pytest.param("convection_diffusion", 2, None, id="convection_diffusion"),
+            pytest.param("convection_diffusion", 2, "spilu", id="convection_diffusion-ilutp"),
         ],
     )
     @pytest.mark.parametrize("method", sorted(method_registry()))
-    def test_workspace_preconditioner_is_blockwise(self, problem, factor, method, monkeypatch):
+    def test_workspace_preconditioner_is_blockwise(self, problem, p, factor, method, monkeypatch):
         lu_shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = make_workspace(op, method_registry()[method], 0.25)
         prepared = LinearSolver().prepare(ws.system) if factor == "spilu" else ws.prepared
         n = op.n_dof
@@ -573,9 +589,9 @@ class TestBlockPreconditioner:
         assert max(s.residual for s in stats) <= 1e-10
 
     @staticmethod
-    def check_solves_directly(problem, monkeypatch):
-        """An mdrk6 workspace on ``problem`` factors each stored block completely,
-        once (by SuperLU for convection, through the Fourier symbol for diffusion),
+    def check_solves_directly(problem, monkeypatch, p=2):
+        """An mdrk6 workspace on ``problem`` at degree ``p`` factors each stored block
+        completely, once (by SuperLU at p = 0, through the Fourier symbol from p = 1 on),
         and solves by those factors alone: no ILUTP, no Krylov iteration."""
         def refuse(*args, **kwargs):
             raise AssertionError(f"GMRES or ILUTP ran on a {problem} workspace")
@@ -583,7 +599,7 @@ class TestBlockPreconditioner:
         monkeypatch.setattr(mddg.sparse, "gmres_solve", refuse)
         monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
         shapes = record_lu_shapes(monkeypatch)
-        op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem(problem), 20.0)
+        op = assemble(mesh_hierarchy(3)[2], make_basis(p), make_problem(problem), 20.0)
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         assert ws.prepared.ilu is None
         rng = np.random.default_rng(31)
@@ -594,11 +610,15 @@ class TestBlockPreconditioner:
             assert stats.residual <= 1e-12
             assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
         lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
-        lu_blocks = int(np.sum(lam.imag >= 0)) if problem == "convection" else 0
+        lu_blocks = int(np.sum(lam.imag >= 0)) if p == 0 else 0
         assert shapes == [(op.n_dof, op.n_dof)] * lu_blocks
+        assert through_symbol(ws.prepared) == (p >= 1)
 
     def test_convection_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection", monkeypatch)
+
+    def test_p0_convection_workspace_solves_directly(self, monkeypatch):
+        self.check_solves_directly("convection", monkeypatch, p=0)
 
     def test_diffusion_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection_diffusion", monkeypatch)
@@ -620,8 +640,8 @@ class TestBlockPreconditioner:
         assert shapes == []
 
     def test_singular_complete_factor_is_a_solver_failure(self, monkeypatch):
-        # the complete LU is the convection solve itself, so there is nothing to fall back
-        # to: SuperLU is not asked again
+        # the complete LU is the p = 0 convection solve itself, so there is nothing to fall
+        # back to: SuperLU is not asked again
         calls = []
 
         def singular(A, **kwargs):
@@ -629,10 +649,27 @@ class TestBlockPreconditioner:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(0), make_problem("convection"), 20.0)
         with pytest.raises(SolverFailure, match="direct LU failed: Factor is exactly singular"):
             make_workspace(op, method_registry()["tp5"], 0.25)
         assert calls == [(op.n_dof, op.n_dof)]
+
+    def test_singular_symbol_is_a_solver_failure(self, monkeypatch):
+        # the symbol's inverse is the p >= 1 convection solve itself: a singular frequency
+        # block fails the workspace, and SuperLU is never asked
+        calls = record_lu_shapes(monkeypatch)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
+        inv = np.linalg.inv
+
+        def singular(M):
+            if M.ndim == 4:  # the frequency blocks, not C's eigenvector matrix
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SolverFailure, match="direct LU failed: Singular matrix"):
+            make_workspace(op, method_registry()["tp3"], 0.25)
+        assert calls == []
 
     def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
         shapes = record_lu_shapes(monkeypatch, "spilu")
@@ -687,9 +724,11 @@ class TestOrdering:
     @pytest.mark.parametrize("problem, permc", [("convection", "COLAMD")])
     @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # the workspace, the direct kind and the fallback of a starved GMRES all get it
+        # the workspace (which takes SuperLU's LU only at p = 0), the direct kind and the
+        # fallback of a starved GMRES all get it
         specs = record_orderings(monkeypatch)
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
+        p = 0 if route == "workspace" else 2
+        op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         prepared = ws.prepared
         if route != "workspace":
@@ -748,7 +787,7 @@ class TestFourierSymbol:
         assert stats.converged and stats.residual <= 1e-12
         assert stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
         assert lus == []
-        assert all(isinstance(f, FourierFactor) for _, f, _ in prepared._direct.factors)
+        assert through_symbol(prepared)
 
     def test_plain_matrix_solved_through_its_symbol(self, monkeypatch):
         # a plain matrix on the grid is one block: its own symbol is inverted, not I - lambda S
@@ -785,6 +824,57 @@ class TestFourierSymbol:
             prepared.solve(b)
         assert err.value.stats.residual > 1e-10 and prepared.history == [err.value.stats]
         assert err.value.stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_convection_operator_that_is_not_translation_invariant_fails(self, p):
+        # the same guard on a convection workspace, which takes the symbol from p = 1 on:
+        # one element's diagonal block scaled makes cell 0's rows the wrong stencil
+        mesh = mesh_hierarchy(3)[2]
+        op = assemble(mesh, make_basis(p), make_problem("convection"), default_eta(p))
+        A, nm = op.matrix, make_basis(p).n_modes
+        first = int(np.argmax(mesh.slots)) * nm
+        for row in range(first, first + nm):
+            entries = A.data[A.indptr[row] : A.indptr[row + 1]]
+            cols = A.indices[A.indptr[row] : A.indptr[row + 1]]
+            entries[(cols >= first) & (cols < first + nm)] *= 10.0
+        ws = make_workspace(op, method_registry()["tp3"], 0.25)
+        assert through_symbol(ws.prepared)
+        b = np.random.default_rng(37).normal(size=ws.system.shape[0])
+        with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
+            ws.prepared.solve(b)
+        assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
+
+
+SUPERLU_MODULES = ("scipy.sparse.linalg", "scipy.linalg")
+
+
+def superlu_loaded_after(code):
+    """The modules of ``SUPERLU_MODULES`` loaded once ``code`` ran in a fresh interpreter."""
+    shown = f"print(*[m for m in {SUPERLU_MODULES!r} if m in sys.modules])"
+    return run_fresh(f"import sys\n{code}\n{shown}").split()
+
+
+def study_level(problem, p):
+    return (
+        "from mddg.harness import RunConfig, mesh_hierarchy, run_level\n"
+        f"cfg = RunConfig(problem={problem!r}, p={p}, method='tp3', dt0=0.5)\n"
+        "assert run_level(cfg, mesh_hierarchy(2)[1], 1, []) < 1\n"
+    )
+
+
+class TestSuperLULoadedOnFirstUse:
+    # scipy.sparse.linalg, and scipy.linalg with it, is imported by the first SuperLU
+    # factor, so a process whose every step goes through the Fourier symbol never loads it
+    def test_import_and_registry_leave_it_out(self):
+        code = "import mddg.harness\nmddg.harness.method_registry()"
+        assert superlu_loaded_after(code) == []
+
+    def test_symbol_study_levels_leave_it_out(self):
+        code = study_level("convection_diffusion", 1) + study_level("convection", 2)
+        assert superlu_loaded_after(code) == []
+
+    def test_p0_convection_level_loads_it(self):
+        assert "scipy.sparse.linalg" in superlu_loaded_after(study_level("convection", 0))
 
 
 class TestKroneckerSystem:
