@@ -19,6 +19,8 @@ import numpy as np
 # absolute tolerance.  All vertex coordinates in the refinement hierarchy
 # are dyadic rationals, so matches are exact in practice.
 PAIRING_TOL = 1e-10
+# the base mesh's lower (shape 0) and upper (shape 1) triangle of the unit cell, from vertex 0
+BASE_TRIANGLES = np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,16 @@ class TriangularMesh:
     def h_max(self) -> float:
         return float(self.edges.length.max())
 
-    @property
-    def slots(self) -> np.ndarray:
-        """Each element's slot 2 (iy N + ix) + shape on the N x N grid of cells, N = 2^level:
-        vertex 0 is (ix, iy) / N, and shape 1 marks an upper triangle (vertex 1 up and right)."""
-        N = 2**self.level
-        v = self.vertices[self.triangles]
-        ix, iy = np.round(v[:, 0] * N).astype(np.int64).T
-        return 2 * (iy * N + ix) + (v[:, 1, 1] > v[:, 0, 1])
+    def grid_size(self) -> int:
+        """N = 2^level, once checked exactly (on dyadic coordinates) that element e is slot e of
+        the N x N grid: ``BASE_TRIANGLES[e % 2]``, vertex order included, moved to cell
+        e // 2 = iy N + ix at (ix, iy) / N.  Raises ValueError otherwise."""
+        N, e = 2**self.level, np.arange(self.n_elements)
+        iy, ix = np.divmod(e // 2, N)
+        expected = BASE_TRIANGLES[e % 2] + np.stack([ix, iy], axis=1)[:, None, :]
+        if len(e) != 2 * N * N or not np.array_equal(self.vertices[self.triangles] * N, expected):
+            raise ValueError("mesh elements are not the grid's translated base triangles in slot order")
+        return N
 
     def jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Affine maps x = v0 + J xhat per element.
@@ -176,7 +180,8 @@ def refine_uniform(mesh: TriangularMesh) -> TriangularMesh:
     that meet there; new vertices are numbered in order of first use,
     triangle by triangle and side by side.  Each child then starts at its
     lower-left vertex (least x + y), so every element is a translate of a
-    base triangle, vertex order included, and has the same local basis.
+    base triangle, vertex order included, and the children are numbered in
+    slot order (see ``TriangularMesh.grid_size``), as the base mesh is.
     """
     tri = mesh.triangles
     nv = len(mesh.vertices)
@@ -196,4 +201,6 @@ def refine_uniform(mesh: TriangularMesh) -> TriangularMesh:
     vertices = np.concatenate([mesh.vertices, mid[first[by_use]]])
     start = np.argmin(vertices[triangles].sum(axis=2), axis=1)
     triangles = np.take_along_axis(triangles, (start[:, None] + np.arange(3)) % 3, axis=1)
-    return _make_mesh(vertices, triangles, level=mesh.level + 1)
+    N, v = 2 ** (mesh.level + 1), vertices[triangles]  # slot: vertex 0 at (ix, iy) / N, shape
+    slots = 2 * (np.round(v[:, 0, 1] * N) * N + np.round(v[:, 0, 0] * N)) + (v[:, 1, 1] > v[:, 0, 1])
+    return _make_mesh(vertices, triangles[np.argsort(slots)], level=mesh.level + 1)

@@ -3,22 +3,26 @@ equation on a periodic triangulation.
 
 With the per-element orthonormal basis the mass matrix is the identity, so
 the method of lines reads  dw/dt = A w + b(t)  where A is the assembled
-sparse operator and b projects the source.  The integrator builds the
-first and second time derivatives of the solution, the auxiliary
-coefficient vectors sigma = A w + b and tau = A sigma + b', from
-``matrix.matvec`` and ``source_vector``.
+operator and b projects the source.  The integrator builds the first and
+second time derivatives of the solution, the auxiliary coefficient vectors
+sigma = A w + b and tau = A sigma + b', from ``matrix.matvec`` and
+``source_vector``.
 
-On affine triangles every cell block is a fixed combination of a few
-reference-element matrices, every edge trace is one of six reference tables
-(three sides, two directions), all built once per degree, and the edge blocks
-are batched over all edges, so assembly has no per-element or per-edge Python
-loop.  Only the blocks the weak form couples are stored: for pure convection
-these are the cell blocks and one block per edge with c.n != 0, which couples
-the downwind element to the upwind one.  ``CsrMatrix.from_blocks`` builds the
-matrix from one (element, element) key per block, cells first and then edge by
-edge, which fixes the order in which every entry sums its contributions;
-assembly writes the blocks into one array in that order.  Mesh-sized cell
-quadrature (projections and the error) runs over element chunks of at most
+The mesh's elements are the translated base triangles of an N x N grid in
+slot order (``TriangularMesh.grid_size``), and the coefficients are
+constant, so A is block circulant: it is its stencil, the blocks that
+couple grid cell 0 (elements 0 and 1) to its neighbours (a
+``StencilOperator``), and assembly forms only those.  Every cell block is
+a fixed combination of a few reference-element matrices and every edge
+trace is one of six reference tables (three sides, two directions), all
+built once per degree; the blocks of the <= 5 edges that touch cell 0 are
+batched, so assembly has no per-element or per-edge Python loop.  Only the
+blocks the weak form couples are stored: for pure convection these are the
+cell blocks and one block per edge with c.n != 0, which couples the
+downwind element to the upwind one.  The blocks are summed into the
+stencil cells first and then edge by edge, which fixes the order in which
+every entry sums its contributions.  Mesh-sized cell quadrature
+(projections, sources and the error) runs over element chunks of at most
 ``CHUNK_POINTS`` points, so no (ne, nq) array is ever built.
 """
 
@@ -26,14 +30,14 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
-from mddg.mesh import TriangularMesh
-from mddg.sparse import CsrMatrix
+from mddg.mesh import EdgeTable, TriangularMesh
+from mddg.sparse import StencilOperator
 
 ASSEMBLY_DEGREE_MARGIN = 2  # cell/edge quadrature degree 2p + 2
 ERROR_DEGREE_MARGIN = 4  # error quadrature degree 2p + 4
@@ -72,14 +76,17 @@ class Problem:
 
 
 class DgOperator:
-    """Assembled DG operator: sparse matrix plus the projected source modes."""
+    """Assembled DG operator: its grid ``stencil``, the ``matrix`` applied (the stencil itself
+    for p >= 1, at p = 0 its CSR, whose product is faster and which SuperLU factors) and the
+    projected source modes."""
 
-    def __init__(self, mesh, basis, problem, eta, matrix, source_modes):
+    def __init__(self, mesh, basis, problem, eta, stencil, source_modes):
         self.mesh = mesh
         self.basis = basis
         self.problem = problem
         self.eta = eta
-        self.matrix = matrix
+        self.stencil = stencil
+        self.matrix = stencil if basis.p else stencil.tocsr()
         # (mu_k, P_k): the rate and complex modal projection of each source mode
         self._source_modes = source_modes
 
@@ -152,37 +159,40 @@ def _edge_traces(mesh, ref, Jinv, sqrtJ, with_derivs):
         yield ref.side_values[side, direction] / scale, derivs
 
 
-def _stored_blocks(mesh, ref, Jinv, sqrtJ, problem, eta, degree):
-    """Block rows, block columns and (n, nm, nm) blocks of the operator, in summation order.
+def _stencil(mesh, ref, Jinv, sqrtJ, problem, eta, degree, N):
+    """The ``StencilOperator`` read off the block rows of elements 0 and 1, cell 0 of the grid.
 
-    The cell blocks come first, then the blocks each edge stores, edge-major and in
-    (test side, trial side) order: all four for eps > 0, else those whose trial side is
-    upwind.  Each (test side, trial side) batch is formed for its storing edges only and
-    written straight into their slots.
+    Their cell blocks come first, then those of the <= 5 edges that touch them, edge-major
+    and in (test side, trial side) order: for test side 0 or 1, all four for eps > 0, else
+    those whose trial side is upwind, each batch formed for its storing edges only.  Each
+    is added, in that order, to K_d at the offset d from its test element's cell to its
+    trial element's: their cells' difference plus N times the edge's periodic offset.
     """
     c, eps = problem.velocity, problem.epsilon
-    ne, nm = len(Jinv), ref.values.shape[1]
-    edges = mesh.edges
+    nm = ref.values.shape[1]
+    touching = (mesh.edges.left <= 1) | (mesh.edges.right <= 1)
+    edges = EdgeTable(**{f: getattr(mesh.edges, f)[touching] for f in EdgeTable.__dataclass_fields__})
     left, right, normal, length = edges.left, edges.right, edges.normal, edges.length
     cn = normal[:, 0] * c[0] + normal[:, 1] * c[1]
     upwind = (cn > 0.0, cn < 0.0)  # trial sides (left, right) the convective flux couples
     sign = (1.0, -1.0)  # jump factor for (left, right)
+    sides = (left, right)
     pairs = ((0, 0), (0, 1), (1, 0), (1, 1))  # (test side, trial side)
-    emitted = np.stack([upwind[sj] | (eps > 0) for _, sj in pairs], axis=1)  # (E, pairs)
-    slot = ne - 1 + np.cumsum(emitted).reshape(emitted.shape)
-    blocks = np.empty((ne + np.count_nonzero(emitted), nm, nm))
+    emitted = np.stack([(upwind[sj] | (eps > 0)) & (sides[si] <= 1) for si, sj in pairs], axis=1)
+    slot = 1 + np.cumsum(emitted).reshape(emitted.shape)
+    blocks = np.empty((2 + np.count_nonzero(emitted), nm, nm))
 
     # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i), that is
     # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element
-    cell = np.einsum("kb,bij->kij", Jinv @ c, ref.G, out=blocks[:ne])
+    cell = np.einsum("kb,bij->kij", Jinv[:2] @ c, ref.G, out=blocks[:2])
     if eps > 0:
-        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), ref.K)
+        cell -= eps * np.einsum("kab,abij->kij", Jinv[:2] @ Jinv[:2].transpose(0, 2, 1), ref.K)
 
-    # edge terms, batched over all edges of the mesh's edge table
+    # edge terms, batched over the touching edges
     wq = (edge_rule(degree).weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
-    traces = list(_edge_traces(mesh, ref, Jinv, sqrtJ, eps > 0))  # (left, right)
+    traces = list(_edge_traces(replace(mesh, edges=edges), ref, Jinv, sqrtJ, eps > 0))
     for t, (si, sj) in enumerate(pairs):
-        e = slice(None) if eps > 0 else emitted[:, t]  # the edges that store this pair's block
+        e = emitted[:, t]  # the edges that store this pair's block
         (vi, gi), (vj, gj) = traces[si], traces[sj]
         test = (wq[e] * vi[e]).transpose(0, 2, 1)
         mass = test @ vj[e]  # sum_q wq phi_i phi_j
@@ -197,10 +207,16 @@ def _stored_blocks(mesh, ref, Jinv, sqrtJ, problem, eta, degree):
             block += (0.5 * eps * sign[sj]) * ((wq[e] * gi[e]).transpose(0, 2, 1) @ vj[e])
         blocks[slot[e, t]] = block
 
-    sides = (left, right)
-    rows = np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]
-    cols = np.stack([sides[sj] for _, sj in pairs], axis=1)[emitted]
-    return np.concatenate([np.arange(ne), rows]), np.concatenate([np.arange(ne), cols]), blocks
+    iy, ix = np.divmod(np.stack(sides) // 2, N)
+    d = np.stack([iy[1] - iy[0], ix[1] - ix[0]], axis=1) + np.round(N * edges.offset[:, ::-1])
+    d = np.concatenate([np.zeros((2, 2)), np.stack([(sj - si) * d for si, sj in pairs], 1)[emitted]])
+    K, stored = np.zeros((3, 3, 2 * nm, 2 * nm)), np.zeros((3, 3, 2, 2), dtype=bool)
+    trial = np.r_[0, 1, np.stack([sides[sj] for _, sj in pairs], axis=1)[emitted]] % 2
+    test = np.r_[0, 1, np.stack([sides[si] for si, _ in pairs], axis=1)[emitted]]
+    for s, t, (dy, dx), block in zip(test, trial, d.astype(int) + 1, blocks):
+        K[dy, dx, s * nm : (s + 1) * nm, t * nm : (t + 1) * nm] += block
+        stored[dy, dx, s, t] = True
+    return StencilOperator(K, stored, N)
 
 
 def _project_cells(chunks, values, f):
@@ -211,18 +227,20 @@ def _project_cells(chunks, values, f):
 
 
 def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float) -> DgOperator:
-    """Assemble the sparse method-of-lines operator.
+    """Assemble the method-of-lines operator on a mesh in slot order.
 
     Cell terms integrate (c w - eps grad w) . grad(test); edge terms apply
     the upwind convective flux and, for eps > 0, the symmetric interior
     penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
     edge stores only its upwind element's column, and nothing where c.n = 0.
+    A mesh whose elements are not the grid's translated base triangles in
+    slot order raises ValueError.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"penalty parameter eta must be finite and positive, got {eta!r}")
     if problem.epsilon > 0 and basis.p == 0:
         raise ValueError("interior-penalty diffusion requires polynomial degree p >= 1")
-    n = mesh.n_elements * basis.n_modes
+    N = mesh.grid_size()
 
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     ref = reference_tables(basis.p, degree)
@@ -232,11 +250,8 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
         (mu, _project_cells(_cell_chunks(cell_rule, origins, J, detJ), ref.values, phi))
         for mu, phi in problem.source
     )
-    Jinv = np.linalg.inv(J)
-    # the edge temporaries are freed on return, before from_blocks copies the blocks
-    rows, cols, blocks = _stored_blocks(mesh, ref, Jinv, np.sqrt(detJ), problem, eta, degree)
-    matrix = CsrMatrix.from_blocks(rows, cols, blocks, shape=(n, n))
-    return DgOperator(mesh, basis, problem, eta, matrix, source_modes)
+    stencil = _stencil(mesh, ref, np.linalg.inv(J), np.sqrt(detJ), problem, eta, degree, N)
+    return DgOperator(mesh, basis, problem, eta, stencil, source_modes)
 
 
 def project_l2(mesh: TriangularMesh, basis: BasisSet, f: Callable) -> np.ndarray:

@@ -1,44 +1,43 @@
-"""Sparse kernels and linear solvers.
+"""Operators and linear solvers.
 
-Matrices are scipy CSR arrays with rows sorted by column.  ``CsrMatrix``
-subclasses scipy's CSR array only to fix the summation order of assembly
-and to give the solvers one matrix-vector product, ``matvec``.
-A system I - C (x) Z with a small dense C is a ``KroneckerSystem``: it is
-applied one block row at a time, never assembled, and factored as one
-n x n block I - lambda Z per real eigenvalue and per conjugate pair of C,
-through C's eigenvectors (``BlockFactors``; Butcher, *On the
-implementation of implicit Runge-Kutta methods*, BIT 16, 1976).
+A DG operator of degree p >= 1 is a ``StencilOperator``: on the periodic
+grid with constant coefficients it is block circulant, so it is kept as
+its few stencil blocks, applied on the grid, and split by a 2-D FFT over
+the cells into one dense block per frequency (``symbol``).  Any other
+matrix is a ``CsrMatrix``, a scipy CSR array subclassed to fix the
+summation order of assembly and to give the solvers one product,
+``matvec``; it is built when first asked for, so only a process that
+needs a CSR matrix loads ``scipy.sparse``.  A system I - C (x) Z with a
+small dense C is a ``KroneckerSystem``: it is applied one block row at a
+time, never assembled, and factored as one n x n block I - lambda Z per
+real eigenvalue and per conjugate pair of C, through C's eigenvectors
+(``BlockFactors``; Butcher, *On the implementation of implicit
+Runge-Kutta methods*, BIT 16, 1976).
 
 A ``PreparedSystem`` holds one of three such factors.  Two are solved
-directly, refined once when the residual is above ``REFINE_ABOVE``.  A
-DG operator Z with constant coefficients commutes with the mesh grid's
-translations, so a 2-D FFT over the grid cells splits each of its blocks
-into one dense block per frequency (``fourier_symbol``).  SuperLU's
-complete LU, its columns ordered by COLAMD, serves a system prepared
-without the grid: p = 0 convection, whose upwind LU stays near the
-block's own fill, an operator without a mesh, or a plain matrix.  Every
-time step is solved by one of these two; ``timeint.MdrkWorkspace`` picks
-which.  ``scipy.sparse.linalg`` (which loads ``scipy.linalg``) is
-imported by the first SuperLU factor, so a process that builds only
-symbol factors never loads it.  GMRES, restarted and
-right-preconditioned so that its residuals are true ones, runs only on a
-system prepared with the GMRES kind, preconditioned by SuperLU's
-threshold incomplete LU (ILUTP, ``ilu_factor``), and falls back to the
-complete factor when the ILUTP cannot be built or GMRES does not
-converge.  It orthogonalises by classical Gram-Schmidt run twice (CGS2),
-solves its small least-squares problem with LAPACK and keeps each
-preconditioned Krylov vector (Saad, *A flexible inner-outer
-preconditioned GMRES algorithm*, SISC 14, 1993).  Its tolerance, restart
-length and iteration limit are the constants ``GMRES_RTOL``,
-``GMRES_RESTART`` and ``GMRES_MAXIT``, not settings.
+directly, refined once when the residual is above ``REFINE_ABOVE``: the
+inverse symbol when Z is a stencil, and otherwise SuperLU's complete LU,
+its columns ordered by COLAMD (p = 0 convection, whose upwind LU stays
+near the block's own fill, an operator without a mesh, a plain matrix).
+``scipy.sparse.linalg`` (which loads ``scipy.linalg``) is imported by the
+first SuperLU factor.  GMRES, restarted and right-preconditioned so that
+its residuals are true ones, runs only on a system prepared with the
+GMRES kind, preconditioned by SuperLU's threshold incomplete LU (ILUTP,
+``ilu_factor``), and falls back to the complete factor when the ILUTP
+cannot be built or GMRES does not converge.  It orthogonalises by
+classical Gram-Schmidt run twice (CGS2), solves its small least-squares
+problem with LAPACK and keeps each preconditioned Krylov vector (Saad,
+*A flexible inner-outer preconditioned GMRES algorithm*, SISC 14, 1993).
+Its tolerance, restart length and iteration limit are the constants
+``GMRES_RTOL``, ``GMRES_RESTART`` and ``GMRES_MAXIT``, not settings.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 GMRES_RTOL = 1e-10  # relative residual every GMRES solve must reach
 GMRES_RESTART = 60  # Krylov vectors GMRES keeps before it restarts
@@ -58,46 +57,126 @@ class SolverFailure(RuntimeError):
         self.stats = stats
 
 
-class CsrMatrix(scipy.sparse.csr_array):
-    """scipy CSR array with a deterministic block builder and one product.
+@functools.cache
+def _csr_matrix_class():
+    import scipy.sparse
 
-    The subclass exists for two reasons.  ``from_blocks`` stably sorts one
-    key per dense block, sums duplicate blocks left to right and expands them
-    through scipy's BSR-to-CSR conversion, so the assembled operator is
-    bitwise reproducible however its blocks were emitted; 1 x 1 blocks make
-    it a triplet builder.  ``matvec`` is the one matrix-vector product the
-    solvers call, so counting or timing products means wrapping this one
-    method.
+    class CsrMatrix(scipy.sparse.csr_array):
+        """scipy CSR array with a deterministic block builder and one product.
+
+        ``from_blocks`` stably sorts one key per dense block, sums duplicate blocks left to
+        right and expands them through scipy's BSR-to-CSR conversion, so the matrix is
+        bitwise reproducible however its blocks were emitted; 1 x 1 blocks make it a
+        triplet builder.  ``matvec`` is the one product the solvers call, so counting or
+        timing products means wrapping this one method.
+        """
+
+        @classmethod
+        def from_blocks(cls, rows, cols, blocks, shape):
+            """Sum (n, R, C) ``blocks`` at block (rows, cols) of a ``shape`` matrix, in a fixed order."""
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.asarray(cols, dtype=np.int64)
+            blocks = np.asarray(blocks, dtype=float)
+            grid = (shape[0] // blocks.shape[1], shape[1] // blocks.shape[2])
+            for name, idx, size in (("block row", rows, grid[0]), ("block column", cols, grid[1])):
+                if len(idx) and (idx.min() < 0 or idx.max() >= size):
+                    raise ValueError(f"{name} index out of bounds")
+            keys = rows * grid[1] + cols
+            order = np.argsort(keys, kind="stable")
+            keys, blocks = keys[order], blocks[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            blocks, keys = np.add.reduceat(blocks, starts, axis=0), keys[starts]
+            index_dtype = np.int32 if max(blocks.size, shape[1]) < 2**31 else np.int64
+            indptr = np.searchsorted(keys, np.arange(grid[0] + 1) * grid[1])
+            bsr = (blocks, (keys % grid[1]).astype(index_dtype), indptr.astype(index_dtype))
+            return cls(scipy.sparse.bsr_array(bsr, shape=shape).tocsr())
+
+        def matvec(self, x):
+            return self @ x
+
+    CsrMatrix.__qualname__ = "CsrMatrix"
+    return CsrMatrix
+
+
+def __getattr__(name):  # CsrMatrix, and with it scipy.sparse, loads on first use
+    if name == "CsrMatrix":
+        return _csr_matrix_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class StencilOperator:
+    """A block-circulant operator on the periodic N x N grid of cells, kept as its stencil.
+
+    Element e is slot e of the grid (``TriangularMesh.grid_size``), so a vector is an
+    (N, N, 2 nm) array [iy, ix, shape * nm + mode] by reshape alone.  ``K[dy + 1, dx + 1]``
+    (2 nm x 2 nm) couples each cell c to cell c + d, d in {-1, 0, 1}^2 not reduced mod N,
+    and ``stored[dy + 1, dx + 1, s, t]`` marks the nm x nm blocks (test shape s, trial
+    shape t) that its CSR stores.
     """
 
-    @classmethod
-    def from_blocks(cls, rows, cols, blocks, shape):
-        """Sum (n, R, C) ``blocks`` at block (rows, cols) of a ``shape`` matrix, in a fixed order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        blocks = np.asarray(blocks, dtype=float)
-        grid = (shape[0] // blocks.shape[1], shape[1] // blocks.shape[2])
-        for name, idx, size in (("block row", rows, grid[0]), ("block column", cols, grid[1])):
-            if len(idx) and (idx.min() < 0 or idx.max() >= size):
-                raise ValueError(f"{name} index out of bounds")
-        keys = rows * grid[1] + cols
-        order = np.argsort(keys, kind="stable")
-        keys, blocks = keys[order], blocks[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        blocks, keys = np.add.reduceat(blocks, starts, axis=0), keys[starts]
-        index_dtype = np.int32 if max(blocks.size, shape[1]) < 2**31 else np.int64
-        indptr = np.searchsorted(keys, np.arange(grid[0] + 1) * grid[1])
-        bsr = (blocks, (keys % grid[1]).astype(index_dtype), indptr.astype(index_dtype))
-        return cls(scipy.sparse.bsr_array(bsr, shape=shape).tocsr())
+    def __init__(self, K, stored, N):
+        self.K, self.stored, self.N = K, stored, N
+        self.shape = (N * N * K.shape[-1],) * 2
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of ``tocsr()``; offsets equal mod N (N <= 2) share their blocks."""
+        keys = np.argwhere(self.stored)
+        keys[:, :2] = (keys[:, :2] - 1) % self.N
+        return len(np.unique(keys, axis=0)) * self.N**2 * (self.K.shape[-1] // 2) ** 2
+
+    @functools.cached_property
+    def _buffers(self):
+        """matvec's wrap-filled copy, row by row, and the cell each row copies; its
+        products; and per stored offset d, the copy's rows shifted by d and K_d^T."""
+        N, nb = self.N, self.K.shape[-1]
+        wrap, rows = np.arange(-1, N + 1) % N, N * (N + 2) - 2  # first grid cell to last
+        padded, y = np.empty(((N + 2) ** 2, nb)), np.empty((N, N + 2, nb))
+        terms = [
+            (padded[(1 + dy) * (N + 2) + 1 + dx :][:rows], np.ascontiguousarray(self.K[dy + 1, dx + 1].T))
+            for dy, dx in np.argwhere(self.stored.any(axis=(2, 3))) - 1
+        ]
+        return (wrap[:, None] * N + wrap).ravel(), padded, y, y.reshape(-1, nb)[:rows], terms
 
     def matvec(self, x):
-        return self @ x
+        """y(c) = sum_d K_d x(c + d) for a real x, on a wrap-filled (N + 2, N + 2, 2 nm) copy.
+
+        Row by row, a shift by d is one contiguous slice of the copy, so each stored offset
+        is one product over N (N + 2) - 2 rows, the 2 N - 2 between grid rows computed and
+        dropped.  The copy and the products reuse the operator's buffers.
+        """
+        cells, padded, y, out, terms = self._buffers
+        np.take(x.reshape(len(y) ** 2, -1), cells, axis=0, out=padded)
+        np.matmul(*terms[0], out=out)
+        for shifted, KT in terms[1:]:
+            out += shifted @ KT
+        return y[:, : len(y)].flatten()
+
+    def symbol(self):
+        """S(k) = sum_d K_d exp(2 pi i k.d / N), (N, N, 2 nm, 2 nm): N^2 times the ``ifft2``
+        of the K_d summed by d mod N (Davis, *Circulant Matrices*, 1979; Hemker, Hoffmann
+        and van Raalte, SISC 25, 2003)."""
+        N, nb, d = self.N, self.K.shape[-1], np.arange(-1, 2) % self.N
+        K = np.zeros((N, N, nb, nb))
+        np.add.at(K, (d[:, None], d[None, :]), self.K)
+        return N * N * np.fft.ifft2(K, axes=(0, 1))
+
+    def tocsr(self):
+        """The ``CsrMatrix`` of the stencil tiled over the grid, cell by cell."""
+        N, nm = self.N, self.K.shape[-1] // 2
+        dy, dx, s, t = np.nonzero(self.stored)
+        blocks = self.K[dy, dx].reshape(-1, 2, nm, 2, nm)[np.arange(len(s)), s, :, t, :]
+        iy, ix = np.divmod(np.arange(N * N)[:, None], N)
+        rows = 2 * (iy * N + ix) + s
+        cols = 2 * ((iy + dy - 1) % N * N + (ix + dx - 1) % N) + t
+        tiled = np.broadcast_to(blocks, (N * N,) + blocks.shape).reshape(-1, nm, nm)
+        return _csr_matrix_class().from_blocks(rows.ravel(), cols.ravel(), tiled, self.shape)
 
 
 class KroneckerSystem:
     """The block system I - C (x) Z, applied without assembling it.
 
-    C is a small dense sM x sM matrix and Z an n x n ``CsrMatrix``.  The
+    C is a small dense sM x sM matrix and Z an n x n operator.  The
     product reshapes x to (sM, n) and returns X - C (Z X), one ``Z.matvec``
     per block row, so the system holds no more than C and Z themselves.
     ``nnz`` counts those stored entries: the nonzeros of Z plus those of C.
@@ -149,47 +228,31 @@ def _decouple(A):
 
 
 def _sparse_block(A, lam):
-    """The CSC block I - lam Z of A, or A itself for lam None (see ``_decouple``)."""
-    B = A if lam is None else scipy.sparse.identity(A.Z.shape[0], format="csr") - lam * A.Z
+    """The CSC block I - lam Z of A, or A itself for lam None (see ``_decouple``); a
+    ``StencilOperator`` is tiled over its grid first."""
+    import scipy.sparse
+
+    Z = (A if lam is None else A.Z).tocsr()
+    B = Z if lam is None else scipy.sparse.identity(Z.shape[0], format="csr") - lam * Z
     return scipy.sparse.csc_matrix(B)
 
 
-def fourier_symbol(Z, slots):
-    """The symbol S(k) = sum_d K_d exp(2 pi i k.d / N), (N, N, 2 nm, 2 nm), of Z on a grid.
-
-    A Z whose blocks depend only on the element shapes and the offset d
-    between the cells of the periodic N x N grid (``slots``, see
-    ``TriangularMesh.slots``) is block circulant, and the 2-D DFT over the
-    cells splits it into the dense S(k) (Davis, *Circulant Matrices*, 1979;
-    Hemker, Hoffmann and van Raalte, SISC 25, 2003).  The K_d are read off
-    cell 0's rows, summed by d mod N; a solve's residual against Z itself
-    checks that the other rows agree.
-    """
-    nm, N = Z.shape[0] // len(slots), round((len(slots) // 2) ** 0.5)
-    rows = Z[(np.argsort(slots)[:2, None] * nm + np.arange(nm)).ravel()].tocoo()
-    slot = slots[rows.col // nm]
-    dy, dx = np.divmod(slot // 2, N)
-    K = np.zeros((N, N, 2 * nm, 2 * nm))
-    np.add.at(K, (dy, dx, rows.row, slot % 2 * nm + rows.col % nm), rows.data)
-    return N * N * np.fft.ifft2(K, axes=(0, 1))
-
-
 class FourierFactor:
-    """inv(I - lambda S(k)) of the block I - lambda Z (inv(S(k)) for lambda None).
+    """inv(I - lambda S(k)) of the block I - lambda Z (inv(S(k)) for lambda None), S = Z.symbol().
 
-    A solve gathers by slot, runs ``fft2`` over the cells, multiplies each frequency by its
-    inverse and transforms back; a real vector, as a real lambda's block gets, comes back real.
+    A solve reshapes w to the (N, N, 2 nm) grid, runs ``fft2`` over the cells, multiplies each
+    frequency by its inverse and transforms back; a real vector, as a real lambda's block gets,
+    comes back real.
     """
 
-    def __init__(self, S, slots, lam):
-        self.slots, self.order = slots, np.argsort(slots)
+    def __init__(self, S, lam):
         self.inverse = np.linalg.inv(S if lam is None else np.eye(S.shape[-1]) - lam * S)
 
     def solve(self, w):
-        ne, (N, _, nb, _) = len(self.slots), self.inverse.shape
-        X = np.fft.fft2(w.reshape(ne, -1)[self.order].reshape(N, N, nb), axes=(0, 1))
-        Y = np.fft.ifft2((self.inverse @ X[..., None])[..., 0], axes=(0, 1)).reshape(ne, -1)
-        return (Y.real if np.isrealobj(w) else Y)[self.slots].ravel()
+        N, _, nb, _ = self.inverse.shape
+        X = np.fft.fft2(w.reshape(N, N, nb), axes=(0, 1))
+        Y = np.fft.ifft2((self.inverse @ X[..., None])[..., 0], axes=(0, 1))
+        return (Y.real if np.isrealobj(w) else Y).ravel()
 
 
 class BlockFactors:
@@ -301,9 +364,10 @@ class LinearSolver:
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind {self.kind!r}")
 
-    def prepare(self, A, slots=None) -> PreparedSystem:
-        """Factorize ``A``, a ``CsrMatrix`` or a ``KroneckerSystem`` (see PreparedSystem)."""
-        return PreparedSystem(A, self, slots)
+    def prepare(self, A) -> PreparedSystem:
+        """Factorize ``A``: a ``CsrMatrix``, a ``StencilOperator`` or a ``KroneckerSystem`` of
+        either (see PreparedSystem)."""
+        return PreparedSystem(A, self)
 
 
 def gmres_solve(
@@ -389,8 +453,8 @@ class PreparedSystem:
 
     A GMRES-kind solver gets the ILUTP preconditioner ``ilu`` and solves by
     GMRES; a direct-kind solver gets the complete factor and solves by it
-    alone.  The complete factor is the Fourier-symbol one when ``slots``
-    places A's elements on the mesh grid (see ``fourier_symbol``), and
+    alone.  The complete factor is the Fourier-symbol one when Z (A itself
+    or the Z of a ``KroneckerSystem``) is a ``StencilOperator``, and
     SuperLU's LU otherwise.  Each applies A itself for its residual.
 
     A GMRES-kind system falls back to the complete factor, for this and every
@@ -403,9 +467,8 @@ class PreparedSystem:
     (an earlier solve's GMRES gave up).
     """
 
-    def __init__(self, A, solver, slots=None):
+    def __init__(self, A, solver):
         self.A = A
-        self.slots = slots
         self.ilu = None
         self._direct = None
         self._direct_reason = ""  # why a GMRES-kind solve now goes direct
@@ -420,10 +483,10 @@ class PreparedSystem:
 
     def _factorize_direct(self):
         try:
-            if self.slots is not None:
-                Z = self.A.Z if isinstance(self.A, KroneckerSystem) else self.A
-                S = fourier_symbol(Z, self.slots)
-                self._direct = BlockFactors(self.A, lambda lam: FourierFactor(S, self.slots, lam))
+            Z = self.A.Z if isinstance(self.A, KroneckerSystem) else self.A
+            if isinstance(Z, StencilOperator):
+                S = Z.symbol()
+                self._direct = BlockFactors(self.A, lambda lam: FourierFactor(S, lam))
                 return
             import scipy.sparse.linalg
 

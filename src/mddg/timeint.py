@@ -252,13 +252,14 @@ class MdrkWorkspace:
     starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
     stage equal to the step input.  The system is exactly I - C (x) dt A
     with C = ``tableau.coupling``; ``system`` is that product in Kronecker
-    form, holding dt C and A but no sMn x sMn matrix.  This is the one
-    place that picks the step solver: every system is solved directly by
-    its complete factor, through A's Fourier symbol on the mesh grid
-    (``sparse.fourier_symbol``) when the operator's basis has degree
-    p >= 1, diffusion included (it needs p >= 1), and by the
-    COLAMD-ordered complete LU of each block otherwise: at p = 0 and for
-    an operator that carries no basis.
+    form, holding dt C and A but no sMn x sMn matrix.  Every system is
+    solved directly by its complete factor, which the type of A picks:
+    the inverse Fourier symbol of a ``StencilOperator`` (``assemble``
+    keeps every p >= 1 operator as its grid stencil), and the
+    COLAMD-ordered complete LU of each block of a CSR matrix otherwise,
+    that is at p = 0, whose 2 x 2 frequency blocks cost more to transform
+    than the upwind LU, which keeps near the block's own fill in downwind
+    order (Lesaint & Raviart 1974), and for an operator without a mesh.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float):
@@ -270,14 +271,7 @@ class MdrkWorkspace:
         self.stiffly_accurate = tableau.stiffly_accurate
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
         self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
-        # constant coefficients on the periodic grid make a mesh operator block circulant;
-        # at p = 0 its 2 x 2 frequency blocks cost more to transform than the upwind LU,
-        # which keeps near the block's own fill in downwind order (Lesaint & Raviart 1974)
-        basis = getattr(op, "basis", None)
-        symbol = basis is not None and basis.p >= 1
-        self.prepared = LinearSolver(kind="direct").prepare(
-            self.system, op.mesh.slots if symbol else None
-        )
+        self.prepared = LinearSolver(kind="direct").prepare(self.system)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit

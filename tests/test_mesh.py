@@ -56,16 +56,27 @@ def test_positive_signed_area(hierarchy):
 
 
 def test_refinement_nested(hierarchy):
-    # every child vertex lies inside (or on the boundary of) its parent
+    # every child's parent, the one coarse triangle around its centroid, holds all of
+    # the child's vertices (inside or on its boundary), and every parent has four children
     for coarse, fine in zip(hierarchy, hierarchy[1:]):
-        for kp, tri in enumerate(coarse.triangles):
-            vp = coarse.vertices[tri]
+        children = np.zeros(coarse.n_elements, dtype=int)
+        for tri in fine.triangles:
+            vc = fine.vertices[tri]
+            parents = []
+            for kp, ptri in enumerate(coarse.triangles):
+                vp = coarse.vertices[ptri]
+                T = np.column_stack([vp[1] - vp[0], vp[2] - vp[0]])
+                bary = np.linalg.solve(T, (vc.mean(axis=0) - vp[0]))
+                if np.all(bary > 0) and bary.sum() < 1:
+                    parents.append(kp)
+            [kp] = parents
+            vp = coarse.vertices[coarse.triangles[kp]]
             T = np.column_stack([vp[1] - vp[0], vp[2] - vp[0]])
-            for kc in range(4 * kp, 4 * kp + 4):
-                vc = fine.vertices[fine.triangles[kc]]
-                bary = np.linalg.solve(T, (vc - vp[0]).T).T
-                assert np.all(bary >= -1e-12)
-                assert np.all(bary.sum(axis=1) <= 1 + 1e-12)
+            bary = np.linalg.solve(T, (vc - vp[0]).T).T
+            assert np.all(bary >= -1e-12)
+            assert np.all(bary.sum(axis=1) <= 1 + 1e-12)
+            children[kp] += 1
+        assert np.all(children == 4)
 
 
 def test_edge_normals_unit(hierarchy):
@@ -140,6 +151,13 @@ def reference_refine(mesh):
         start = min(range(3), key=lambda i: sum(vertices[tri[i]]))
         return tri[start:] + tri[:start]
 
+    N = 2 ** (mesh.level + 1)
+
+    def slot(tri):
+        # 2 (iy N + ix) + shape: vertex 0 is (ix, iy) / N, the upper shape has vertex 1 above it
+        (x0, y0), (_, y1) = vertices[tri[0]], vertices[tri[1]]
+        return 2 * (round(y0 * N) * N + round(x0 * N)) + (y1 > y0)
+
     triangles = []
     for a, b, c in mesh.triangles:
         mab = midpoint(a, b)
@@ -147,7 +165,7 @@ def reference_refine(mesh):
         mca = midpoint(c, a)
         for child in ((a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)):
             triangles.append(from_lower_left(child))
-    return _make_mesh(vertices, triangles, level=mesh.level + 1)
+    return _make_mesh(vertices, sorted(triangles, key=slot), level=mesh.level + 1)
 
 
 def test_refinement_matches_reference_bitwise():
@@ -165,8 +183,8 @@ def test_refinement_matches_reference_bitwise():
 
 
 def test_elements_are_translates_of_the_base_triangles():
-    # every element starts at its lower-left vertex, and the slots place exactly one
-    # lower and one upper triangle in each of the N x N cells
+    # every element starts at its lower-left vertex, and element e is slot e: the lower
+    # (e even) or upper (e odd) triangle of cell e // 2 of the N x N grid
     m = build_base_mesh()
     for level in range(7):
         if level:
@@ -174,9 +192,8 @@ def test_elements_are_translates_of_the_base_triangles():
         N, h = 2**level, 2.0**-level
         v = m.vertices[m.triangles]
         assert np.all(np.argmin(v.sum(axis=2), axis=1) == 0)
-        slots = m.slots
-        assert np.array_equal(np.sort(slots), np.arange(2 * N * N))
-        cell, upper = np.divmod(slots, 2)
+        assert m.grid_size() == N and m.n_elements == 2 * N * N
+        cell, upper = np.divmod(np.arange(m.n_elements), 2)
         iy, ix = np.divmod(cell, N)
         assert np.array_equal(v[:, 0], h * np.stack([ix, iy], axis=1))
         shapes = h * np.array([[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]])
@@ -260,3 +277,26 @@ def test_edge_table_matches_reference_bitwise():
 def test_sides_that_do_not_pair_rejected(vertices, triangles):
     with pytest.raises(ValueError, match="side group of size [13] "):
         _make_mesh(vertices, triangles, level=0)
+
+
+def _swapped(mesh, a, b):
+    triangles = mesh.triangles.copy()
+    triangles[[a, b]] = triangles[[b, a]]
+    return _make_mesh(mesh.vertices, triangles, mesh.level)
+
+
+def _moved(mesh, vertex, shift):
+    vertices = mesh.vertices.copy()
+    vertices[vertex] += shift
+    return _make_mesh(vertices, mesh.triangles, mesh.level)
+
+
+def test_grid_size_rejects_meshes_off_the_grid(hierarchy):
+    # the check is exact: one interior vertex moved by 2^-40 or two elements swapped (of
+    # one shape, so every element is still a translate of its base triangle) fail it
+    m = hierarchy[2]
+    interior = np.flatnonzero(np.all((m.vertices > 0) & (m.vertices < 1), axis=1))
+    for bad in (_moved(m, interior[0], (2.0**-40, 0.0)), _swapped(m, 0, 2), _swapped(m, 1, 2)):
+        with pytest.raises(ValueError, match="not the grid's translated base triangles in slot order"):
+            bad.grid_size()
+    assert _make_mesh(m.vertices, m.triangles, m.level).grid_size() == 4

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 import mddg.operator
 from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
@@ -18,7 +19,7 @@ from mddg.operator import (
     project_l2,
     reference_tables,
 )
-from mddg.sparse import CsrMatrix
+from mddg.sparse import CsrMatrix, StencilOperator
 from mddg.harness import (
     default_eta,
     make_problem,
@@ -37,11 +38,23 @@ def meshes():
     return out
 
 
-def reference_assemble(mesh, basis, problem, eta):
-    """Per-element, per-edge loop over the weak form: the oracle for ``assemble``.
+@pytest.fixture(scope="module")
+def deep_meshes(meshes):
+    """The mesh hierarchy to level 5."""
+    out = list(meshes)
+    while len(out) < 6:
+        out.append(refine_uniform(out[-1]))
+    return out
 
-    It stores all four blocks of every edge, zero or not, and returns a scipy CSR
-    matrix.
+
+def reference_assemble(mesh, basis, problem, eta):
+    """The weak form over every element and every edge of the mesh: the oracle for ``assemble``.
+
+    Unlike ``assemble`` it evaluates the basis at each edge's quadrature points mapped into
+    each side element's frame, integrates cell terms with physical gradients, stores all
+    four blocks of every edge, zero or not, and sums them all by scipy's COO-to-CSR
+    conversion.  Edge points are taken relative to the element's vertex 0 before they are
+    mapped, so the reference coordinates carry no cancellation error on fine meshes.
     """
     eps = problem.epsilon
     c = problem.velocity
@@ -50,65 +63,52 @@ def reference_assemble(mesh, basis, problem, eta):
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     cell_rule = triangle_rule(degree)
     origins, J, detJ = mesh.jacobians()
-    Jinv_T = np.linalg.inv(J).transpose(0, 2, 1)
+    Jinv = np.linalg.inv(J)
     sqrtJ = np.sqrt(detJ)
-    cell_vals = basis.eval(cell_rule.points)
-    grads_ref = basis.grad(cell_rule.points)
-    w_q = cell_rule.weights
-    rows, cols, vals = [], [], []
-    row_grid, col_grid = np.meshgrid(np.arange(nm), np.arange(nm), indexing="ij")
-
-    def add_block(kr, kc, block):
-        rows.append((kr * nm + row_grid).ravel())
-        cols.append((kc * nm + col_grid).ravel())
-        vals.append(block.ravel())
-
-    for k in range(ne):
-        gphys = grads_ref @ Jinv_T[k].T
-        block = np.einsum("q,qia,a,qj->ij", w_q, gphys, c, cell_vals)
-        if eps > 0:
-            block = block - eps * np.einsum("q,qia,qja->ij", w_q, gphys, gphys)
-        add_block(k, k, block)
+    gphys = basis.grad(cell_rule.points)[None] @ Jinv[:, None]  # (ne, nq, nm, 2)
+    wgrad = cell_rule.weights[None, :, None, None] * gphys
+    blocks = [(wgrad @ c).transpose(0, 2, 1) @ basis.eval(cell_rule.points)]
+    if eps > 0:
+        blocks[0] = blocks[0] - eps * (
+            wgrad.transpose(0, 2, 1, 3).reshape(ne, nm, -1)
+            @ gphys.transpose(0, 1, 3, 2).reshape(ne, -1, nm)
+        )
+    rows, cols = [np.arange(ne)], [np.arange(ne)]
 
     erule = edge_rule(degree)
     E = mesh.edges
-    for kl, kr, n, h, v0, v1, offset in zip(
-        E.left, E.right, E.normal, E.length, E.v0, E.v1, E.offset
-    ):
-        xq = v0[None, :] + erule.points[:, None] * (v1 - v0)[None, :]
-        sides = []
-        for k, pts in ((kl, xq), (kr, xq - offset[None, :])):
-            ref = (pts - origins[k]) @ np.linalg.inv(J[k]).T
-            v = basis.eval(ref) / sqrtJ[k]
-            gn = (basis.grad(ref) @ Jinv_T[k].T @ n) / sqrtJ[k]
-            sides.append((v, gn))
-        (vl, gl), (vr, gr) = sides
-        wq = erule.weights * h
-        cn = float(c @ n)
-        sign = (1.0, -1.0)
-        trace = (vl, vr)
-        gtrace = (gl, gr)
-        up = 0 if cn >= 0.0 else 1
-        for si in (0, 1):
-            for sj in (0, 1):
-                block = np.zeros((nm, nm))
-                if sj == up and cn != 0.0:
-                    block -= cn * np.einsum("q,qi,qj->ij", wq, sign[si] * trace[si], trace[sj])
-                if eps > 0:
-                    block += 0.5 * eps * np.einsum(
-                        "q,qi,qj->ij", wq, sign[si] * trace[si], gtrace[sj]
-                    )
-                    block -= (eps * eta / h) * np.einsum(
-                        "q,qi,qj->ij", wq, sign[si] * trace[si], sign[sj] * trace[sj]
-                    )
-                    block += 0.5 * eps * np.einsum(
-                        "q,qi,qj->ij", wq, gtrace[si], sign[sj] * trace[sj]
-                    )
-                add_block((kl, kr)[si], (kl, kr)[sj], block)
+    traces = []
+    for k, start in ((E.left, E.v0), (E.right, E.v0 - E.offset)):
+        rel = (start - origins[k])[:, None] + erule.points[None, :, None] * (E.v1 - E.v0)[:, None]
+        ref = (rel @ Jinv[k].transpose(0, 2, 1)).reshape(-1, 2)
+        shape = (len(E), len(erule.points), nm)
+        v = basis.eval(ref).reshape(shape) / sqrtJ[k][:, None, None]
+        g = basis.grad(ref).reshape(shape + (2,))
+        gn = (g @ (Jinv[k] @ E.normal[:, :, None])[:, None])[..., 0] / sqrtJ[k][:, None, None]
+        traces.append((v, gn))
+    wq = (erule.weights[None, :] * E.length[:, None])[:, :, None]
+    cn = E.normal @ c
+    sign = (1.0, -1.0)
+    up = np.where(cn >= 0.0, 0, 1)
+    for si in (0, 1):
+        for sj in (0, 1):
+            (vi, gi), (vj, gj) = traces[si], traces[sj]
+            test = (wq * vi).transpose(0, 2, 1)
+            mass = test @ vj
+            block = -(np.where((up == sj) & (cn != 0.0), cn, 0.0) * sign[si])[:, None, None] * mass
+            if eps > 0:
+                block = block + 0.5 * eps * sign[si] * (test @ gj)
+                block = block - (eps * eta / E.length * sign[si] * sign[sj])[:, None, None] * mass
+                block = block + 0.5 * eps * sign[sj] * ((wq * gi).transpose(0, 2, 1) @ vj)
+            rows.append((E.left, E.right)[si])
+            cols.append((E.left, E.right)[sj])
+            blocks.append(block)
 
+    rows, cols, blocks = (np.concatenate(a) for a in (rows, cols, blocks))
+    entry_rows = rows[:, None, None] * nm + np.arange(nm)[:, None] + np.zeros((1, 1, nm), dtype=int)
+    entry_cols = cols[:, None, None] * nm + np.arange(nm) + np.zeros((1, nm, 1), dtype=int)
     return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ne * nm, ne * nm),
+        (blocks.ravel(), (entry_rows.ravel(), entry_cols.ravel())), shape=(ne * nm, ne * nm)
     )
 
 
@@ -201,17 +201,37 @@ class TestAssemble:
         rhs = 1.5 * op.matrix.matvec(w1) - 2.5 * op.matrix.matvec(w2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize(
         "name, p",
         [("convection", p) for p in range(6)] + [("convection_diffusion", p) for p in range(1, 6)],
     )
-    def test_matches_reference_assembler(self, meshes, name, p, level):
+    def test_matches_reference_assembler(self, deep_meshes, name, p, level):
+        # the stencil tiled over the grid (the CSR itself at p = 0) is the full-mesh weak
+        # form: to 1e-15 in norm, and entry by entry to 1e-14 of the largest entry
         basis = make_basis(p)
         prob = make_problem(name)
-        A = assemble(meshes[level], basis, prob, default_eta(p)).matrix
-        R = reference_assemble(meshes[level], basis, prob, default_eta(p))
+        A = assemble(deep_meshes[level], basis, prob, default_eta(p)).matrix.tocsr()
+        R = reference_assemble(deep_meshes[level], basis, prob, default_eta(p))
+        assert scipy.sparse.linalg.norm(A - R) <= 1e-15 * scipy.sparse.linalg.norm(R)
         assert abs(A - R).max() <= 1e-14 * abs(R).max()
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize(
+        "name, p",
+        [("convection", p) for p in range(1, 6)] + [("convection_diffusion", p) for p in range(1, 6)],
+    )
+    def test_stencil_product_matches_its_csr(self, deep_meshes, name, p, level):
+        # the grid product on the wrap-filled copy, on grids of N = 1 to 32 cells; a later
+        # product leaves an earlier one's result alone, although both reuse one buffer
+        op = assemble(deep_meshes[level], make_basis(p), make_problem(name), default_eta(p))
+        assert isinstance(op.matrix, StencilOperator) and op.matrix is op.stencil
+        A = op.matrix.tocsr()
+        assert op.matrix.nnz == A.nnz
+        xs = np.random.default_rng(level).normal(size=(2, op.n_dof))
+        for x, y in zip(xs, [op.matrix.matvec(x) for x in xs]):
+            expected = A @ x
+            assert np.linalg.norm(y - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize(
@@ -228,7 +248,7 @@ class TestAssemble:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(CsrMatrix, "from_blocks", spy)
-        A = assemble(meshes[level], make_basis(p), make_problem(name), default_eta(p)).matrix
+        A = assemble(meshes[level], make_basis(p), make_problem(name), default_eta(p)).matrix.tocsr()
         [(args, kwargs)] = emitted
         data, indices, indptr = entrywise_csr(*args, **kwargs)
         assert np.array_equal(A.data, data)
@@ -241,7 +261,7 @@ class TestAssemble:
         # other edge couples only its upwind element into its downwind one
         mesh = meshes[2]
         prob = problem_convection()
-        A = assemble(mesh, make_basis(p), prob, eta=20.0).matrix
+        A = assemble(mesh, make_basis(p), prob, eta=20.0).matrix.tocsr()
         crossing = np.count_nonzero(mesh.edges.normal @ prob.velocity != 0.0)
         assert crossing < len(mesh.edges)
         nm = make_basis(p).n_modes
@@ -261,7 +281,7 @@ class TestAssemble:
         for left, right in zip(mesh.edges.left, mesh.edges.right):
             adj[left].add(right)
             adj[right].add(left)
-        A = op.matrix
+        A = op.matrix.tocsr()
         for k in range(mesh.n_elements):
             cols = set()
             for row in range(k * nm, (k + 1) * nm):
@@ -300,8 +320,8 @@ class TestAssemble:
         flipped = self._flip(mesh, interior, translate=False)
         for prob in (problem_convection(), problem_convection_diffusion()):
             basis = make_basis(2)
-            a = assemble(mesh, basis, prob, eta=20.0).matrix
-            b = assemble(flipped, basis, prob, eta=20.0).matrix
+            a = assemble(mesh, basis, prob, eta=20.0).matrix.tocsr()
+            b = assemble(flipped, basis, prob, eta=20.0).matrix.tocsr()
             assert np.array_equal(a.indptr, b.indptr)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
@@ -313,8 +333,8 @@ class TestAssemble:
         flipped = self._flip(mesh, np.ones(len(mesh.edges), dtype=bool), translate=True)
         for prob in (problem_convection(), problem_convection_diffusion()):
             basis = make_basis(2)
-            a = assemble(mesh, basis, prob, eta=20.0).matrix
-            b = assemble(flipped, basis, prob, eta=20.0).matrix
+            a = assemble(mesh, basis, prob, eta=20.0).matrix.tocsr()
+            b = assemble(flipped, basis, prob, eta=20.0).matrix.tocsr()
             assert np.array_equal(a.indices, b.indices)
             scale = np.max(np.abs(a.data))
             assert np.max(np.abs(a.data - b.data)) < 1e-12 * scale
@@ -337,7 +357,8 @@ class TestAssemble:
         prob = problem_convection_diffusion()
         a = assemble(meshes[1], make_basis(2), prob, eta=20.0).matrix
         b = assemble(meshes[1], make_basis(2), prob, eta=20.0).matrix
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.K, b.K)
+        assert np.array_equal(a.tocsr().data, b.tocsr().data)
 
 
 class TestReferenceData:
@@ -396,8 +417,8 @@ class TestReferenceData:
     def test_cold_and_warm_assembly_bitwise_equal(self, meshes, name):
         prob = make_problem(name)
         self._clear_caches()
-        cold = assemble(meshes[2], make_basis(3), prob, default_eta(3)).matrix
-        warm = assemble(meshes[2], make_basis(3), prob, default_eta(3)).matrix
+        cold = assemble(meshes[2], make_basis(3), prob, default_eta(3)).matrix.tocsr()
+        warm = assemble(meshes[2], make_basis(3), prob, default_eta(3)).matrix.tocsr()
         assert np.array_equal(cold.indptr, warm.indptr)
         assert np.array_equal(cold.indices, warm.indices)
         assert np.array_equal(cold.data, warm.data)
@@ -487,7 +508,7 @@ class TestSigmaTau:
 
     def test_tau_is_a_squared(self, meshes):
         op = assemble(meshes[0], make_basis(1), problem_convection(), eta=20.0)
-        A = op.matrix.toarray()
+        A = op.matrix.tocsr().toarray()
         w = np.random.default_rng(26).normal(size=op.n_dof)
         sigma = op.matrix.matvec(w) + op.source_vector(0.0, 0)
         tau = op.matrix.matvec(sigma) + op.source_vector(0.0, 1)
@@ -496,7 +517,7 @@ class TestSigmaTau:
     def test_sigma_matches_exact_trajectory(self, meshes):
         # sigma equals the time derivative of the exactly integrated system
         op = assemble(meshes[0], make_basis(1), problem_convection(), eta=20.0)
-        A = op.matrix.toarray()
+        A = op.matrix.tocsr().toarray()
         w0 = np.random.default_rng(27).normal(size=op.n_dof)
         sigma = op.matrix.matvec(w0) + op.source_vector(0.0, 0)
         for delta in (1e-4, 5e-5):
@@ -507,7 +528,7 @@ class TestSigmaTau:
 
     def test_tau_matches_second_difference(self, meshes):
         op = assemble(meshes[0], make_basis(1), problem_convection(), eta=20.0)
-        A = op.matrix.toarray()
+        A = op.matrix.tocsr().toarray()
         w0 = np.random.default_rng(28).normal(size=op.n_dof)
         sigma = op.matrix.matvec(w0) + op.source_vector(0.0, 0)
         tau = op.matrix.matvec(sigma) + op.source_vector(0.0, 1)
@@ -623,11 +644,23 @@ class TestTransientMemory:
 
     @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
     def test_assembly_peak_within_four_operators(self, meshes, name):
+        # the CSR build, which a p = 0 assembly runs and a p >= 1 one no longer does, tiles
+        # the stencil within four times the matrix it returns
         mesh = refine_uniform(meshes[3])
-        basis, prob = make_basis(5), make_problem(name)
-        peak, op = traced_peak(lambda: assemble(mesh, basis, prob, default_eta(5)))
-        A = op.matrix
+        stencil = assemble(mesh, make_basis(5), make_problem(name), default_eta(5)).matrix
+        peak, A = traced_peak(stencil.tocsr)
         assert peak < 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+    @pytest.mark.parametrize("level", [4, 5])
+    @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
+    def test_stencil_assembly_peak_bounded(self, deep_meshes, name, level):
+        # a p >= 1 assembly holds no matrix: its peak is the mesh-sized geometry and source
+        # projections, 1.32 and 2.35 MB for convection-diffusion at p = 5, levels 4 and 5,
+        # against 33 and 132 MB while it built the CSR
+        basis, prob = make_basis(5), make_problem(name)
+        peak, op = traced_peak(lambda: assemble(deep_meshes[level], basis, prob, default_eta(5)))
+        assert isinstance(op.matrix, StencilOperator)
+        assert peak < 2.6e6
 
 
 class TestProblemDefinitions:

@@ -6,6 +6,7 @@ import scipy.sparse.linalg
 import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
+from mddg.mesh import _make_mesh
 from mddg.operator import assemble, project_l2
 from mddg.sparse import (
     ILU_DROP_TOL,
@@ -15,7 +16,7 @@ from mddg.sparse import (
     KroneckerSystem,
     LinearSolver,
     SolverFailure,
-    fourier_symbol,
+    StencilOperator,
     gmres_solve,
     ilu_factor,
 )
@@ -76,19 +77,27 @@ class TestCsrMatrix:
         assert all(np.all(np.diff(A.indices[a:b]) > 0) for a, b in zip(A.indptr[:-1], A.indptr[1:]))
 
     def test_int32_index_arrays(self):
-        # the builder, the operator and the block system's Z keep scipy's int32 index arrays
+        # the builder, a stencil's tiled CSR, and the p = 0 operator and its block system's Z
+        # keep scipy's int32 index arrays
         A = triplets([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.1)
-        for M in (A, op.matrix, ws.system.Z):
+        op0 = assemble(mesh_hierarchy(2)[1], make_basis(0), make_problem("convection"), 20.0)
+        ws = make_workspace(op0, method_registry()["mdrk6"], 0.1)
+        for M in (A, op.matrix.tocsr(), op0.matrix, ws.system.Z):
             assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
 
-    def test_operator_is_scipy_sparse_and_system_is_kronecker(self):
-        # the block system keeps the operator itself, not a copy, and dt C
-        op = assemble(mesh_hierarchy(2)[1], make_basis(1), make_problem("convection"), 20.0)
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_operator_is_scipy_sparse_and_system_is_kronecker(self, p):
+        # a p = 0 operator is its stencil's CSR, a p >= 1 one the stencil itself; the block
+        # system keeps the operator itself, not a copy, and dt C
+        op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem("convection"), 20.0)
         ws = make_workspace(op, method_registry()["tp3"], 0.1)
-        assert sp.issparse(op.matrix) and op.matrix.format == "csr"
-        assert isinstance(op.matrix, CsrMatrix)
+        assert isinstance(op.stencil, StencilOperator)
+        if p:
+            assert op.matrix is op.stencil and not sp.issparse(op.matrix)
+        else:
+            assert sp.issparse(op.matrix) and op.matrix.format == "csr"
+            assert isinstance(op.matrix, CsrMatrix)
         assert isinstance(ws.system, KroneckerSystem) and ws.system.Z is op.matrix
         assert np.array_equal(ws.system.C, 0.1 * ws.tableau.coupling)
         assembled_system(ws)
@@ -105,7 +114,7 @@ class TestCsrMatrix:
 def assembled_system(ws):
     """The dense I - C (x) dt A of a workspace, checked against its system's products."""
     C = ws.tableau.coupling
-    K = np.eye(len(C) * ws.n) - np.kron(C, ws.dt * ws.op.matrix.toarray())
+    K = np.eye(len(C) * ws.n) - np.kron(C, ws.dt * ws.op.matrix.tocsr().toarray())
     assert np.max(np.abs(applied(ws.system) - K)) <= 1e-15 * np.max(np.abs(K))
     return K
 
@@ -460,8 +469,8 @@ class TestDecoupledDirect:
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_solve_matches_dense(self, problem, p, method, monkeypatch):
         # a workspace at p >= 1 solves through the Fourier symbol, with no SuperLU call,
-        # and at p = 0 by SuperLU; the direct kind's SuperLU factors the same system block
-        # by block
+        # and at p = 0 by SuperLU; the direct kind's SuperLU factors the same system, on
+        # the stencil's CSR, block by block
         shapes = record_lu_shapes(monkeypatch)
         ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
@@ -474,7 +483,8 @@ class TestDecoupledDirect:
         blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
         assert shapes == (blocks if p == 0 else []) and ilu_shapes == []
         assert through_symbol(ws.prepared) == (p >= 1)
-        for prepared in (ws.prepared, LinearSolver(kind="direct").prepare(ws.system)):
+        csr_system = KroneckerSystem(ws.system.C, ws.system.Z.tocsr())
+        for prepared in (ws.prepared, LinearSolver(kind="direct").prepare(csr_system)):
             x, stats = prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
@@ -483,8 +493,9 @@ class TestDecoupledDirect:
 
     def test_gmres_fallback_factors_blocks(self, monkeypatch):
         # the preconditioner and the fallback both factor only n x n blocks, one per
-        # eigenvalue with nonnegative imaginary part; prepared for GMRES this system needs
-        # 4 GMRES iterations, so maxit = 1 forces the fallback
+        # eigenvalue with nonnegative imaginary part; prepared for GMRES this system (on the
+        # stencil's CSR, so that the fallback is SuperLU's) needs 4 GMRES iterations, so
+        # maxit = 1 forces the fallback
         monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 1)
         monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", 1)
         shapes = record_lu_shapes(monkeypatch)
@@ -492,7 +503,7 @@ class TestDecoupledDirect:
         prob = make_problem("convection_diffusion")
         op = assemble(mesh_hierarchy(3)[2], make_basis(2), prob, default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        prepared = LinearSolver().prepare(ws.system)
+        prepared = LinearSolver().prepare(KroneckerSystem(ws.system.C, op.matrix.tocsr()))
         blocks = [(op.n_dof, op.n_dof)] * 2
         assert prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
         b = np.random.default_rng(23).normal(size=ws.system.shape[0])
@@ -694,8 +705,10 @@ class TestBlockPreconditioner:
             expected += g.L.nnz + g.U.nnz
         assert f.nnz == expected > 0
 
-    def test_failed_block_ilutp_takes_direct_fallback(self, monkeypatch):
-        # SuperLU's RuntimeError from a block's incomplete factor routes to the direct fallback
+    @pytest.mark.parametrize("operator", ["csr", "stencil"])
+    def test_failed_block_ilutp_takes_direct_fallback(self, operator, monkeypatch):
+        # SuperLU's RuntimeError from a block's incomplete factor routes to the direct
+        # fallback: SuperLU's LU of each block of a CSR system, a stencil system's symbol
         def singular(A, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
@@ -703,14 +716,17 @@ class TestBlockPreconditioner:
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
         ws = make_workspace(op, method_registry()["tp5"], 0.25)
         shapes = record_lu_shapes(monkeypatch)
-        prepared = LinearSolver().prepare(ws.system)
+        Z = op.matrix.tocsr() if operator == "csr" else op.matrix
+        prepared = LinearSolver().prepare(KroneckerSystem(ws.system.C, Z))
         assert prepared.ilu is None
         b = np.random.default_rng(28).normal(size=ws.system.shape[0])
         x, stats = prepared.solve(b)
         assert stats.fallback_reason == "ilu_failed" and stats.fallback_used
         assert stats.converged and stats.residual <= 1e-10
         lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
-        assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
+        blocks = int(np.sum(lam.imag >= 0)) if operator == "csr" else 0
+        assert shapes == [(op.n_dof, op.n_dof)] * blocks
+        assert through_symbol(prepared) == (operator == "stencil")
 
 
 def record_orderings(monkeypatch):
@@ -725,7 +741,7 @@ class TestOrdering:
     @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
         # the workspace (which takes SuperLU's LU only at p = 0), the direct kind and the
-        # fallback of a starved GMRES all get it
+        # fallback of a starved GMRES on a CSR system all get it
         specs = record_orderings(monkeypatch)
         p = 0 if route == "workspace" else 2
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
@@ -735,7 +751,8 @@ class TestOrdering:
             specs.clear()
             if route == "fallback":
                 starve_gmres(monkeypatch, maxit=1, restart=1)
-            prepared = LinearSolver(kind="direct" if route == "direct" else "gmres").prepare(ws.system)
+            system = KroneckerSystem(ws.system.C, op.matrix.tocsr())
+            prepared = LinearSolver(kind="direct" if route == "direct" else "gmres").prepare(system)
         x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
         assert stats.fallback_reason == ("gmres_not_converged" if route == "fallback" else "")
@@ -750,38 +767,38 @@ class TestOrdering:
 
 
 class TestFourierSymbol:
-    # a diffusion workspace solves each block I - lambda Z through Z's Fourier symbol
+    # a p >= 1 workspace solves each block I - lambda Z through Z's Fourier symbol
     @pytest.mark.parametrize(
         "problem, degrees", [("convection", range(0, 6)), ("convection_diffusion", range(1, 6))]
     )
     def test_symbol_product_matches_matvec(self, problem, degrees):
-        # the FFT product reproduces the sparse one on grids of N = 1, 2, 4, 8 and 16 cells
+        # the FFT product reproduces the operator's own one (the CSR at p = 0) on grids of
+        # N = 1 to 32 cells
         rng = np.random.default_rng(34)
         for p in degrees:
-            for level, mesh in enumerate(mesh_hierarchy(5)):
+            for level, mesh in enumerate(mesh_hierarchy(6)):
                 op = assemble(mesh, make_basis(p), make_problem(problem), default_eta(p))
-                S = fourier_symbol(op.matrix, mesh.slots)
+                S = op.stencil.symbol()
                 N = 2**level
-                x = rng.normal(size=op.n_dof).reshape(mesh.n_elements, -1)
-                X = np.fft.fft2(x[np.argsort(mesh.slots)].reshape(N, N, -1), axes=(0, 1))
-                Y = np.fft.ifft2((S @ X[..., None])[..., 0], axes=(0, 1))
-                y = Y.reshape(mesh.n_elements, -1)[mesh.slots].ravel()
-                expected = op.matrix.matvec(x.ravel())
+                x = rng.normal(size=op.n_dof)
+                X = np.fft.fft2(x.reshape(N, N, -1), axes=(0, 1))
+                y = np.fft.ifft2((S @ X[..., None])[..., 0], axes=(0, 1)).ravel()
+                expected = op.matrix.matvec(x)
                 assert np.abs(y.imag).max() <= 1e-13 * np.linalg.norm(expected), (p, level)
                 assert np.linalg.norm(y.real - expected) <= 1e-13 * np.linalg.norm(expected), (
                     p, level,
                 )
 
     @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_kind_routes_and_slots_pick_the_factor(self, kind, monkeypatch):
-        # the kind decides whether GMRES runs; given slots, the complete factor, asked
+    def test_kind_routes_and_stencil_picks_the_factor(self, kind, monkeypatch):
+        # the kind decides whether GMRES runs; on a stencil, the complete factor, asked
         # for or the fallback of a starved GMRES, is the symbol's and SuperLU's LU never runs
         starve_gmres(monkeypatch, maxit=1, restart=1)
         lus = record_lu_shapes(monkeypatch)
         mesh = mesh_hierarchy(2)[1]
         op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        prepared = LinearSolver(kind=kind).prepare(ws.system, mesh.slots)
+        prepared = LinearSolver(kind=kind).prepare(ws.system)
         assert (prepared.ilu is None) == (kind == "direct")
         x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
@@ -790,34 +807,49 @@ class TestFourierSymbol:
         assert through_symbol(prepared)
 
     def test_plain_matrix_solved_through_its_symbol(self, monkeypatch):
-        # a plain matrix on the grid is one block: its own symbol is inverted, not I - lambda S
+        # a plain stencil is one block: its own symbol is inverted, not I - lambda S
         lus = record_lu_shapes(monkeypatch)
         mesh = mesh_hierarchy(3)[2]
-        op = assemble(mesh, make_basis(1), make_problem("convection_diffusion"), default_eta(1))
-        B = CsrMatrix(sp.identity(op.n_dof, format="csr") - 0.25 * op.matrix)
-        prepared = LinearSolver(kind="direct").prepare(B, mesh.slots)
-        b = np.random.default_rng(36).normal(size=op.n_dof)
+        Z = assemble(mesh, make_basis(1), make_problem("convection_diffusion"), default_eta(1)).matrix
+        K = -0.25 * Z.K
+        K[1, 1] += np.eye(K.shape[-1])
+        stored = Z.stored.copy()
+        stored[1, 1, [0, 1], [0, 1]] = True
+        B = StencilOperator(K, stored, Z.N)
+        prepared = LinearSolver(kind="direct").prepare(B)
+        b = np.random.default_rng(36).normal(size=Z.shape[0])
         x, stats = prepared.solve(b)
         assert stats.converged and stats.residual <= 1e-12 and lus == []
-        assert np.linalg.norm(x - np.linalg.solve(B.toarray(), b)) <= 1e-12 * np.linalg.norm(x)
+        dense = np.eye(Z.shape[0]) - 0.25 * Z.tocsr().toarray()
+        assert np.array_equal(B.tocsr().toarray(), dense)
+        assert np.linalg.norm(x - np.linalg.solve(dense, b)) <= 1e-12 * np.linalg.norm(x)
+
+    @staticmethod
+    def wrong_symbol(monkeypatch, scale):
+        """Make every symbol one frequency block off: the k = (0, 1) block times ``scale``."""
+        symbol = StencilOperator.symbol
+
+        def perturbed(self):
+            S = symbol(self)
+            S[0, 1] *= scale
+            return S
+
+        monkeypatch.setattr(StencilOperator, "symbol", perturbed)
 
     @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_operator_that_is_not_translation_invariant_fails(self, kind, monkeypatch):
-        # the symbol is read off cell 0's rows, so one perturbed entry elsewhere makes it
-        # the wrong operator: the residual check against A itself must refuse the answer,
-        # whether the symbol is the workspace's own factor or a starved GMRES's fallback
+    def test_symbol_that_is_not_the_operators_fails(self, kind, monkeypatch):
+        # the residual is taken against the stencil's own product, not through the symbol,
+        # so a factor from a wrong symbol must be refused, whether it is the workspace's
+        # own factor or a starved GMRES's fallback
+        self.wrong_symbol(monkeypatch, 1.5)
         mesh = mesh_hierarchy(3)[2]
         op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
-        A = op.matrix
-        row = int(np.argmax(mesh.slots)) * make_basis(2).n_modes
-        diagonal = A.indptr[row] + np.flatnonzero(A.indices[A.indptr[row] : A.indptr[row + 1]] == row)
-        A.data[diagonal] += 10 * np.abs(A.data).max()
         ws = make_workspace(op, method_registry()["tp3"], 0.25)
         prepared = ws.prepared
         assert prepared.ilu is None
         if kind == "gmres":
             starve_gmres(monkeypatch, maxit=1, restart=1)
-            prepared = LinearSolver().prepare(ws.system, mesh.slots)
+            prepared = LinearSolver().prepare(ws.system)
             assert prepared.ilu is not None
         b = np.random.default_rng(35).normal(size=ws.system.shape[0])
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
@@ -826,17 +858,11 @@ class TestFourierSymbol:
         assert err.value.stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
 
     @pytest.mark.parametrize("p", [1, 2, 5])
-    def test_convection_operator_that_is_not_translation_invariant_fails(self, p):
-        # the same guard on a convection workspace, which takes the symbol from p = 1 on:
-        # one element's diagonal block scaled makes cell 0's rows the wrong stencil
+    def test_convection_symbol_that_is_not_the_operators_fails(self, p, monkeypatch):
+        # the same guard on a convection workspace, which takes the symbol from p = 1 on
+        self.wrong_symbol(monkeypatch, 10.0)
         mesh = mesh_hierarchy(3)[2]
         op = assemble(mesh, make_basis(p), make_problem("convection"), default_eta(p))
-        A, nm = op.matrix, make_basis(p).n_modes
-        first = int(np.argmax(mesh.slots)) * nm
-        for row in range(first, first + nm):
-            entries = A.data[A.indptr[row] : A.indptr[row + 1]]
-            cols = A.indices[A.indptr[row] : A.indptr[row + 1]]
-            entries[(cols >= first) & (cols < first + nm)] *= 10.0
         ws = make_workspace(op, method_registry()["tp3"], 0.25)
         assert through_symbol(ws.prepared)
         b = np.random.default_rng(37).normal(size=ws.system.shape[0])
@@ -844,14 +870,35 @@ class TestFourierSymbol:
             ws.prepared.solve(b)
         assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
 
+    @pytest.mark.parametrize(
+        "problem, p",
+        [("convection", 0), ("convection", 1), ("convection", 5), ("convection_diffusion", 2)],
+    )
+    @pytest.mark.parametrize("change", ["moved-vertex", "swapped-elements"])
+    def test_mesh_that_is_not_translation_invariant_rejected(self, change, problem, p):
+        # the stencil is read off cell 0, so every element must be slot e of the grid and
+        # a translate of its base triangle: one interior vertex moved by 2^-40, or two
+        # elements of one shape swapped, and assemble refuses the mesh
+        mesh = mesh_hierarchy(3)[2]
+        if change == "moved-vertex":
+            vertices = mesh.vertices.copy()
+            vertices[np.flatnonzero(np.all((vertices > 0) & (vertices < 1), axis=1))[0], 0] += 2.0**-40
+            mesh = _make_mesh(vertices, mesh.triangles, mesh.level)
+        else:
+            triangles = mesh.triangles.copy()
+            triangles[[1, 3]] = triangles[[3, 1]]
+            mesh = _make_mesh(mesh.vertices, triangles, mesh.level)
+        with pytest.raises(ValueError, match="not the grid's translated base triangles in slot order"):
+            assemble(mesh, make_basis(p), make_problem(problem), default_eta(p))
+
 
 SUPERLU_MODULES = ("scipy.sparse.linalg", "scipy.linalg")
 
 
-def superlu_loaded_after(code):
-    """The modules of ``SUPERLU_MODULES`` loaded once ``code`` ran in a fresh interpreter."""
-    shown = f"print(*[m for m in {SUPERLU_MODULES!r} if m in sys.modules])"
-    return run_fresh(f"import sys\n{code}\n{shown}").split()
+def loaded_after(code, modules=SUPERLU_MODULES):
+    """The modules of ``modules`` loaded once ``code`` ran in a fresh interpreter."""
+    shown = f"print('loaded:', *[m for m in {modules!r} if m in sys.modules])"
+    return run_fresh(f"import sys\n{code}\n{shown}").splitlines()[-1].split()[1:]
 
 
 def study_level(problem, p):
@@ -862,19 +909,46 @@ def study_level(problem, p):
     )
 
 
+SYMBOL_LEVELS = study_level("convection_diffusion", 1) + study_level("convection", 2)
+
+
 class TestSuperLULoadedOnFirstUse:
     # scipy.sparse.linalg, and scipy.linalg with it, is imported by the first SuperLU
-    # factor, so a process whose every step goes through the Fourier symbol never loads it
+    # factor, so a process whose every step goes through the Fourier symbol never loads it;
+    # scipy.sparse itself is imported by the first CSR matrix, which only p = 0 builds
     def test_import_and_registry_leave_it_out(self):
         code = "import mddg.harness\nmddg.harness.method_registry()"
-        assert superlu_loaded_after(code) == []
+        assert loaded_after(code) == []
 
     def test_symbol_study_levels_leave_it_out(self):
-        code = study_level("convection_diffusion", 1) + study_level("convection", 2)
-        assert superlu_loaded_after(code) == []
+        assert loaded_after(SYMBOL_LEVELS) == []
 
     def test_p0_convection_level_loads_it(self):
-        assert "scipy.sparse.linalg" in superlu_loaded_after(study_level("convection", 0))
+        assert "scipy.sparse.linalg" in loaded_after(study_level("convection", 0))
+
+    def test_import_and_registry_leave_scipy_out(self):
+        code = "import mddg.harness\nmddg.harness.method_registry()"
+        assert loaded_after(code, ("scipy",)) == []
+
+    def test_schemes_command_leaves_scipy_out(self):
+        code = "from mddg.cli import main\nassert main(['schemes']) == 0"
+        assert loaded_after(code, ("scipy",)) == []
+
+    def test_symbol_study_levels_leave_scipy_out(self):
+        assert loaded_after(SYMBOL_LEVELS, ("scipy", "scipy.sparse")) == []
+
+    def test_p0_convection_level_loads_scipy_sparse(self):
+        code = study_level("convection", 0)
+        assert loaded_after(code, ("scipy.sparse",)) == ["scipy.sparse"]
+
+    def test_csr_matrix_is_built_on_first_use(self):
+        # from-imports and the class's own matvec (which bench tracing wraps) still work
+        code = (
+            "import mddg.sparse\nassert 'scipy' not in sys.modules\n"
+            "from mddg.sparse import CsrMatrix\nassert CsrMatrix is mddg.sparse.CsrMatrix\n"
+            "assert 'matvec' in CsrMatrix.__dict__ and 'from_blocks' in CsrMatrix.__dict__"
+        )
+        assert loaded_after(code, ("scipy.sparse",)) == ["scipy.sparse"]
 
 
 class TestKroneckerSystem:

@@ -364,7 +364,7 @@ class TestBlockEquivalence:
         prob = problem_fn()
         op = assemble(mesh, basis, prob, eta=20.0)
         scheme = builtin_two_point_schemes()[scheme_idx]
-        A = op.matrix.toarray()
+        A = op.matrix.tocsr().toarray()
         n = op.n_dof
         rng = np.random.default_rng(33)
         w = rng.normal(size=n)
@@ -392,7 +392,7 @@ class TestBlockEquivalence:
         basis = make_basis(1)
         op = assemble(mesh, basis, problem_fn(), eta=20.0)
         tab = make()
-        A = op.matrix.toarray()
+        A = op.matrix.tocsr().toarray()
         n, s = op.n_dof, tab.stages
         w = np.random.default_rng(35).normal(size=n)
         t, dt = 0.3, 0.2
@@ -423,7 +423,7 @@ class TestBlockEquivalence:
         mesh = build_base_mesh()
         op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
         dt = 0.2
-        Z = dt * op.matrix.toarray()
+        Z = dt * op.matrix.tocsr().toarray()
         I = np.eye(op.n_dof)
         O = np.zeros_like(I)
         al, be = np.array(scheme.alpha, float), np.array(scheme.beta, float)
@@ -451,7 +451,7 @@ class TestBlockEquivalence:
         dt = 0.2
         ws = make_workspace(op, method, dt)
         C = as_tableau(method).coupling
-        K = np.eye(len(C) * op.n_dof) - np.kron(C, dt * op.matrix.toarray())
+        K = np.eye(len(C) * op.n_dof) - np.kron(C, dt * op.matrix.tocsr().toarray())
         assert np.max(np.abs(applied(ws.system) - K)) <= 1e-15 * np.max(np.abs(K))
 
     def test_mdrk_update_equals_last_stage(self, scalar_op):
