@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from mddg import harness
 from mddg.harness import ConfigError, method_registry, parse_config
+from mddg.mesh import TriangularMesh
 from mddg.sparse import SolverFailure
 from mddg.stability import StabilityReport, a_stability_scan
 from mddg.timeint import BlowUpError
@@ -113,7 +114,7 @@ def cmd_convergence(config_path, output=None, out=None) -> int:
 def cmd_solve(config_path, out=None) -> int:
     out = out if out is not None else sys.stdout
     cfg = parse_config(config_path)
-    mesh = harness.mesh_hierarchy(cfg.level + 1)[cfg.level]
+    mesh = TriangularMesh(cfg.level)
     stats = []
     try:
         err = harness.run_level(cfg, mesh, cfg.level, stats)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from mddg.basis import MAX_DEGREE, make_basis
-from mddg.mesh import build_base_mesh, refine_uniform
+from mddg.mesh import TriangularMesh
 from mddg.operator import Problem, assemble, l2_error, project_l2
 from mddg.sparse import SOLVER_KINDS, LinearSolver, SolverFailure
 from mddg.timeint import (
@@ -248,10 +248,7 @@ class ConvergenceReport:
 
 
 def mesh_hierarchy(levels: int):
-    meshes = [build_base_mesh()]
-    while len(meshes) < levels:
-        meshes.append(refine_uniform(meshes[-1]))
-    return meshes
+    return [TriangularMesh(level) for level in range(levels)]
 
 
 def run_level(cfg: RunConfig, mesh, level: int, stats: list) -> float:

@@ -8,14 +8,15 @@ second time derivatives of the solution, the auxiliary coefficient vectors
 sigma = A w + b and tau = A sigma + b', from ``matrix.matvec`` and
 ``source_vector``.
 
-The mesh's elements are the translated base triangles of an N x N grid in
-slot order (``TriangularMesh.grid_size``), and the coefficients are
-constant, so A is block circulant: it is its stencil, the blocks that
+The mesh is the periodic N x N grid of cells, element e the translated
+base triangle e % 2 in cell e // 2 (``mddg.mesh``), and the coefficients
+are constant, so A is block circulant: it is its stencil, the blocks that
 couple grid cell 0 (elements 0 and 1) to its neighbours (a
-``StencilOperator``), and assembly forms only those.  Every cell block is
-a fixed combination of a few reference-element matrices and every edge
-trace is one of six reference tables (three sides, two directions), all
-built once per degree; the blocks of the <= 5 edges that touch cell 0 are
+``StencilOperator``), and assembly forms only those, from the two base
+Jacobians.  Every cell block is a fixed combination of a few
+reference-element matrices and every edge trace is one of six reference
+tables (three sides, two directions), all built once per degree; the
+blocks of the <= 5 edges that touch cell 0, the mesh's edge table, are
 batched, so assembly has no per-element or per-edge Python loop.  Only the
 blocks the weak form couples are stored: for pure convection these are the
 cell blocks and one block per edge with c.n != 0, which couples the
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
-from mddg.mesh import EdgeTable, TriangularMesh
+from mddg.mesh import TriangularMesh
 from mddg.sparse import StencilOperator
 
 ASSEMBLY_DEGREE_MARGIN = 2  # cell/edge quadrature degree 2p + 2
@@ -141,37 +142,35 @@ def _cell_chunks(rule, origins, J, detJ):
 
 
 def _edge_traces(mesh, ref, Jinv, sqrtJ, with_derivs):
-    """Left and right (values, normal derivatives or None) traces, each (E, nq, nm).
+    """Left and right (values, normal derivatives or None) traces of ``mesh.edges``, each
+    (E, nq, nm), from the (2, 2, 2) inverse Jacobians and (2,) sqrt(det J) of the two shapes.
 
     Each trace is a reference side table at the element's side and the direction whose
     first vertex is nearer to where ``v0`` lands in the element's frame (they lie >= 1 apart).
     """
     e = mesh.edges
-    origins = mesh.vertices[mesh.triangles[:, 0]]
     for k, side, v0 in ((e.left, e.left_side, e.v0), (e.right, e.right_side, e.v0 - e.offset)):
-        v0_ref = np.einsum("eab,eb->ea", Jinv[k], v0 - origins[k])
+        v0_ref = np.einsum("eab,eb->ea", Jinv[k % 2], v0 - mesh.element_vertices(k)[:, 0])
         direction = np.argmin(np.linalg.norm(v0_ref[:, None] - _SIDE_ENDS[side], axis=2), axis=1)
-        scale = sqrtJ[k][:, None, None]
+        scale = sqrtJ[k % 2][:, None, None]
         derivs = None
         if with_derivs:  # grad(phi) . n = grad_ref(phi) . (J^-1 n)
-            along = np.einsum("eab,eb->ea", Jinv[k], e.normal)
+            along = np.einsum("eab,eb->ea", Jinv[k % 2], e.normal)
             derivs = np.einsum("eqib,eb->eqi", ref.side_grads[side, direction], along) / scale
         yield ref.side_values[side, direction] / scale, derivs
 
 
-def _stencil(mesh, ref, Jinv, sqrtJ, problem, eta, degree, N):
+def _stencil(mesh, ref, Jinv, sqrtJ, problem, eta, degree):
     """The ``StencilOperator`` read off the block rows of elements 0 and 1, cell 0 of the grid.
 
-    Their cell blocks come first, then those of the <= 5 edges that touch them, edge-major
+    Their cell blocks come first, then those of the mesh's <= 5 edges, edge-major
     and in (test side, trial side) order: for test side 0 or 1, all four for eps > 0, else
     those whose trial side is upwind, each batch formed for its storing edges only.  Each
     is added, in that order, to K_d at the offset d from its test element's cell to its
     trial element's: their cells' difference plus N times the edge's periodic offset.
     """
-    c, eps = problem.velocity, problem.epsilon
+    c, eps, N, edges = problem.velocity, problem.epsilon, mesh.N, mesh.edges
     nm = ref.values.shape[1]
-    touching = (mesh.edges.left <= 1) | (mesh.edges.right <= 1)
-    edges = EdgeTable(**{f: getattr(mesh.edges, f)[touching] for f in EdgeTable.__dataclass_fields__})
     left, right, normal, length = edges.left, edges.right, edges.normal, edges.length
     cn = normal[:, 0] * c[0] + normal[:, 1] * c[1]
     upwind = (cn > 0.0, cn < 0.0)  # trial sides (left, right) the convective flux couples
@@ -184,13 +183,13 @@ def _stencil(mesh, ref, Jinv, sqrtJ, problem, eta, degree, N):
 
     # cell terms: + (c phi_j, grad phi_i) - eps (grad phi_j, grad phi_i), that is
     # sum_b (J^-1 c)_b G_b and sum_ab (J^-1 J^-T)_ab K_ab per element
-    cell = np.einsum("kb,bij->kij", Jinv[:2] @ c, ref.G, out=blocks[:2])
+    cell = np.einsum("kb,bij->kij", Jinv @ c, ref.G, out=blocks[:2])
     if eps > 0:
-        cell -= eps * np.einsum("kab,abij->kij", Jinv[:2] @ Jinv[:2].transpose(0, 2, 1), ref.K)
+        cell -= eps * np.einsum("kab,abij->kij", Jinv @ Jinv.transpose(0, 2, 1), ref.K)
 
-    # edge terms, batched over the touching edges
+    # edge terms, batched over the edges
     wq = (edge_rule(degree).weights[None, :] * length[:, None])[:, :, None]  # (E, nq, 1)
-    traces = list(_edge_traces(replace(mesh, edges=edges), ref, Jinv, sqrtJ, eps > 0))
+    traces = list(_edge_traces(mesh, ref, Jinv, sqrtJ, eps > 0))
     for t, (si, sj) in enumerate(pairs):
         e = emitted[:, t]  # the edges that store this pair's block
         (vi, gi), (vj, gj) = traces[si], traces[sj]
@@ -227,20 +226,17 @@ def _project_cells(chunks, values, f):
 
 
 def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float) -> DgOperator:
-    """Assemble the method-of-lines operator on a mesh in slot order.
+    """Assemble the method-of-lines operator on a grid mesh.
 
     Cell terms integrate (c w - eps grad w) . grad(test); edge terms apply
     the upwind convective flux and, for eps > 0, the symmetric interior
     penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
     edge stores only its upwind element's column, and nothing where c.n = 0.
-    A mesh whose elements are not the grid's translated base triangles in
-    slot order raises ValueError.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"penalty parameter eta must be finite and positive, got {eta!r}")
     if problem.epsilon > 0 and basis.p == 0:
         raise ValueError("interior-penalty diffusion requires polynomial degree p >= 1")
-    N = mesh.grid_size()
 
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     ref = reference_tables(basis.p, degree)
@@ -250,7 +246,8 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
         (mu, _project_cells(_cell_chunks(cell_rule, origins, J, detJ), ref.values, phi))
         for mu, phi in problem.source
     )
-    stencil = _stencil(mesh, ref, np.linalg.inv(J), np.sqrt(detJ), problem, eta, degree, N)
+    # elements 0 and 1 carry the Jacobians of the two shapes
+    stencil = _stencil(mesh, ref, np.linalg.inv(J[:2]), np.sqrt(detJ[:2]), problem, eta, degree)
     return DgOperator(mesh, basis, problem, eta, stencil, source_modes)
 
 

@@ -107,7 +107,7 @@ def __getattr__(name):  # CsrMatrix, and with it scipy.sparse, loads on first us
 class StencilOperator:
     """A block-circulant operator on the periodic N x N grid of cells, kept as its stencil.
 
-    Element e is slot e of the grid (``TriangularMesh.grid_size``), so a vector is an
+    Element e is shape e % 2 of cell e // 2 = iy N + ix (``mddg.mesh``), so a vector is an
     (N, N, 2 nm) array [iy, ix, shape * nm + mode] by reshape alone.  ``K[dy + 1, dx + 1]``
     (2 nm x 2 nm) couples each cell c to cell c + d, d in {-1, 0, 1}^2 not reduced mod N,
     and ``stored[dy + 1, dx + 1, s, t]`` marks the nm x nm blocks (test shape s, trial

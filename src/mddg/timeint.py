@@ -296,7 +296,10 @@ class MdrkWorkspace:
                     if a_m[i, j] != 0.0:
                         r += a_m[i, j] * (src[j][m - 1] if j in src else scaled[m])
             rhs += [r, *src[i][: M - 1]]
-        x, _ = self.prepared.solve(np.concatenate(rhs))
+        rhs = np.concatenate(rhs)
+        if not np.all(np.isfinite(rhs)):
+            raise BlowUpError(f"non-finite right-hand side in the step from t = {t:.6g}")
+        x, _ = self.prepared.solve(rhs)
         x = x.reshape(len(S), M, n)
         if self.stiffly_accurate:
             return x[-1, 0]

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import eval_jacobi
 
 from mddg.basis import BasisSet, jacobi, make_basis, triangle_rule, edge_rule
-from mddg.mesh import build_base_mesh, refine_uniform
+from mddg.mesh import TriangularMesh
 
 from conftest import run_fresh
 
@@ -215,7 +215,7 @@ class TestBasis:
 
     def test_mapped_orthonormality(self):
         # scaled modes stay orthonormal under physical-element integration
-        mesh = refine_uniform(build_base_mesh())
+        mesh = TriangularMesh(1)
         basis = make_basis(3)
         rule = triangle_rule(2 * 3 + 2)
         _, J, detJ = mesh.jacobians()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import mddg.harness
 from mddg.cli import main
 from mddg.harness import ConfigError, parse_config_text
+from mddg.mesh import TriangularMesh
 
 from conftest import config_lines
 
@@ -126,6 +127,22 @@ class TestSolveCommand:
         assert "l2_error = " in out
         assert "max_residual" in out
 
+    def test_solve_builds_only_its_own_level(self, capsys, tmp_path, monkeypatch):
+        # one mesh, the solve level's, and not the hierarchy up to it
+        built = []
+        init = TriangularMesh.__init__
+
+        def counted(self, level):
+            built.append(level)
+            init(self, level)
+
+        monkeypatch.setattr(TriangularMesh, "__init__", counted)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("problem = convection\nmethod = tp3\np = 0\ndt0 = 0.5\nlevel = 3\n")
+        code, out, _ = run_cli(["solve", "--config", str(cfg)], capsys)
+        assert code == 0 and "l2_error = " in out
+        assert built == [3]
+
     def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
         # a complete LU that SuperLU cannot build must fail loudly: this p = 0 convection
         # system is solved by it alone, with nothing to fall back to
@@ -204,13 +221,34 @@ def test_mesh_deeper_than_max_level_is_config_error(command, settings, capsys, t
     def refuse(*args):
         raise AssertionError("a mesh was built")
 
-    monkeypatch.setattr(mddg.harness, "mesh_hierarchy", refuse)
+    monkeypatch.setattr(TriangularMesh, "__init__", refuse)
     cfg = tmp_path / "deep.cfg"
     cfg.write_text(f"method = tp3\n{settings}\n")
     code, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: ") and "MAX_LEVEL = 7" in err
+
+
+# eta = 1e308 overflows the penalty blocks, and numpy warns of it on the way to the failure
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_non_finite_step_from_a_huge_penalty_exits_2(command, capsys, tmp_path):
+    # at level 2 the first step's right-hand side is already non-finite: a blow-up, reported
+    # as a failed level (NaN row) or a failed solve with exit 2, never a traceback
+    cfg = tmp_path / "huge_eta.cfg"
+    level = "levels = 3" if command == "convergence" else "level = 2"
+    cfg.write_text(f"problem = convection_diffusion\nmethod = tp3\np = 1\ndt0 = 0.5\neta = 1e308\n{level}\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2 and err == ""
+    failure = "non-finite right-hand side in the step from t = 0"
+    if command == "solve":
+        assert out == f"solve failed: {failure}\n"
+    else:
+        lines = out.splitlines()
+        assert lines[3] == "2,0.35355339059327379,0.125,96,nan,"
+        assert lines[-1] == f"level 2 failed: {failure}"
 
 
 def test_non_utf8_config_is_config_error(capsys, tmp_path):

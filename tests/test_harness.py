@@ -84,8 +84,7 @@ class TestConfigParsing:
         def refuse(*args):
             raise AssertionError("a mesh was built")
 
-        monkeypatch.setattr(mddg.harness, "build_base_mesh", refuse)
-        monkeypatch.setattr(mddg.harness, "refine_uniform", refuse)
+        monkeypatch.setattr(mddg.harness, "TriangularMesh", refuse)
         with pytest.raises(ConfigError, match=f"at level {finest}, deeper than MAX_LEVEL = {MAX_LEVEL}"):
             RunConfig(**settings)
 

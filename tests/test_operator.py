@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -9,7 +10,7 @@ import scipy.sparse.linalg
 
 import mddg.operator
 from mddg.basis import BasisSet, edge_rule, make_basis, triangle_rule
-from mddg.mesh import build_base_mesh, refine_uniform
+from mddg.mesh import EdgeTable, TriangularMesh
 from mddg.operator import (
     ASSEMBLY_DEGREE_MARGIN,
     Problem,
@@ -27,34 +28,30 @@ from mddg.harness import (
     problem_convection_diffusion,
 )
 
-from conftest import source_at
+from conftest import reference_jacobians, reference_mesh, source_at
 
 
 @pytest.fixture(scope="module")
 def meshes():
-    out = [build_base_mesh()]
-    for _ in range(3):
-        out.append(refine_uniform(out[-1]))
-    return out
+    return [TriangularMesh(level) for level in range(4)]
 
 
 @pytest.fixture(scope="module")
 def deep_meshes(meshes):
     """The mesh hierarchy to level 5."""
-    out = list(meshes)
-    while len(out) < 6:
-        out.append(refine_uniform(out[-1]))
-    return out
+    return meshes + [TriangularMesh(level) for level in (4, 5)]
 
 
 def reference_assemble(mesh, basis, problem, eta):
     """The weak form over every element and every edge of the mesh: the oracle for ``assemble``.
 
-    Unlike ``assemble`` it evaluates the basis at each edge's quadrature points mapped into
-    each side element's frame, integrates cell terms with physical gradients, stores all
-    four blocks of every edge, zero or not, and sums them all by scipy's COO-to-CSR
-    conversion.  Edge points are taken relative to the element's vertex 0 before they are
-    mapped, so the reference coordinates carry no cancellation error on fine meshes.
+    It reads the oracle triangulation of the mesh's level (``conftest.reference_mesh``) and
+    its full periodic edge table.  Unlike ``assemble`` it evaluates the basis at each edge's
+    quadrature points mapped into each side element's frame, integrates cell terms with
+    physical gradients, stores all four blocks of every edge, zero or not, and sums them
+    all by scipy's COO-to-CSR conversion.  Edge points are taken relative to the element's
+    vertex 0 before they are mapped, so the reference coordinates carry no cancellation
+    error on fine meshes.
     """
     eps = problem.epsilon
     c = problem.velocity
@@ -62,7 +59,8 @@ def reference_assemble(mesh, basis, problem, eta):
     ne = mesh.n_elements
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     cell_rule = triangle_rule(degree)
-    origins, J, detJ = mesh.jacobians()
+    ref_mesh = reference_mesh(mesh.level)
+    origins, J, detJ = reference_jacobians(ref_mesh)
     Jinv = np.linalg.inv(J)
     sqrtJ = np.sqrt(detJ)
     gphys = basis.grad(cell_rule.points)[None] @ Jinv[:, None]  # (ne, nq, nm, 2)
@@ -76,7 +74,7 @@ def reference_assemble(mesh, basis, problem, eta):
     rows, cols = [np.arange(ne)], [np.arange(ne)]
 
     erule = edge_rule(degree)
-    E = mesh.edges
+    E = EdgeTable(**ref_mesh.edges)
     traces = []
     for k, start in ((E.left, E.v0), (E.right, E.v0 - E.offset)):
         rel = (start - origins[k])[:, None] + erule.points[None, :, None] * (E.v1 - E.v0)[:, None]
@@ -262,8 +260,9 @@ class TestAssemble:
         mesh = meshes[2]
         prob = problem_convection()
         A = assemble(mesh, make_basis(p), prob, eta=20.0).matrix.tocsr()
-        crossing = np.count_nonzero(mesh.edges.normal @ prob.velocity != 0.0)
-        assert crossing < len(mesh.edges)
+        edges = reference_mesh(mesh.level).edges
+        crossing = np.count_nonzero(edges["normal"] @ prob.velocity != 0.0)
+        assert crossing < len(edges["normal"])
         nm = make_basis(p).n_modes
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
         block_keys = rows // nm * mesh.n_elements + A.indices // nm
@@ -278,7 +277,8 @@ class TestAssemble:
         op = assemble(mesh, basis, problem_convection_diffusion(), eta=20.0)
         nm = basis.n_modes
         adj = {k: {k} for k in range(mesh.n_elements)}
-        for left, right in zip(mesh.edges.left, mesh.edges.right):
+        edges = reference_mesh(mesh.level).edges
+        for left, right in zip(edges["left"], edges["right"]):
             adj[left].add(right)
             adj[right].add(left)
         A = op.matrix.tocsr()
@@ -290,8 +290,9 @@ class TestAssemble:
 
     @staticmethod
     def _flip(mesh, mask, translate):
-        """Swap the sides of the edges in ``mask``, moving them into the right
-        element's frame when ``translate`` is set."""
+        """A copy of the mesh with the sides of the edges in ``mask`` swapped, moved into
+        the right element's frame when ``translate`` is set: the cell-0 table that
+        ``assemble`` reads."""
         e = mesh.edges
 
         def pick(kept, flipped):
@@ -309,7 +310,9 @@ class TestAssemble:
             right_side=pick(e.right_side, e.left_side),
             offset=pick(e.offset, -e.offset),
         )
-        return dataclasses.replace(mesh, edges=edges)
+        flipped = copy.copy(mesh)
+        flipped.edges = edges
+        return flipped
 
     def test_orientation_independence_interior_bitwise(self, meshes):
         # flipping interior edge normals together with the -/+ side labels
@@ -347,7 +350,7 @@ class TestAssemble:
                 basis = make_basis(p)
                 op = assemble(mesh, basis, prob, eta=20.0)
                 weights = np.zeros(op.n_dof)
-                weights[:: basis.n_modes] = np.sqrt(mesh.element_areas)
+                weights[:: basis.n_modes] = np.sqrt(0.5 * mesh.jacobians()[2])
                 rng = np.random.default_rng(23)
                 for _ in range(5):
                     w = rng.normal(size=op.n_dof)
@@ -371,7 +374,7 @@ class TestReferenceData:
 
     @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
     def test_warm_assembly_evaluates_no_basis(self, meshes, monkeypatch, name):
-        mesh = refine_uniform(meshes[3])
+        mesh = TriangularMesh(4)
         prob = make_problem(name)
         assemble(mesh, make_basis(2), prob, default_eta(2))
         calls = []
@@ -391,7 +394,8 @@ class TestReferenceData:
 
     @pytest.mark.parametrize("p", [1, 3, 5])
     def test_side_tables_match_mapped_traces(self, meshes, p):
-        # every edge side's table trace equals the basis at its edge points mapped through J^-1
+        # every edge side's table trace equals the basis at its edge points mapped through
+        # J^-1, for the cell-0 table as assembly reads it and flipped
         flip = TestAssemble._flip
         every = [flip(m, np.ones(len(m.edges), dtype=bool), True) for m in meshes]
         interior = [flip(m, np.all(m.edges.offset == 0.0, axis=1), False) for m in meshes]
@@ -399,18 +403,20 @@ class TestReferenceData:
         points = edge_rule(degree).points
         for mesh in meshes + interior + every:
             e = mesh.edges
-            origins, J, detJ = mesh.jacobians()
-            Jinv, sqrtJ = np.linalg.inv(J), np.sqrt(detJ)
+            _, J, detJ = mesh.jacobians()
+            Jinv, sqrtJ = np.linalg.inv(J[:2]), np.sqrt(detJ[:2])  # per shape, as assembly reads them
             traces = _edge_traces(mesh, reference_tables(p, degree), Jinv, sqrtJ, True)
             xq = e.v0[:, None, :] + points[None, :, None] * (e.v1 - e.v0)[:, None, :]
             sides = zip(traces, (e.left, e.right), (xq, xq - e.offset[:, None]))
             for (values, derivs), k, pts in sides:
-                ref = np.einsum("eab,eqb->eqa", Jinv[k], pts - origins[k][:, None]).reshape(-1, 2)
-                scale = sqrtJ[k][:, None, None]
+                v = mesh.element_vertices(k)  # each side element's own affine map
+                Jk = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+                Jinv_k, scale = np.linalg.inv(Jk), np.sqrt(np.linalg.det(Jk))[:, None, None]
+                ref = np.einsum("eab,eqb->eqa", Jinv_k, pts - v[:, :1]).reshape(-1, 2)
                 expected = basis.eval(ref).reshape(values.shape)
                 assert np.max(np.abs(values * scale - expected)) <= 1e-13 * np.max(np.abs(expected))
                 grads = basis.grad(ref).reshape(values.shape + (2,))
-                expected = np.einsum("eqib,eba,ea->eqi", grads, Jinv[k], e.normal)
+                expected = np.einsum("eqib,eba,ea->eqi", grads, Jinv_k, e.normal)
                 assert np.max(np.abs(derivs * scale - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("name", ["convection", "convection_diffusion"])
@@ -449,7 +455,7 @@ class TestSourceVector:
         op = assemble(mesh, basis, prob, eta=20.0)
         b = op.source_vector(0.0, 0).reshape(mesh.n_elements, basis.n_modes)
         assert np.max(np.abs(b[:, 1:])) < 1e-12
-        assert np.allclose(b[:, 0], np.sqrt(mesh.element_areas), atol=1e-13)
+        assert np.allclose(b[:, 0], np.sqrt(0.5 * mesh.jacobians()[2]), atol=1e-13)
         assert np.array_equal(op.source_vector(0.7, 1), np.zeros(op.n_dof))
 
     def test_matches_projection_of_pointwise_source(self, meshes):
@@ -629,11 +635,8 @@ class TestTransientMemory:
     """Mesh-sized quadrature and assembly stay bounded on the study meshes."""
 
     @pytest.fixture(scope="class")
-    def level6(self, meshes):
-        mesh = meshes[3]
-        for _ in range(3):
-            mesh = refine_uniform(mesh)
-        return mesh
+    def level6(self):
+        return TriangularMesh(6)
 
     def test_projection_and_error_at_level_6(self, level6):
         basis, prob = make_basis(0), problem_convection()
@@ -646,7 +649,7 @@ class TestTransientMemory:
     def test_assembly_peak_within_four_operators(self, meshes, name):
         # the CSR build, which a p = 0 assembly runs and a p >= 1 one no longer does, tiles
         # the stencil within four times the matrix it returns
-        mesh = refine_uniform(meshes[3])
+        mesh = TriangularMesh(4)
         stencil = assemble(mesh, make_basis(5), make_problem(name), default_eta(5)).matrix
         peak, A = traced_peak(stencil.tocsr)
         assert peak < 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)

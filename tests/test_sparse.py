@@ -6,7 +6,6 @@ import scipy.sparse.linalg
 import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
-from mddg.mesh import _make_mesh
 from mddg.operator import assemble, project_l2
 from mddg.sparse import (
     ILU_DROP_TOL,
@@ -869,27 +868,6 @@ class TestFourierSymbol:
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
             ws.prepared.solve(b)
         assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
-
-    @pytest.mark.parametrize(
-        "problem, p",
-        [("convection", 0), ("convection", 1), ("convection", 5), ("convection_diffusion", 2)],
-    )
-    @pytest.mark.parametrize("change", ["moved-vertex", "swapped-elements"])
-    def test_mesh_that_is_not_translation_invariant_rejected(self, change, problem, p):
-        # the stencil is read off cell 0, so every element must be slot e of the grid and
-        # a translate of its base triangle: one interior vertex moved by 2^-40, or two
-        # elements of one shape swapped, and assemble refuses the mesh
-        mesh = mesh_hierarchy(3)[2]
-        if change == "moved-vertex":
-            vertices = mesh.vertices.copy()
-            vertices[np.flatnonzero(np.all((vertices > 0) & (vertices < 1), axis=1))[0], 0] += 2.0**-40
-            mesh = _make_mesh(vertices, mesh.triangles, mesh.level)
-        else:
-            triangles = mesh.triangles.copy()
-            triangles[[1, 3]] = triangles[[3, 1]]
-            mesh = _make_mesh(mesh.vertices, triangles, mesh.level)
-        with pytest.raises(ValueError, match="not the grid's translated base triangles in slot order"):
-            assemble(mesh, make_basis(p), make_problem(problem), default_eta(p))
 
 
 SUPERLU_MODULES = ("scipy.sparse.linalg", "scipy.linalg")

@@ -9,10 +9,11 @@ import scipy.sparse.linalg
 import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import problem_convection, problem_convection_diffusion
-from mddg.mesh import build_base_mesh
+from mddg.mesh import TriangularMesh
 from mddg.operator import assemble, project_l2
 from mddg.sparse import LinearSolver
 from mddg.timeint import (
+    BlowUpError,
     MdrkWorkspace,
     as_tableau,
     builtin_gauss_legendre6,
@@ -321,6 +322,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), t0, t_end, dt)
 
+    @pytest.mark.parametrize(
+        "method", [builtin_two_point_schemes()[0], builtin_mdrk6()], ids=["tp3", "mdrk6"]
+    )
+    def test_non_finite_right_hand_side_is_a_blow_up(self, method):
+        # a source that turns infinite after t = 0.3 makes the right-hand side of the step
+        # from t = 0.25 non-finite: a BlowUpError, as a non-finite state is, and no solve
+        op = LinearOde([[-1.0]], source=lambda t: np.inf if t > 0.3 else 0.0)
+        stats = []
+        with pytest.raises(BlowUpError, match="non-finite right-hand side in the step from t = 0.25"):
+            integrate(op, method, np.array([1.0]), 0.0, 1.0, 0.25, stats_out=stats)
+        assert len(stats) == 1
+
     def test_default_solves_by_the_complete_factor(self, rotation_op, monkeypatch):
         # with no arguments beyond the times every step is one direct solve of the
         # complete factor, also for an operator that carries no problem
@@ -344,7 +357,7 @@ class TestIntegrate:
 
     def test_dissipative_norm_bound(self):
         # convection problem: upwind DG + A-stable scheme never grows the norm
-        mesh = build_base_mesh()
+        mesh = TriangularMesh(0)
         basis = make_basis(1)
         prob = problem_convection()
         op = assemble(mesh, basis, prob, eta=20.0)
@@ -359,7 +372,7 @@ class TestBlockEquivalence:
     @pytest.mark.parametrize("scheme_idx", [0, 1, 2, 3])
     @pytest.mark.parametrize("problem_fn", [problem_convection, problem_convection_diffusion])
     def test_two_point_vs_dense(self, scheme_idx, problem_fn):
-        mesh = build_base_mesh()
+        mesh = TriangularMesh(0)
         basis = make_basis(1)
         prob = problem_fn()
         op = assemble(mesh, basis, prob, eta=20.0)
@@ -388,7 +401,7 @@ class TestBlockEquivalence:
     def test_mdrk_vs_dense_stage_solve(self, make, problem_fn):
         # dense collocation stage equations in powers of A, with the source:
         # Y_i = w + sum_j sum_m dt^m a_m[i,j] Y_j^(m),  Y^(1) = A Y + b,  Y^(2) = A^2 Y + A b + b'
-        mesh = build_base_mesh()
+        mesh = TriangularMesh(0)
         basis = make_basis(1)
         op = assemble(mesh, basis, problem_fn(), eta=20.0)
         tab = make()
@@ -420,7 +433,7 @@ class TestBlockEquivalence:
     @pytest.mark.parametrize("scheme", builtin_two_point_schemes(), ids=lambda s: s.label)
     def test_two_point_system_is_explicit_block_form(self, scheme):
         # [[I + b1 Z, b2 Z(, b3 Z)], [-Z, I(, 0)](, [0, -Z, I])] with Z = dt A
-        mesh = build_base_mesh()
+        mesh = TriangularMesh(0)
         op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
         dt = 0.2
         Z = dt * op.matrix.tocsr().toarray()
@@ -446,7 +459,7 @@ class TestBlockEquivalence:
     )
     def test_system_is_identity_minus_coupling_kron_dt_a(self, method):
         # the block system is exactly I - C (x) Z with Z = dt A and the tableau's C
-        mesh = build_base_mesh()
+        mesh = TriangularMesh(0)
         op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
         dt = 0.2
         ws = make_workspace(op, method, dt)
@@ -469,7 +482,7 @@ class TestBlockEquivalence:
         assert abs(w1[0] - update) < 1e-13
 
     def test_mdrk_step_deterministic(self):
-        mesh = build_base_mesh()
+        mesh = TriangularMesh(0)
         basis = make_basis(1)
         op = assemble(mesh, basis, problem_convection_diffusion(), eta=20.0)
         tab = builtin_mdrk6()
