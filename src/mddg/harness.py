@@ -256,11 +256,15 @@ def run_level(cfg: RunConfig, mesh, level: int, stats: list) -> float:
 
     The stats of every linear solve are appended to ``stats``.  A
     SolverFailure or BlowUpError propagates, leaving the stats of the
-    solves already made in ``stats``.
+    solves already made in ``stats``; an operator the config cannot
+    assemble (an eta that overflows it) raises ConfigError.
     """
     problem = make_problem(cfg.problem)
     basis = make_basis(cfg.p)
-    op = assemble(mesh, basis, problem, cfg.resolved_eta())
+    try:
+        op = assemble(mesh, basis, problem, cfg.resolved_eta())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     w0 = project_l2(mesh, basis, problem.initial)
     w = integrate(
         op,

@@ -107,14 +107,3 @@ class TriangularMesh:
         e = np.asarray(elements)
         iy, ix = np.divmod(e // 2, self.N)
         return (BASE_TRIANGLES[e % 2] + np.stack([ix, iy], axis=-1)[..., None, :]) / self.N
-
-    def jacobians(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Affine maps x = v0 + J xhat per element.
-
-        Returns (origins, J, detJ) with shapes (ne,2), (ne,2,2), (ne,).
-        """
-        v = self.element_vertices(np.arange(self.n_elements))
-        origins = v[:, 0]
-        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        return origins, J, detJ

@@ -89,7 +89,7 @@ class DgOperator:
         self.stencil = stencil
         self.matrix = stencil if basis.p else stencil.tocsr()
         # (mu_k, P_k): the rate and complex modal projection of each source mode
-        self._source_modes = source_modes
+        self.source_modes = source_modes
 
     @property
     def n_dof(self) -> int:
@@ -101,7 +101,7 @@ class DgOperator:
         if derivative < 0:
             raise ValueError("source derivative must be non-negative")
         b = np.zeros(self.n_dof)
-        for mu, P in self._source_modes:
+        for mu, P in self.source_modes:
             b += (mu**derivative * np.exp(mu * t) * P).real
         return b
 
@@ -131,14 +131,24 @@ def reference_tables(p: int, degree: int) -> ReferenceTables:
     return tables
 
 
-def _cell_chunks(rule, origins, J, detJ):
-    """Yield (elements, points (k, nq, 2), sqrt(detJ)-scaled weights (k, nq)) for consecutive
-    element slices of at most CHUNK_POINTS quadrature points (one element at least)."""
+def _shape_jacobians(mesh):
+    """(J (2, 2, 2), det J (2,)) of x = v0 + J xhat on elements 0 and 1, the two shapes."""
+    v = mesh.element_vertices([0, 1])
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+    return J, J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+
+
+def _cell_chunks(mesh, rule):
+    """Yield (elements, points (k, nq, 2), sqrt(det J)-scaled weights (nq,)) for consecutive
+    element slices of at most CHUNK_POINTS quadrature points (one element at least); the
+    points are mapped once per shape and moved to each element's vertex 0, det J = h^2."""
+    J, detJ = _shape_jacobians(mesh)
+    shape_points = rule.points @ J.transpose(0, 2, 1)  # (2, nq, 2)
+    weights = rule.weights * np.sqrt(detJ[0])
     step = max(1, CHUNK_POINTS // len(rule.weights))
-    for start in range(0, len(detJ), step):
-        k = slice(start, start + step)
-        pts = origins[k, None, :] + rule.points @ J[k].transpose(0, 2, 1)
-        yield k, pts, rule.weights[None, :] * np.sqrt(detJ[k])[:, None]
+    for start in range(0, mesh.n_elements, step):
+        e = np.arange(start, min(start + step, mesh.n_elements))
+        yield slice(start, start + step), mesh.element_vertices(e)[:, :1] + shape_points[e % 2], weights
 
 
 def _edge_traces(mesh, ref, Jinv, sqrtJ, with_derivs):
@@ -232,6 +242,7 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     the upwind convective flux and, for eps > 0, the symmetric interior
     penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
     edge stores only its upwind element's column, and nothing where c.n = 0.
+    An eta that overflows the operator (||A||_inf not finite) raises ValueError.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"penalty parameter eta must be finite and positive, got {eta!r}")
@@ -240,21 +251,23 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
 
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
     ref = reference_tables(basis.p, degree)
-    origins, J, detJ = mesh.jacobians()
     cell_rule = triangle_rule(degree)
     source_modes = tuple(
-        (mu, _project_cells(_cell_chunks(cell_rule, origins, J, detJ), ref.values, phi))
-        for mu, phi in problem.source
+        (mu, _project_cells(_cell_chunks(mesh, cell_rule), ref.values, phi)) for mu, phi in problem.source
     )
-    # elements 0 and 1 carry the Jacobians of the two shapes
-    stencil = _stencil(mesh, ref, np.linalg.inv(J[:2]), np.sqrt(detJ[:2]), problem, eta, degree)
+    J, detJ = _shape_jacobians(mesh)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        stencil = _stencil(mesh, ref, np.linalg.inv(J), np.sqrt(detJ), problem, eta, degree)
+        norm = np.abs(stencil.K).sum(axis=(0, 1, 3)).max()  # ||A||_inf, not finite if a block overflowed
+    if not np.isfinite(norm):
+        raise ValueError(f"penalty parameter eta = {eta!r} overflows the operator: ||A||_inf = {norm}")
     return DgOperator(mesh, basis, problem, eta, stencil, source_modes)
 
 
 def project_l2(mesh: TriangularMesh, basis: BasisSet, f: Callable) -> np.ndarray:
     """Element-wise modal L2 projection of f(x, y)."""
     degree = 2 * basis.p + ASSEMBLY_DEGREE_MARGIN
-    chunks = _cell_chunks(triangle_rule(degree), *mesh.jacobians())
+    chunks = _cell_chunks(mesh, triangle_rule(degree))
     return _project_cells(chunks, reference_tables(basis.p, degree).values, f)
 
 
@@ -262,11 +275,11 @@ def l2_error(mesh: TriangularMesh, basis: BasisSet, w: np.ndarray, exact: Callab
     """Global L2 distance between the modal solution and a reference field."""
     degree = 2 * basis.p + ERROR_DEGREE_MARGIN
     rule, values = triangle_rule(degree), reference_tables(basis.p, degree).values
-    origins, J, detJ = mesh.jacobians()
+    detJ = _shape_jacobians(mesh)[1][0]  # the same for both shapes
     coeffs = w.reshape(mesh.n_elements, basis.n_modes)
     per_elem = np.empty(mesh.n_elements)
-    for k, pts, _ in _cell_chunks(rule, origins, J, detJ):
-        wh = (coeffs[k] @ values.T) / np.sqrt(detJ[k])[:, None]  # (k, nq)
+    for k, pts, _ in _cell_chunks(mesh, rule):
+        wh = (coeffs[k] @ values.T) / np.sqrt(detJ)  # (k, nq)
         diff = wh - np.asarray(exact(pts[..., 0], pts[..., 1], t), dtype=float)
-        per_elem[k] = (diff**2 * rule.weights[None, :]).sum(axis=1) * detJ[k]
+        per_elem[k] = (diff**2 * rule.weights[None, :]).sum(axis=1) * detJ
     return float(np.sqrt(per_elem.sum()))

@@ -194,7 +194,9 @@ class KroneckerSystem:
 
     def matvec(self, x):
         X = np.asarray(x).reshape(len(self.C), -1)
-        ZX = np.array([self.Z.matvec(row) for row in X])
+        ZX = np.empty(X.shape)
+        for k, row in enumerate(X):
+            ZX[k] = self.Z.matvec(row)
         return (X - self.C @ ZX).ravel()
 
 
@@ -260,18 +262,21 @@ class BlockFactors:
 
     ``factor`` turns one eigenvalue lambda into an object with a ``solve``
     method for the block I - lambda Z (SuperLU's factor of ``_sparse_block``
-    or a ``FourierFactor``); ``solve`` maps b through V^-1, solves each stored
-    block and maps back with V into one real array.  For a plain matrix it
-    is the one factor's own solve.
+    or a ``FourierFactor``); ``solve`` maps b through the V^-1 rows of the
+    stored blocks, solves each and maps back with V into one real array.
+    For a plain matrix it is the one factor's own solve.
     """
 
     def __init__(self, A, factor):
-        self.V, self.Vinv, blocks = _decouple(A)
+        self.V, Vinv, blocks = _decouple(A)
         self.factors = [(k, factor(lam), paired) for k, lam, paired in blocks]
         V = self.V
         if V is not None:
-            # Re(V Y) = T [y_k; Re y_k, Im y_k per pair], as a pair's partner is its conjugate
             pair = np.array([k for k, _, paired in self.factors if paired], dtype=int)
+            # Q b = [w_k; Re w_k, Im w_k per pair] for w = V^-1 b; a real eigenvalue's row is real
+            self.Q = Vinv.real.copy()
+            self.Q[pair + 1] = Vinv[pair].imag
+            # Re(V Y) = T [y_k; Re y_k, Im y_k per pair], as a pair's partner is its conjugate
             self.T = V.real.copy()
             self.T[:, pair], self.T[:, pair + 1] = 2 * V[:, pair].real, -2 * V[:, pair].imag
 
@@ -284,14 +289,14 @@ class BlockFactors:
         V = self.V
         if V is None:
             return self.factors[0][1].solve(b)
-        W = self.Vinv @ b.reshape(len(V), -1)
+        W = self.Q @ b.reshape(len(V), -1)
         R = np.empty(W.shape)
         for k, f, paired in self.factors:
             if paired:
-                y = f.solve(W[k])
+                y = f.solve(W[k] + 1j * W[k + 1])
                 R[k], R[k + 1] = y.real, y.imag
             else:
-                R[k] = f.solve(W[k].real)
+                R[k] = f.solve(W[k])
         return (self.T @ R).ravel()
 
 

@@ -250,12 +250,21 @@ class MdrkWorkspace:
     scaling keeps every off-diagonal block at the dt A scale; without it the
     derivative columns outweigh the solution columns by powers of ||A|| and
     starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
-    stage equal to the step input.  The system is exactly I - C (x) dt A
-    with C = ``tableau.coupling``; ``system`` is that product in Kronecker
-    form, holding dt C and A but no sMn x sMn matrix.  Every system is
-    solved directly by its complete factor, which the type of A picks:
-    the inverse Fourier symbol of a ``StencilOperator`` (``assemble``
-    keeps every p >= 1 operator as its grid stencil), and the
+    stage equal to the step input, so all explicit stages share its
+    derivatives w^(m) = A w^(m-1) + b^(m-1)(t).  The system is exactly
+    I - C (x) dt A with C = ``tableau.coupling``; ``system`` is that product
+    in Kronecker form, holding dt C and A but no sMn x sMn matrix.
+
+    The step's dt-fixed coefficients are formed once: ``weights`` pairs each term a
+    stage row adds (the explicit derivatives w^(m), with weights summed over the explicit
+    stages, then the implicit stages' sources b^(m-1)(t + c_j dt)) with its dt^m-scaled
+    tableau weights, which a step adds in the tableau's order into one preallocated
+    (|S|, M, n) right-hand side.  An operator with empty ``source_modes`` (convection)
+    has b = 0, so its steps form no source vector; one without them has a source.
+
+    Every system is solved directly by its complete factor, which the type
+    of A picks: the inverse Fourier symbol of a ``StencilOperator``
+    (``assemble`` keeps every p >= 1 operator as its grid stencil), and the
     COLAMD-ordered complete LU of each block of a CSR matrix otherwise,
     that is at p = 0, whose 2 x 2 frequency blocks cost more to transform
     than the upwind LU, which keeps near the block's own fill in downwind
@@ -267,55 +276,58 @@ class MdrkWorkspace:
         self.tableau = tableau
         self.dt = dt
         self.n = op.matrix.shape[0]
-        self.implicit = tableau.implicit_stages()
+        self.implicit = S = tableau.implicit_stages()
         self.stiffly_accurate = tableau.stiffly_accurate
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
         self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
         self.prepared = LinearSolver(kind="direct").prepare(self.system)
+        self.sourced = bool(getattr(op, "source_modes", True))
+        M = tableau.n_derivatives
+        explicit = [j for j in range(tableau.stages) if j not in S]
+        self.n_explicit = ne = M if explicit else 0  # the explicit derivatives w^(m) a step forms
+        self.powers = dt ** np.arange(1, M + 1)  # dt^m, m = 1..M
+        a = np.array(tableau.a) * self.powers[:, None, None]  # (M, s, s): dt^m a^(m)
+        # rows w^(m), m = 1..M, then b^(m)(t + c_j dt), m = 0..M-1, of each implicit stage j
+        self.terms = np.empty((ne + (len(S) * M if self.sourced else 0), self.n))
+        weights = a[:ne, S][:, :, explicit].sum(axis=2).T  # (|S|, ne)
+        if self.sourced:  # and (|S|, |S| M) for the sources
+            weights = np.hstack([weights, a[:, S][:, :, S].transpose(1, 2, 0).reshape(len(S), -1)])
+        self.weights = [(k, column[:, None]) for k, column in enumerate(weights.T) if column.any()]
+        self.update = np.array(tableau.b)[:ne, explicit].sum(axis=1) * self.powers[:ne]
+        self.rhs = np.zeros((len(S), M, self.n))
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit
-        M = tab.n_derivatives
-        A = op.matrix
-        # the explicit stages' M derivatives of the step input at t, one A w for all of them
-        deriv = [w]
-        for m in range(1, M + 1 if len(S) < tab.stages else 1):
-            deriv.append(A.matvec(deriv[-1]) + op.source_vector(t, m - 1))
-        scaled = [dt**m * v for m, v in enumerate(deriv)]
-        # src[i][m-1] = dt^m b^(m-1)(t_i), the source part of dt^m y_i^(m)
-        src = {
-            i: [dt**m * op.source_vector(t + tab.c[i] * dt, m - 1) for m in range(1, M + 1)]
-            for i in S
-        }
-
-        rhs = []
-        for i in S:
-            r = w.copy()
-            for j in range(tab.stages):
-                for m, a_m in enumerate(tab.a, start=1):
-                    if a_m[i, j] != 0.0:
-                        r += a_m[i, j] * (src[j][m - 1] if j in src else scaled[m])
-            rhs += [r, *src[i][: M - 1]]
-        rhs = np.concatenate(rhs)
+        M, A, terms, rhs = tab.n_derivatives, op.matrix, self.terms, self.rhs
+        for m in range(self.n_explicit):  # one A w for all explicit stages
+            terms[m] = A.matvec(terms[m - 1] if m else w)
+            if self.sourced:
+                terms[m] += op.source_vector(t, m)
+        if self.sourced:
+            src = terms[self.n_explicit :].reshape(len(S), M, n)
+            for bi, i in enumerate(S):
+                for m in range(M):
+                    src[bi, m] = op.source_vector(t + tab.c[i] * dt, m)
+            np.multiply(self.powers[: M - 1, None], src[:, : M - 1], out=rhs[:, 1:])  # rows (i, m >= 1)
+        rhs[:, 0] = w
+        for k, weight in self.weights:  # in the tableau's (stage, derivative) order
+            rhs[:, 0] += weight * terms[k]
         if not np.all(np.isfinite(rhs)):
             raise BlowUpError(f"non-finite right-hand side in the step from t = {t:.6g}")
-        x, _ = self.prepared.solve(rhs)
-        x = x.reshape(len(S), M, n)
+        x = self.prepared.solve(rhs.ravel())[0].reshape(len(S), M, n)
         if self.stiffly_accurate:
             return x[-1, 0]
-
         out = w.copy()
-        for i in range(tab.stages):
-            for m, b_m in enumerate(tab.b, start=1):
-                if b_m[i] == 0.0:
-                    continue
-                if i not in src:
-                    v = scaled[m]
-                elif m < M:
-                    v = x[S.index(i), m]
-                else:
-                    v = dt * A.matvec(x[S.index(i), M - 1]) + src[i][M - 1]
-                out += b_m[i] * v
+        for m, weight in enumerate(self.update):
+            out += weight * terms[m]
+        for bi, i in enumerate(S):
+            for m, b_m in enumerate(tab.b[: M - 1], start=1):
+                out += b_m[i] * x[bi, m]
+            if tab.b[-1][i]:  # dt^M y_i^(M) = dt A x[i, M-1] + dt^M b^(M-1)(t_i)
+                top = dt * A.matvec(x[bi, M - 1])
+                if self.sourced:
+                    top += self.powers[-1] * src[bi, M - 1]
+                out += tab.b[-1][i] * top
         return out
 
 

@@ -196,8 +196,17 @@ def reference_mesh(level):
     return ReferenceMesh(vertices, triangles, reference_edges(vertices, triangles))
 
 
-def reference_jacobians(mesh):
-    """(origins, J, detJ) of a ``ReferenceMesh``'s elements, x = v0 + J xhat."""
-    v = mesh.vertices[mesh.triangles]
+def affine_maps(v):
+    """(origins, J, detJ) of triangles with (k, 3, 2) vertices ``v``, x = v0 + J xhat."""
     J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
     return v[:, 0], J, J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+
+
+def grid_jacobians(mesh):
+    """(origins, J, detJ) of every element of a ``TriangularMesh``, from its vertices."""
+    return affine_maps(mesh.element_vertices(np.arange(mesh.n_elements)))
+
+
+def reference_jacobians(mesh):
+    """(origins, J, detJ) of a ``ReferenceMesh``'s elements, x = v0 + J xhat."""
+    return affine_maps(mesh.vertices[mesh.triangles])

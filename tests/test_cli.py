@@ -230,19 +230,34 @@ def test_mesh_deeper_than_max_level_is_config_error(command, settings, capsys, t
     assert err.startswith("config error: ") and "MAX_LEVEL = 7" in err
 
 
-# eta = 1e308 overflows the penalty blocks, and numpy warns of it on the way to the failure
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_overflowing_penalty_is_config_error(command, capsys, tmp_path):
+    # eta = 1e308 overflows ||A||_inf at every level: assembly refuses the operator, reported
+    # as exit 1 with one `config error:` line, without a numpy warning (which the test
+    # settings would raise) or a failed level
+    cfg = tmp_path / "huge_eta.cfg"
+    cfg.write_text("problem = convection_diffusion\nmethod = tp3\np = 1\ndt0 = 0.5\neta = 1e308\nlevels = 3\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "config error: penalty parameter eta = 1e+308 overflows the operator: ||A||_inf = inf"
+    ]
+
+
+# the residual check's product overflows, and numpy warns of it on the way to the failure
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", ["solve", "convergence"])
-def test_non_finite_step_from_a_huge_penalty_exits_2(command, capsys, tmp_path):
-    # at level 2 the first step's right-hand side is already non-finite: a blow-up, reported
+def test_huge_finite_penalty_fails_its_solves_with_exit_2(command, capsys, tmp_path):
+    # eta = 1e200 leaves ||A||_inf finite, so the operator is accepted, but its blocks I - lam Z
+    # are beyond what the direct solve resolves: every level fails its residual check, reported
     # as a failed level (NaN row) or a failed solve with exit 2, never a traceback
     cfg = tmp_path / "huge_eta.cfg"
     level = "levels = 3" if command == "convergence" else "level = 2"
-    cfg.write_text(f"problem = convection_diffusion\nmethod = tp3\np = 1\ndt0 = 0.5\neta = 1e308\n{level}\n")
+    cfg.write_text(f"problem = convection_diffusion\nmethod = tp3\np = 1\ndt0 = 0.5\neta = 1e200\n{level}\n")
     code, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert code == 2 and err == ""
-    failure = "non-finite right-hand side in the step from t = 0"
+    failure = "direct solve did not converge: residual nan"
     if command == "solve":
         assert out == f"solve failed: {failure}\n"
     else:

@@ -15,6 +15,7 @@ from mddg.operator import (
     ASSEMBLY_DEGREE_MARGIN,
     Problem,
     _edge_traces,
+    _shape_jacobians,
     assemble,
     l2_error,
     project_l2,
@@ -28,7 +29,7 @@ from mddg.harness import (
     problem_convection_diffusion,
 )
 
-from conftest import reference_jacobians, reference_mesh, source_at
+from conftest import grid_jacobians, reference_jacobians, reference_mesh, source_at
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,14 @@ class TestAssemble:
         # a nan or infinite penalty would give a non-finite diffusion operator
         with pytest.raises(ValueError, match="eta must be finite and positive"):
             assemble(meshes[1], make_basis(1), problem_convection_diffusion(), eta=eta)
+
+    def test_rejects_eta_that_overflows_the_operator(self, meshes):
+        # finite, but at level 0 the row sums of the penalty blocks (||A||_inf) overflow and
+        # from level 1 on the blocks themselves: refused without a numpy warning (which the
+        # test settings would raise)
+        for mesh in meshes[:3]:
+            with pytest.raises(ValueError, match=r"eta = 1e\+308 overflows the operator"):
+                assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=1e308)
 
     def test_rejects_p0_diffusion(self, meshes):
         with pytest.raises(ValueError):
@@ -350,7 +359,7 @@ class TestAssemble:
                 basis = make_basis(p)
                 op = assemble(mesh, basis, prob, eta=20.0)
                 weights = np.zeros(op.n_dof)
-                weights[:: basis.n_modes] = np.sqrt(0.5 * mesh.jacobians()[2])
+                weights[:: basis.n_modes] = np.sqrt(0.5 * grid_jacobians(mesh)[2])
                 rng = np.random.default_rng(23)
                 for _ in range(5):
                     w = rng.normal(size=op.n_dof)
@@ -403,8 +412,8 @@ class TestReferenceData:
         points = edge_rule(degree).points
         for mesh in meshes + interior + every:
             e = mesh.edges
-            _, J, detJ = mesh.jacobians()
-            Jinv, sqrtJ = np.linalg.inv(J[:2]), np.sqrt(detJ[:2])  # per shape, as assembly reads them
+            J, detJ = _shape_jacobians(mesh)
+            Jinv, sqrtJ = np.linalg.inv(J), np.sqrt(detJ)  # per shape, as assembly reads them
             traces = _edge_traces(mesh, reference_tables(p, degree), Jinv, sqrtJ, True)
             xq = e.v0[:, None, :] + points[None, :, None] * (e.v1 - e.v0)[:, None, :]
             sides = zip(traces, (e.left, e.right), (xq, xq - e.offset[:, None]))
@@ -455,7 +464,7 @@ class TestSourceVector:
         op = assemble(mesh, basis, prob, eta=20.0)
         b = op.source_vector(0.0, 0).reshape(mesh.n_elements, basis.n_modes)
         assert np.max(np.abs(b[:, 1:])) < 1e-12
-        assert np.allclose(b[:, 0], np.sqrt(0.5 * mesh.jacobians()[2]), atol=1e-13)
+        assert np.allclose(b[:, 0], np.sqrt(0.5 * grid_jacobians(mesh)[2]), atol=1e-13)
         assert np.array_equal(op.source_vector(0.7, 1), np.zeros(op.n_dof))
 
     def test_matches_projection_of_pointwise_source(self, meshes):
@@ -487,7 +496,7 @@ class TestSourceVector:
         rng = np.random.default_rng(24)
         lam = rng.dirichlet([2, 2, 2], size=20)
         ref = np.column_stack([lam[:, 1], lam[:, 2]])
-        origins, J, detJ = mesh.jacobians()
+        origins, J, detJ = grid_jacobians(mesh)
         coeffs = b.reshape(mesh.n_elements, basis.n_modes)
         for k in (0, 7, 20):
             recon = basis.eval(ref) @ coeffs[k] / np.sqrt(detJ[k])
@@ -607,7 +616,7 @@ class TestProjectionAndError:
             w = project_l2(mesh, basis, prob.initial)
             out = [w, np.array([l2_error(mesh, basis, w, prob.exact, 0.3)])]
             if prob.epsilon == 0 or p > 0:
-                out += [P for _, P in assemble(mesh, basis, prob, default_eta(p))._source_modes]
+                out += [P for _, P in assemble(mesh, basis, prob, default_eta(p)).source_modes]
             return out
 
         default = [results(mesh) for mesh in meshes]

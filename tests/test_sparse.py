@@ -515,24 +515,29 @@ class TestDecoupledDirect:
         [
             [[0.3, 0.2], [-0.25, 0.1]],  # one conjugate pair
             [[0.4, 0.1, 0.0], [1.0, 0.2, 0.0], [0.3, 0.0, 0.25]],  # three real eigenvalues
+            # one real eigenvalue and one pair (tp5; tp6 and gl6 alike), and two pairs (mdrk6)
+            as_tableau(method_registry()["tp5"]).coupling,
+            as_tableau(method_registry()["mdrk6"]).coupling,
         ],
     )
     def test_kron_system_vs_dense(self, C, monkeypatch):
-        # the direct factor and the GMRES preconditioner split the same blocks
+        # the direct factor and the GMRES preconditioner split the same blocks: a real n x n
+        # one per real eigenvalue, a complex one per conjugate pair
         C = np.array(C)
         Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
         K = np.eye(len(C) * 30) - np.kron(C, Z.toarray())
         b = np.random.default_rng(25).normal(size=len(K))
         lam = np.linalg.eigvals(C)
+        blocks = sorted([(30, 30, "f" if z.imag == 0 else "c") for z in lam if z.imag >= 0])
         system = KroneckerSystem(C, Z)
         assert np.max(np.abs(applied(system) - K)) <= 1e-15 * np.max(np.abs(K))
         for kind, name, rtol in (("direct", "splu", 1e-12), ("gmres", "spilu", 1e-10)):
-            shapes = record_lu_shapes(monkeypatch, name)
+            shapes = record_lu_shapes(monkeypatch, name, lambda A, kwargs: (*A.shape, A.dtype.kind))
             solver = LinearSolver(kind=kind)
             x, stats = solver.prepare(system).solve(b)
             assert stats.residual <= rtol and not stats.fallback_used
             assert np.linalg.norm(b - K @ x) <= rtol * np.linalg.norm(b)
-            assert shapes == [(30, 30)] * int(np.sum(lam.imag >= 0))
+            assert sorted(shapes) == blocks
 
     @pytest.mark.parametrize("kind", ["direct", "gmres"])
     def test_kron_system_without_eigenbasis_rejected(self, kind, monkeypatch):

@@ -8,9 +8,9 @@ import scipy.sparse.linalg
 
 import mddg.sparse
 from mddg.basis import make_basis
-from mddg.harness import problem_convection, problem_convection_diffusion
+from mddg.harness import method_registry, problem_convection, problem_convection_diffusion
 from mddg.mesh import TriangularMesh
-from mddg.operator import assemble, project_l2
+from mddg.operator import DgOperator, assemble, project_l2
 from mddg.sparse import LinearSolver
 from mddg.timeint import (
     BlowUpError,
@@ -26,6 +26,40 @@ from mddg.timeint import (
 )
 
 from conftest import LinearOde, applied
+
+
+def loop_step(ws, w, t, source):
+    """``ws.step(w, t)`` as a loop over stages and derivatives that forms and scales every term
+    on its own, with the source b^(m)(t) = ``source(t, m)``: the reference for the step's
+    precomputed weights."""
+    tab, dt, n, S, A = ws.tableau, ws.dt, ws.n, ws.implicit, ws.op.matrix
+    M = tab.n_derivatives
+    deriv = [w]  # the explicit stages' derivatives of the step input
+    for m in range(1, M + 1 if len(S) < tab.stages else 1):
+        deriv.append(A.matvec(deriv[-1]) + source(t, m - 1))
+    scaled = [dt**m * v for m, v in enumerate(deriv)]
+    src = {i: [dt**m * source(t + tab.c[i] * dt, m - 1) for m in range(1, M + 1)] for i in S}
+    rhs = []
+    for i in S:
+        r = w.copy()
+        for j in range(tab.stages):
+            for m, a_m in enumerate(tab.a, start=1):
+                r += a_m[i, j] * (src[j][m - 1] if j in src else scaled[m])
+        rhs += [r, *src[i][: M - 1]]
+    x = ws.prepared.solve(np.concatenate(rhs))[0].reshape(len(S), M, n)
+    if ws.stiffly_accurate:
+        return x[-1, 0]
+    out = w.copy()
+    for i in range(tab.stages):
+        for m, b_m in enumerate(tab.b, start=1):
+            if i not in src:
+                v = scaled[m]
+            elif m < M:
+                v = x[S.index(i), m]
+            else:
+                v = dt * A.matvec(x[S.index(i), M - 1]) + src[i][M - 1]
+            out += b_m[i] * v
+    return out
 
 
 class TestTwoPointCoefficients:
@@ -429,6 +463,37 @@ class TestBlockEquivalence:
                 wd += dt**m * b_m[i] * (powers[m] @ Y[i] + srcs[i][m])
         wb = mdrk_step(op, tab, w, t, dt)
         assert np.linalg.norm(wb - wd) / np.linalg.norm(wd) < 1e-8
+
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_sourceless_step_forms_no_source(self, method, monkeypatch):
+        # convection has no source modes, so a step builds no source vector, and its state
+        # is the loop reference's with zero sources
+        mesh, basis, prob = TriangularMesh(3), make_basis(0), problem_convection()
+        op = assemble(mesh, basis, prob, eta=20.0)
+        w = project_l2(mesh, basis, prob.initial)
+        ws = make_workspace(op, method_registry()[method], 0.05)
+        expected = loop_step(ws, w, 0.3, lambda t, m: np.zeros(ws.n))
+
+        def refuse(*args):
+            raise AssertionError("a step without source modes formed a source vector")
+
+        monkeypatch.setattr(DgOperator, "source_vector", refuse)
+        got = ws.step(w, 0.3)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+        assert np.array_equal(ws.step(w, 0.3), got)  # the reused buffers carry nothing over
+
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_sourced_step_matches_loop_reference(self, method):
+        # the precomputed weights give the loop reference's state with the source on; gl6's
+        # update adds dt A Y_i far larger than y^{n+1} (dt ||A|| ~ 40 here), so the order of
+        # that sum shows at about 1e-14
+        mesh, basis, prob = TriangularMesh(2), make_basis(1), problem_convection_diffusion()
+        op = assemble(mesh, basis, prob, eta=20.0)
+        w = project_l2(mesh, basis, prob.initial)
+        ws = make_workspace(op, method_registry()[method], 0.05)
+        expected = loop_step(ws, w, 0.3, op.source_vector)
+        got = ws.step(w, 0.3)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("scheme", builtin_two_point_schemes(), ids=lambda s: s.label)
     def test_two_point_system_is_explicit_block_form(self, scheme):
