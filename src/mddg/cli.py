@@ -122,14 +122,8 @@ def cmd_solve(config_path, out=None) -> int:
         out.write(f"solve failed: {exc}\n")
         return 2
     out.write(f"l2_error = {err:.17g}\n")
-    n_solves = len(stats)
-    iters = sum(s.iterations for s in stats)
     max_res = max((s.residual for s in stats), default=0.0)
-    fallbacks = sum(1 for s in stats if s.fallback_used)
-    out.write(
-        f"solves = {n_solves}, total_iterations = {iters}, "
-        f"max_residual = {max_res:.3e}, fallbacks = {fallbacks}\n"
-    )
+    out.write(f"solves = {len(stats)}, max_residual = {max_res:.3e}\n")
     return 0
 
 

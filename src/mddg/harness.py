@@ -22,7 +22,7 @@ import numpy as np
 from mddg.basis import MAX_DEGREE, make_basis
 from mddg.mesh import TriangularMesh
 from mddg.operator import Problem, assemble, l2_error, project_l2
-from mddg.sparse import SOLVER_KINDS, LinearSolver, SolverFailure
+from mddg.sparse import SolverFailure
 from mddg.timeint import (
     BlowUpError,
     builtin_gauss_legendre6,
@@ -33,6 +33,7 @@ from mddg.timeint import (
 
 TWO_PI = 2.0 * math.pi
 
+SOLVER_KINDS = ("gmres", "direct")  # accepted ``solver`` values; both solve directly
 MAX_STEPS = 10**6  # most time steps a study's finest level may take; the shipped studies take <= 256
 # Deepest mesh level a run may reach; the shipped studies reach level 6.  Level L has
 # 2 * 4^L triangles: level 7 holds 32768, at p = 5 688k unknowns per stage and an
@@ -129,8 +130,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Settings of one study: problem, discretization, method.
 
-    ``solver`` is checked against the solver kinds but changes nothing:
-    ``timeint.MdrkWorkspace`` solves every step directly.
+    ``solver`` must name one of ``SOLVER_KINDS`` but changes nothing: there is one
+    solver, and ``timeint.MdrkWorkspace`` solves every step by its complete factor.
     """
 
     problem: str = "convection"
@@ -139,7 +140,7 @@ class RunConfig:
     dt0: float = 0.25
     levels: int = 5
     eta: Optional[float] = None
-    solver: str = LinearSolver.kind
+    solver: str = "gmres"
     level: int = 0  # single-run level for `solve`
     output: Optional[str] = None
 

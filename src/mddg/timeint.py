@@ -247,10 +247,9 @@ class MdrkWorkspace:
     stage-major.  Row y_i holds delta_ij I - a_1[i,j] dt A in column y_j and
     -a_m[i,j] dt A in column dt^(m-1) y_j^(m-1); each auxiliary row reads
     u_m - dt A u_(m-1) = dt^m b^(m-1)(t_i) with u_m = dt^m y_i^(m).  The dt^m
-    scaling keeps every off-diagonal block at the dt A scale; without it the
-    derivative columns outweigh the solution columns by powers of ||A|| and
-    starve the Krylov solver.  A zero tableau row (c_i = 0) is an explicit
-    stage equal to the step input, so all explicit stages share its
+    scaling keeps every off-diagonal block at the dt A scale, so the block
+    coupling does not depend on dt.  A zero tableau row (c_i = 0) is an
+    explicit stage equal to the step input, so all explicit stages share its
     derivatives w^(m) = A w^(m-1) + b^(m-1)(t).  The system is exactly
     I - C (x) dt A with C = ``tableau.coupling``; ``system`` is that product
     in Kronecker form, holding dt C and A but no sMn x sMn matrix.
@@ -280,7 +279,7 @@ class MdrkWorkspace:
         self.stiffly_accurate = tableau.stiffly_accurate
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
         self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
-        self.prepared = LinearSolver(kind="direct").prepare(self.system)
+        self.prepared = LinearSolver().prepare(self.system)  # PreparedSystem, traced by the bench
         self.sourced = bool(getattr(op, "source_modes", True))
         M = tableau.n_derivatives
         explicit = [j for j in range(tableau.stages) if j not in S]

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import strategies as st
 
 import mddg
-from mddg.harness import PROBLEMS, RunConfig, method_registry
-from mddg.sparse import SOLVER_KINDS, CsrMatrix
+from mddg.harness import PROBLEMS, SOLVER_KINDS, RunConfig, method_registry
+from mddg.sparse import CsrMatrix
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
 config_values = st.one_of(

@@ -10,6 +10,7 @@ from mddg.harness import (
     MAX_LEVEL,
     MAX_STEPS,
     PROBLEMS,
+    SOLVER_KINDS,
     ConfigError,
     RunConfig,
     default_eta,
@@ -20,7 +21,6 @@ from mddg.harness import (
     parse_config_text,
     run_convergence,
 )
-from mddg.sparse import SOLVER_KINDS
 
 from conftest import config_lines
 

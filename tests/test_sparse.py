@@ -3,21 +3,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import default_eta, make_problem, mesh_hierarchy, method_registry
 from mddg.operator import assemble, project_l2
 from mddg.sparse import (
-    ILU_DROP_TOL,
-    ILU_FILL_FACTOR,
+    COUPLING_COND_MAX,
+    BlockFactors,
     CsrMatrix,
     FourierFactor,
     KroneckerSystem,
-    LinearSolver,
+    PreparedSystem,
     SolverFailure,
     StencilOperator,
-    gmres_solve,
-    ilu_factor,
 )
 from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
 
@@ -123,16 +120,7 @@ def identity(n):
 
 
 def direct_solve(A, b):
-    return LinearSolver(kind="direct").prepare(A).solve(b)[0]
-
-
-def starve_gmres(monkeypatch, maxit, restart):
-    """Stop GMRES after ``maxit`` iterations, under an ILUTP that drops every entry below
-    a tenth of its column: the default ILUTP is all but an exact LU of the small test
-    systems, which GMRES then solves to 1e-10 in one iteration."""
-    monkeypatch.setattr(mddg.sparse, "ILU_DROP_TOL", 0.1)
-    monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", maxit)
-    monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", restart)
+    return PreparedSystem(A).solve(b)[0]
 
 
 def count_lu_solves(monkeypatch, first_error=0.0):
@@ -175,221 +163,6 @@ class TestSpmv:
             A.matvec(np.ones(4))
 
 
-@pytest.mark.parametrize(
-    "p, method, dt",
-    [
-        (4, "tp5", 0.25),  # block size 15
-        (5, "mdrk6", 0.5),  # block size 21
-    ],
-)
-def test_ilutp_on_dg_block_system(p, method, dt):
-    # the implicit block system of one convection-diffusion step on mesh level 1 (8 elements)
-    # preconditioned blockwise through the tableau's eigenvectors, so apply works in
-    # complex arithmetic and must still hand GMRES a fresh real vector
-    prob = make_problem("convection_diffusion")
-    op = assemble(mesh_hierarchy(2)[1], make_basis(p), prob, default_eta(p))
-    tableau = as_tableau(method_registry()[method])
-    ws = make_workspace(op, tableau, dt)
-    A = ws.system
-    D = assembled_system(ws)
-    b = np.random.default_rng(21).normal(size=A.shape[0])
-
-    prep = LinearSolver().prepare(A)
-    x, stats = prep.solve(b)
-    assert stats.converged and not stats.fallback_used
-    assert np.linalg.norm(b - D @ x) <= 1e-10 * np.linalg.norm(b)
-    _, plain = gmres_solve(A, b, maxit=20 * A.shape[0])
-    assert stats.iterations < plain.iterations
-
-    f = prep.ilu
-    assert f.V is not None and np.iscomplexobj(f.V)
-    b_before = b.copy()
-    y = f.apply(b)
-    assert np.array_equal(b, b_before)
-    assert y.dtype == np.float64 and y.shape == b.shape and y is not b
-    assert np.array_equal(f.apply(b), y)
-
-
-class TestGmres:
-    def test_identity_converges_immediately(self):
-        A = identity(9)
-        b = np.arange(1.0, 10.0)
-        x, stats = gmres_solve(A, b, rtol=1e-12)
-        assert stats.converged
-        assert stats.iterations <= 1
-        assert np.max(np.abs(x - b)) < 1e-12
-
-    def test_spd_3x3_known_inverse(self):
-        D = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        A = CsrMatrix(D)
-        b = np.array([1.0, 2.0, 3.0])
-        x, stats = gmres_solve(A, b, rtol=1e-12)
-        assert stats.converged
-        assert np.max(np.abs(x - np.linalg.solve(D, b))) < 1e-10
-
-    def test_zero_rhs(self):
-        A = identity(4)
-        x, stats = gmres_solve(A, np.zeros(4))
-        assert stats.converged
-        assert np.array_equal(x, np.zeros(4))
-
-    def test_preconditioned_convergence(self):
-        A, D = random_csr(60, 0.1, seed=8, diag_boost=10.0)
-        f = ilu_factor(A)
-        b = np.random.default_rng(9).normal(size=60)
-        x, stats = gmres_solve(A, b, precond=f, rtol=1e-11)
-        assert stats.converged
-        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-11
-
-    def test_residual_history_monotone_within_cycle(self):
-        A, _ = random_csr(40, 0.2, seed=10, diag_boost=3.0)
-        b = np.random.default_rng(11).normal(size=40)
-        _, stats = gmres_solve(A, b, rtol=1e-12, restart=40)
-        hist = np.array(stats.residual_history)
-        assert np.all(np.diff(hist) <= 1e-14)
-
-    def test_maxit_reports_failure(self):
-        A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
-        b = np.ones(50)
-        _, stats = gmres_solve(A, b, rtol=1e-14, restart=5, maxit=6)
-        assert not stats.converged
-        assert stats.iterations == 6
-
-    def test_huge_restart_sized_by_system(self):
-        # the Arnoldi arrays hold at most n + 1 vectors, whatever the restart
-        A, D = random_csr(10, 0.3, seed=14, diag_boost=10.0)
-        b = np.ones(10)
-        x, stats = gmres_solve(A, b, rtol=1e-12, restart=10**6)
-        assert stats.converged
-        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
-
-    def test_invalid_rtol(self):
-        # an rtol of 1 or more would return the initial guess as converged
-        for rtol in (0.0, 1.0, 2.0, float("nan")):
-            with pytest.raises(ValueError, match="rtol"):
-                gmres_solve(identity(2), np.ones(2), rtol=rtol)
-
-    @pytest.mark.parametrize(
-        "name, value", [("restart", 0), ("restart", -3), ("maxit", 0), ("maxit", -1)]
-    )
-    def test_invalid_limit_rejected(self, name, value):
-        # refused before any product: restart 0 used to return unconverged after no
-        # iterations, a negative restart leaked numpy's error and maxit -1 did nothing
-        class Untouchable:
-            def __getattr__(self, attr):
-                raise AssertionError(f"the system was used: {attr}")
-
-        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
-            gmres_solve(Untouchable(), np.ones(2), **{name: value})
-
-    @pytest.mark.parametrize("name", ["b", "x0"])
-    def test_wrong_length_rejected(self, name):
-        args = {"b": np.ones(3), "x0": np.zeros(3), name: np.ones(4)}
-        with pytest.raises(ValueError, match=f"{name} must have length 3, got shape \\(4,\\)"):
-            gmres_solve(identity(3), args["b"], x0=args["x0"])
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["b", "x0"])
-    def test_non_finite_rejected(self, name, value):
-        # refused before any work, not left to fail inside the least-squares solve
-        args = {"b": np.ones(3), "x0": np.zeros(3)}
-        args[name][1] = value
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            gmres_solve(identity(3), args["b"], x0=args["x0"])
-
-    @pytest.mark.parametrize(
-        "D, b, residual",
-        [
-            ([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0], 1.0),
-            ([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0], 1.0),
-            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], np.sqrt(0.5)),
-        ],
-    )
-    def test_singular_operator_ends_unconverged(self, D, b, residual):
-        # A z_j = 0 makes a Hessenberg column vanish; the least-squares solve
-        # still gives a finite iterate, whose true residual is reported
-        D, b = np.array(D), np.array(b)
-        x, stats = gmres_solve(CsrMatrix(D), b)
-        assert not stats.converged
-        assert np.all(np.isfinite(x))
-        assert stats.residual == pytest.approx(residual, rel=1e-12)
-        true_res = np.linalg.norm(b - D @ x) / np.linalg.norm(b)
-        assert stats.residual == pytest.approx(true_res, rel=1e-12)
-
-    def test_determinism(self):
-        A, _ = random_csr(30, 0.3, seed=13, diag_boost=4.0)
-        f = ilu_factor(A)
-        b = np.linspace(-1, 1, 30)
-        x1, s1 = gmres_solve(A, b, precond=f, rtol=1e-12)
-        x2, s2 = gmres_solve(A, b, precond=f, rtol=1e-12)
-        assert np.array_equal(x1, x2)
-        assert s1.iterations == s2.iterations
-
-
-class CountingPrecond:
-    """A preconditioner that counts its applies."""
-
-    def __init__(self, apply):
-        self._apply = apply
-        self.calls = 0
-
-    def apply(self, v):
-        self.calls += 1
-        return self._apply(v)
-
-
-class TestGmresKeptVectors:
-    @pytest.mark.parametrize("restart", [60, 2])
-    def test_one_apply_per_iteration(self, restart):
-        # a cycle ends with x += Z y from the kept M^-1 v_j, not with one more apply
-        A, D = random_csr(60, 0.1, seed=8, diag_boost=10.0)
-        M = CountingPrecond(lambda v: v / A.diagonal())
-        b = np.random.default_rng(9).normal(size=60)
-        x, stats = gmres_solve(A, b, precond=M, rtol=1e-11, restart=restart)
-        assert stats.converged
-        assert (stats.iterations > restart) == (restart == 2)  # one cycle, or several
-        assert M.calls == stats.iterations
-        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-11
-
-    def test_one_apply_per_iteration_with_ilutp(self):
-        A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        M = CountingPrecond(ilu_factor(A).apply)
-        _, stats = gmres_solve(A, np.ones(40), precond=M, rtol=1e-16, restart=2, maxit=5)
-        assert stats.iterations == 5
-        assert M.calls == 5
-
-    @pytest.mark.parametrize("maxit", [1, 4, 12])
-    def test_maxit_mid_cycle_updates_from_kept_vectors(self, maxit):
-        # stopped after maxit of 60 iterations, x is the minimum-residual iterate of
-        # the preconditioned Krylov space and the reported residual is the true one
-        A, D = random_csr(50, 0.3, seed=12, diag_boost=3.0)
-        M = CountingPrecond(lambda v: v / A.diagonal())
-        b = np.random.default_rng(21).normal(size=50)
-        x, stats = gmres_solve(A, b, precond=M, rtol=1e-14, restart=60, maxit=maxit)
-        assert (stats.iterations, stats.converged, M.calls) == (maxit, False, maxit)
-        AM = D / A.diagonal()  # A M^-1
-        K = [b]
-        for _ in range(maxit - 1):
-            K.append(AM @ K[-1])
-        Q, _ = np.linalg.qr(np.array(K).T)
-        y = np.linalg.lstsq(AM @ Q, b, rcond=None)[0]
-        x_ref = (Q @ y) / A.diagonal()
-        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-        true_res = np.linalg.norm(b - D @ x) / np.linalg.norm(b)
-        assert stats.residual == pytest.approx(true_res, rel=1e-12)
-        assert stats.residual == pytest.approx(stats.residual_history[-1], rel=1e-8)
-
-    def test_lucky_breakdown_reads_only_set_rows(self, monkeypatch):
-        # A v_0 = v_0 exactly, so the first Arnoldi step breaks down; a NaN-filled
-        # np.empty shows any read of a basis row the solve never set
-        monkeypatch.setattr(np, "empty", lambda shape, *a, **k: np.full(shape, np.nan, *a, **k))
-        b = np.ones(4)
-        x, stats = gmres_solve(identity(4), b)
-        assert stats.converged
-        assert stats.iterations == 1
-        assert np.array_equal(x, b)
-
-
 class TestDirect:
     def test_identity(self):
         A = identity(5)
@@ -410,18 +183,16 @@ class TestDirect:
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) < 1e-10
 
     def test_singular_reported(self):
-        # SuperLU's "exactly singular" RuntimeError surfaces as SolverFailure, both
-        # for the direct kind and for the GMRES fallback after an ILU zero pivot
+        # SuperLU's "exactly singular" RuntimeError surfaces as SolverFailure
         A = CsrMatrix(sp.diags([1.0, 0.0, 2.0]))
-        for kind in ("direct", "gmres"):
-            with pytest.raises(SolverFailure, match="singular"):
-                LinearSolver(kind=kind).prepare(A).solve(np.ones(3))
+        with pytest.raises(SolverFailure, match="singular"):
+            PreparedSystem(A).solve(np.ones(3))
 
     def test_accurate_solve_is_not_refined(self, monkeypatch):
         calls = count_lu_solves(monkeypatch)
         A, D = random_csr(50, 0.3, seed=14, diag_boost=8.0)
         b = np.random.default_rng(15).normal(size=50)
-        x, stats = LinearSolver(kind="direct").prepare(A).solve(b)
+        x, stats = PreparedSystem(A).solve(b)
         assert len(calls) == 1
         assert stats.converged and stats.residual <= 1e-12
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) == pytest.approx(stats.residual)
@@ -430,28 +201,28 @@ class TestDirect:
         calls = count_lu_solves(monkeypatch, first_error=1e-8)
         A, D = random_csr(50, 0.3, seed=14, diag_boost=8.0)
         b = np.random.default_rng(15).normal(size=50)
-        x, stats = LinearSolver(kind="direct").prepare(A).solve(b)
+        x, stats = PreparedSystem(A).solve(b)
         assert len(calls) == 2
         assert stats.converged and stats.residual <= 1e-12
         assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-12
 
-def record_lu_shapes(monkeypatch, name="splu", record=lambda A, kwargs: A.shape):
-    """Record the shape (or ``record(A, kwargs)``) of every matrix SuperLU factors
-    completely (or incompletely)."""
+
+def record_lu_shapes(monkeypatch, record=lambda A, kwargs: A.shape):
+    """Record the shape (or ``record(A, kwargs)``) of every matrix SuperLU factors."""
     shapes = []
-    factor = getattr(scipy.sparse.linalg, name)
+    splu = scipy.sparse.linalg.splu
 
     def recording(A, **kwargs):
         shapes.append(record(A, kwargs))
-        return factor(A, **kwargs)
+        return splu(A, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, name, recording)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
     return shapes
 
 
 def through_symbol(prepared):
     """Whether every block of ``prepared``'s complete factor is a ``FourierFactor``."""
-    return all(isinstance(f, FourierFactor) for _, f, _ in prepared._direct.factors)
+    return all(isinstance(f, FourierFactor) for _, f, _ in prepared.factor.factors)
 
 
 class TestDecoupledDirect:
@@ -468,10 +239,9 @@ class TestDecoupledDirect:
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_solve_matches_dense(self, problem, p, method, monkeypatch):
         # a workspace at p >= 1 solves through the Fourier symbol, with no SuperLU call,
-        # and at p = 0 by SuperLU; the direct kind's SuperLU factors the same system, on
-        # the stencil's CSR, block by block
+        # and at p = 0 by SuperLU; SuperLU factors the same system, on the stencil's CSR,
+        # block by block
         shapes = record_lu_shapes(monkeypatch)
-        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = make_workspace(op, method_registry()[method], 0.25)
         K = assembled_system(ws)
@@ -480,35 +250,15 @@ class TestDecoupledDirect:
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
         blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
-        assert shapes == (blocks if p == 0 else []) and ilu_shapes == []
+        assert shapes == (blocks if p == 0 else [])
         assert through_symbol(ws.prepared) == (p >= 1)
         csr_system = KroneckerSystem(ws.system.C, ws.system.Z.tocsr())
-        for prepared in (ws.prepared, LinearSolver(kind="direct").prepare(csr_system)):
+        for prepared in (ws.prepared, PreparedSystem(csr_system)):
             x, stats = prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
-        assert shapes == blocks * (2 if p == 0 else 1) and ilu_shapes == []
-
-    def test_gmres_fallback_factors_blocks(self, monkeypatch):
-        # the preconditioner and the fallback both factor only n x n blocks, one per
-        # eigenvalue with nonnegative imaginary part; prepared for GMRES this system (on the
-        # stencil's CSR, so that the fallback is SuperLU's) needs 4 GMRES iterations, so
-        # maxit = 1 forces the fallback
-        monkeypatch.setattr(mddg.sparse, "GMRES_MAXIT", 1)
-        monkeypatch.setattr(mddg.sparse, "GMRES_RESTART", 1)
-        shapes = record_lu_shapes(monkeypatch)
-        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
-        prob = make_problem("convection_diffusion")
-        op = assemble(mesh_hierarchy(3)[2], make_basis(2), prob, default_eta(2))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        prepared = LinearSolver().prepare(KroneckerSystem(ws.system.C, op.matrix.tocsr()))
-        blocks = [(op.n_dof, op.n_dof)] * 2
-        assert prepared.ilu is not None and shapes == [] and ilu_shapes == blocks
-        b = np.random.default_rng(23).normal(size=ws.system.shape[0])
-        x, stats = prepared.solve(b)
-        assert stats.fallback_reason == "gmres_not_converged" and stats.residual <= 1e-12
-        assert shapes == blocks
+        assert shapes == blocks * (2 if p == 0 else 1)
 
     @pytest.mark.parametrize(
         "C",
@@ -521,8 +271,8 @@ class TestDecoupledDirect:
         ],
     )
     def test_kron_system_vs_dense(self, C, monkeypatch):
-        # the direct factor and the GMRES preconditioner split the same blocks: a real n x n
-        # one per real eigenvalue, a complex one per conjugate pair
+        # the factor splits into a real n x n block per real eigenvalue and a complex one
+        # per conjugate pair
         C = np.array(C)
         Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
         K = np.eye(len(C) * 30) - np.kron(C, Z.toarray())
@@ -531,22 +281,19 @@ class TestDecoupledDirect:
         blocks = sorted([(30, 30, "f" if z.imag == 0 else "c") for z in lam if z.imag >= 0])
         system = KroneckerSystem(C, Z)
         assert np.max(np.abs(applied(system) - K)) <= 1e-15 * np.max(np.abs(K))
-        for kind, name, rtol in (("direct", "splu", 1e-12), ("gmres", "spilu", 1e-10)):
-            shapes = record_lu_shapes(monkeypatch, name, lambda A, kwargs: (*A.shape, A.dtype.kind))
-            solver = LinearSolver(kind=kind)
-            x, stats = solver.prepare(system).solve(b)
-            assert stats.residual <= rtol and not stats.fallback_used
-            assert np.linalg.norm(b - K @ x) <= rtol * np.linalg.norm(b)
-            assert sorted(shapes) == blocks
+        shapes = record_lu_shapes(monkeypatch, lambda A, kwargs: (*A.shape, A.dtype.kind))
+        x, stats = PreparedSystem(system).solve(b)
+        assert stats.residual <= 1e-12
+        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+        assert sorted(shapes) == blocks
 
-    @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_kron_system_without_eigenbasis_rejected(self, kind, monkeypatch):
+    def test_kron_system_without_eigenbasis_rejected(self, monkeypatch):
         # a defective C has a singular V, so its blocks cannot be decoupled; no factor is built
-        shapes = record_lu_shapes(monkeypatch, "splu" if kind == "direct" else "spilu")
+        shapes = record_lu_shapes(monkeypatch)
         Z, _ = random_csr(30, 0.3, seed=24, diag_boost=-3.0)
         system = KroneckerSystem(np.array([[0.25, 0.0], [0.5, 0.25]]), Z)
         with pytest.raises(ValueError, match=r"cond\(V\) = .* > COUPLING_COND_MAX = 10000"):
-            LinearSolver(kind=kind).prepare(system)
+            PreparedSystem(system)
         assert shapes == []
 
     def test_plain_matrix_is_one_lu_of_itself(self, monkeypatch):
@@ -558,41 +305,55 @@ class TestDecoupledDirect:
         assert np.array_equal(x, scipy.sparse.linalg.splu(sp.csc_matrix(A)).solve(b))
 
 
-class TestBlockPreconditioner:
-    # the GMRES preconditioner of I - C (x) Z is one n x n ILUTP of I - lambda Z per
-    # real eigenvalue and per conjugate pair of C, applied through C's eigenvectors; a
-    # workspace solves p = 0 convection by each block's complete LU instead and every
-    # p >= 1 operator through its Fourier symbol, so the ILUTP is reached by preparing
-    # its system
-    @pytest.mark.parametrize(
-        "problem, p, factor",
-        [
-            pytest.param("convection", 2, None, id="convection"),
-            pytest.param("convection", 0, "splu", id="convection-p0"),
-            pytest.param("convection_diffusion", 2, None, id="convection_diffusion"),
-            pytest.param("convection_diffusion", 2, "spilu", id="convection_diffusion-ilutp"),
-        ],
-    )
-    @pytest.mark.parametrize("method", sorted(method_registry()))
-    def test_workspace_preconditioner_is_blockwise(self, problem, p, factor, method, monkeypatch):
-        lu_shapes = record_lu_shapes(monkeypatch)
-        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
-        op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
-        ws = make_workspace(op, method_registry()[method], 0.25)
-        prepared = LinearSolver().prepare(ws.system) if factor == "spilu" else ws.prepared
-        n = op.n_dof
-        lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
-        blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
-        assert lu_shapes == (blocks if factor == "splu" else [])
-        assert ilu_shapes == (blocks if factor == "spilu" else [])
-        K = assembled_system(ws)
-        b = np.random.default_rng(26).normal(size=K.shape[0])
-        x, stats = prepared.solve(b)
-        assert stats.converged and not stats.fallback_used
-        assert np.linalg.norm(b - K @ x) <= 1e-10 * np.linalg.norm(b)
+class IdentityFactor:
+    """A block factor that solves nothing: its ``solve`` returns its argument."""
 
-    def test_convection_integrate_takes_one_iteration_per_solve(self):
-        # every convection step is one direct solve of the complete block LU
+    @staticmethod
+    def solve(w):
+        return w
+
+
+class TestBlockFactors:
+    # each built-in coupling C = V diag(lambda) V^-1 splits I - C (x) Z into one block per
+    # real eigenvalue and per conjugate pair, reached through C's eigenvectors in real
+    # arithmetic
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_builtin_coupling_asks_one_block_per_real_eigenvalue_and_pair(self, method):
+        # V is within COUPLING_COND_MAX; a real eigenvalue's block gets a real lambda, so its
+        # factor stays real, and a pair's the member with Im lambda > 0; every Re lambda > 0,
+        # so I - lambda Z is invertible for a Z whose eigenvalues have Re <= 0
+        C = as_tableau(method_registry()[method]).coupling
+        lam = np.linalg.eigvals(C)
+        asked = []
+        Z, _ = random_csr(5, 0.5, seed=40)
+        f = BlockFactors(KroneckerSystem(C, Z), lambda l: asked.append(l) or IdentityFactor())
+        assert np.linalg.cond(f.V) <= COUPLING_COND_MAX
+        assert len(asked) == int(np.sum(lam.imag >= 0)) == len(f.factors)
+        assert sum(paired for _, _, paired in f.factors) == int(np.sum(lam.imag > 0))
+        for l in asked:
+            assert np.isrealobj(l) or l.imag > 0
+            assert l.real > 0 and np.min(np.abs(lam - l)) <= 1e-14
+        assert len(np.unique(np.round(lam, 12))) == len(lam)
+
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_real_transforms_invert_each_other(self, method):
+        # with every block the identity, T Q b = Re(V V^-1 b) = b: the real rows of Q and the
+        # doubled columns of T carry each conjugate pair exactly
+        C = as_tableau(method_registry()[method]).coupling
+        Z, _ = random_csr(7, 0.5, seed=41)
+        f = BlockFactors(KroneckerSystem(C, Z), lambda l: IdentityFactor())
+        assert np.isrealobj(f.Q) and np.isrealobj(f.T)
+        assert np.max(np.abs(f.T @ f.Q - np.eye(len(C)))) <= 1e-13
+        b = np.random.default_rng(42).normal(size=7 * len(C))
+        x = f.solve(b)
+        assert x.dtype == np.float64 and np.linalg.norm(x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+class TestWorkspaceFactor:
+    # a workspace factors each stored block of its system once, completely: by SuperLU at
+    # p = 0 and through the Fourier symbol from p = 1 on
+    def test_convection_integrate_records_one_solve_per_step(self):
+        # every convection step is one solve of the complete factor, held to the contract
         prob = make_problem("convection")
         mesh, basis = mesh_hierarchy(3)[2], make_basis(2)
         op = assemble(mesh, basis, prob, default_eta(2))
@@ -600,29 +361,22 @@ class TestBlockPreconditioner:
         w0 = project_l2(mesh, basis, prob.initial)
         integrate(op, method_registry()["tp6"], w0, 0.0, 1.0, 0.0625, stats_out=stats)
         assert len(stats) == 16
-        assert all(s.iterations == 1 and not s.fallback_used for s in stats)
+        assert all(s.converged for s in stats)
         assert max(s.residual for s in stats) <= 1e-10
 
     @staticmethod
     def check_solves_directly(problem, monkeypatch, p=2):
         """An mdrk6 workspace on ``problem`` at degree ``p`` factors each stored block
         completely, once (by SuperLU at p = 0, through the Fourier symbol from p = 1 on),
-        and solves by those factors alone: no ILUTP, no Krylov iteration."""
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"GMRES or ILUTP ran on a {problem} workspace")
-
-        monkeypatch.setattr(mddg.sparse, "gmres_solve", refuse)
-        monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
+        and solves every right-hand side by those factors to a residual <= 1e-12."""
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(3)[2], make_basis(p), make_problem(problem), 20.0)
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        assert ws.prepared.ilu is None
         rng = np.random.default_rng(31)
         for _ in range(3):
             b = rng.normal(size=ws.system.shape[0])
             x, stats = ws.prepared.solve(b)
-            assert stats.iterations == 1 and stats.fallback_reason == ""
-            assert stats.residual <= 1e-12
+            assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
         lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
         lu_blocks = int(np.sum(lam.imag >= 0)) if p == 0 else 0
@@ -638,25 +392,26 @@ class TestBlockPreconditioner:
     def test_diffusion_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection_diffusion", monkeypatch)
 
-    def test_diffusion_system_prepared_for_gmres_iterates(self, monkeypatch):
-        # prepared by a GMRES-kind solver, the same diffusion system keeps ILUTP + GMRES
-        shapes = record_lu_shapes(monkeypatch)
-        ilu_shapes = record_lu_shapes(monkeypatch, "spilu")
-        op = assemble(mesh_hierarchy(3)[2], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        prepared = LinearSolver().prepare(ws.system)
-        lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
-        assert prepared.ilu is not None
-        assert ilu_shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
-        b = np.random.default_rng(31).normal(size=ws.system.shape[0])
-        x, stats = prepared.solve(b)
-        assert stats.converged and stats.iterations > 1 and not stats.fallback_used
-        assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-10 * np.linalg.norm(b)
-        assert shapes == []
+    @pytest.mark.parametrize(
+        "problem, p", [("convection", 0), ("convection_diffusion", 1)], ids=["convection-p0", "cd-p1"]
+    )
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_integrate_with_a_shortened_step_records_one_solve_per_step(self, problem, p, method):
+        # three steps of dt = 0.3 by one workspace and the last one of 0.1 by its own: each a
+        # single solve of its complete factor (SuperLU's at p = 0, the symbol's at p = 1),
+        # held to the contract, and every one of them recorded
+        prob = make_problem(problem)
+        mesh, basis = mesh_hierarchy(2)[1], make_basis(p)
+        op = assemble(mesh, basis, prob, default_eta(p))
+        stats = []
+        w0 = project_l2(mesh, basis, prob.initial)
+        w = integrate(op, method_registry()[method], w0, 0.0, 1.0, 0.3, stats_out=stats)
+        assert len(stats) == 4 and np.all(np.isfinite(w))
+        assert all(s.converged and s.residual <= 1e-10 for s in stats)
 
     def test_singular_complete_factor_is_a_solver_failure(self, monkeypatch):
-        # the complete LU is the p = 0 convection solve itself, so there is nothing to fall
-        # back to: SuperLU is not asked again
+        # the complete LU is the p = 0 convection solve itself: its failure fails the
+        # workspace, and SuperLU is not asked again
         calls = []
 
         def singular(A, **kwargs):
@@ -686,52 +441,6 @@ class TestBlockPreconditioner:
             make_workspace(op, method_registry()["tp3"], 0.25)
         assert calls == []
 
-    def test_plain_matrix_is_one_ilutp_of_itself(self, monkeypatch):
-        shapes = record_lu_shapes(monkeypatch, "spilu")
-        A, _ = random_csr(50, 0.3, seed=14, diag_boost=8.0)
-        b = np.random.default_rng(15).normal(size=50)
-        f = ilu_factor(A)
-        assert shapes == [(50, 50)] and f.V is None
-        ref = scipy.sparse.linalg.spilu(
-            sp.csc_matrix(A), drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR
-        )
-        assert np.array_equal(f.apply(b), ref.solve(b))
-        assert f.nnz == ref.L.nnz + ref.U.nnz
-
-    def test_nnz_sums_block_factors(self):
-        C = np.array([[0.4, 0.1, 0.0], [1.0, 0.2, 0.0], [0.3, 0.0, 0.25]])  # three real eigenvalues
-        Z, _ = random_csr(40, 0.2, seed=27, diag_boost=-3.0)
-        f = ilu_factor(KroneckerSystem(C, Z))
-        expected = 0
-        for lam in np.linalg.eigvals(C):
-            B = sp.csc_matrix(sp.identity(40) - lam.real * Z)
-            g = scipy.sparse.linalg.spilu(B, drop_tol=ILU_DROP_TOL, fill_factor=ILU_FILL_FACTOR)
-            expected += g.L.nnz + g.U.nnz
-        assert f.nnz == expected > 0
-
-    @pytest.mark.parametrize("operator", ["csr", "stencil"])
-    def test_failed_block_ilutp_takes_direct_fallback(self, operator, monkeypatch):
-        # SuperLU's RuntimeError from a block's incomplete factor routes to the direct
-        # fallback: SuperLU's LU of each block of a CSR system, a stencil system's symbol
-        def singular(A, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "spilu", singular)
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["tp5"], 0.25)
-        shapes = record_lu_shapes(monkeypatch)
-        Z = op.matrix.tocsr() if operator == "csr" else op.matrix
-        prepared = LinearSolver().prepare(KroneckerSystem(ws.system.C, Z))
-        assert prepared.ilu is None
-        b = np.random.default_rng(28).normal(size=ws.system.shape[0])
-        x, stats = prepared.solve(b)
-        assert stats.fallback_reason == "ilu_failed" and stats.fallback_used
-        assert stats.converged and stats.residual <= 1e-10
-        lam = np.linalg.eigvals(as_tableau(method_registry()["tp5"]).coupling)
-        blocks = int(np.sum(lam.imag >= 0)) if operator == "csr" else 0
-        assert shapes == [(op.n_dof, op.n_dof)] * blocks
-        assert through_symbol(prepared) == (operator == "stencil")
-
 
 def record_orderings(monkeypatch):
     """Record the column ordering SuperLU's complete LU is asked for, per block."""
@@ -742,24 +451,20 @@ class TestOrdering:
     # every complete LU orders its columns by COLAMD, which keeps an upwind convection
     # block near its own fill
     @pytest.mark.parametrize("problem, permc", [("convection", "COLAMD")])
-    @pytest.mark.parametrize("route", ["workspace", "direct", "fallback"])
+    @pytest.mark.parametrize("route", ["workspace", "csr_system"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # the workspace (which takes SuperLU's LU only at p = 0), the direct kind and the
-        # fallback of a starved GMRES on a CSR system all get it
+        # the workspace (which takes SuperLU's LU only at p = 0) and a system prepared on a
+        # p = 2 stencil's CSR both get it
         specs = record_orderings(monkeypatch)
         p = 0 if route == "workspace" else 2
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
         prepared = ws.prepared
         if route != "workspace":
-            specs.clear()
-            if route == "fallback":
-                starve_gmres(monkeypatch, maxit=1, restart=1)
-            system = KroneckerSystem(ws.system.C, op.matrix.tocsr())
-            prepared = LinearSolver(kind="direct" if route == "direct" else "gmres").prepare(system)
+            assert specs == []  # the p = 2 workspace goes through the symbol
+            prepared = PreparedSystem(KroneckerSystem(ws.system.C, op.matrix.tocsr()))
         x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
-        assert stats.fallback_reason == ("gmres_not_converged" if route == "fallback" else "")
         assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
 
     def test_plain_matrix_ordering(self, monkeypatch):
@@ -793,22 +498,54 @@ class TestFourierSymbol:
                     p, level,
                 )
 
-    @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_kind_routes_and_stencil_picks_the_factor(self, kind, monkeypatch):
-        # the kind decides whether GMRES runs; on a stencil, the complete factor, asked
-        # for or the fallback of a starved GMRES, is the symbol's and SuperLU's LU never runs
-        starve_gmres(monkeypatch, maxit=1, restart=1)
-        lus = record_lu_shapes(monkeypatch)
-        mesh = mesh_hierarchy(2)[1]
-        op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        prepared = LinearSolver(kind=kind).prepare(ws.system)
-        assert (prepared.ilu is None) == (kind == "direct")
-        x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
+    @pytest.mark.parametrize("level", range(3))
+    @pytest.mark.parametrize(
+        "problem, p",
+        [("convection", p) for p in range(1, 6)] + [("convection_diffusion", p) for p in range(1, 6)],
+    )
+    def test_factor_inverts_its_block(self, problem, p, level):
+        # FourierFactor(S, lambda) solves I - lambda Z for a real lambda (a real vector comes
+        # back real) and a complex one, on grids of N = 1, 2 and 4 cells, the first two with
+        # stencil offsets equal mod N
+        mesh = mesh_hierarchy(3)[level]
+        Z = assemble(mesh, make_basis(p), make_problem(problem), default_eta(p)).matrix
+        S, D = Z.symbol(), Z.tocsr().toarray()
+        w = np.random.default_rng(38).normal(size=len(D))
+        for lam, b in ((0.25, w), (0.1 + 0.2j, w + 1j * w[::-1])):
+            y = FourierFactor(S, lam).solve(b)
+            assert y.dtype == (np.float64 if np.isrealobj(b) else np.complex128)
+            B = np.eye(len(D)) - lam * D
+            assert np.linalg.norm(B @ y - b) <= 1e-13 * np.linalg.norm(b)
+            x = np.linalg.solve(B, b)
+            assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    @staticmethod
+    def count_symbol_solves(monkeypatch, first_error=0.0):
+        """Count ``FourierFactor.solve`` calls; the first result is scaled by 1 + first_error."""
+        calls = []
+        solve = FourierFactor.solve
+
+        def counting(self, w):
+            calls.append(w)
+            y = solve(self, w)
+            return y * (1.0 + first_error) if len(calls) == 1 else y
+
+        monkeypatch.setattr(FourierFactor, "solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("first_error", [0.0, 1e-8], ids=["accurate", "inaccurate"])
+    def test_symbol_solve_is_refined_only_when_inaccurate(self, first_error, monkeypatch):
+        # one block solve per stored block (tp5: one real eigenvalue and one pair), and one
+        # more round when the first residual is above REFINE_ABOVE
+        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
+        ws = make_workspace(op, method_registry()["tp5"], 0.25)
+        K = assembled_system(ws)
+        calls = self.count_symbol_solves(monkeypatch, first_error)
+        b = np.random.default_rng(39).normal(size=K.shape[0])
+        x, stats = ws.prepared.solve(b)
+        assert len(calls) == 2 * (2 if first_error else 1)
         assert stats.converged and stats.residual <= 1e-12
-        assert stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
-        assert lus == []
-        assert through_symbol(prepared)
+        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
 
     def test_plain_matrix_solved_through_its_symbol(self, monkeypatch):
         # a plain stencil is one block: its own symbol is inverted, not I - lambda S
@@ -820,7 +557,7 @@ class TestFourierSymbol:
         stored = Z.stored.copy()
         stored[1, 1, [0, 1], [0, 1]] = True
         B = StencilOperator(K, stored, Z.N)
-        prepared = LinearSolver(kind="direct").prepare(B)
+        prepared = PreparedSystem(B)
         b = np.random.default_rng(36).normal(size=Z.shape[0])
         x, stats = prepared.solve(b)
         assert stats.converged and stats.residual <= 1e-12 and lus == []
@@ -840,26 +577,18 @@ class TestFourierSymbol:
 
         monkeypatch.setattr(StencilOperator, "symbol", perturbed)
 
-    @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_symbol_that_is_not_the_operators_fails(self, kind, monkeypatch):
+    def test_symbol_that_is_not_the_operators_fails(self, monkeypatch):
         # the residual is taken against the stencil's own product, not through the symbol,
-        # so a factor from a wrong symbol must be refused, whether it is the workspace's
-        # own factor or a starved GMRES's fallback
+        # so a workspace factor from a wrong symbol must be refused
         self.wrong_symbol(monkeypatch, 1.5)
         mesh = mesh_hierarchy(3)[2]
         op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
         ws = make_workspace(op, method_registry()["tp3"], 0.25)
-        prepared = ws.prepared
-        assert prepared.ilu is None
-        if kind == "gmres":
-            starve_gmres(monkeypatch, maxit=1, restart=1)
-            prepared = LinearSolver().prepare(ws.system)
-            assert prepared.ilu is not None
+        assert through_symbol(ws.prepared)
         b = np.random.default_rng(35).normal(size=ws.system.shape[0])
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
-            prepared.solve(b)
-        assert err.value.stats.residual > 1e-10 and prepared.history == [err.value.stats]
-        assert err.value.stats.fallback_reason == ("" if kind == "direct" else "gmres_not_converged")
+            ws.prepared.solve(b)
+        assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_convection_symbol_that_is_not_the_operators_fails(self, p, monkeypatch):
@@ -936,7 +665,7 @@ class TestSuperLULoadedOnFirstUse:
 
 class TestKroneckerSystem:
     # I - C (x) Z applied one block row at a time and never assembled, for every
-    # built-in method and both solver kinds
+    # built-in method
     @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_builtin_methods_never_assemble_the_block_system(self, problem, method, monkeypatch):
@@ -949,9 +678,8 @@ class TestKroneckerSystem:
         w = np.random.default_rng(29).normal(size=op.n_dof)
         assert np.all(np.isfinite(mdrk_step(op, method_registry()[method], w, 0.0, 0.25)))
         system = make_workspace(op, method_registry()[method], 0.25).system
-        for solver in (LinearSolver(), LinearSolver(kind="direct")):
-            x, stats = solver.prepare(system).solve(np.tile(w, len(system.C)))
-            assert stats.converged and np.all(np.isfinite(x))
+        x, stats = PreparedSystem(system).solve(np.tile(w, len(system.C)))
+        assert stats.converged and np.all(np.isfinite(x))
 
     def test_nnz_counts_stored_entries(self):
         C = np.array([[0.3, 0.0], [1.0, 0.0]])
@@ -961,44 +689,28 @@ class TestKroneckerSystem:
         assert system.nnz == Z.nnz + 2
 
 
-class TestLinearSolver:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LinearSolver(kind="magic")
+# a plain CSR matrix, I - C (x) Z with a CSR Z, and I - C (x) Z with a stencil Z
+ROUTES = ["plain", "kronecker", "stencil"]
 
-    def test_gmres_prepared_solve(self):
-        A, D = random_csr(40, 0.2, seed=18, diag_boost=6.0)
-        prep = LinearSolver().prepare(A)
-        b = np.ones(40)
-        x, stats = prep.solve(b)
-        assert stats.converged
-        assert not stats.fallback_used and stats.fallback_reason == ""
-        assert np.linalg.norm(D @ x - b) / np.linalg.norm(b) <= 1e-10
 
-    def test_fallback_engages_and_sticks(self, monkeypatch):
-        # starve GMRES so the direct fallback must take over
-        starve_gmres(monkeypatch, maxit=2, restart=2)
-        A, D = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver().prepare(A)
-        b = np.ones(40)
-        x, stats = prep.solve(b)
-        assert stats.fallback_used and stats.fallback_reason == "gmres_not_converged"
-        assert stats.converged
-        x2, stats2 = prep.solve(2 * b)
-        assert stats2.fallback_used and stats2.fallback_reason == "sticky"
-        assert stats2.iterations == 1  # straight to the factorization
+def route_system(route):
+    """A system ``PreparedSystem`` factors by the given route, and its dense matrix; tp5's
+    coupling, one real eigenvalue and one pair, gives the Kronecker systems a real and a
+    complex block."""
+    if route == "plain":
+        return random_csr(40, 0.3, seed=14, diag_boost=8.0)
+    C = as_tableau(method_registry()["tp5"]).coupling
+    if route == "kronecker":
+        Z, D = random_csr(20, 0.3, seed=24, diag_boost=-3.0)
+        return KroneckerSystem(C, Z), np.eye(len(C) * 20) - np.kron(C, D)
+    op = assemble(mesh_hierarchy(2)[1], make_basis(1), make_problem("convection_diffusion"), default_eta(1))
+    ws = make_workspace(op, method_registry()["tp5"], 0.25)
+    return ws.system, assembled_system(ws)
 
-    def test_singular_ilu_without_fallback(self, monkeypatch):
-        # SuperLU's RuntimeError from the incomplete factorization sends the system to its
-        # complete LU, which is singular as well, so the prepare ends in SolverFailure
-        A = CsrMatrix(sp.diags([1.0, 0.0, 2.0]))
-        with pytest.raises(SolverFailure, match="singular"):
-            LinearSolver().prepare(A)
 
-    @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_unconverged_direct_solve_raises(self, kind, monkeypatch):
-        # a direct solve that misses the residual contract is a SolverFailure, whether it
-        # was asked for or is the fallback of a starved GMRES
+class TestPreparedSystem:
+    def test_unconverged_direct_solve_raises(self, monkeypatch):
+        # a solve that misses the residual contract is a SolverFailure
         class NanLU:
             def __init__(self, A, **kwargs):
                 pass
@@ -1007,44 +719,99 @@ class TestLinearSolver:
                 return np.full_like(b, np.nan)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", NanLU)
-        starve_gmres(monkeypatch, maxit=2, restart=2)
         A, _ = random_csr(40, 0.4, seed=19, diag_boost=0.8)
-        prep = LinearSolver(kind=kind).prepare(A)
+        prep = PreparedSystem(A)
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
             prep.solve(np.ones(40))
         assert not err.value.stats.converged and prep.history == [err.value.stats]
 
-    @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_non_finite_rhs_rejected(self, kind):
-        # one behaviour for both kinds, before any solve; the direct kind used to report
-        # the NaN ||b|| as an unconverged solve with residual 0
-        prep = LinearSolver(kind=kind).prepare(CsrMatrix(sp.diags([2.0, 3.0, 4.0])))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "kronecker"])
+    def test_non_finite_rhs_rejected(self, coupled, value):
+        # refused before any solve; a NaN ||b|| used to be reported as an unconverged
+        # solve with residual 0
+        A = CsrMatrix(sp.diags([2.0, 3.0, 4.0]))
+        if coupled:
+            A = KroneckerSystem(np.array([[0.3, 0.2], [-0.25, 0.1]]), A)
+        prep = PreparedSystem(A)
+        b = np.ones(A.shape[0])
+        b[1] = value
         with pytest.raises(ValueError, match="^b must be finite$"):
-            prep.solve(np.array([1.0, np.nan, 1.0]))
+            prep.solve(b)
         assert prep.history == []
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "kronecker"])
-    @pytest.mark.parametrize("kind", ["direct", "gmres"])
-    def test_wrong_rhs_shape_rejected(self, kind, coupled):
-        # one check for both kinds, before any solve; the direct kind used to solve a
-        # column b as if it were a vector, and to leak SuperLU's or numpy's error for a
-        # wrong length
+    def test_wrong_rhs_shape_rejected(self, coupled):
+        # refused before any solve; a column b used to be solved as if it were a vector,
+        # and a wrong length to leak SuperLU's or numpy's error
         A = CsrMatrix(sp.diags([2.0, 3.0, 4.0]))
         if coupled:
             A = KroneckerSystem(np.array([[0.3, 0.2], [-0.25, 0.1]]), A)
         n = A.shape[0]
-        prep = LinearSolver(kind=kind).prepare(A)
+        prep = PreparedSystem(A)
         for shape in ((n, 1), (n - 1,)):
             with pytest.raises(ValueError) as err:
                 prep.solve(np.ones(shape))
             assert str(err.value) == f"b must have length {n}, got shape {shape}"
         assert prep.history == []
 
-    def test_failure_without_fallback(self, monkeypatch):
-        # the raw GMRES failure under a coarse ILUTP (starve_gmres's drop tolerance),
-        # its iterations counted across a restart
-        monkeypatch.setattr(mddg.sparse, "ILU_DROP_TOL", 0.1)
-        A, _ = random_csr(50, 0.3, seed=12, diag_boost=0.5)
-        _, stats = gmres_solve(A, np.ones(50), precond=ilu_factor(A), restart=5, maxit=6)
-        assert not stats.converged
-        assert stats.iterations == 6
+    def test_spd_3x3_known_inverse(self):
+        D = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        x, stats = PreparedSystem(CsrMatrix(D)).solve(b)
+        assert stats.converged and stats.residual <= 1e-12
+        assert np.max(np.abs(x - np.linalg.solve(D, b))) < 1e-14
+
+    @pytest.mark.parametrize(
+        "D",
+        [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        ids=["nilpotent", "zero", "rank-one"],
+    )
+    def test_singular_operator_is_a_solver_failure(self, D):
+        # an exactly singular matrix has no complete factor: refused when it is prepared,
+        # before any right-hand side is seen
+        with pytest.raises(SolverFailure, match="^direct LU failed: .*singular"):
+            PreparedSystem(CsrMatrix(np.array(D)))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_zero_rhs(self, route):
+        # ||b|| = 0 is an exact solve with residual 0, not a division by zero
+        A, _ = route_system(route)
+        x, stats = PreparedSystem(A).solve(np.zeros(A.shape[0]))
+        assert np.array_equal(x, np.zeros(A.shape[0]))
+        assert stats.converged and stats.residual == 0.0
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_determinism(self, route):
+        # two factors of one system, and two solves by one factor, agree bit for bit
+        A, _ = route_system(route)
+        b = np.linspace(-1.0, 1.0, A.shape[0])
+        prep = PreparedSystem(A)
+        x1, s1 = prep.solve(b)
+        x2, s2 = prep.solve(b)
+        x3, s3 = PreparedSystem(A).solve(b)
+        assert np.array_equal(x1, x2) and np.array_equal(x1, x3)
+        assert s1 == s2 == s3
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_solve_returns_a_fresh_real_vector(self, route):
+        # b is left as it was, and x is a new real vector of b's shape, however many of the
+        # blocks it passed through are complex; its residual is its true one
+        A, K = route_system(route)
+        b = np.random.default_rng(43).normal(size=A.shape[0])
+        b_before = b.copy()
+        x, stats = PreparedSystem(A).solve(b)
+        assert np.array_equal(b, b_before)
+        assert x.dtype == np.float64 and x.shape == b.shape and x is not b
+        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+        assert stats.converged and stats.residual <= 1e-12
+
+    def test_history_records_every_solve(self):
+        # one SolveStats per right-hand side, in order, each the one its solve returned
+        A, _ = route_system("plain")
+        prep = PreparedSystem(A)
+        rng = np.random.default_rng(44)
+        returned = [prep.solve(rng.normal(size=A.shape[0]))[1] for _ in range(3)]
+        assert len(prep.history) == 3
+        assert all(h is s for h, s in zip(prep.history, returned))
+

@@ -6,12 +6,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-import mddg.sparse
 from mddg.basis import make_basis
 from mddg.harness import method_registry, problem_convection, problem_convection_diffusion
 from mddg.mesh import TriangularMesh
 from mddg.operator import DgOperator, assemble, project_l2
-from mddg.sparse import LinearSolver
 from mddg.timeint import (
     BlowUpError,
     MdrkWorkspace,
@@ -369,25 +367,30 @@ class TestIntegrate:
         assert len(stats) == 1
 
     def test_default_solves_by_the_complete_factor(self, rotation_op, monkeypatch):
-        # with no arguments beyond the times every step is one direct solve of the
-        # complete factor, also for an operator that carries no problem
-        def refuse(*args, **kwargs):
-            raise AssertionError("ILUTP or GMRES ran on a time step")
+        # with no arguments beyond the times every step is one solve of the complete
+        # factor, also for an operator that carries no problem: SuperLU's LU of each
+        # n x n block of the CSR system, held to the residual contract
+        shapes = []
+        splu = scipy.sparse.linalg.splu
 
-        monkeypatch.setattr(scipy.sparse.linalg, "spilu", refuse)
-        monkeypatch.setattr(mddg.sparse, "gmres_solve", refuse)
+        def recording(A, **kwargs):
+            shapes.append(A.shape)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
         y0 = np.array([1.0, 0.3])
         for method in builtin_two_point_schemes() + [builtin_mdrk6(), builtin_gauss_legendre6()]:
             stats = []
             integrate(rotation_op, method, y0, 0.0, 1.0, 0.3, stats_out=stats)
             assert len(stats) == 4  # 0.3 + 0.3 + 0.3 + 0.1
-            assert all(s.iterations == 1 and not s.fallback_used and s.converged for s in stats)
+            assert all(s.converged and s.residual <= 1e-10 for s in stats)
+        assert shapes and set(shapes) == {(2, 2)}
 
     def test_positional_solver_rejected(self, scalar_op):
         # the step solver is not an argument, and stats_out is keyword-only, so a stale
         # positional solver fails at the call rather than as a stats list deep inside
         with pytest.raises(TypeError):
-            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), 0.0, 1.0, 0.25, LinearSolver())
+            integrate(scalar_op(-1.0), builtin_mdrk6(), np.array([1.0]), 0.0, 1.0, 0.25, "direct")
 
     def test_dissipative_norm_bound(self):
         # convection problem: upwind DG + A-stable scheme never grows the norm
