@@ -131,7 +131,7 @@ class RunConfig:
     """Settings of one study: problem, discretization, method.
 
     ``solver`` must name one of ``SOLVER_KINDS`` but changes nothing: there is one
-    solver, and ``timeint.MdrkWorkspace`` solves every step by its complete factor.
+    solver, and every level marches in frequency space (``timeint.FrequencyStep``).
     """
 
     problem: str = "convection"

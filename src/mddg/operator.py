@@ -43,6 +43,10 @@ from mddg.sparse import StencilOperator
 ASSEMBLY_DEGREE_MARGIN = 2  # cell/edge quadrature degree 2p + 2
 ERROR_DEGREE_MARGIN = 4  # error quadrature degree 2p + 4
 CHUNK_POINTS = 16384  # cell quadrature points per element chunk of a mesh-sized projection or error
+# Largest ||A||_inf an operator may have.  A step forms up to the third power of A on the
+# source, and its residual checks square such terms, so a larger norm would leave the float
+# range (a convection-diffusion operator at the default penalty has ||A||_inf < 1e7).
+MAX_OPERATOR_NORM = 1e40
 
 # side s of the reference triangle (0,0), (1,0), (0,1) runs from its vertex s to vertex s + 1
 _SIDE_ENDS = np.array([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])
@@ -77,9 +81,9 @@ class Problem:
 
 
 class DgOperator:
-    """Assembled DG operator: its grid ``stencil``, the ``matrix`` applied (the stencil itself
-    for p >= 1, at p = 0 its CSR, whose product is faster and which SuperLU factors) and the
-    projected source modes."""
+    """Assembled DG operator: its grid ``stencil``, which is also the ``matrix`` it applies at
+    every degree (no CSR is tiled), and the projected source modes.  ``integrate`` marches it
+    in frequency space through the stencil's symbol (``timeint.FrequencyStep``)."""
 
     def __init__(self, mesh, basis, problem, eta, stencil, source_modes):
         self.mesh = mesh
@@ -87,7 +91,7 @@ class DgOperator:
         self.problem = problem
         self.eta = eta
         self.stencil = stencil
-        self.matrix = stencil if basis.p else stencil.tocsr()
+        self.matrix = stencil
         # (mu_k, P_k): the rate and complex modal projection of each source mode
         self.source_modes = source_modes
 
@@ -242,7 +246,8 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
     the upwind convective flux and, for eps > 0, the symmetric interior
     penalty treatment of diffusion with penalty eta / h_e.  For eps = 0 an
     edge stores only its upwind element's column, and nothing where c.n = 0.
-    An eta that overflows the operator (||A||_inf not finite) raises ValueError.
+    An eta that overflows the operator (||A||_inf not finite) or puts ||A||_inf above
+    ``MAX_OPERATOR_NORM`` raises ValueError.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"penalty parameter eta must be finite and positive, got {eta!r}")
@@ -261,6 +266,11 @@ def assemble(mesh: TriangularMesh, basis: BasisSet, problem: Problem, eta: float
         norm = np.abs(stencil.K).sum(axis=(0, 1, 3)).max()  # ||A||_inf, not finite if a block overflowed
     if not np.isfinite(norm):
         raise ValueError(f"penalty parameter eta = {eta!r} overflows the operator: ||A||_inf = {norm}")
+    if norm > MAX_OPERATOR_NORM:
+        raise ValueError(
+            f"penalty parameter eta = {eta!r} makes ||A||_inf = {norm:.3g}, "
+            f"above MAX_OPERATOR_NORM = {MAX_OPERATOR_NORM:g}"
+        )
     return DgOperator(mesh, basis, problem, eta, stencil, source_modes)
 
 

@@ -1,28 +1,30 @@
 """Operators and linear solvers.
 
-A DG operator of degree p >= 1 is a ``StencilOperator``: on the periodic
-grid with constant coefficients it is block circulant, so it is kept as
-its few stencil blocks, applied on the grid, and split by a 2-D FFT over
-the cells into one dense block per frequency (``symbol``).  Any other
-matrix is a ``CsrMatrix``, a scipy CSR array subclassed to fix the
-summation order of assembly and to give the solvers one product,
-``matvec``; it is built when first asked for, so only a process that
-needs a CSR matrix loads ``scipy.sparse``.  A system I - C (x) Z with a
-small dense C is a ``KroneckerSystem``: it is applied one block row at a
-time, never assembled, and factored as one n x n block I - lambda Z per
-real eigenvalue and per conjugate pair of C, through C's eigenvectors
-(``BlockFactors``; Butcher, *On the implementation of implicit
-Runge-Kutta methods*, BIT 16, 1976).
+Every DG operator is a ``StencilOperator``: on the periodic grid with
+constant coefficients it is block circulant, so it is kept as its few
+stencil blocks, applied on the grid, and split by a 2-D FFT over the cells
+into one dense block per frequency (``symbol``).  A study level marches in
+frequency space (``timeint.FrequencyStep``), solving its block systems
+I - C (x) Z(k) frequency by frequency through C's eigenvectors
+(``coupling_eigen``) and one resolvent per eigenvalue, so no study tiles
+a CSR matrix or factors one.
 
-A ``PreparedSystem`` builds the complete factor of a system once and
-solves with it, refined once when the residual is above ``REFINE_ABOVE``:
-the inverse symbol when Z is a stencil, and otherwise SuperLU's complete
-LU, its columns ordered by COLAMD (p = 0 convection, whose upwind LU stays
-near the block's own fill, an operator without a mesh, a plain matrix).
-``scipy.sparse.linalg`` (which loads ``scipy.linalg``) is imported by the
-first SuperLU factor.  Every solve is held to ``RESIDUAL_RTOL`` against A
-itself.  The paper's GMRES with an ILU(2) preconditioner has no
-counterpart here: every system is solved by its complete factor.
+Any other matrix, such as a linear ODE's, is a ``CsrMatrix``, a scipy CSR
+array subclassed to fix the summation order of assembly and to give the
+solvers one product, ``matvec``; it is built when first asked for, so only
+a process that needs a CSR matrix loads ``scipy.sparse``.  Its step system
+I - C (x) Z, with a small dense C, is a ``KroneckerSystem``: applied one
+block row at a time, never assembled, and factored as one n x n block
+I - lambda Z per real eigenvalue and per conjugate pair of C, through C's
+eigenvectors (``BlockFactors``; Butcher, *On the implementation of implicit
+Runge-Kutta methods*, BIT 16, 1976).  A ``PreparedSystem`` builds that
+complete factor once and solves with it, refined once when the residual is
+above ``REFINE_ABOVE``: SuperLU's complete LU, its columns ordered by
+COLAMD, or the inverse symbol when Z is a stencil (a physical step on a
+grid operator, which only tests take).  ``scipy.sparse.linalg`` (which
+loads ``scipy.linalg``) is imported by the first SuperLU factor.  Every
+solve is held to ``RESIDUAL_RTOL`` against A itself.  The paper's GMRES
+with an ILU(2) preconditioner has no counterpart here.
 """
 
 from __future__ import annotations
@@ -140,13 +142,17 @@ class StencilOperator:
             out += shifted @ KT
         return y[:, : len(y)].flatten()
 
-    def symbol(self):
+    def symbol(self, half=False):
         """S(k) = sum_d K_d exp(2 pi i k.d / N), (N, N, 2 nm, 2 nm): N^2 times the ``ifft2``
         of the K_d summed by d mod N (Davis, *Circulant Matrices*, 1979; Hemker, Hoffmann
-        and van Raalte, SISC 25, 2003)."""
+        and van Raalte, SISC 25, 2003).  With ``half`` only the frequencies of ``rfft2``'s
+        half spectrum, (N, N // 2 + 1, 2 nm, 2 nm): the K_d are real, so S is the conjugate
+        of their ``rfft2``."""
         N, nb, d = self.N, self.K.shape[-1], np.arange(-1, 2) % self.N
         K = np.zeros((N, N, nb, nb))
         np.add.at(K, (d[:, None], d[None, :]), self.K)
+        if half:
+            return np.fft.rfft2(K, axes=(0, 1)).conj()
         return N * N * np.fft.ifft2(K, axes=(0, 1))
 
     def tocsr(self):
@@ -188,6 +194,20 @@ class KroneckerSystem:
         return (X - self.C @ ZX).ravel()
 
 
+def coupling_eigen(C):
+    """(lambda, V, V^-1) of C = V diag(lambda) V^-1, the split every factor of I - C (x) Z
+    rests on.  A C whose V is too ill-conditioned to transform with (a repeated eigenvalue
+    makes it singular; no built-in tableau has one) raises ValueError."""
+    lam, V = np.linalg.eig(C)
+    cond = np.linalg.cond(V)
+    if cond > COUPLING_COND_MAX:
+        raise ValueError(
+            f"cannot factor I - C (x) Z block by block: C's eigenvector matrix has "
+            f"cond(V) = {cond:.3g} > COUPLING_COND_MAX = {COUPLING_COND_MAX:g}"
+        )
+    return lam, V, np.linalg.inv(V)
+
+
 def _decouple(A):
     """V, V^-1 and the eigenvalues (k, lambda_k, paired) whose blocks factor A.
 
@@ -196,21 +216,13 @@ def _decouple(A):
     I - lambda_k Z: real for a real eigenvalue, complex for the member k of a
     conjugate pair with positive imaginary part, whose partner block is its
     complex conjugate (``paired`` marks it).  A plain matrix is the 1 x 1
-    case: V is None and lambda None marks the one block, A itself.  A C
-    whose V is too ill-conditioned to transform with (a repeated eigenvalue
-    makes it singular; no built-in tableau has one) raises ValueError.
+    case: V is None and lambda None marks the one block, A itself.
     """
     if not isinstance(A, KroneckerSystem):
         return None, None, [(0, None, False)]
-    lam, V = np.linalg.eig(A.C)
-    cond = np.linalg.cond(V)
-    if cond > COUPLING_COND_MAX:
-        raise ValueError(
-            f"cannot factor I - C (x) Z block by block: C's eigenvector matrix has "
-            f"cond(V) = {cond:.3g} > COUPLING_COND_MAX = {COUPLING_COND_MAX:g}"
-        )
+    lam, V, Vinv = coupling_eigen(A.C)
     # numpy returns a conjugate pair adjacently, positive imaginary part first
-    return V, np.linalg.inv(V), [
+    return V, Vinv, [
         (k, lam[k] if lam[k].imag else lam[k].real, lam[k].imag > 0)
         for k in range(len(lam))
         if lam[k].imag >= 0
@@ -295,9 +307,8 @@ class SolveStats:
 class PreparedSystem:
     """A linear system factored completely, ready for repeated right-hand sides.
 
-    The factor is the Fourier-symbol one when Z (A itself or the Z of a
-    ``KroneckerSystem``) is a ``StencilOperator``, and SuperLU's COLAMD-ordered LU
-    otherwise; an exactly singular factor raises SolverFailure.  A solve takes its
+    The factor is SuperLU's COLAMD-ordered LU, or the Fourier-symbol one when Z (A
+    itself or the Z of a ``KroneckerSystem``) is a ``StencilOperator``; an exactly singular factor raises SolverFailure.  A solve takes its
     residual against A itself, refines once when that is above ``REFINE_ABOVE``, and
     raises SolverFailure when it misses ``RESIDUAL_RTOL``.
     """

@@ -19,7 +19,15 @@ stencil; the block form keeps every block as sparse as A itself.  The
 system is I - C (x) dt A with the tableau's dt-independent coupling matrix
 C.  It is never assembled: the solvers apply it one block row at a time
 from C and A (``KroneckerSystem``) and factor it one n x n block per
-eigenvalue of C.
+eigenvalue of C (``MdrkWorkspace``, for an operator given as a plain
+matrix).
+
+A DG operator is block circulant on the periodic grid and every method
+here is linear with constant coefficients, so its steps are marched in
+frequency space instead (``FrequencyStep``): per grid frequency k, one
+step is w(k) <- R(dt S(k)) w(k) plus the step's response to each
+exponential source mode, both formed once per dt, so a study level makes
+no solve per step.
 """
 
 from __future__ import annotations
@@ -33,9 +41,18 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from mddg.sparse import KroneckerSystem, LinearSolver
+from mddg.sparse import (
+    RESIDUAL_RTOL,
+    KroneckerSystem,
+    LinearSolver,
+    SolverFailure,
+    SolveStats,
+    coupling_eigen,
+)
 
 _STEP_TOL = 1e-12  # relative tolerance for "lands exactly on t_end"
+SPECTRAL_CHUNK = 2**17  # complex entries per block array of one frequency chunk of a FrequencyStep
+MATMUL_MIN_BLOCK = 4  # narrowest frequency block a FrequencyStep applies by batched matmul
 
 
 class BlowUpError(RuntimeError):
@@ -82,6 +99,32 @@ class MdrkTableau:
                 C[bi * M + m, bi * M + m - 1] = 1.0
         return C
 
+    @cached_property
+    def eigen(self) -> tuple:
+        """(lambda, V, V^-1) of ``coupling`` = V diag(lambda) V^-1 (``sparse.coupling_eigen``)."""
+        return coupling_eigen(self.coupling)
+
+    @cached_property
+    def step_factors(self) -> tuple:
+        """(lead, zeta): the stability function in factored form,
+        R(z) = lead prod_j (z - zeta_j) (1 - lambda_j z)^-1, lambda_j = ``eigen[0][j]``.
+
+        det(I - z C) is R's denominator, so its poles are the 1 / lambda_j; the zeta_j are
+        the roots of R's numerator (``stability.rational_function_mdrk``) and lead its
+        leading coefficient.  Each zero is paired with the pole nearest its mirror image
+        -conj(zeta), which keeps every factor bounded on Re z <= 0; a pole left over is a
+        factor (1 - lambda_j z)^-1 alone, its zeta_j None.
+        """
+        from mddg.stability import rational_function_mdrk  # stability imports this module
+
+        num = rational_function_mdrk(self).num_f
+        poles = 1 / self.eigen[0]
+        zeta = [None] * len(poles)
+        for root in np.roots(num[::-1]):
+            free = [j for j, z in enumerate(zeta) if z is None]
+            zeta[min(free, key=lambda j: abs(poles[j] + np.conj(root)))] = root
+        return num[-1], zeta
+
     def implicit_stages(self):
         """Stage indices with a nonzero tableau row (solved implicitly)."""
         out = []
@@ -119,10 +162,11 @@ class TwoPointScheme:
     def n_derivatives(self) -> int:
         return max(self.k, self.l)
 
-    @property
+    @cached_property
     def tableau(self) -> MdrkTableau:
         """The scheme as a two-stage tableau: c = (0, 1), an explicit first
-        stage and m-th derivative row (alpha_m, -beta_m), stiffly accurate."""
+        stage and m-th derivative row (alpha_m, -beta_m), stiffly accurate.  Built once
+        per scheme, so its ``coupling``, ``eigen`` and ``step_factors`` are too."""
         zero = Fraction(0)
         a = tuple(
             ((zero, zero), (al, -be))
@@ -240,8 +284,47 @@ def builtin_gauss_legendre6() -> MdrkTableau:
     return MdrkTableau(stages=3, n_derivatives=1, c=c, a=(a,), b=(b,), label="gl6")
 
 
-class MdrkWorkspace:
-    """Prepared block system for repeated steps of a multiderivative tableau.
+def _squares(v):
+    """The squared Frobenius norm of each matrix (the last two axes) of a complex array,
+    summed from its real and imaginary parts without a temporary."""
+    return np.einsum("...ij,...ij->...", v.real, v.real) + np.einsum("...ij,...ij->...", v.imag, v.imag)
+
+
+class _StepCoefficients:
+    """The dt-fixed coefficients of one step of ``tableau``, shared by both workspaces.
+
+    ``weights`` pairs each term a stage row adds (the explicit derivatives w^(m), with weights
+    summed over the explicit stages, then, when ``sourced``, the implicit stages' sources
+    b^(m-1)(t + c_j dt)) with its dt^m-scaled tableau weights, one per implicit stage, in the
+    tableau's (stage, derivative) order; ``update`` weighs the explicit derivatives in a step
+    that is not stiffly accurate.  Only the first ``n_explicit`` derivatives are formed: up to
+    the last one that a weight or an update entry reads (tp3's a^(2) and tp5's a^(3) are zero
+    in the explicit column, so their last ``A w`` would feed nothing).
+    """
+
+    def __init__(self, tableau: MdrkTableau, dt: float, sourced: bool):
+        self.tableau = tableau
+        self.dt = dt
+        self.sourced = sourced
+        self.implicit = S = tableau.implicit_stages()
+        self.stiffly_accurate = tableau.stiffly_accurate
+        M = tableau.n_derivatives
+        explicit = [j for j in range(tableau.stages) if j not in S]
+        self.powers = dt ** np.arange(1, M + 1)  # dt^m, m = 1..M
+        a = np.array(tableau.a) * self.powers[:, None, None]  # (M, s, s): dt^m a^(m)
+        derivs = a[:, S][:, :, explicit].sum(axis=2).T  # (|S|, M): the weights of w^(m)
+        update = np.array(tableau.b)[:, explicit].sum(axis=1) * self.powers
+        read = np.flatnonzero(derivs.any(axis=0) | (update.astype(bool) & (not self.stiffly_accurate)))
+        self.n_explicit = ne = int(read[-1]) + 1 if len(read) else 0
+        weights = derivs[:, :ne]
+        if sourced:  # and (|S|, |S| M) for the sources
+            weights = np.hstack([weights, a[:, S][:, :, S].transpose(1, 2, 0).reshape(len(S), -1)])
+        self.weights = [(k, column[:, None]) for k, column in enumerate(weights.T) if column.any()]
+        self.update = update[:ne]
+
+
+class MdrkWorkspace(_StepCoefficients):
+    """Prepared block system for repeated steps of a multiderivative tableau, in physical space.
 
     The unknowns of implicit stage i are y_i, dt y_i', ..., dt^(M-1) y_i^(M-1),
     stage-major.  Row y_i holds delta_ij I - a_1[i,j] dt A in column y_j and
@@ -254,46 +337,42 @@ class MdrkWorkspace:
     I - C (x) dt A with C = ``tableau.coupling``; ``system`` is that product
     in Kronecker form, holding dt C and A but no sMn x sMn matrix.
 
-    The step's dt-fixed coefficients are formed once: ``weights`` pairs each term a
-    stage row adds (the explicit derivatives w^(m), with weights summed over the explicit
-    stages, then the implicit stages' sources b^(m-1)(t + c_j dt)) with its dt^m-scaled
-    tableau weights, which a step adds in the tableau's order into one preallocated
+    A step adds the terms of ``weights`` in the tableau's order into one preallocated
     (|S|, M, n) right-hand side.  An operator with empty ``source_modes`` (convection)
-    has b = 0, so its steps form no source vector; one without them has a source.
+    has b = 0, so its steps form no source vector; one without them has a source,
+    ``source_vector(t, m)``, which may be any function of t.
 
-    Every system is solved directly by its complete factor, which the type
-    of A picks: the inverse Fourier symbol of a ``StencilOperator``
-    (``assemble`` keeps every p >= 1 operator as its grid stencil), and the
-    COLAMD-ordered complete LU of each block of a CSR matrix otherwise,
-    that is at p = 0, whose 2 x 2 frequency blocks cost more to transform
-    than the upwind LU, which keeps near the block's own fill in downwind
-    order (Lesaint & Raviart 1974), and for an operator without a mesh.
+    Every system is solved directly by its complete factor (``PreparedSystem``), each
+    solve held to the residual contract.  ``integrate`` steps this way only an operator
+    without a grid ``stencil`` (a plain ``matrix``, as the tests' linear ODEs have); a grid
+    operator marches through ``FrequencyStep``.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float):
+        super().__init__(tableau, dt, bool(getattr(op, "source_modes", True)))
         self.op = op
-        self.tableau = tableau
-        self.dt = dt
         self.n = op.matrix.shape[0]
-        self.implicit = S = tableau.implicit_stages()
-        self.stiffly_accurate = tableau.stiffly_accurate
         # I - C (x) dt A = I - (dt C) (x) A: the direct blocks then need no copy of dt A
         self.system = KroneckerSystem(dt * tableau.coupling, op.matrix)
         self.prepared = LinearSolver().prepare(self.system)  # PreparedSystem, traced by the bench
-        self.sourced = bool(getattr(op, "source_modes", True))
-        M = tableau.n_derivatives
-        explicit = [j for j in range(tableau.stages) if j not in S]
-        self.n_explicit = ne = M if explicit else 0  # the explicit derivatives w^(m) a step forms
-        self.powers = dt ** np.arange(1, M + 1)  # dt^m, m = 1..M
-        a = np.array(tableau.a) * self.powers[:, None, None]  # (M, s, s): dt^m a^(m)
-        # rows w^(m), m = 1..M, then b^(m)(t + c_j dt), m = 0..M-1, of each implicit stage j
-        self.terms = np.empty((ne + (len(S) * M if self.sourced else 0), self.n))
-        weights = a[:ne, S][:, :, explicit].sum(axis=2).T  # (|S|, ne)
-        if self.sourced:  # and (|S|, |S| M) for the sources
-            weights = np.hstack([weights, a[:, S][:, :, S].transpose(1, 2, 0).reshape(len(S), -1)])
-        self.weights = [(k, column[:, None]) for k, column in enumerate(weights.T) if column.any()]
-        self.update = np.array(tableau.b)[:ne, explicit].sum(axis=1) * self.powers[:ne]
+        S, M = self.implicit, tableau.n_derivatives
+        # rows w^(m), m = 1..n_explicit, then b^(m)(t + c_j dt), m = 0..M-1, of each implicit stage j
+        self.terms = np.empty((self.n_explicit + (len(S) * M if self.sourced else 0), self.n))
         self.rhs = np.zeros((len(S), M, self.n))
+
+    @property
+    def history(self) -> list:
+        """The ``SolveStats`` of every step's solve."""
+        return self.prepared.history
+
+    def forward(self, w):
+        """The state ``advance`` steps: the physical vector itself."""
+        return w
+
+    backward = forward
+
+    def advance(self, w, t):
+        return self.step(w, t)
 
     def step(self, w: np.ndarray, t: float) -> np.ndarray:
         op, tab, dt, n, S = self.op, self.tableau, self.dt, self.n, self.implicit
@@ -330,14 +409,207 @@ class MdrkWorkspace:
         return out
 
 
+class FrequencyStep(_StepCoefficients):
+    """One step of dt on a grid operator, as a map on the ``rfft2`` half spectrum of the state.
+
+    The operator is block circulant (its ``stencil``, ``mddg.sparse.StencilOperator``), every
+    method here is linear with constant coefficients, and every source is a sum of exponential
+    modes Re(e^(mu t) P).  So at each grid frequency k a step is
+
+        w(k) <- E(k) w(k) + sum over modes of Re(e^(mu t)) g_re(k) - Im(e^(mu t)) g_im(k),
+
+    where E(k) = R(Z), Z = dt S(k), is the stability function at the symbol S(k) and g_re,
+    g_im are the step's responses, from w = 0, to the sources Re(e^(mu s) P) and
+    Im(e^(mu s) P) of one step from s = 0 (Davis, *Circulant Matrices*, 1979; Hemker,
+    Hoffmann and van Raalte, SISC 25, 2003).  The state is real and so is the step, so the
+    half spectrum carries it.
+
+    Both are formed once per dt, frequency by frequency, from the resolvent (I - lambda_j Z)^-1
+    of each eigenvalue lambda_j of C.  E is R in factored form (``tableau.step_factors``),
+    lead prod_j (Z - zeta_j)(I - lambda_j Z)^-1, whose factors are each
+    (1 / lambda_j - zeta_j)(I - lambda_j Z)^-1 - I / lambda_j and bounded; forming E through
+    powers of Z instead would lose digits to cancellation where |Z| is large.  A response
+    is the step itself taken from w = 0: its right-hand side from the source columns, its
+    block system (I - C (x) Z) X = rhs solved through C's eigenvectors (``tableau.eigen``) and
+    the same resolvents, then read out by the stiffly accurate last
+    stage or the update weights.  The frequencies are taken in chunks of at most
+    ``SPECTRAL_CHUNK`` complex entries per block array.
+
+    ``history`` holds one ``SolveStats`` for E, the largest relative residual over the
+    frequencies of the resolvents' equations, each against its block I - lambda_j Z, and one
+    per source mode, the largest of its block systems', taken against I - dt C (x) S(k)
+    itself; ``forward`` adds the check that the symbol's product equals the stencil's on the
+    state it transforms.  Each is held to ``RESIDUAL_RTOL``: a miss is a SolverFailure.
+    """
+
+    def __init__(self, op, tableau: MdrkTableau, dt: float):
+        super().__init__(tableau, dt, bool(op.source_modes))
+        self.stencil = stencil = op.stencil
+        N, nb = stencil.N, stencil.K.shape[-1]
+        self.grid = (N, N, nb)
+        self.symbol = S = stencil.symbol(half=True).reshape(-1, nb, nb)
+        self.history = []
+        # per source mode (mu, P), the columns Re(e^(mu s) P) and Im(e^(mu s) P), whose
+        # b^(m)(s) is Re(kappa) X - Im(kappa) Y with kappa = mu^m e^(mu s)
+        spectra = [(self.transform(P.real), self.transform(P.imag)) for _, P in op.source_modes]
+        mu = np.repeat([rate for rate, _ in op.source_modes], 2).astype(complex)
+        if spectra:
+            X = np.stack([v for re, im in spectra for v in (re, im)], axis=-1)
+            Y = np.stack([v for re, im in spectra for v in (im, -re)], axis=-1)
+        self.E = np.empty(S.shape, dtype=complex)
+        G = np.empty((len(S), nb, len(mu)), dtype=complex)
+        worst = np.zeros(1 + len(spectra))  # E's, then each mode's
+        width = max(nb, len(self.implicit) * tableau.n_derivatives * len(mu))
+        most = max(1, SPECTRAL_CHUNK // (nb * width))
+        chunk = -(-len(S) // -(-len(S) // most))  # the fewest chunks of at most ``most``, evened out
+        for f in range(0, len(S), chunk):
+            k = slice(f, f + chunk)
+            if spectra:
+                self.E[k], G[k], rel = self._respond(S[k], mu, X[k], Y[k])
+            else:
+                self.E[k], rel = self._step_map(S[k])
+            worst = np.maximum(worst, rel)
+        self.responses = [(mu[2 * q], G[..., 2 * q], G[..., 2 * q + 1]) for q in range(len(spectra))]
+        # a batched matmul costs about as much per frequency as a narrow block's whole
+        # product, so blocks narrower than MATMUL_MIN_BLOCK are applied column by column
+        self.columns = np.ascontiguousarray(self.E.transpose(2, 0, 1)) if nb < MATMUL_MIN_BLOCK else None
+        self._check(worst[0], "step map resolvent")
+        for rel in worst[1:]:
+            self._check(rel, "source response block solve")
+
+    def transform(self, v):
+        """The (F, nb) half spectrum of a real grid vector."""
+        return np.fft.rfft2(np.reshape(v, self.grid), axes=(0, 1)).reshape(-1, self.grid[2])
+
+    def _check(self, residual, what):
+        stats = SolveStats(residual=float(residual), converged=bool(residual <= RESIDUAL_RTOL))
+        self.history.append(stats)
+        if not stats.converged:
+            message = f"{what}: relative residual {stats.residual:.3e} above {RESIDUAL_RTOL:g}"
+            raise SolverFailure(message, stats)
+
+    def _step_map(self, S, Y=None):
+        """E = R(Z) = lead prod_j (Z - zeta_j)(I - lambda_j Z)^-1 at the frequencies of S,
+        Z = dt S, and the largest relative residual ||I - (I - lambda_j Z) X_j|| / ||I|| of
+        the resolvents X_j there.  Each factor is taken as (1 / lambda_j - zeta_j) X_j
+        - I / lambda_j (X_j alone for a pole without a zero).  Row j of ``Y`` (F, sM, nb, R),
+        when given, is multiplied by X_j in place, and every X_j is dropped once used."""
+        lead, zetas = self.tableau.step_factors
+        nb = S.shape[-1]
+        diagonal = (slice(None), *np.diag_indices(nb))
+        E, worst = None, 0.0
+        for j, (lam, zeta) in enumerate(zip(self.tableau.eigen[0], zetas)):
+            block = S * (-lam * self.dt)
+            block[diagonal] += 1.0
+            try:
+                inverse = np.linalg.inv(block)
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailure(f"frequency block solve failed: {exc}") from exc
+            check = block @ inverse
+            del block
+            check[diagonal] -= 1.0
+            worst = max(worst, np.sqrt(_squares(check).max() / nb))
+            del check
+            if Y is not None:
+                Y[:, j] = inverse @ Y[:, j]
+            if zeta is not None:
+                inverse *= 1 / lam - zeta
+                inverse[diagonal] -= 1 / lam
+            E = inverse if E is None else E @ inverse
+        return lead * E, worst
+
+    def _respond(self, S, mu, X, Y):
+        """E at the frequencies of S (``_step_map``), and one step there from w = 0 under
+        each source column, (F, nb, R), with the largest relative residuals: E's, then per
+        source mode that of its block systems, taken against I - dt C (x) S itself."""
+        tab, dt, imp, ne = self.tableau, self.dt, self.implicit, self.n_explicit
+        M, (_, V, Vinv) = tab.n_derivatives, tab.eigen
+
+        def source(s, m):  # b^(m)(s) of every column
+            kappa = mu**m * np.exp(mu * s)
+            return X * kappa.real - Y * kappa.imag
+
+        terms = []
+        for m in range(ne):  # the explicit derivatives w^(m), from w = 0
+            terms.append(source(0.0, m) + (S @ terms[-1] if terms else 0.0))
+        terms += [source(tab.c[i] * dt, m) for i in imp for m in range(M)]
+        src = np.stack(terms[ne:], axis=1).reshape((len(S), len(imp), M) + X.shape[1:])
+        rhs = np.zeros(src.shape, dtype=complex)
+        rhs[:, :, 1:] = self.powers[: M - 1, None, None] * src[:, :, : M - 1]
+        for k, weight in self.weights:
+            rhs[:, :, 0] += weight[:, :, None] * terms[k][:, None]
+        # (I - C (x) Z) x = rhs through C = V diag(lambda) V^-1: block j is I - lambda_j Z
+        rhs = rhs.reshape(len(S), -1, *X.shape[1:])  # (F, sM, nb, R)
+        x = np.einsum("ab,fbnr->fanr", Vinv, rhs)
+        E, worst = self._step_map(S, x)
+        x = np.einsum("ab,fbnr->fanr", V, x)
+        residual = rhs - x + np.einsum("ab,fbnr->fanr", dt * tab.coupling, S[:, None] @ x)
+        pairs = np.arange(0, len(mu), 2)  # each mode's two columns
+        res2, rhs2 = (np.add.reduceat(_squares(v.swapaxes(1, 3)), pairs, axis=1) for v in (residual, rhs))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero column has a zero residual
+            rel = np.nan_to_num(np.sqrt(res2 / rhs2), nan=0.0, posinf=np.inf).max(axis=0)
+        x = x.reshape(src.shape)
+        if self.stiffly_accurate:
+            return E, x[:, -1, 0], np.r_[worst, rel]
+        out = np.zeros(X.shape, dtype=complex)
+        for m, weight in enumerate(self.update):
+            out += weight * terms[m]
+        for bi, i in enumerate(imp):
+            for m, b_m in enumerate(tab.b[: M - 1], start=1):
+                out += b_m[i] * x[:, bi, m]
+            if tab.b[-1][i]:  # dt^M y_i^(M) = dt S x[i, M-1] + dt^M b^(M-1)(t_i)
+                out += tab.b[-1][i] * (dt * (S @ x[:, bi, M - 1]) + self.powers[-1] * src[:, bi, M - 1])
+        return E, out, np.r_[worst, rel]
+
+    def forward(self, w):
+        """The half spectrum of the real state w, after checking on it that the symbol's
+        product equals the stencil's, relative to max_k ||S(k)||_F ||w(k)||."""
+        w = np.asarray(w, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise BlowUpError("non-finite state entering the march")
+        x = self.transform(w)
+        r = np.linalg.norm(self.transform(self.stencil.matvec(w)) - (self.symbol @ x[..., None])[..., 0])
+        scale = np.sqrt(_squares(self.symbol).max()) * np.linalg.norm(x)
+        self._check(r / scale if scale > 0 else (np.inf if r else 0.0), "symbol against the stencil's product")
+        return x
+
+    def backward(self, x):
+        """The real state of a half spectrum."""
+        N, _, nb = self.grid
+        return np.fft.irfft2(x.reshape(N, -1, nb), s=(N, N), axes=(0, 1)).ravel()
+
+    def advance(self, x, t):
+        """The half spectrum one step of dt from t on."""
+        if self.columns is None:
+            y = (self.E @ x[..., None])[..., 0]
+        else:
+            y = self.columns[0] * x[:, :1]
+            for j in range(1, len(self.columns)):
+                y += self.columns[j] * x[:, j : j + 1]
+        for rate, g_re, g_im in self.responses:
+            a = np.exp(rate * t)
+            y += a.real * g_re
+            if a.imag:
+                y -= a.imag * g_im
+        return y
+
+    def step(self, w, t):
+        return self.backward(self.advance(self.forward(w), t))
+
+
 class TwoPointWorkspace(MdrkWorkspace):
     """A name kept for bench/spans.py, which wraps ``step`` through this class's own __dict__."""
 
     step = MdrkWorkspace.step
 
 
-def make_workspace(op, method, dt: float) -> MdrkWorkspace:
-    return MdrkWorkspace(op, as_tableau(method), dt)
+def make_workspace(op, method, dt: float):
+    """The step of ``method`` with dt on ``op``: a ``FrequencyStep`` for an operator with a
+    grid ``stencil``, an ``MdrkWorkspace`` otherwise."""
+    tableau = as_tableau(method)
+    if getattr(op, "stencil", None) is not None:
+        return FrequencyStep(op, tableau, dt)
+    return MdrkWorkspace(op, tableau, dt)
 
 
 def _check_times(dt, *times):
@@ -365,9 +637,11 @@ def integrate(
 ):
     """March from t0 to t_end; the final step is shortened to land on t_end.
 
-    The block system is factorized once and reused for every full step; a
-    non-finite state aborts with BlowUpError.  Per-step solver statistics
-    are appended to ``stats_out`` when given.
+    One workspace (``make_workspace``) serves every full step and its own one the
+    shortened step; a grid operator's state is transformed once, marched in frequency
+    space and transformed back.  A non-finite state aborts with BlowUpError.  Each
+    workspace's ``SolveStats`` (a physical workspace's one per step, a
+    ``FrequencyStep``'s per-dt checks) are appended to ``stats_out`` when given.
     """
     _check_times(dt, t0, t_end)
     if t_end < t0:
@@ -382,24 +656,24 @@ def integrate(
     remainder = span - n_full * dt
     if n_full and remainder <= _STEP_TOL * dt:  # never drop the only step
         remainder = 0.0
-    ws = make_workspace(op, method, dt) if n_full else None
-    ws_last = None
+    workspaces = []
     try:
-        t = t0
-        for i in range(n_full):
-            w = ws.step(w, t)
-            t = t + dt  # the next step starts at this step's own end time
-            if not np.all(np.isfinite(w)):
-                raise BlowUpError(f"non-finite state after step {i + 1} (t = {t:.6g})")
-        if remainder > 0.0:
-            ws_last = make_workspace(op, method, remainder)
-            w = ws_last.step(w, t)
-            if not np.all(np.isfinite(w)):
-                raise BlowUpError(f"non-finite state in final shortened step (t = {t_end:.6g})")
+        t, x = t0, None
+        for h, count in ((dt, n_full), (remainder, int(remainder > 0))):
+            if not count:
+                continue
+            ws = make_workspace(op, method, h)
+            workspaces.append(ws)
+            x = ws.forward(w) if x is None else x
+            with np.errstate(over="ignore", invalid="ignore"):  # reported as a blow-up below
+                for _ in range(count):
+                    x = ws.advance(x, t)
+                    t = t + h  # the next step starts at this step's own end time
+                    if not np.all(np.isfinite(x)):
+                        raise BlowUpError(f"non-finite state after the step to t = {t:.6g}")
+        w = workspaces[0].backward(x)
     finally:
         if stats_out is not None:
-            if ws is not None:
-                stats_out.extend(ws.prepared.history)
-            if ws_last is not None:
-                stats_out.extend(ws_last.prepared.history)
+            for ws in workspaces:
+                stats_out.extend(ws.history)
     return w

@@ -213,6 +213,21 @@ class TestBasis:
         code = "import sys, mddg.harness; print('scipy.special' in sys.modules)"
         assert run_fresh(code) == "False"
 
+    def test_study_levels_leave_out_scipy_sparse(self):
+        # every study level marches in frequency space, p = 0 included, so no level tiles a
+        # CSR matrix or factors one by SuperLU, and scipy.sparse is never imported
+        code = (
+            "import sys\n"
+            "from mddg.harness import RunConfig, run_level\n"
+            "from mddg.mesh import TriangularMesh\n"
+            "for problem, p in (('convection', 0), ('convection_diffusion', 1)):\n"
+            "    stats = []\n"
+            "    cfg = RunConfig(problem=problem, p=p, method='tp3', dt0=0.5)\n"
+            "    assert run_level(cfg, TriangularMesh(3), 3, stats) < 1 and stats\n"
+            "print('scipy.sparse' in sys.modules)"
+        )
+        assert run_fresh(code) == "False"
+
     def test_mapped_orthonormality(self):
         # scaled modes stay orthonormal under physical-element integration
         mesh = TriangularMesh(1)

@@ -16,9 +16,15 @@ from mddg.sparse import (
     SolverFailure,
     StencilOperator,
 )
-from mddg.timeint import as_tableau, integrate, make_workspace, mdrk_step
+from mddg.timeint import MdrkWorkspace, as_tableau, integrate, make_workspace, mdrk_step
 
 from conftest import applied, run_fresh
+
+
+def physical_workspace(op, method, dt):
+    """The ``MdrkWorkspace`` of ``method``: the physical block system that ``make_workspace``
+    no longer builds for a grid operator, which it marches in frequency space."""
+    return MdrkWorkspace(op, as_tableau(method), dt)
 
 
 def random_csr(n, density, seed, diag_boost=0.0):
@@ -73,27 +79,22 @@ class TestCsrMatrix:
         assert all(np.all(np.diff(A.indices[a:b]) > 0) for a, b in zip(A.indptr[:-1], A.indptr[1:]))
 
     def test_int32_index_arrays(self):
-        # the builder, a stencil's tiled CSR, and the p = 0 operator and its block system's Z
-        # keep scipy's int32 index arrays
+        # the builder and the tiled CSR of a p = 2 and a p = 0 stencil keep scipy's int32
+        # index arrays
         A = triplets([3, 0, 0, 2], [1, 2, 2, 0], [0.1, 0.2, 0.3, 0.4], (4, 4))
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
         op0 = assemble(mesh_hierarchy(2)[1], make_basis(0), make_problem("convection"), 20.0)
-        ws = make_workspace(op0, method_registry()["mdrk6"], 0.1)
-        for M in (A, op.matrix.tocsr(), op0.matrix, ws.system.Z):
+        for M in (A, op.matrix.tocsr(), op0.matrix.tocsr()):
             assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
 
     @pytest.mark.parametrize("p", [0, 1])
-    def test_operator_is_scipy_sparse_and_system_is_kronecker(self, p):
-        # a p = 0 operator is its stencil's CSR, a p >= 1 one the stencil itself; the block
-        # system keeps the operator itself, not a copy, and dt C
+    def test_operator_is_its_stencil_and_system_is_kronecker(self, p):
+        # every operator, p = 0 included, is its stencil, no CSR; the physical block system
+        # keeps the operator itself, not a copy, and dt C
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem("convection"), 20.0)
-        ws = make_workspace(op, method_registry()["tp3"], 0.1)
+        ws = physical_workspace(op, method_registry()["tp3"], 0.1)
         assert isinstance(op.stencil, StencilOperator)
-        if p:
-            assert op.matrix is op.stencil and not sp.issparse(op.matrix)
-        else:
-            assert sp.issparse(op.matrix) and op.matrix.format == "csr"
-            assert isinstance(op.matrix, CsrMatrix)
+        assert op.matrix is op.stencil and not sp.issparse(op.matrix)
         assert isinstance(ws.system, KroneckerSystem) and ws.system.Z is op.matrix
         assert np.array_equal(ws.system.C, 0.1 * ws.tableau.coupling)
         assembled_system(ws)
@@ -238,27 +239,27 @@ class TestDecoupledDirect:
     )
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_solve_matches_dense(self, problem, p, method, monkeypatch):
-        # a workspace at p >= 1 solves through the Fourier symbol, with no SuperLU call,
-        # and at p = 0 by SuperLU; SuperLU factors the same system, on the stencil's CSR,
-        # block by block
+        # a physical workspace solves through the Fourier symbol at every p, p = 0 included,
+        # with no SuperLU call; SuperLU factors the same system, on the stencil's CSR, block
+        # by block
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
-        ws = make_workspace(op, method_registry()[method], 0.25)
+        ws = physical_workspace(op, method_registry()[method], 0.25)
         K = assembled_system(ws)
         b = np.random.default_rng(22).normal(size=K.shape[0])
         x_dense = np.linalg.solve(K, b)
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
         blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
-        assert shapes == (blocks if p == 0 else [])
-        assert through_symbol(ws.prepared) == (p >= 1)
+        assert shapes == []
+        assert through_symbol(ws.prepared)
         csr_system = KroneckerSystem(ws.system.C, ws.system.Z.tocsr())
         for prepared in (ws.prepared, PreparedSystem(csr_system)):
             x, stats = prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
-        assert shapes == blocks * (2 if p == 0 else 1)
+        assert shapes == blocks
 
     @pytest.mark.parametrize(
         "C",
@@ -350,38 +351,47 @@ class TestBlockFactors:
 
 
 class TestWorkspaceFactor:
-    # a workspace factors each stored block of its system once, completely: by SuperLU at
-    # p = 0 and through the Fourier symbol from p = 1 on
-    def test_convection_integrate_records_one_solve_per_step(self):
-        # every convection step is one solve of the complete factor, held to the contract
+    # a study level marches in frequency space (``FrequencyStep``): its per-dt checks, not a
+    # solve per step, are held to the residual contract; a physical workspace factors each
+    # stored block of its system once, completely, through the Fourier symbol
+    @staticmethod
+    def refuse_per_step_solves(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid-operator study solved a physical step system")
+
+        monkeypatch.setattr(PreparedSystem, "solve", refuse)
+        monkeypatch.setattr(MdrkWorkspace, "step", refuse)
+
+    def test_convection_integrate_records_the_per_dt_checks(self, monkeypatch):
+        # 16 convection steps of one dt make no solve: the step map's resolvents and the
+        # symbol's product against the stencil's are checked once, held to the contract
+        self.refuse_per_step_solves(monkeypatch)
         prob = make_problem("convection")
         mesh, basis = mesh_hierarchy(3)[2], make_basis(2)
         op = assemble(mesh, basis, prob, default_eta(2))
         stats = []
         w0 = project_l2(mesh, basis, prob.initial)
         integrate(op, method_registry()["tp6"], w0, 0.0, 1.0, 0.0625, stats_out=stats)
-        assert len(stats) == 16
+        assert len(stats) == 2
         assert all(s.converged for s in stats)
         assert max(s.residual for s in stats) <= 1e-10
 
     @staticmethod
     def check_solves_directly(problem, monkeypatch, p=2):
-        """An mdrk6 workspace on ``problem`` at degree ``p`` factors each stored block
-        completely, once (by SuperLU at p = 0, through the Fourier symbol from p = 1 on),
-        and solves every right-hand side by those factors to a residual <= 1e-12."""
+        """A physical mdrk6 workspace on ``problem`` at degree ``p`` factors each stored block
+        completely, once, through the Fourier symbol (no SuperLU, p = 0 included), and solves
+        every right-hand side by those factors to a residual <= 1e-12."""
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(3)[2], make_basis(p), make_problem(problem), 20.0)
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
+        ws = physical_workspace(op, method_registry()["mdrk6"], 0.25)
         rng = np.random.default_rng(31)
         for _ in range(3):
             b = rng.normal(size=ws.system.shape[0])
             x, stats = ws.prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
-        lam = np.linalg.eigvals(as_tableau(method_registry()["mdrk6"]).coupling)
-        lu_blocks = int(np.sum(lam.imag >= 0)) if p == 0 else 0
-        assert shapes == [(op.n_dof, op.n_dof)] * lu_blocks
-        assert through_symbol(ws.prepared) == (p >= 1)
+        assert shapes == []
+        assert through_symbol(ws.prepared)
 
     def test_convection_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection", monkeypatch)
@@ -396,36 +406,43 @@ class TestWorkspaceFactor:
         "problem, p", [("convection", 0), ("convection_diffusion", 1)], ids=["convection-p0", "cd-p1"]
     )
     @pytest.mark.parametrize("method", sorted(method_registry()))
-    def test_integrate_with_a_shortened_step_records_one_solve_per_step(self, problem, p, method):
-        # three steps of dt = 0.3 by one workspace and the last one of 0.1 by its own: each a
-        # single solve of its complete factor (SuperLU's at p = 0, the symbol's at p = 1),
-        # held to the contract, and every one of them recorded
+    def test_integrate_with_a_shortened_step_records_each_workspaces_checks(
+        self, problem, p, method, monkeypatch
+    ):
+        # three steps of dt = 0.3 by one workspace and the last one of 0.1 by its own, with no
+        # solve: each workspace's step map and source-mode responses (two modes for
+        # convection-diffusion, none for convection) are checked once, the symbol once on the
+        # initial state, all held to the contract, and every check recorded
+        self.refuse_per_step_solves(monkeypatch)
         prob = make_problem(problem)
         mesh, basis = mesh_hierarchy(2)[1], make_basis(p)
         op = assemble(mesh, basis, prob, default_eta(p))
         stats = []
         w0 = project_l2(mesh, basis, prob.initial)
         w = integrate(op, method_registry()[method], w0, 0.0, 1.0, 0.3, stats_out=stats)
-        assert len(stats) == 4 and np.all(np.isfinite(w))
+        assert len(stats) == 2 * (1 + len(op.source_modes)) + 1 and np.all(np.isfinite(w))
         assert all(s.converged and s.residual <= 1e-10 for s in stats)
 
-    def test_singular_complete_factor_is_a_solver_failure(self, monkeypatch):
-        # the complete LU is the p = 0 convection solve itself: its failure fails the
-        # workspace, and SuperLU is not asked again
-        calls = []
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_singular_frequency_block_is_a_solver_failure(self, p, monkeypatch):
+        # the resolvents are the march's only factors: a singular frequency block fails the
+        # workspace, and SuperLU is never asked
+        calls = record_lu_shapes(monkeypatch)
+        op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem("convection"), 20.0)
+        inv = np.linalg.inv
 
-        def singular(A, **kwargs):
-            calls.append(A.shape)
-            raise RuntimeError("Factor is exactly singular")
+        def singular(M):
+            if M.ndim == 3:  # the frequency blocks, not C's eigenvector matrix
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(M)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-        op = assemble(mesh_hierarchy(2)[1], make_basis(0), make_problem("convection"), 20.0)
-        with pytest.raises(SolverFailure, match="direct LU failed: Factor is exactly singular"):
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(SolverFailure, match="frequency block solve failed: Singular matrix"):
             make_workspace(op, method_registry()["tp5"], 0.25)
-        assert calls == [(op.n_dof, op.n_dof)]
+        assert calls == []
 
     def test_singular_symbol_is_a_solver_failure(self, monkeypatch):
-        # the symbol's inverse is the p >= 1 convection solve itself: a singular frequency
+        # the symbol's inverse is a physical workspace's solve itself: a singular frequency
         # block fails the workspace, and SuperLU is never asked
         calls = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
@@ -438,7 +455,7 @@ class TestWorkspaceFactor:
 
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(SolverFailure, match="direct LU failed: Singular matrix"):
-            make_workspace(op, method_registry()["tp3"], 0.25)
+            physical_workspace(op, method_registry()["tp3"], 0.25)
         assert calls == []
 
 
@@ -453,16 +470,14 @@ class TestOrdering:
     @pytest.mark.parametrize("problem, permc", [("convection", "COLAMD")])
     @pytest.mark.parametrize("route", ["workspace", "csr_system"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # the workspace (which takes SuperLU's LU only at p = 0) and a system prepared on a
-        # p = 2 stencil's CSR both get it
+        # a system prepared on the CSR of a p = 0 ("workspace") or a p = 2 stencil gets it;
+        # the physical workspace on the stencil itself goes through the symbol at both
         specs = record_orderings(monkeypatch)
         p = 0 if route == "workspace" else 2
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
-        ws = make_workspace(op, method_registry()["mdrk6"], 0.25)
-        prepared = ws.prepared
-        if route != "workspace":
-            assert specs == []  # the p = 2 workspace goes through the symbol
-            prepared = PreparedSystem(KroneckerSystem(ws.system.C, op.matrix.tocsr()))
+        ws = physical_workspace(op, method_registry()["mdrk6"], 0.25)
+        assert specs == [] and through_symbol(ws.prepared)
+        prepared = PreparedSystem(KroneckerSystem(ws.system.C, op.matrix.tocsr()))
         x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
         assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
@@ -538,7 +553,7 @@ class TestFourierSymbol:
         # one block solve per stored block (tp5: one real eigenvalue and one pair), and one
         # more round when the first residual is above REFINE_ABOVE
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = make_workspace(op, method_registry()["tp5"], 0.25)
+        ws = physical_workspace(op, method_registry()["tp5"], 0.25)
         K = assembled_system(ws)
         calls = self.count_symbol_solves(monkeypatch, first_error)
         b = np.random.default_rng(39).normal(size=K.shape[0])
@@ -570,8 +585,8 @@ class TestFourierSymbol:
         """Make every symbol one frequency block off: the k = (0, 1) block times ``scale``."""
         symbol = StencilOperator.symbol
 
-        def perturbed(self):
-            S = symbol(self)
+        def perturbed(self, half=False):
+            S = symbol(self, half)
             S[0, 1] *= scale
             return S
 
@@ -583,7 +598,7 @@ class TestFourierSymbol:
         self.wrong_symbol(monkeypatch, 1.5)
         mesh = mesh_hierarchy(3)[2]
         op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
-        ws = make_workspace(op, method_registry()["tp3"], 0.25)
+        ws = physical_workspace(op, method_registry()["tp3"], 0.25)
         assert through_symbol(ws.prepared)
         b = np.random.default_rng(35).normal(size=ws.system.shape[0])
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
@@ -596,7 +611,7 @@ class TestFourierSymbol:
         self.wrong_symbol(monkeypatch, 10.0)
         mesh = mesh_hierarchy(3)[2]
         op = assemble(mesh, make_basis(p), make_problem("convection"), default_eta(p))
-        ws = make_workspace(op, method_registry()["tp3"], 0.25)
+        ws = physical_workspace(op, method_registry()["tp3"], 0.25)
         assert through_symbol(ws.prepared)
         b = np.random.default_rng(37).normal(size=ws.system.shape[0])
         with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
@@ -626,8 +641,8 @@ SYMBOL_LEVELS = study_level("convection_diffusion", 1) + study_level("convection
 
 class TestSuperLULoadedOnFirstUse:
     # scipy.sparse.linalg, and scipy.linalg with it, is imported by the first SuperLU
-    # factor, so a process whose every step goes through the Fourier symbol never loads it;
-    # scipy.sparse itself is imported by the first CSR matrix, which only p = 0 builds
+    # factor, and scipy.sparse itself by the first CSR matrix; a study marches in frequency
+    # space at every p, so it loads neither
     def test_import_and_registry_leave_it_out(self):
         code = "import mddg.harness\nmddg.harness.method_registry()"
         assert loaded_after(code) == []
@@ -635,8 +650,8 @@ class TestSuperLULoadedOnFirstUse:
     def test_symbol_study_levels_leave_it_out(self):
         assert loaded_after(SYMBOL_LEVELS) == []
 
-    def test_p0_convection_level_loads_it(self):
-        assert "scipy.sparse.linalg" in loaded_after(study_level("convection", 0))
+    def test_p0_convection_level_leaves_it_out(self):
+        assert loaded_after(study_level("convection", 0)) == []
 
     def test_import_and_registry_leave_scipy_out(self):
         code = "import mddg.harness\nmddg.harness.method_registry()"
@@ -649,9 +664,9 @@ class TestSuperLULoadedOnFirstUse:
     def test_symbol_study_levels_leave_scipy_out(self):
         assert loaded_after(SYMBOL_LEVELS, ("scipy", "scipy.sparse")) == []
 
-    def test_p0_convection_level_loads_scipy_sparse(self):
+    def test_p0_convection_level_leaves_scipy_sparse_out(self):
         code = study_level("convection", 0)
-        assert loaded_after(code, ("scipy.sparse",)) == ["scipy.sparse"]
+        assert loaded_after(code, ("scipy", "scipy.sparse")) == []
 
     def test_csr_matrix_is_built_on_first_use(self):
         # from-imports and the class's own matvec (which bench tracing wraps) still work
@@ -677,7 +692,7 @@ class TestKroneckerSystem:
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem(problem), default_eta(2))
         w = np.random.default_rng(29).normal(size=op.n_dof)
         assert np.all(np.isfinite(mdrk_step(op, method_registry()[method], w, 0.0, 0.25)))
-        system = make_workspace(op, method_registry()[method], 0.25).system
+        system = physical_workspace(op, method_registry()[method], 0.25).system
         x, stats = PreparedSystem(system).solve(np.tile(w, len(system.C)))
         assert stats.converged and np.all(np.isfinite(x))
 
@@ -704,7 +719,7 @@ def route_system(route):
         Z, D = random_csr(20, 0.3, seed=24, diag_boost=-3.0)
         return KroneckerSystem(C, Z), np.eye(len(C) * 20) - np.kron(C, D)
     op = assemble(mesh_hierarchy(2)[1], make_basis(1), make_problem("convection_diffusion"), default_eta(1))
-    ws = make_workspace(op, method_registry()["tp5"], 0.25)
+    ws = physical_workspace(op, method_registry()["tp5"], 0.25)
     return ws.system, assembled_system(ws)
 
 

@@ -7,11 +7,20 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from mddg.basis import make_basis
-from mddg.harness import method_registry, problem_convection, problem_convection_diffusion
+from mddg.harness import (
+    default_eta,
+    make_problem,
+    method_registry,
+    problem_convection,
+    problem_convection_diffusion,
+)
 from mddg.mesh import TriangularMesh
 from mddg.operator import DgOperator, assemble, project_l2
+from mddg.sparse import PreparedSystem, SolverFailure, StencilOperator
+from mddg.stability import rational_function_mdrk
 from mddg.timeint import (
     BlowUpError,
+    FrequencyStep,
     MdrkWorkspace,
     as_tableau,
     builtin_gauss_legendre6,
@@ -474,7 +483,7 @@ class TestBlockEquivalence:
         mesh, basis, prob = TriangularMesh(3), make_basis(0), problem_convection()
         op = assemble(mesh, basis, prob, eta=20.0)
         w = project_l2(mesh, basis, prob.initial)
-        ws = make_workspace(op, method_registry()[method], 0.05)
+        ws = MdrkWorkspace(op, as_tableau(method_registry()[method]), 0.05)
         expected = loop_step(ws, w, 0.3, lambda t, m: np.zeros(ws.n))
 
         def refuse(*args):
@@ -493,7 +502,7 @@ class TestBlockEquivalence:
         mesh, basis, prob = TriangularMesh(2), make_basis(1), problem_convection_diffusion()
         op = assemble(mesh, basis, prob, eta=20.0)
         w = project_l2(mesh, basis, prob.initial)
-        ws = make_workspace(op, method_registry()[method], 0.05)
+        ws = MdrkWorkspace(op, as_tableau(method_registry()[method]), 0.05)
         expected = loop_step(ws, w, 0.3, op.source_vector)
         got = ws.step(w, 0.3)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -514,11 +523,14 @@ class TestBlockEquivalence:
             expected = np.block([top[:2], [-Z, I]])
         else:
             expected = np.block([top, [-Z, I, O], [O, -Z, I]])
-        ws = make_workspace(op, scheme, dt)
+        ws = MdrkWorkspace(op, as_tableau(scheme), dt)
         assert np.max(np.abs(applied(ws.system) - expected)) <= 1e-15 * np.max(np.abs(expected))
         w = np.random.default_rng(36).normal(size=op.n_dof)
         w_mdrk = MdrkWorkspace(op, scheme.tableau, dt).step(w, 0.1)
         assert np.array_equal(ws.step(w, 0.1), w_mdrk)
+        # the march takes the scheme and its tableau alike too
+        w_march = make_workspace(op, scheme.tableau, dt).step(w, 0.1)
+        assert np.array_equal(make_workspace(op, scheme, dt).step(w, 0.1), w_march)
 
     @pytest.mark.parametrize(
         "method",
@@ -530,7 +542,7 @@ class TestBlockEquivalence:
         mesh = TriangularMesh(0)
         op = assemble(mesh, make_basis(1), problem_convection_diffusion(), eta=20.0)
         dt = 0.2
-        ws = make_workspace(op, method, dt)
+        ws = MdrkWorkspace(op, as_tableau(method), dt)
         C = as_tableau(method).coupling
         K = np.eye(len(C) * op.n_dof) - np.kron(C, dt * op.matrix.tocsr().toarray())
         assert np.max(np.abs(applied(ws.system) - K)) <= 1e-15 * np.max(np.abs(K))
@@ -558,3 +570,132 @@ class TestBlockEquivalence:
         w1 = MdrkWorkspace(op, tab, 0.125).step(w, 0.0)
         w2 = MdrkWorkspace(op, tab, 0.125).step(w, 0.0)
         assert np.array_equal(w1, w2)
+
+
+def grid_problem(problem, p, level):
+    """(op, w0) of ``problem`` at degree p on the level-``level`` grid, default penalty."""
+    mesh, basis, prob = TriangularMesh(level), make_basis(p), make_problem(problem)
+    return assemble(mesh, basis, prob, default_eta(p)), project_l2(mesh, basis, prob.initial)
+
+
+class TestFrequencyMarch:
+    # a grid operator's study marches in frequency space: one step map and one response per
+    # source mode per dt, no solve per step
+    @pytest.mark.parametrize(
+        "problem, p",
+        [("convection", 0), ("convection", 1), ("convection", 3),
+         ("convection_diffusion", 1), ("convection_diffusion", 3)],
+    )
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_march_matches_the_physical_stepper(self, problem, p, method):
+        # levels 0-3 with dt = 0.3 / 2^level, so the last step is shortened: the marched state
+        # is the physical stepper's to 1e-12 relative, above a floor of 1e-15 of the initial
+        # state (at p = 0, level 1 the state decays to 3e-4 of it, and the two differ there by
+        # 4e-16 of it, which is 1.3e-12 of the final state: each step's own rounding)
+        tableau = as_tableau(method_registry()[method])
+        for level in range(4):
+            op, w0 = grid_problem(problem, p, level)
+            dt = 0.3 / 2**level
+            n = int(1.0 / dt)
+            w = integrate(op, method_registry()[method], w0, 0.0, 1.0, dt)
+            ref, ws = w0.copy(), MdrkWorkspace(op, tableau, dt)
+            for i in range(n):
+                ref = ws.step(ref, i * dt)
+            ref = MdrkWorkspace(op, tableau, 1.0 - n * dt).step(ref, n * dt)
+            assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref) + 1e-15 * np.linalg.norm(w0), level
+
+    def test_study_makes_no_per_step_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid-operator study solved a physical step system")
+
+        monkeypatch.setattr(PreparedSystem, "solve", refuse)
+        monkeypatch.setattr(MdrkWorkspace, "step", refuse)
+        op, w0 = grid_problem("convection_diffusion", 2, 2)
+        stats = []
+        w = integrate(op, builtin_mdrk6(), w0, 0.0, 1.0, 0.3, stats_out=stats)
+        # the step map and two source modes per workspace (dt = 0.3 and the last 0.1), and
+        # one symbol check
+        assert len(stats) == 7 and all(s.converged and s.residual <= 1e-10 for s in stats)
+        assert np.all(np.isfinite(w))
+
+    @pytest.mark.parametrize("method", sorted(method_registry()))
+    def test_step_factors_are_the_stability_function(self, method):
+        # lead prod_j (z - zeta_j) / (1 - lambda_j z) is R(z), near 0 and far out in the
+        # left half-plane, and every factor is bounded there
+        tableau = as_tableau(method_registry()[method])
+        lead, zetas = tableau.step_factors
+        lam = tableau.eigen[0]
+        R = rational_function_mdrk(tableau)
+        z = np.array([-1e-3, -0.5 + 2j, -3.0, -40.0 - 7j, -1e4j, -1e5])
+        factors = [(1 if zeta is None else z - zeta) / (1 - l * z) for l, zeta in zip(lam, zetas)]
+        assert np.allclose(lead * np.prod(factors, axis=0), R(z), rtol=1e-12, atol=1e-15)
+        assert np.max(np.abs(lead * np.prod(factors, axis=0))) <= 1.0 + 1e-12
+        assert sum(zeta is not None for zeta in zetas) == len(R.num) - 1
+
+    def test_non_finite_marched_state_is_a_blow_up(self, monkeypatch):
+        # a step map that overflows the state two steps in is a BlowUpError, after its checks
+        step_map = FrequencyStep._step_map
+
+        def huge(self, S, Y=None):
+            E, worst = step_map(self, S, Y)
+            return 1e200 * E, worst
+
+        monkeypatch.setattr(FrequencyStep, "_step_map", huge)
+        op, w0 = grid_problem("convection", 1, 2)
+        stats = []
+        with pytest.raises(BlowUpError, match=r"non-finite state after the step to t = 0\.5"):
+            integrate(op, builtin_two_point_schemes()[0], w0, 0.0, 1.0, 0.25, stats_out=stats)
+        assert len(stats) == 2 and all(s.converged for s in stats)
+
+    def test_non_finite_initial_state_is_a_blow_up(self):
+        op, w0 = grid_problem("convection", 1, 1)
+        w0[3] = np.nan
+        with pytest.raises(BlowUpError, match="non-finite state entering the march"):
+            integrate(op, builtin_mdrk6(), w0, 0.0, 1.0, 0.25)
+
+    @pytest.mark.parametrize(
+        "problem, p, scale",
+        [("convection_diffusion", 2, 1.5)] + [("convection", p, 10.0) for p in (0, 1, 2, 5)],
+    )
+    def test_symbol_that_is_not_the_stencils_fails(self, problem, p, scale, monkeypatch):
+        # the march takes every step through the symbol, so it is checked against the
+        # stencil's own product on the initial state: one frequency block off, at k = (1, 1),
+        # which the initial sine product occupies, is a SolverFailure, recorded
+        symbol = StencilOperator.symbol
+
+        def perturbed(self, half=False):
+            S = symbol(self, half)
+            S[1, 1] *= scale
+            return S
+
+        monkeypatch.setattr(StencilOperator, "symbol", perturbed)
+        op, w0 = grid_problem(problem, p, 2)
+        stats = []
+        with pytest.raises(SolverFailure, match="symbol against the stencil's product") as err:
+            integrate(op, method_registry()["tp3"], w0, 0.0, 1.0, 0.25, stats_out=stats)
+        assert err.value.stats.residual > 1e-10 and stats[-1] is err.value.stats
+        assert all(s.converged for s in stats[:-1])
+
+
+class TestExplicitDerivatives:
+    # a physical step forms only the explicit derivatives w^(m) that some weight reads:
+    # tp3's a^(2) and tp5's a^(3) are zero in the explicit column, and gl6 has no explicit stage
+    @pytest.mark.parametrize(
+        "method, formed", [("tp3", 1), ("tp4", 2), ("tp5", 2), ("tp6", 3), ("mdrk6", 2), ("gl6", 0)]
+    )
+    def test_only_read_derivatives_are_formed(self, method, formed):
+        op = LinearOde(
+            [[-1.0, -2.0], [2.0, -1.0]],
+            source=lambda t: [np.sin(t), 1.0],
+            source_t=lambda t: [np.cos(t), 0.0],
+            source_tt=lambda t: [-np.sin(t), 0.0],
+        )
+        ws = MdrkWorkspace(op, as_tableau(method_registry()[method]), 0.2)
+        expected = loop_step(ws, np.array([1.0, 0.3]), 0.1, lambda t, m: op.source_vector(t, m))
+        calls, at_solve = [], []
+        matvec, solve = op.matrix.matvec, ws.prepared.solve
+        op.matrix.matvec = lambda x: calls.append(1) or matvec(x)
+        ws.prepared.solve = lambda b: at_solve.append(len(calls)) or solve(b)
+        got = ws.step(np.array([1.0, 0.3]), 0.1)
+        assert at_solve == [formed] and ws.n_explicit == formed
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)

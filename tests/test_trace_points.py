@@ -12,7 +12,10 @@ import pytest
 
 import mddg
 import mddg.sparse
-from mddg.harness import RunConfig, run_convergence
+import mddg.timeint
+from mddg.basis import make_basis
+from mddg.harness import RunConfig, make_problem, mesh_hierarchy, method_registry, run_convergence
+from mddg.operator import assemble
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -45,16 +48,21 @@ def test_every_wrap_point_is_an_own_attribute(spans):
     assert missing == []
 
 
-def test_traced_study_records_every_solver_attr(spans):
+def test_traced_physical_step_records_every_solver_attr(spans):
     # the attrs hooks read SolveStats fields and the system's nnz; a field that went
-    # missing would otherwise break only the traced bench run
+    # missing would otherwise break only the traced bench run.  A study marches in
+    # frequency space and reaches neither hook, so a physical step drives them
     tracer = spans.Tracer()
     tracer.install(mddg)
     try:
         report = run_convergence(RunConfig(problem="convection_diffusion", p=1, levels=2))
+        study = tracer.take()
+        op = assemble(mesh_hierarchy(2)[1], make_basis(1), make_problem("convection_diffusion"), 20.0)
+        mddg.timeint.MdrkWorkspace(op, method_registry()["tp4"].tableau, 0.25).step(np.ones(op.n_dof), 0.0)
     finally:
         tracer.uninstall()
     assert not report.failures
+    assert not [r for r in study if r[0] in ("sparse.solve", "sparse.prepare", "timeint.step")]
     records = tracer.take()
     for name in ("sparse.solve", "sparse.prepare"):
         attrs = [r[6] for r in records if r[0] == name]
