@@ -308,9 +308,10 @@ class PreparedSystem:
     """A linear system factored completely, ready for repeated right-hand sides.
 
     The factor is SuperLU's COLAMD-ordered LU, or the Fourier-symbol one when Z (A
-    itself or the Z of a ``KroneckerSystem``) is a ``StencilOperator``; an exactly singular factor raises SolverFailure.  A solve takes its
-    residual against A itself, refines once when that is above ``REFINE_ABOVE``, and
-    raises SolverFailure when it misses ``RESIDUAL_RTOL``.
+    itself or the Z of a ``KroneckerSystem``) is a ``StencilOperator``; an exactly
+    singular factor raises SolverFailure.  A solve takes its residual against A itself,
+    refines once when that is above ``REFINE_ABOVE``, and raises SolverFailure when it
+    misses ``RESIDUAL_RTOL``.
     """
 
     def __init__(self, A):

@@ -22,8 +22,9 @@ from conftest import applied, run_fresh
 
 
 def physical_workspace(op, method, dt):
-    """The ``MdrkWorkspace`` of ``method``: the physical block system that ``make_workspace``
-    no longer builds for a grid operator, which it marches in frequency space."""
+    """The ``MdrkWorkspace`` of ``method``: the physical block system, which ``make_workspace``
+    builds only for an operator without a grid (it marches a grid operator in frequency
+    space)."""
     return MdrkWorkspace(op, as_tableau(method), dt)
 
 
