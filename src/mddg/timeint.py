@@ -112,8 +112,10 @@ class MdrkTableau:
         det(I - z C) is R's denominator, so its poles are the 1 / lambda_j; the zeta_j are
         the roots of R's numerator (``stability.rational_function_mdrk``) and lead its
         leading coefficient.  Each zero is paired with the pole nearest its mirror image
-        -conj(zeta), which keeps every factor bounded on Re z <= 0; a pole left over is a
-        factor (1 - lambda_j z)^-1 alone, its zeta_j None.
+        -conj(zeta), so each factor's modulus on the imaginary axis stays near 1 / |lambda_j|
+        (equal to it for an exact mirror pair) and no partial product of E grows or decays
+        far from E itself; a pole left over is a factor (1 - lambda_j z)^-1 alone, its
+        zeta_j None.
         """
         from mddg.stability import rational_function_mdrk  # stability imports this module
 
