@@ -16,6 +16,8 @@ import pytest
 from hypothesis import strategies as st
 
 import mddg
+import mddg.sparse
+import mddg.timeint
 from mddg.harness import PROBLEMS, SOLVER_KINDS, RunConfig, method_registry
 from mddg.sparse import CsrMatrix
 
@@ -66,6 +68,18 @@ class LinearOde:
         if fn is None:
             return np.zeros(self.matrix.shape[0])
         return np.atleast_1d(np.asarray(fn(t), dtype=float))
+
+
+@pytest.fixture
+def no_physical_solves(monkeypatch):
+    """Fail the test on any ``PreparedSystem.solve`` or ``MdrkWorkspace.step``: a grid
+    operator's study marches in frequency space and solves no step system."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid-operator study solved a physical step system")
+
+    monkeypatch.setattr(mddg.sparse.PreparedSystem, "solve", refuse)
+    monkeypatch.setattr(mddg.timeint.MdrkWorkspace, "step", refuse)
 
 
 @pytest.fixture

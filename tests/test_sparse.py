@@ -355,18 +355,9 @@ class TestWorkspaceFactor:
     # a study level marches in frequency space (``FrequencyStep``): its per-dt checks, not a
     # solve per step, are held to the residual contract; a physical workspace factors each
     # stored block of its system once, completely, through the Fourier symbol
-    @staticmethod
-    def refuse_per_step_solves(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a grid-operator study solved a physical step system")
-
-        monkeypatch.setattr(PreparedSystem, "solve", refuse)
-        monkeypatch.setattr(MdrkWorkspace, "step", refuse)
-
-    def test_convection_integrate_records_the_per_dt_checks(self, monkeypatch):
+    def test_convection_integrate_records_the_per_dt_checks(self, no_physical_solves):
         # 16 convection steps of one dt make no solve: the step map's resolvents and the
         # symbol's product against the stencil's are checked once, held to the contract
-        self.refuse_per_step_solves(monkeypatch)
         prob = make_problem("convection")
         mesh, basis = mesh_hierarchy(3)[2], make_basis(2)
         op = assemble(mesh, basis, prob, default_eta(2))
@@ -408,13 +399,12 @@ class TestWorkspaceFactor:
     )
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_integrate_with_a_shortened_step_records_each_workspaces_checks(
-        self, problem, p, method, monkeypatch
+        self, problem, p, method, no_physical_solves
     ):
         # three steps of dt = 0.3 by one workspace and the last one of 0.1 by its own, with no
         # solve: each workspace's step map and source-mode responses (two modes for
         # convection-diffusion, none for convection) are checked once, the symbol once on the
         # initial state, all held to the contract, and every check recorded
-        self.refuse_per_step_solves(monkeypatch)
         prob = make_problem(problem)
         mesh, basis = mesh_hierarchy(2)[1], make_basis(p)
         op = assemble(mesh, basis, prob, default_eta(p))
