@@ -580,7 +580,8 @@ def grid_problem(problem, p, level):
 
 class TestFrequencyMarch:
     # a grid operator's study marches in frequency space: one step map and one response per
-    # source mode per dt, no solve per step
+    # source mode per dt, no solve per step (convection-diffusion starts at p = 1, as
+    # interior-penalty diffusion needs)
     @pytest.mark.parametrize(
         "problem, p",
         [("convection", 0), ("convection", 1), ("convection", 3),
