@@ -2,8 +2,8 @@
 
 Every DG operator is a ``StencilOperator``: on the periodic grid with
 constant coefficients it is block circulant, so it is kept as its few
-stencil blocks, applied on the grid, and split by a 2-D FFT over the cells
-into one dense block per frequency (``symbol``).  A study level marches in
+stencil blocks, applied on the grid, and split by a 2-D real FFT over the
+cells into one dense block per frequency of the half spectrum (``symbol``).  A study level marches in
 frequency space (``timeint.FrequencyStep``), solving its block systems
 I - C (x) Z(k) frequency by frequency through C's eigenvectors
 (``coupling_eigen``) and one resolvent per eigenvalue, so no study tiles
@@ -20,8 +20,8 @@ eigenvectors (``BlockFactors``; Butcher, *On the implementation of implicit
 Runge-Kutta methods*, BIT 16, 1976).  A ``PreparedSystem`` builds that
 complete factor once and solves with it, refined once when the residual is
 above ``REFINE_ABOVE``: SuperLU's complete LU, its columns ordered by
-COLAMD, or the inverse symbol when Z is a stencil (a physical step on a
-grid operator, which only tests take).  ``scipy.sparse.linalg`` (which
+COLAMD, of each block's CSR (a stencil Z, as a physical step on a grid
+operator has, is tiled over its grid first).  ``scipy.sparse.linalg`` (which
 loads ``scipy.linalg``) is imported by the first SuperLU factor.  Every
 solve is held to ``RESIDUAL_RTOL`` against A itself.  The paper's GMRES
 with an ILU(2) preconditioner has no counterpart here.
@@ -142,18 +142,16 @@ class StencilOperator:
             out += shifted @ KT
         return y[:, : len(y)].flatten()
 
-    def symbol(self, half=False):
-        """S(k) = sum_d K_d exp(2 pi i k.d / N), (N, N, 2 nm, 2 nm): N^2 times the ``ifft2``
-        of the K_d summed by d mod N (Davis, *Circulant Matrices*, 1979; Hemker, Hoffmann
-        and van Raalte, SISC 25, 2003).  With ``half`` only the frequencies of ``rfft2``'s
-        half spectrum, (N, N // 2 + 1, 2 nm, 2 nm): the K_d are real, so S is the conjugate
-        of their ``rfft2``."""
+    def symbol(self):
+        """S(k) = sum_d K_d exp(2 pi i k.d / N) at the frequencies of ``rfft2``'s half
+        spectrum, (N, N // 2 + 1, 2 nm, 2 nm), with the K_d summed by d mod N (Davis,
+        *Circulant Matrices*, 1979; Hemker, Hoffmann and van Raalte, SISC 25, 2003).  The
+        K_d are real, so S is the conjugate of their ``rfft2`` and S(-k) = conj(S(k)) gives
+        the other half."""
         N, nb, d = self.N, self.K.shape[-1], np.arange(-1, 2) % self.N
         K = np.zeros((N, N, nb, nb))
         np.add.at(K, (d[:, None], d[None, :]), self.K)
-        if half:
-            return np.fft.rfft2(K, axes=(0, 1)).conj()
-        return N * N * np.fft.ifft2(K, axes=(0, 1))
+        return np.fft.rfft2(K, axes=(0, 1)).conj()
 
     def tocsr(self):
         """The ``CsrMatrix`` of the stencil tiled over the grid, cell by cell."""
@@ -239,30 +237,12 @@ def _sparse_block(A, lam):
     return scipy.sparse.csc_matrix(B)
 
 
-class FourierFactor:
-    """inv(I - lambda S(k)) of the block I - lambda Z (inv(S(k)) for lambda None), S = Z.symbol().
-
-    A solve reshapes w to the (N, N, 2 nm) grid, runs ``fft2`` over the cells, multiplies each
-    frequency by its inverse and transforms back; a real vector, as a real lambda's block gets,
-    comes back real.
-    """
-
-    def __init__(self, S, lam):
-        self.inverse = np.linalg.inv(S if lam is None else np.eye(S.shape[-1]) - lam * S)
-
-    def solve(self, w):
-        N, _, nb, _ = self.inverse.shape
-        X = np.fft.fft2(w.reshape(N, N, nb), axes=(0, 1))
-        Y = np.fft.ifft2((self.inverse @ X[..., None])[..., 0], axes=(0, 1))
-        return (Y.real if np.isrealobj(w) else Y).ravel()
-
-
 class BlockFactors:
     """Factors of A = I - C (x) Z stored per block (see ``_decouple``).
 
     ``factor`` turns one eigenvalue lambda into an object with a ``solve``
-    method for the block I - lambda Z (SuperLU's factor of ``_sparse_block``
-    or a ``FourierFactor``); ``solve`` maps b through the V^-1 rows of the
+    method for the block I - lambda Z (SuperLU's factor of ``_sparse_block``);
+    ``solve`` maps b through the V^-1 rows of the
     stored blocks, solves each and maps back with V into one real array.
     For a plain matrix it is the one factor's own solve.
     """
@@ -307,9 +287,8 @@ class SolveStats:
 class PreparedSystem:
     """A linear system factored completely, ready for repeated right-hand sides.
 
-    The factor is SuperLU's COLAMD-ordered LU, or the Fourier-symbol one when Z (A
-    itself or the Z of a ``KroneckerSystem``) is a ``StencilOperator``; an exactly
-    singular factor raises SolverFailure.  A solve takes its residual against A itself,
+    The factor is SuperLU's COLAMD-ordered LU of each block; an exactly singular factor
+    raises SolverFailure.  A solve takes its residual against A itself,
     refines once when that is above ``REFINE_ABOVE``, and raises SolverFailure when it
     misses ``RESIDUAL_RTOL``.
     """
@@ -317,18 +296,13 @@ class PreparedSystem:
     def __init__(self, A):
         self.A = A
         self.history = []
-        Z = A.Z if isinstance(A, KroneckerSystem) else A
-        try:
-            if isinstance(Z, StencilOperator):
-                S = Z.symbol()
-                self.factor = BlockFactors(A, lambda lam: FourierFactor(S, lam))
-            else:
-                import scipy.sparse.linalg
+        import scipy.sparse.linalg
 
-                self.factor = BlockFactors(
-                    A, lambda lam: scipy.sparse.linalg.splu(_sparse_block(A, lam), permc_spec="COLAMD")
-                )
-        except (RuntimeError, np.linalg.LinAlgError) as exc:  # an exactly singular factor
+        try:
+            self.factor = BlockFactors(
+                A, lambda lam: scipy.sparse.linalg.splu(_sparse_block(A, lam), permc_spec="COLAMD")
+            )
+        except RuntimeError as exc:  # an exactly singular factor
             raise SolverFailure(f"direct LU failed: {exc}") from exc
 
     def solve(self, b):

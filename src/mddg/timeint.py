@@ -51,7 +51,6 @@ from mddg.sparse import (
 )
 
 _STEP_TOL = 1e-12  # relative tolerance for "lands exactly on t_end"
-SPECTRAL_CHUNK = 2**17  # complex entries per block array of one frequency chunk of a FrequencyStep
 MATMUL_MIN_BLOCK = 4  # narrowest frequency block a FrequencyStep applies by batched matmul
 
 
@@ -434,14 +433,15 @@ class FrequencyStep(_StepCoefficients):
     is the step itself taken from w = 0: its right-hand side from the source columns, its
     block system (I - C (x) Z) X = rhs solved through C's eigenvectors (``tableau.eigen``) and
     the same resolvents, then read out by the stiffly accurate last
-    stage or the update weights.  The frequencies are taken in chunks of at most
-    ``SPECTRAL_CHUNK`` complex entries per block array.
+    stage or the update weights.
 
     ``history`` holds one ``SolveStats`` for E, the largest relative residual over the
     frequencies of the resolvents' equations, each against its block I - lambda_j Z, and one
     per source mode, the largest of its block systems', taken against I - dt C (x) S(k)
     itself; ``forward`` adds the check that the symbol's product equals the stencil's on the
-    state it transforms.  Each is held to ``RESIDUAL_RTOL``: a miss is a SolverFailure.
+    state it transforms and on every source column, so a wrong symbol is caught at any
+    frequency that the state or a source occupies.  Each is held to ``RESIDUAL_RTOL``: a miss,
+    NaN included, is a SolverFailure.
     """
 
     def __init__(self, op, tableau: MdrkTableau, dt: float):
@@ -449,34 +449,26 @@ class FrequencyStep(_StepCoefficients):
         self.stencil = stencil = op.stencil
         N, nb = stencil.N, stencil.K.shape[-1]
         self.grid = (N, N, nb)
-        self.symbol = S = stencil.symbol(half=True).reshape(-1, nb, nb)
+        self.symbol = S = stencil.symbol().reshape(-1, nb, nb)
         self.history = []
         # per source mode (mu, P), the columns Re(e^(mu s) P) and Im(e^(mu s) P), whose
-        # b^(m)(s) is Re(kappa) X - Im(kappa) Y with kappa = mu^m e^(mu s)
-        spectra = [(self.transform(P.real), self.transform(P.imag)) for _, P in op.source_modes]
+        # b^(m)(s) is Re(kappa) X - Im(kappa) Y with kappa = mu^m e^(mu s); each column is kept
+        # with its spectrum for ``forward``'s check of the symbol
+        self.sources = [(v, self.transform(v)) for _, P in op.source_modes for v in (P.real, P.imag)]
         mu = np.repeat([rate for rate, _ in op.source_modes], 2).astype(complex)
-        if spectra:
-            X = np.stack([v for re, im in spectra for v in (re, im)], axis=-1)
-            Y = np.stack([v for re, im in spectra for v in (im, -re)], axis=-1)
-        self.E = np.empty(S.shape, dtype=complex)
-        G = np.empty((len(S), nb, len(mu)), dtype=complex)
-        worst = np.zeros(1 + len(spectra))  # E's, then each mode's
-        width = max(nb, len(self.implicit) * tableau.n_derivatives * len(mu))
-        most = max(1, SPECTRAL_CHUNK // (nb * width))
-        chunk = -(-len(S) // -(-len(S) // most))  # the fewest chunks of at most ``most``, evened out
-        for f in range(0, len(S), chunk):
-            k = slice(f, f + chunk)
-            if spectra:
-                self.E[k], G[k], rel = self._respond(S[k], mu, X[k], Y[k])
-            else:
-                self.E[k], rel = self._step_map(S[k])
-            worst = np.maximum(worst, rel)
-        self.responses = [(mu[2 * q], G[..., 2 * q], G[..., 2 * q + 1]) for q in range(len(spectra))]
+        if self.sources:
+            X = np.stack([x for _, x in self.sources], axis=-1)
+            Y = (X.reshape(*X.shape[:-1], -1, 2)[..., ::-1] * [1, -1]).reshape(X.shape)  # (Im, -Re)
+            self.E, G, residuals = self._respond(S, mu, X, Y)
+        else:
+            self.E, residual = self._step_map(S)
+            residuals = [residual]
+        self.responses = [(mu[q], G[..., q], G[..., q + 1]) for q in range(0, len(mu), 2)]
         # a batched matmul costs about as much per frequency as a narrow block's whole
         # product, so blocks narrower than MATMUL_MIN_BLOCK are applied column by column
         self.columns = np.ascontiguousarray(self.E.transpose(2, 0, 1)) if nb < MATMUL_MIN_BLOCK else None
-        self._check(worst[0], "step map resolvent")
-        for rel in worst[1:]:
+        self._check(residuals[0], "step map resolvent")
+        for rel in residuals[1:]:
             self._check(rel, "source response block solve")
 
     def transform(self, v):
@@ -510,7 +502,7 @@ class FrequencyStep(_StepCoefficients):
             check = block @ inverse
             del block
             check[diagonal] -= 1.0
-            worst = max(worst, np.sqrt(_squares(check).max() / nb))
+            worst = np.maximum(worst, np.sqrt(_squares(check).max() / nb))  # a NaN stays NaN
             del check
             if Y is not None:
                 Y[:, j] = inverse @ Y[:, j]
@@ -548,8 +540,8 @@ class FrequencyStep(_StepCoefficients):
         residual = rhs - x + np.einsum("ab,fbnr->fanr", dt * tab.coupling, S[:, None] @ x)
         pairs = np.arange(0, len(mu), 2)  # each mode's two columns
         res2, rhs2 = (np.add.reduceat(_squares(v.swapaxes(1, 3)), pairs, axis=1) for v in (residual, rhs))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero column has a zero residual
-            rel = np.nan_to_num(np.sqrt(res2 / rhs2), nan=0.0, posinf=np.inf).max(axis=0)
+        # a zero column's residual is 0 when it is solved exactly and inf otherwise; a NaN stays NaN
+        rel = np.sqrt(np.divide(res2, rhs2, out=np.where(res2 > 0, np.inf, res2), where=rhs2 > 0)).max(axis=0)
         x = x.reshape(src.shape)
         if self.stiffly_accurate:
             return E, x[:, -1, 0], np.r_[worst, rel]
@@ -564,15 +556,21 @@ class FrequencyStep(_StepCoefficients):
         return E, out, np.r_[worst, rel]
 
     def forward(self, w):
-        """The half spectrum of the real state w, after checking on it that the symbol's
-        product equals the stencil's, relative to max_k ||S(k)||_F ||w(k)||."""
+        """The half spectrum of the real state w, after checking that the symbol's product
+        equals the stencil's on w and on every source column, each relative to
+        max_k ||S(k)||_F ||v(k)||: the largest of these is one check."""
         w = np.asarray(w, dtype=float)
         if not np.all(np.isfinite(w)):
             raise BlowUpError("non-finite state entering the march")
         x = self.transform(w)
-        r = np.linalg.norm(self.transform(self.stencil.matvec(w)) - (self.symbol @ x[..., None])[..., 0])
-        scale = np.sqrt(_squares(self.symbol).max()) * np.linalg.norm(x)
-        self._check(r / scale if scale > 0 else (np.inf if r else 0.0), "symbol against the stencil's product")
+        norm = np.sqrt(_squares(self.symbol).max())
+        worst = 0.0
+        for v, spectrum in [(w, x), *self.sources]:
+            product = (self.symbol @ spectrum[..., None])[..., 0]
+            r = np.linalg.norm(self.transform(self.stencil.matvec(v)) - product)
+            scale = norm * np.linalg.norm(spectrum)
+            worst = np.maximum(worst, r / scale if scale > 0 else (np.inf if r else 0.0))
+        self._check(worst, "symbol against the stencil's product")
         return x
 
     def backward(self, x):
@@ -643,7 +641,8 @@ def integrate(
     shortened step; a grid operator's state is transformed once, marched in frequency
     space and transformed back.  A non-finite state aborts with BlowUpError.  Each
     workspace's ``SolveStats`` (a physical workspace's one per step, a
-    ``FrequencyStep``'s per-dt checks) are appended to ``stats_out`` when given.
+    ``FrequencyStep``'s per-dt checks) are appended to ``stats_out`` when given, and so
+    is the failed check of a workspace that a SolverFailure stopped being built.
     """
     _check_times(dt, t0, t_end)
     if t_end < t0:
@@ -658,13 +657,17 @@ def integrate(
     remainder = span - n_full * dt
     if n_full and remainder <= _STEP_TOL * dt:  # never drop the only step
         remainder = 0.0
-    workspaces = []
+    workspaces, refused = [], []
     try:
         t, x = t0, None
         for h, count in ((dt, n_full), (remainder, int(remainder > 0))):
             if not count:
                 continue
-            ws = make_workspace(op, method, h)
+            try:
+                ws = make_workspace(op, method, h)
+            except SolverFailure as exc:  # a workspace that fails its own checks is never built
+                refused = [exc.stats] if exc.stats is not None else []
+                raise
             workspaces.append(ws)
             x = ws.forward(w) if x is None else x
             with np.errstate(over="ignore", invalid="ignore"):  # reported as a blow-up below
@@ -678,4 +681,5 @@ def integrate(
         if stats_out is not None:
             for ws in workspaces:
                 stats_out.extend(ws.history)
+            stats_out.extend(refused)
     return w

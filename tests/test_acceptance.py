@@ -273,7 +273,8 @@ def test_criterion_6_coercivity():
 def test_criterion_6_exact_dissipativity_certificate():
     # the exact form of criterion 6: the DFT over the grid cells is unitary up to a
     # factor N, so A + A^T <= 0 in the orthonormal modal basis exactly when every
-    # Fourier symbol block has (S(k) + S(k)^H) / 2 <= 0, and ||A||_2 = max_k ||S(k)||_2.
+    # Fourier symbol block has (S(k) + S(k)^H) / 2 <= 0, and ||A||_2 = max_k ||S(k)||_2
+    # (the half spectrum holds every block up to conjugation, as S(-k) = conj(S(k))).
     # Then ||R(dt A)||_2 <= 1 for every A-stable R and every dt (von Neumann's
     # inequality; Hairer and Wanner, Solving ODEs II, IV.11)
     t0 = time.perf_counter()

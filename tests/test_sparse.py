@@ -10,7 +10,6 @@ from mddg.sparse import (
     COUPLING_COND_MAX,
     BlockFactors,
     CsrMatrix,
-    FourierFactor,
     KroneckerSystem,
     PreparedSystem,
     SolverFailure,
@@ -222,11 +221,6 @@ def record_lu_shapes(monkeypatch, record=lambda A, kwargs: A.shape):
     return shapes
 
 
-def through_symbol(prepared):
-    """Whether every block of ``prepared``'s complete factor is a ``FourierFactor``."""
-    return all(isinstance(f, FourierFactor) for _, f, _ in prepared.factor.factors)
-
-
 class TestDecoupledDirect:
     # a block system I - C (x) Z is factored as one n x n LU per real eigenvalue
     # and per conjugate pair of C, never as one sMn x sMn LU
@@ -240,9 +234,9 @@ class TestDecoupledDirect:
     )
     @pytest.mark.parametrize("method", sorted(method_registry()))
     def test_workspace_solve_matches_dense(self, problem, p, method, monkeypatch):
-        # a physical workspace solves through the Fourier symbol at every p, p = 0 included,
-        # with no SuperLU call; SuperLU factors the same system, on the stencil's CSR, block
-        # by block
+        # a physical workspace on the stencil factors its blocks by SuperLU on the tiled CSR,
+        # p = 0 included, and so does the same system with the CSR as its Z; the first takes
+        # its residual against the stencil's product, the second against the CSR's
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = physical_workspace(op, method_registry()[method], 0.25)
@@ -252,15 +246,14 @@ class TestDecoupledDirect:
         n = op.n_dof
         lam = np.linalg.eigvals(as_tableau(method_registry()[method]).coupling)
         blocks = [(n, n)] * int(np.sum(lam.imag >= 0))
-        assert shapes == []
-        assert through_symbol(ws.prepared)
+        assert shapes == blocks
         csr_system = KroneckerSystem(ws.system.C, ws.system.Z.tocsr())
         for prepared in (ws.prepared, PreparedSystem(csr_system)):
             x, stats = prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
-        assert shapes == blocks
+        assert shapes == blocks * 2
 
     @pytest.mark.parametrize(
         "C",
@@ -354,7 +347,7 @@ class TestBlockFactors:
 class TestWorkspaceFactor:
     # a study level marches in frequency space (``FrequencyStep``): its per-dt checks, not a
     # solve per step, are held to the residual contract; a physical workspace factors each
-    # stored block of its system once, completely, through the Fourier symbol
+    # stored block of its system once, completely, by SuperLU
     def test_convection_integrate_records_the_per_dt_checks(self, no_physical_solves):
         # 16 convection steps of one dt make no solve: the step map's resolvents and the
         # symbol's product against the stencil's are checked once, held to the contract
@@ -371,8 +364,8 @@ class TestWorkspaceFactor:
     @staticmethod
     def check_solves_directly(problem, monkeypatch, p=2):
         """A physical mdrk6 workspace on ``problem`` at degree ``p`` factors each stored block
-        completely, once, through the Fourier symbol (no SuperLU, p = 0 included), and solves
-        every right-hand side by those factors to a residual <= 1e-12."""
+        completely, once, by SuperLU (p = 0 included), and solves every right-hand side by
+        those factors to a residual <= 1e-12."""
         shapes = record_lu_shapes(monkeypatch)
         op = assemble(mesh_hierarchy(3)[2], make_basis(p), make_problem(problem), 20.0)
         ws = physical_workspace(op, method_registry()["mdrk6"], 0.25)
@@ -382,8 +375,8 @@ class TestWorkspaceFactor:
             x, stats = ws.prepared.solve(b)
             assert stats.converged and stats.residual <= 1e-12
             assert np.linalg.norm(b - ws.system.matvec(x)) <= 1e-12 * np.linalg.norm(b)
-        assert shapes == []
-        assert through_symbol(ws.prepared)
+        lam = np.linalg.eigvals(ws.tableau.coupling)
+        assert shapes == [(op.n_dof, op.n_dof)] * int(np.sum(lam.imag >= 0))
 
     def test_convection_workspace_solves_directly(self, monkeypatch):
         self.check_solves_directly("convection", monkeypatch)
@@ -432,22 +425,16 @@ class TestWorkspaceFactor:
             make_workspace(op, method_registry()["tp5"], 0.25)
         assert calls == []
 
-    def test_singular_symbol_is_a_solver_failure(self, monkeypatch):
-        # the symbol's inverse is a physical workspace's solve itself: a singular frequency
-        # block fails the workspace, and SuperLU is never asked
-        calls = record_lu_shapes(monkeypatch)
+    def test_singular_block_factor_is_a_solver_failure(self, monkeypatch):
+        # a physical workspace on a grid operator factors its blocks by SuperLU: an exactly
+        # singular block fails the workspace when it is built
+        def singular(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection"), 20.0)
-        inv = np.linalg.inv
-
-        def singular(M):
-            if M.ndim == 4:  # the frequency blocks, not C's eigenvector matrix
-                raise np.linalg.LinAlgError("Singular matrix")
-            return inv(M)
-
-        monkeypatch.setattr(np.linalg, "inv", singular)
-        with pytest.raises(SolverFailure, match="direct LU failed: Singular matrix"):
+        with pytest.raises(SolverFailure, match="^direct LU failed: Factor is exactly singular$"):
             physical_workspace(op, method_registry()["tp3"], 0.25)
-        assert calls == []
 
 
 def record_orderings(monkeypatch):
@@ -461,17 +448,17 @@ class TestOrdering:
     @pytest.mark.parametrize("problem, permc", [("convection", "COLAMD")])
     @pytest.mark.parametrize("route", ["workspace", "csr_system"])
     def test_ordering_follows_pattern(self, problem, permc, route, monkeypatch):
-        # a system prepared on the CSR of a p = 0 ("workspace") or a p = 2 stencil gets it;
-        # the physical workspace on the stencil itself goes through the symbol at both
+        # the physical workspace on a p = 0 ("workspace") or a p = 2 stencil gets it, and so
+        # does a system prepared on the stencil's CSR
         specs = record_orderings(monkeypatch)
         p = 0 if route == "workspace" else 2
         op = assemble(mesh_hierarchy(2)[1], make_basis(p), make_problem(problem), default_eta(p))
         ws = physical_workspace(op, method_registry()["mdrk6"], 0.25)
-        assert specs == [] and through_symbol(ws.prepared)
+        assert specs == [permc] * 2  # mdrk6 stores two complex blocks, one per conjugate pair
         prepared = PreparedSystem(KroneckerSystem(ws.system.C, op.matrix.tocsr()))
         x, stats = prepared.solve(np.random.default_rng(33).normal(size=ws.system.shape[0]))
         assert stats.converged and stats.residual <= 1e-12
-        assert specs == [permc] * 2  # mdrk6 stores one real and one complex block
+        assert specs == [permc] * 4
 
     def test_plain_matrix_ordering(self, monkeypatch):
         specs = record_orderings(monkeypatch)
@@ -482,79 +469,29 @@ class TestOrdering:
 
 
 class TestFourierSymbol:
-    # a p >= 1 workspace solves each block I - lambda Z through Z's Fourier symbol
+    # the march takes every step through the stencil's symbol on the rfft2 half spectrum
     @pytest.mark.parametrize(
         "problem, degrees", [("convection", range(0, 6)), ("convection_diffusion", range(1, 6))]
     )
     def test_symbol_product_matches_matvec(self, problem, degrees):
-        # the FFT product reproduces the operator's own one (the CSR at p = 0) on grids of
-        # N = 1 to 32 cells
+        # the half-spectrum product reproduces the stencil's own one on grids of N = 1 to 32
+        # cells
         rng = np.random.default_rng(34)
         for p in degrees:
             for level, mesh in enumerate(mesh_hierarchy(6)):
                 op = assemble(mesh, make_basis(p), make_problem(problem), default_eta(p))
                 S = op.stencil.symbol()
                 N = 2**level
+                assert S.shape[:2] == (N, N // 2 + 1)
                 x = rng.normal(size=op.n_dof)
-                X = np.fft.fft2(x.reshape(N, N, -1), axes=(0, 1))
-                y = np.fft.ifft2((S @ X[..., None])[..., 0], axes=(0, 1)).ravel()
+                X = np.fft.rfft2(x.reshape(N, N, -1), axes=(0, 1))
+                y = np.fft.irfft2((S @ X[..., None])[..., 0], s=(N, N), axes=(0, 1)).ravel()
                 expected = op.matrix.matvec(x)
-                assert np.abs(y.imag).max() <= 1e-13 * np.linalg.norm(expected), (p, level)
-                assert np.linalg.norm(y.real - expected) <= 1e-13 * np.linalg.norm(expected), (
-                    p, level,
-                )
+                assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected), (p, level)
 
-    @pytest.mark.parametrize("level", range(3))
-    @pytest.mark.parametrize(
-        "problem, p",
-        [("convection", p) for p in range(1, 6)] + [("convection_diffusion", p) for p in range(1, 6)],
-    )
-    def test_factor_inverts_its_block(self, problem, p, level):
-        # FourierFactor(S, lambda) solves I - lambda Z for a real lambda (a real vector comes
-        # back real) and a complex one, on grids of N = 1, 2 and 4 cells, the first two with
-        # stencil offsets equal mod N
-        mesh = mesh_hierarchy(3)[level]
-        Z = assemble(mesh, make_basis(p), make_problem(problem), default_eta(p)).matrix
-        S, D = Z.symbol(), Z.tocsr().toarray()
-        w = np.random.default_rng(38).normal(size=len(D))
-        for lam, b in ((0.25, w), (0.1 + 0.2j, w + 1j * w[::-1])):
-            y = FourierFactor(S, lam).solve(b)
-            assert y.dtype == (np.float64 if np.isrealobj(b) else np.complex128)
-            B = np.eye(len(D)) - lam * D
-            assert np.linalg.norm(B @ y - b) <= 1e-13 * np.linalg.norm(b)
-            x = np.linalg.solve(B, b)
-            assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
-
-    @staticmethod
-    def count_symbol_solves(monkeypatch, first_error=0.0):
-        """Count ``FourierFactor.solve`` calls; the first result is scaled by 1 + first_error."""
-        calls = []
-        solve = FourierFactor.solve
-
-        def counting(self, w):
-            calls.append(w)
-            y = solve(self, w)
-            return y * (1.0 + first_error) if len(calls) == 1 else y
-
-        monkeypatch.setattr(FourierFactor, "solve", counting)
-        return calls
-
-    @pytest.mark.parametrize("first_error", [0.0, 1e-8], ids=["accurate", "inaccurate"])
-    def test_symbol_solve_is_refined_only_when_inaccurate(self, first_error, monkeypatch):
-        # one block solve per stored block (tp5: one real eigenvalue and one pair), and one
-        # more round when the first residual is above REFINE_ABOVE
-        op = assemble(mesh_hierarchy(2)[1], make_basis(2), make_problem("convection_diffusion"), 20.0)
-        ws = physical_workspace(op, method_registry()["tp5"], 0.25)
-        K = assembled_system(ws)
-        calls = self.count_symbol_solves(monkeypatch, first_error)
-        b = np.random.default_rng(39).normal(size=K.shape[0])
-        x, stats = ws.prepared.solve(b)
-        assert len(calls) == 2 * (2 if first_error else 1)
-        assert stats.converged and stats.residual <= 1e-12
-        assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
-
-    def test_plain_matrix_solved_through_its_symbol(self, monkeypatch):
-        # a plain stencil is one block: its own symbol is inverted, not I - lambda S
+    def test_plain_stencil_is_one_lu_of_its_csr(self, monkeypatch):
+        # a plain stencil is one block: SuperLU factors its tiled CSR, not I - lambda S, and
+        # the residual is taken against the stencil's own product
         lus = record_lu_shapes(monkeypatch)
         mesh = mesh_hierarchy(3)[2]
         Z = assemble(mesh, make_basis(1), make_problem("convection_diffusion"), default_eta(1)).matrix
@@ -566,48 +503,10 @@ class TestFourierSymbol:
         prepared = PreparedSystem(B)
         b = np.random.default_rng(36).normal(size=Z.shape[0])
         x, stats = prepared.solve(b)
-        assert stats.converged and stats.residual <= 1e-12 and lus == []
+        assert stats.converged and stats.residual <= 1e-12 and lus == [Z.shape]
         dense = np.eye(Z.shape[0]) - 0.25 * Z.tocsr().toarray()
         assert np.array_equal(B.tocsr().toarray(), dense)
         assert np.linalg.norm(x - np.linalg.solve(dense, b)) <= 1e-12 * np.linalg.norm(x)
-
-    @staticmethod
-    def wrong_symbol(monkeypatch, scale):
-        """Make every symbol one frequency block off: the k = (0, 1) block times ``scale``."""
-        symbol = StencilOperator.symbol
-
-        def perturbed(self, half=False):
-            S = symbol(self, half)
-            S[0, 1] *= scale
-            return S
-
-        monkeypatch.setattr(StencilOperator, "symbol", perturbed)
-
-    def test_symbol_that_is_not_the_operators_fails(self, monkeypatch):
-        # the residual is taken against the stencil's own product, not through the symbol,
-        # so a workspace factor from a wrong symbol must be refused
-        self.wrong_symbol(monkeypatch, 1.5)
-        mesh = mesh_hierarchy(3)[2]
-        op = assemble(mesh, make_basis(2), make_problem("convection_diffusion"), default_eta(2))
-        ws = physical_workspace(op, method_registry()["tp3"], 0.25)
-        assert through_symbol(ws.prepared)
-        b = np.random.default_rng(35).normal(size=ws.system.shape[0])
-        with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
-            ws.prepared.solve(b)
-        assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
-
-    @pytest.mark.parametrize("p", [1, 2, 5])
-    def test_convection_symbol_that_is_not_the_operators_fails(self, p, monkeypatch):
-        # the same guard on a convection workspace, which takes the symbol from p = 1 on
-        self.wrong_symbol(monkeypatch, 10.0)
-        mesh = mesh_hierarchy(3)[2]
-        op = assemble(mesh, make_basis(p), make_problem("convection"), default_eta(p))
-        ws = physical_workspace(op, method_registry()["tp3"], 0.25)
-        assert through_symbol(ws.prepared)
-        b = np.random.default_rng(37).normal(size=ws.system.shape[0])
-        with pytest.raises(SolverFailure, match="direct solve did not converge") as err:
-            ws.prepared.solve(b)
-        assert err.value.stats.residual > 1e-10 and ws.prepared.history == [err.value.stats]
 
 
 SUPERLU_MODULES = ("scipy.sparse.linalg", "scipy.linalg")

@@ -578,6 +578,19 @@ def grid_problem(problem, p, level):
     return assemble(mesh, basis, prob, default_eta(p)), project_l2(mesh, basis, prob.initial)
 
 
+def perturb_symbol(monkeypatch, scale):
+    """Make every symbol one frequency block off: the k = (1, 1) block times ``scale``, which
+    the initial state and the convection-diffusion sources occupy."""
+    symbol = StencilOperator.symbol
+
+    def perturbed(self):
+        S = symbol(self)
+        S[1, 1] *= scale
+        return S
+
+    monkeypatch.setattr(StencilOperator, "symbol", perturbed)
+
+
 class TestFrequencyMarch:
     # a grid operator's study marches in frequency space: one step map and one response per
     # source mode per dt, no solve per step (convection-diffusion starts at p = 1, as
@@ -663,20 +676,53 @@ class TestFrequencyMarch:
         # the march takes every step through the symbol, so it is checked against the
         # stencil's own product on the initial state: one frequency block off, at k = (1, 1),
         # which the initial sine product occupies, is a SolverFailure, recorded
-        symbol = StencilOperator.symbol
-
-        def perturbed(self, half=False):
-            S = symbol(self, half)
-            S[1, 1] *= scale
-            return S
-
-        monkeypatch.setattr(StencilOperator, "symbol", perturbed)
+        perturb_symbol(monkeypatch, scale)
         op, w0 = grid_problem(problem, p, 2)
         stats = []
         with pytest.raises(SolverFailure, match="symbol against the stencil's product") as err:
             integrate(op, method_registry()["tp3"], w0, 0.0, 1.0, 0.25, stats_out=stats)
         assert err.value.stats.residual > 1e-10 and stats[-1] is err.value.stats
         assert all(s.converged for s in stats[:-1])
+
+    def test_symbol_is_checked_on_the_source_columns(self, monkeypatch):
+        # from w0 = 0 the sources alone drive the state, and the responses' residuals are
+        # taken through the symbol, so the symbol's check on the source columns is what
+        # refuses a symbol one block off at a frequency the sources occupy
+        perturb_symbol(monkeypatch, 1.5)
+        op, w0 = grid_problem("convection_diffusion", 2, 2)
+        stats = []
+        with pytest.raises(SolverFailure, match="symbol against the stencil's product") as err:
+            integrate(op, method_registry()["tp3"], np.zeros_like(w0), 0.0, 1.0, 0.25, stats_out=stats)
+        assert err.value.stats.residual > 1e-10 and stats[-1] is err.value.stats
+        assert len(stats) == 4 and all(s.converged for s in stats[:-1])
+
+    def test_nan_resolvent_is_a_recorded_solver_failure(self, monkeypatch):
+        # a NaN residual misses the contract (it is not dropped as smaller than every
+        # other), and the check of a workspace refused while it is built reaches stats_out
+        op, w0 = grid_problem("convection", 1, 2)
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: np.full_like(M, np.nan) if M.ndim == 3 else inv(M))
+        stats = []
+        with pytest.raises(SolverFailure, match="^step map resolvent: relative residual nan") as err:
+            integrate(op, builtin_mdrk6(), w0, 0.0, 1.0, 0.25, stats_out=stats)
+        assert stats == [err.value.stats] and stats[0] is err.value.stats
+
+    def test_nan_source_response_is_a_solver_failure(self, monkeypatch):
+        # block solves that turn a source's right-hand side into NaN are refused, not taken
+        # for an exact zero column; the step map's check, made first, passed
+        step_map = FrequencyStep._step_map
+
+        def nan_solves(self, S, Y=None):
+            E, worst = step_map(self, S, Y)
+            Y[...] = np.nan
+            return E, worst
+
+        monkeypatch.setattr(FrequencyStep, "_step_map", nan_solves)
+        op, w0 = grid_problem("convection_diffusion", 1, 2)
+        stats = []
+        with pytest.raises(SolverFailure, match="^source response block solve: relative residual nan") as err:
+            integrate(op, builtin_mdrk6(), w0, 0.0, 1.0, 0.25, stats_out=stats)
+        assert stats[-1] is err.value.stats
 
 
 class TestExplicitDerivatives:
