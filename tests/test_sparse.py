@@ -489,6 +489,25 @@ class TestFourierSymbol:
                 expected = op.matrix.matvec(x)
                 assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected), (p, level)
 
+    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    def test_diagonal_blocks_are_frequency_free(self, problem):
+        # every edge of the grid joins a lower and an upper triangle, so no block off the
+        # centre couples a shape to itself, and the symbol's diagonal blocks are K_0's,
+        # bitwise, at every frequency: the two-colour resolvents rest on this
+        for p in range(problem == "convection_diffusion", 6):
+            for level, mesh in enumerate(mesh_hierarchy(4)):
+                op = assemble(mesh, make_basis(p), make_problem(problem), default_eta(p))
+                stencil, nm = op.stencil, op.basis.n_modes
+                off_centre = stencil.stored.copy()
+                off_centre[1, 1] = False
+                assert not off_centre[:, :, [0, 1], [0, 1]].any(), (p, level)
+                assert off_centre[:, :, [0, 1], [1, 0]].any(), (p, level)
+                S = stencil.symbol()
+                for s in (0, 1):
+                    shape = slice(s * nm, (s + 1) * nm)
+                    D, K0 = S[..., shape, shape], stencil.K[1, 1, shape, shape]
+                    assert np.array_equal(D, np.broadcast_to(K0, D.shape)), (p, level)
+
     def test_plain_stencil_is_one_lu_of_its_csr(self, monkeypatch):
         # a plain stencil is one block: SuperLU factors its tiled CSR, not I - lambda S, and
         # the residual is taken against the stencil's own product

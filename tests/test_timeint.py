@@ -8,11 +8,13 @@ import scipy.sparse.linalg
 
 from mddg.basis import make_basis
 from mddg.harness import (
+    RunConfig,
     default_eta,
     make_problem,
     method_registry,
     problem_convection,
     problem_convection_diffusion,
+    run_level,
 )
 from mddg.mesh import TriangularMesh
 from mddg.operator import DgOperator, assemble, project_l2
@@ -30,6 +32,7 @@ from mddg.timeint import (
     integrate,
     make_workspace,
     mdrk_step,
+    two_colour_resolvent,
 )
 
 from conftest import LinearOde, applied
@@ -578,17 +581,34 @@ def grid_problem(problem, p, level):
     return assemble(mesh, basis, prob, default_eta(p)), project_l2(mesh, basis, prob.initial)
 
 
-def perturb_symbol(monkeypatch, scale):
-    """Make every symbol one frequency block off: the k = (1, 1) block times ``scale``, which
-    the initial state and the convection-diffusion sources occupy."""
+def perturb_symbol(monkeypatch, scale, diagonal=False):
+    """Make every symbol one frequency block off at k = (1, 1), which the initial state and the
+    convection-diffusion sources occupy: its shape-coupling blocks times ``scale``, or with
+    ``diagonal`` its diagonal blocks, which the resolvents take as the same at every k."""
     symbol = StencilOperator.symbol
 
     def perturbed(self):
         S = symbol(self)
-        S[1, 1] *= scale
+        nm = S.shape[-1] // 2
+        for s in (0, 1):
+            t = s if diagonal else 1 - s
+            S[1, 1, s * nm : (s + 1) * nm, t * nm : (t + 1) * nm] *= scale
         return S
 
     monkeypatch.setattr(StencilOperator, "symbol", perturbed)
+
+
+def record_inv_shapes(monkeypatch):
+    """Record the shape of every matrix, or stack of matrices, that ``np.linalg.inv`` inverts."""
+    shapes = []
+    inv = np.linalg.inv
+
+    def recording(M):
+        shapes.append(np.shape(M))
+        return inv(M)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    return shapes
 
 
 class TestFrequencyMarch:
@@ -674,8 +694,9 @@ class TestFrequencyMarch:
     )
     def test_symbol_that_is_not_the_stencils_fails(self, problem, p, scale, monkeypatch):
         # the march takes every step through the symbol, so it is checked against the
-        # stencil's own product on the initial state: one frequency block off, at k = (1, 1),
-        # which the initial sine product occupies, is a SolverFailure, recorded
+        # stencil's own product on the initial state: the shape-coupling blocks off at one
+        # frequency, k = (1, 1), which the initial sine product occupies, are a SolverFailure,
+        # recorded
         perturb_symbol(monkeypatch, scale)
         op, w0 = grid_problem(problem, p, 2)
         stats = []
@@ -695,6 +716,63 @@ class TestFrequencyMarch:
             integrate(op, method_registry()["tp3"], np.zeros_like(w0), 0.0, 1.0, 0.25, stats_out=stats)
         assert err.value.stats.residual > 1e-10 and stats[-1] is err.value.stats
         assert len(stats) == 4 and all(s.converged for s in stats[:-1])
+
+    @pytest.mark.parametrize(
+        "problem, p", [("convection", 0), ("convection", 5), ("convection_diffusion", 2)]
+    )
+    def test_diagonal_block_that_varies_with_k_fails_the_resolvents(self, problem, p, monkeypatch):
+        # the resolvents invert shape 0's diagonal block once, for every frequency: a symbol
+        # whose diagonal blocks are off at k = (1, 1) gets wrong resolvents there, and their
+        # residual, the first check, refuses it and is recorded
+        perturb_symbol(monkeypatch, 1.5, diagonal=True)
+        op, w0 = grid_problem(problem, p, 2)
+        stats = []
+        with pytest.raises(SolverFailure, match="^step map resolvent: relative residual") as err:
+            integrate(op, method_registry()["tp3"], w0, 0.0, 1.0, 0.25, stats_out=stats)
+        assert err.value.stats.residual > 1e-10 and len(stats) == 1 and stats[-1] is err.value.stats
+
+    @pytest.mark.parametrize("problem", ["convection", "convection_diffusion"])
+    def test_two_colour_resolvent_is_the_full_inverse(self, problem):
+        # eliminating shape 0 gives the inverse of the whole block I - lambda_j dt S(k), at
+        # every frequency, for every eigenvalue of every built-in method; the two differ by
+        # about eps cond(I - lambda_j dt S(k)) (up to about 3e-13 at dt = 4, CD p = 5, where
+        # the block's condition number reaches 1.1e4)
+        for p in range(problem == "convection_diffusion", 6):
+            op, _ = grid_problem(problem, p, 2)
+            nb = op.stencil.K.shape[-1]
+            S = op.stencil.symbol().reshape(-1, nb, nb)
+            for method in method_registry().values():
+                for lam in as_tableau(method).eigen[0]:
+                    c = lam * 0.25
+                    expected = np.linalg.inv(np.eye(nb) - c * S)
+                    got = two_colour_resolvent(S, c)
+                    assert got.shape == expected.shape
+                    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), (p, lam)
+
+    @pytest.mark.parametrize("method", ["gl6", "mdrk6", "tp6"])
+    def test_step_map_inverts_only_half_size_blocks(self, method, monkeypatch):
+        # at p = 5 (nb = 42) every inverse the build takes is nm x nm: shape 0's diagonal
+        # block once per eigenvalue and the Schur complements, never a 42 x 42 block (the
+        # source responses reuse the same resolvents)
+        tableau = as_tableau(method_registry()[method])
+        tableau.eigen, tableau.step_factors  # C's eigenvectors are inverted once per tableau
+        op, _ = grid_problem("convection_diffusion", 5, 2)
+        shapes = record_inv_shapes(monkeypatch)
+        ws = FrequencyStep(op, tableau, 0.25)
+        nm, F = op.basis.n_modes, op.stencil.N * (op.stencil.N // 2 + 1)
+        assert nm == 21 and ws.E.shape == (F, 2 * nm, 2 * nm)
+        assert shapes == [(nm, nm), (F, nm, nm)] * len(tableau.eigen[0])
+
+    @pytest.mark.parametrize("problem, checks", [("convection", 2), ("convection_diffusion", 4)])
+    def test_study_level_inverts_no_full_block(self, problem, checks, monkeypatch):
+        # a whole p = 5 study level, assembly and checks included, inverts no 42 x 42 block,
+        # and still records its checks: the step map's, one per source mode and the symbol's
+        shapes = record_inv_shapes(monkeypatch)
+        stats = []
+        cfg = RunConfig(problem=problem, p=5, method="mdrk6", dt0=1.0)
+        assert run_level(cfg, TriangularMesh(2), 2, stats) < 1e-2
+        assert (21, 21) in {s[-2:] for s in shapes} and (42, 42) not in {s[-2:] for s in shapes}
+        assert len(stats) == checks and all(s.converged and s.residual <= 1e-10 for s in stats)
 
     def test_nan_resolvent_is_a_recorded_solver_failure(self, monkeypatch):
         # a NaN residual misses the contract (it is not dropped as smaller than every
